@@ -13,6 +13,10 @@
 //! connections become floating (constant-0) sources, illegal selects
 //! bridge wires, and new combinational cycles are tolerated (the engine
 //! relaxes them iteratively).
+//!
+//! [`compile_with`] can also pull in extra sites beyond the output cones;
+//! [`crate::delta::DeltaMap`] uses it to build the augmented network the
+//! wide engine runs structural upsets on.
 
 use std::collections::{HashMap, HashSet};
 
@@ -94,6 +98,45 @@ pub(crate) struct CBram {
     pub en: Src,
     /// Index into the device's output-register store.
     pub reg_idx: usize,
+}
+
+/// A LUT, flip-flop or BRAM site the compiler can be asked to pull in
+/// beyond the output cones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Site {
+    Lut { tile: Tile, slice: u8, lut: u8 },
+    Ff { tile: Tile, slice: u8, ff: u8 },
+    Bram { col: u16, block: u16 },
+}
+
+/// Node counts of a compiled network. A network compiled by
+/// [`compile_with`] holds the plain compile's nodes as an id prefix, so
+/// the plain counts split it into the golden cone and the rest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct NodeCounts {
+    pub luts: usize,
+    pub ffs: usize,
+    pub brams: usize,
+}
+
+impl NodeCounts {
+    pub fn of(net: &Compiled) -> NodeCounts {
+        NodeCounts {
+            luts: net.luts.len(),
+            ffs: net.ffs.len(),
+            brams: net.brams.len(),
+        }
+    }
+
+    /// True if `s` is a node at or past these counts.
+    pub fn beyond(&self, s: Src) -> bool {
+        match s {
+            Src::Lut(i) => i as usize >= self.luts,
+            Src::Ff(i) => i as usize >= self.ffs,
+            Src::Bram { id, .. } => id as usize >= self.brams,
+            _ => false,
+        }
+    }
 }
 
 /// The compiled network plus evaluation scratch space.
@@ -444,6 +487,18 @@ impl<'d> Builder<'d> {
         f.init = init;
     }
 
+    /// Build every scheduled node (the transitive fan-in of whatever was
+    /// allocated since the last drain).
+    fn drain(&mut self) {
+        while let Some(w) = self.work.pop() {
+            match w {
+                Work::Lut(id) => self.build_lut(id),
+                Work::Ff(id) => self.build_ff(id),
+                Work::Bram(id) => self.build_bram(id),
+            }
+        }
+    }
+
     fn build_bram(&mut self, id: u32) {
         let (col, block) = {
             let b = &self.brams[id as usize];
@@ -477,6 +532,15 @@ pub(crate) fn const_src(v: bool) -> Src {
 
 /// Compile the device's current configuration into an executable network.
 pub(crate) fn compile(dev: &Device) -> Compiled {
+    compile_with(dev, &[])
+}
+
+/// [`compile`] with `extra` sites as additional roots, the way
+/// diagnostics mode seeds every flip-flop. Each extra site and its fan-in
+/// is pulled in after the output cones are complete, one site at a time,
+/// so the plain compile's nodes keep their ids as a prefix and extending
+/// `extra` only appends nodes.
+pub(crate) fn compile_with(dev: &Device, extra: &[Site]) -> Compiled {
     let mut b = Builder::new(dev);
 
     // Bound output ports: east-edge IOB entries sampling outgoing east
@@ -510,13 +574,21 @@ pub(crate) fn compile(dev: &Device) -> Compiled {
         }
     }
 
-    // Pull in the transitive fan-in.
-    while let Some(w) = b.work.pop() {
-        match w {
-            Work::Lut(id) => b.build_lut(id),
-            Work::Ff(id) => b.build_ff(id),
-            Work::Bram(id) => b.build_bram(id),
+    // Pull in the transitive fan-in, then each extra site's.
+    b.drain();
+    for &site in extra {
+        match site {
+            Site::Lut { tile, slice, lut } => {
+                b.lut_id(tile, slice, lut);
+            }
+            Site::Ff { tile, slice, ff } => {
+                b.ff_id(tile, slice, ff);
+            }
+            Site::Bram { col, block } => {
+                b.bram_id(col as usize, block as usize);
+            }
         }
+        b.drain();
     }
 
     // Assemble the output vector.

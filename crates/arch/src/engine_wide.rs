@@ -5,36 +5,37 @@
 //! Every signal in the compiled network is evaluated as a `u64` whose bit
 //! `l` is the value seen by lane `l`. Lane 0 always runs the golden
 //! (uncorrupted) configuration; lanes 1..64 each carry one independent
-//! single-bit-upset experiment, applied as a lane-masked XOR overlay on
-//! the lane-packed state. Output divergence for a lane is then a single
-//! `XOR` against the golden trace — 63 injection experiments advance per
-//! [`WideEngine::step`], which is what makes exhaustive campaigns cheap
-//! enough to run interactively (paper §III's hardware made the same move
-//! with a dedicated comparator FPGA).
+//! single-bit-upset experiment. Output divergence for a lane is then a
+//! single `XOR` against the golden trace — 63 injection experiments
+//! advance per [`WideEngine::step`], which is what makes exhaustive
+//! campaigns cheap enough to run interactively (paper §III's hardware made
+//! the same move with a dedicated comparator FPGA).
 //!
-//! The engine can express exactly the upsets that do **not** change the
-//! compiled topology — LUT truth-table bits, flip-flop init bits and BRAM
-//! content bits of *compiled* elements (the classes
-//! [`Device::flip_config_bit`] patches in place rather than recompiling).
-//! [`WideEngine::classify`] sorts any global configuration-bit index into
-//! lane-expressible / provably-benign / structural; structural bits fall
-//! back to the scalar path, where [`same_topology`] lets the caller prove
-//! most of them benign with one recompile and no observe window.
+//! A lane carries what [`DeltaMap::classify`], the campaign's triage, calls
+//! a lane upset: a state overlay (a LUT truth-table, flip-flop init or
+//! BRAM content bit XORed into the lane-packed state), or a reroute
+//! (lane-masked source overrides, with reach masks freezing the nodes the
+//! lane's corrupted network drops). [`WideEngine::with_map`] runs the
+//! map's augmented network: its nodes past the golden cone hold still in
+//! every lane that does not reach them, and are evaluated only in batches
+//! where some lane does. Bits the triage calls structural take the scalar
+//! path instead.
 //!
-//! Evaluation mirrors `engine::eval_cycle_into` phase for phase: settle
-//! (single topological sweep — the engine refuses combinational cycles),
-//! output sample, FF next-state, BRAM port operations (write-first,
-//! in-order), dynamic LUT writes (RAM / SRL16), FF commit. Per-lane truth
-//! tables are held as 16 minterm bit-planes and evaluated by Shannon
-//! reduction on the four lane-packed pin words, which uniformly handles
-//! corrupted-table lanes and run-time LUT writes.
+//! Evaluation mirrors `engine::eval_cycle_into` phase for phase: settle,
+//! output sample, FF next-state, BRAM port operations (write-first), dynamic
+//! LUT writes (RAM / SRL16), FF commit. Settle is one sweep in topological
+//! order; a batch holding a lane whose edges run against that order
+//! repeats the sweep until no reached lane word changes, the unique
+//! solution of an acyclic network. Per-lane truth tables are held as 16
+//! minterm bit-planes and evaluated by Shannon reduction on the four
+//! lane-packed pin words, which uniformly handles corrupted-table lanes and
+//! run-time LUT writes.
 
-use crate::bits::{BitRole, LutMode};
-use crate::compile::{Compiled, Src};
-use crate::delta::{DeltaOp, LaneUpset, UpsetKind};
+use crate::bits::LutMode;
+use crate::compile::{Compiled, NodeCounts, Src};
+use crate::delta::{reach, DeltaMap, DeltaOp, LaneUpset, Root, UpsetKind};
 use crate::device::Device;
-use crate::frames::BitLocus;
-use crate::geometry::{BRAM_DEPTH, BRAM_WIDTH};
+use crate::geometry::BRAM_DEPTH;
 use crate::halflatch::HalfLatches;
 
 /// Experiments per batch including the golden lane 0.
@@ -47,24 +48,8 @@ pub enum WideTarget {
     LutTable { lut: u32, bit: u8 },
     /// The init/set-reset value of compiled flip-flop `ff`.
     FfInit { ff: u32 },
-    /// Bit `plane` of word `addr` of compiled BRAM block `mem` (dense
-    /// block index, see [`WideEngine::classify`]).
+    /// Bit `plane` of word `addr` of compiled BRAM block `mem`.
     BramBit { mem: u32, addr: u16, plane: u8 },
-}
-
-/// What the wide engine can do with one global configuration-bit index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WideClass {
-    /// Expressible as a lane overlay: run it wide.
-    Lane(WideTarget),
-    /// Provably inert without simulation: the bit is never read by the
-    /// compiled network (uncompiled LUT table / FF init / BRAM content,
-    /// slice padding, reserved fields). Flipping it cannot change
-    /// behaviour, so the experiment outcome is benign by construction.
-    Benign,
-    /// May change the compiled topology: needs the scalar path (where
-    /// [`same_topology`] can still prove it benign with one compile).
-    Structural,
 }
 
 #[inline]
@@ -109,16 +94,9 @@ fn ov_mut<'a, T: Default>(idx: &mut [u32], ovs: &'a mut Vec<T>, i: u32) -> &'a m
     &mut ovs[idx[i as usize] as usize]
 }
 
-/// The source lane `m` actually reads: the last override covering the
-/// lane, or the golden base.
-fn eff_src(base: Src, ovs: &[(u64, Src)], m: u64) -> Src {
-    let mut s = base;
-    for &(mask, src) in ovs {
-        if mask & m != 0 {
-            s = src;
-        }
-    }
-    s
+/// The override slot for node `i`, if it has one.
+fn ov<'a, T>(idx: &[u32], ovs: &'a [T], i: u32) -> Option<&'a T> {
+    ovs.get(idx[i as usize] as usize)
 }
 
 /// True if `a` and `b` currently compile to behaviourally identical
@@ -126,10 +104,8 @@ fn eff_src(base: Src, ovs: &[(u64, Src)], m: u64) -> Src {
 /// output bindings and input count. Because the evaluation engine reads
 /// configuration memory only through the compiled network and BRAM
 /// content words, equal topologies on devices with equal BRAM content are
-/// guaranteed to produce identical traces — this is what lets a campaign
-/// prove a structural-bit upset benign with one recompile instead of a
-/// full observe window. (Scratch state and the closure-analysis fields
-/// are deliberately not compared.)
+/// guaranteed to produce identical traces. (Scratch state and the
+/// closure-analysis fields are deliberately not compared.)
 pub fn same_topology(a: &mut Device, b: &mut Device) -> bool {
     a.ensure_compiled();
     b.ensure_compiled();
@@ -172,25 +148,35 @@ struct BramOv {
 /// lane's corrupted configuration, shadowed bindings included).
 type OutOverride = (u8, Vec<(Src, bool)>, Vec<Src>);
 
-/// The word-parallel engine: a golden network snapshot plus lane-packed
-/// dynamic state for one batch of up to [`LANES`]` - 1` experiments.
+/// The word-parallel engine: a network snapshot plus lane-packed dynamic
+/// state for one batch of up to [`LANES`]` - 1` experiments.
 #[derive(Debug, Clone)]
 pub struct WideEngine {
     net: Compiled,
+    /// Golden node counts: ids at or past them are out-of-cone nodes of
+    /// an augmented network.
+    golden: NodeCounts,
+    /// Settle order of the golden cone.
+    golden_order: Vec<u32>,
     half: HalfLatches,
     /// Golden truth table per compiled LUT (batch reset source).
     golden_tables: Vec<u16>,
     /// Golden init value per compiled FF.
     golden_init: Vec<bool>,
-    /// Golden BRAM content per dense block, 256 words each.
+    /// Golden BRAM content per compiled block, 256 words each.
     golden_mem: Vec<Vec<u16>>,
-    /// Per compiled BRAM port: dense block index into `mem`.
-    port_mem: Vec<u32>,
-    /// Per compiled BRAM port: dense output-register index into `bram_out`
-    /// (ports sharing a hardware register share an entry).
-    port_out: Vec<u32>,
-    /// Dense (col, block) list, parallel to `golden_mem`, for `classify`.
-    blocks: Vec<(u16, u16)>,
+
+    // ---- the current batch's schedule ------------------------------------
+    /// LUTs to settle, in order: the golden cone plus the out-of-cone LUTs
+    /// some lane reaches.
+    order: Vec<u32>,
+    /// Flip-flops and BRAM blocks to clock, on the same rule.
+    ffs: Vec<u32>,
+    brams: Vec<u32>,
+    /// Some lane's edges run against `order`: settle repeats to a fixpoint.
+    resweep: bool,
+    /// A batch clocked out-of-cone state, so the next load resets it.
+    ext_dirty: bool,
 
     // ---- lane-packed state, rebuilt per batch ---------------------------
     /// Truth tables as 16 minterm planes per LUT.
@@ -199,9 +185,9 @@ pub struct WideEngine {
     ff: Vec<u64>,
     ff_next: Vec<u64>,
     ff_init: Vec<u64>,
-    /// BRAM output registers as 16 data-bit planes per register.
+    /// BRAM output registers as 16 data-bit planes per block.
     bram_out: Vec<[u64; 16]>,
-    /// BRAM content as 16 planes per word per dense block.
+    /// BRAM content as 16 planes per word per block.
     mem: Vec<Vec<[u64; 16]>>,
 
     /// State-overlay upsets as (lane, target) pairs.
@@ -215,9 +201,11 @@ pub struct WideEngine {
     bram_ovs: Vec<BramOv>,
     /// Per-lane replacement output vectors.
     out_ovs: Vec<OutOverride>,
-    /// Freeze masks: bit `l` clear ⇒ the node is unreachable in lane
-    /// `l`'s corrupted network, so its dynamic state must not advance
-    /// (the scalar corrupted compile drops it from the cone).
+    /// Reach masks: bit `l` set ⇒ lane `l`'s network holds the node, so
+    /// its dynamic state advances. Golden nodes start held by every lane
+    /// and out-of-cone nodes by none; a reroute lane's reachability pass
+    /// sets its own bit (the scalar corrupted compile keeps only the cone
+    /// of its outputs).
     lut_active: Vec<u64>,
     ff_active: Vec<u64>,
     bram_active: Vec<u64>,
@@ -241,89 +229,98 @@ impl WideEngine {
     /// scalar engine's relaxation is warm-start history dependent), or a
     /// BRAM block locked by an in-flight readback.
     pub fn new(dev: &mut Device) -> Option<WideEngine> {
-        if !dev.is_programmed() {
+        if !Self::supports(dev) {
             return None;
+        }
+        let net = dev.compiled.as_ref().expect("compiled").clone();
+        let golden = NodeCounts::of(&net);
+        Some(Self::from_net(dev, net, golden))
+    }
+
+    /// The engine over `map`'s augmented network, which can carry every
+    /// lane upset `map` classifies. `dev` must hold the golden
+    /// configuration `map` was built from; `None` on the same grounds as
+    /// [`WideEngine::new`].
+    pub fn with_map(dev: &mut Device, map: &DeltaMap) -> Option<WideEngine> {
+        if !Self::supports(dev) {
+            return None;
+        }
+        Some(Self::from_net(dev, map.net.clone(), map.golden))
+    }
+
+    fn supports(dev: &mut Device) -> bool {
+        if !dev.is_programmed() {
+            return false;
         }
         dev.ensure_compiled();
-        if dev.bram_locked.iter().any(|&l| l > 0) {
-            return None;
-        }
-        let net = dev.compiled.as_ref().unwrap().clone();
-        if net.iterative {
-            return None;
-        }
+        !dev.bram_locked.iter().any(|&l| l > 0)
+            && !dev.compiled.as_ref().expect("compiled").iterative
+    }
 
+    fn from_net(dev: &Device, net: Compiled, golden: NodeCounts) -> WideEngine {
         let golden_tables: Vec<u16> = net.luts.iter().map(|l| l.table).collect();
         let golden_init: Vec<bool> = net.ffs.iter().map(|f| f.init).collect();
-
-        let mut blocks: Vec<(u16, u16)> = Vec::new();
-        let mut regs: Vec<usize> = Vec::new();
-        let mut port_mem = Vec::with_capacity(net.brams.len());
-        let mut port_out = Vec::with_capacity(net.brams.len());
-        for b in &net.brams {
-            let key = (b.col, b.block);
-            let mi = blocks.iter().position(|&k| k == key).unwrap_or_else(|| {
-                blocks.push(key);
-                blocks.len() - 1
-            });
-            port_mem.push(mi as u32);
-            let oi = regs
-                .iter()
-                .position(|&r| r == b.reg_idx)
-                .unwrap_or_else(|| {
-                    regs.push(b.reg_idx);
-                    regs.len() - 1
-                });
-            port_out.push(oi as u32);
-        }
-        let golden_mem: Vec<Vec<u16>> = blocks
+        let golden_mem: Vec<Vec<u16>> = net
+            .brams
             .iter()
-            .map(|&(col, block)| {
+            .map(|b| {
                 (0..BRAM_DEPTH)
-                    .map(|a| dev.config.read_bram_word(col as usize, block as usize, a))
+                    .map(|a| {
+                        dev.config
+                            .read_bram_word(b.col as usize, b.block as usize, a)
+                    })
                     .collect()
             })
+            .collect();
+        let golden_order: Vec<u32> = net
+            .order
+            .iter()
+            .copied()
+            .filter(|&i| (i as usize) < golden.luts)
             .collect();
 
         let n_luts = net.luts.len();
         let n_ffs = net.ffs.len();
-        let n_regs = regs.len();
-        let n_blocks = blocks.len();
-        let n_ports = net.brams.len();
+        let n_brams = net.brams.len();
         let n_outputs = net.outputs.len();
-        Some(WideEngine {
-            net,
+        let held = |n: usize, g: usize| (0..n).map(|i| splat(i < g)).collect::<Vec<u64>>();
+        WideEngine {
             half: dev.half_latches.clone(),
             golden_tables,
             golden_init,
             golden_mem,
-            port_mem,
-            port_out,
-            blocks,
+            order: golden_order.clone(),
+            golden_order,
+            ffs: (0..golden.ffs as u32).collect(),
+            brams: (0..golden.brams as u32).collect(),
+            resweep: false,
+            ext_dirty: true,
             tab: vec![[0u64; 16]; n_luts],
             lut_vals: vec![0; n_luts],
             ff: vec![0; n_ffs],
             ff_next: vec![0; n_ffs],
             ff_init: vec![0; n_ffs],
-            bram_out: vec![[0u64; 16]; n_regs],
-            mem: vec![vec![[0u64; 16]; BRAM_DEPTH]; n_blocks],
+            bram_out: vec![[0u64; 16]; n_brams],
+            mem: vec![vec![[0u64; 16]; BRAM_DEPTH]; n_brams],
             state_targets: Vec::new(),
             lut_ov: vec![u32::MAX; n_luts],
             lut_ovs: Vec::new(),
             ff_ov: vec![u32::MAX; n_ffs],
             ff_ovs: Vec::new(),
-            bram_ov: vec![u32::MAX; n_ports],
+            bram_ov: vec![u32::MAX; n_brams],
             bram_ovs: Vec::new(),
             out_ovs: Vec::new(),
-            lut_active: vec![!0u64; n_luts],
-            ff_active: vec![!0u64; n_ffs],
-            bram_active: vec![!0u64; n_ports],
+            lut_active: held(n_luts, golden.luts),
+            ff_active: held(n_ffs, golden.ffs),
+            bram_active: held(n_brams, golden.brams),
             valid_out: vec![!0u64; n_outputs],
             len_diff: 0,
             has_reroute: false,
             all_state: dev.compile_all_state,
             repaired: true,
-        })
+            golden,
+            net,
+        }
     }
 
     /// Number of output ports the network drives.
@@ -334,45 +331,6 @@ impl WideEngine {
     /// Experiments one batch can carry (lane 0 is the golden reference).
     pub fn batch_capacity(&self) -> usize {
         LANES - 1
-    }
-
-    /// Sort a global configuration-bit index into lane / benign /
-    /// structural (see [`WideClass`]).
-    pub fn classify(&self, dev: &Device, global: usize) -> WideClass {
-        match dev.config().describe(global) {
-            BitLocus::Clb { tile, role } => match role {
-                BitRole::LutTable { slice, lut, bit } => {
-                    let key =
-                        dev.geometry().tile_index(tile) * 4 + slice as usize * 2 + lut as usize;
-                    match self.net.lut_site_index[key] {
-                        u32::MAX => WideClass::Benign,
-                        id => WideClass::Lane(WideTarget::LutTable { lut: id, bit }),
-                    }
-                }
-                BitRole::FfInit { slice, ff } => {
-                    let key = dev.ff_index(tile, slice as usize, ff as usize);
-                    match self.net.ff_site_index[key] {
-                        u32::MAX => WideClass::Benign,
-                        id => WideClass::Lane(WideTarget::FfInit { ff: id }),
-                    }
-                }
-                BitRole::SliceReserved { .. } | BitRole::Pad => WideClass::Benign,
-                _ => WideClass::Structural,
-            },
-            BitLocus::BramContent { col, block, bit } => {
-                match self.blocks.iter().position(|&k| k == (col, block)) {
-                    // Content of a block no compiled port reads is never
-                    // observed by the engine.
-                    None => WideClass::Benign,
-                    Some(mi) => WideClass::Lane(WideTarget::BramBit {
-                        mem: mi as u32,
-                        addr: (bit as usize / BRAM_WIDTH) as u16,
-                        plane: (bit as usize % BRAM_WIDTH) as u8,
-                    }),
-                }
-            }
-            _ => WideClass::Structural,
-        }
     }
 
     /// Reset all lanes to the golden power-on state and corrupt lane
@@ -386,8 +344,11 @@ impl WideEngine {
     /// Reset all lanes to the golden power-on state (FFs at init, BRAM
     /// output registers clear, golden tables and content) and corrupt
     /// lane `i + 1` with `upsets[i]` — a state overlay (lane-masked XOR)
-    /// or a reroute (lane-masked source overrides plus freeze masks for
-    /// the nodes the corrupted cone drops). At most [`LANES`]` - 1`.
+    /// or a reroute (lane-masked source overrides plus reach masks for
+    /// the nodes the corrupted cone holds). At most [`LANES`]` - 1`,
+    /// classified by the map this engine was built with
+    /// ([`WideEngine::with_map`]); a plain [`WideEngine::new`] engine
+    /// carries only lanes that stay inside the golden cone.
     pub fn load_batch_upsets(&mut self, upsets: &[LaneUpset]) {
         assert!(
             upsets.len() < LANES,
@@ -395,21 +356,25 @@ impl WideEngine {
             upsets.len(),
             LANES - 1
         );
-        for (li, tab) in self.tab.iter_mut().enumerate() {
-            *tab = broadcast_table(self.golden_tables[li]);
+        // Out-of-cone state changes only in batches that clock it.
+        let n = if std::mem::take(&mut self.ext_dirty) {
+            NodeCounts::of(&self.net)
+        } else {
+            self.golden
+        };
+        for (tab, &t) in self.tab[..n.luts].iter_mut().zip(&self.golden_tables) {
+            *tab = broadcast_table(t);
         }
         self.lut_vals.fill(0);
-        for (i, &init) in self.golden_init.iter().enumerate() {
+        for (i, &init) in self.golden_init[..n.ffs].iter().enumerate() {
             self.ff[i] = splat(init);
             self.ff_init[i] = splat(init);
         }
         self.ff_next.fill(0);
-        for reg in self.bram_out.iter_mut() {
-            *reg = [0u64; 16];
-        }
-        for (mi, block) in self.mem.iter_mut().enumerate() {
-            for (a, word) in block.iter_mut().enumerate() {
-                *word = broadcast_table(self.golden_mem[mi][a]);
+        for bi in 0..n.brams {
+            self.bram_out[bi] = [0u64; 16];
+            for (word, &w) in self.mem[bi].iter_mut().zip(&self.golden_mem[bi]) {
+                *word = broadcast_table(w);
             }
         }
         self.clear_reroutes();
@@ -418,19 +383,20 @@ impl WideEngine {
             let lane = (i + 1) as u8;
             match &u.0 {
                 UpsetKind::State(t) => self.state_targets.push((lane, *t)),
-                UpsetKind::Reroute(ops) => {
+                UpsetKind::Reroute { ops, resweep, .. } => {
                     self.install_ops(lane, ops);
                     self.has_reroute = true;
+                    self.resweep |= resweep;
                 }
             }
         }
         self.apply_state_overlays();
         if self.has_reroute {
-            for (i, u) in upsets.iter().enumerate() {
-                if matches!(u.0, UpsetKind::Reroute(_)) {
-                    self.apply_reachability((i + 1) as u8);
-                }
-            }
+            let reroutes = upsets.iter().enumerate().fold(0u64, |m, (i, u)| {
+                m | (u64::from(matches!(u.0, UpsetKind::Reroute { .. })) << (i + 1))
+            });
+            self.apply_reachability(reroutes);
+            self.schedule_reached();
         }
         self.repaired = false;
     }
@@ -440,12 +406,12 @@ impl WideEngine {
     /// restore-to-golden: a dynamic resource may have overwritten the
     /// corrupted cell during the observe window, and the scalar repair
     /// likewise flips whatever is there now. Reroute lanes drop their
-    /// source overrides and thaw their freeze masks — the scalar repair
-    /// recompiles back to the golden network with the device state
-    /// (including state the frozen nodes held) carried over. Dynamic
-    /// state is deliberately kept in both cases, so the persistence
-    /// window continues from the post-upset state exactly like the
-    /// scalar path.
+    /// source overrides and return to the golden reach masks — the scalar
+    /// repair recompiles back to the golden network with the device state
+    /// (including state the frozen or out-of-cone nodes hold) carried
+    /// over. Dynamic state is deliberately kept in both cases, so the
+    /// persistence window continues from the post-upset state exactly like
+    /// the scalar path.
     pub fn repair(&mut self) {
         if !self.repaired {
             self.apply_state_overlays();
@@ -456,6 +422,7 @@ impl WideEngine {
 
     fn clear_reroutes(&mut self) {
         if self.has_reroute {
+            let g = self.golden;
             self.lut_ov.fill(u32::MAX);
             self.lut_ovs.clear();
             self.ff_ov.fill(u32::MAX);
@@ -463,11 +430,22 @@ impl WideEngine {
             self.bram_ov.fill(u32::MAX);
             self.bram_ovs.clear();
             self.out_ovs.clear();
-            self.lut_active.fill(!0);
-            self.ff_active.fill(!0);
-            self.bram_active.fill(!0);
+            for (masks, g) in [
+                (&mut self.lut_active, g.luts),
+                (&mut self.ff_active, g.ffs),
+                (&mut self.bram_active, g.brams),
+            ] {
+                masks[..g].fill(!0);
+                masks[g..].fill(0);
+            }
+            if self.order.len() != self.golden_order.len() {
+                self.order.clone_from(&self.golden_order);
+            }
+            self.ffs.truncate(g.ffs);
+            self.brams.truncate(g.brams);
             self.valid_out.fill(!0);
             self.len_diff = 0;
+            self.resweep = false;
             self.has_reroute = false;
         }
     }
@@ -485,58 +463,59 @@ impl WideEngine {
         }
     }
 
+    /// The override list of `root`, created on first use.
+    fn ov_list(&mut self, root: Root) -> &mut Vec<(u64, Src)> {
+        match root {
+            Root::LutPin { lut, pin } => {
+                &mut ov_mut(&mut self.lut_ov, &mut self.lut_ovs, lut).pins[pin as usize]
+            }
+            Root::LutData { lut } => &mut ov_mut(&mut self.lut_ov, &mut self.lut_ovs, lut).data,
+            Root::LutWe { lut } => &mut ov_mut(&mut self.lut_ov, &mut self.lut_ovs, lut).we,
+            Root::FfD { ff } => &mut ov_mut(&mut self.ff_ov, &mut self.ff_ovs, ff).d,
+            Root::FfCe { ff } => &mut ov_mut(&mut self.ff_ov, &mut self.ff_ovs, ff).ce,
+            Root::FfSr { ff } => &mut ov_mut(&mut self.ff_ov, &mut self.ff_ovs, ff).sr,
+            Root::BramAddr { bram, i } => {
+                &mut ov_mut(&mut self.bram_ov, &mut self.bram_ovs, bram).addr[i as usize]
+            }
+            Root::BramDin { bram, i } => {
+                &mut ov_mut(&mut self.bram_ov, &mut self.bram_ovs, bram).din[i as usize]
+            }
+            Root::BramWe { bram } => &mut ov_mut(&mut self.bram_ov, &mut self.bram_ovs, bram).we,
+            Root::BramEn { bram } => &mut ov_mut(&mut self.bram_ov, &mut self.bram_ovs, bram).en,
+            Root::OutEntry { .. } => unreachable!("output entries rebind through DeltaOp::Outputs"),
+        }
+    }
+
+    /// The overrides installed on `root` (empty if none).
+    fn ovs(&self, root: Root) -> &[(u64, Src)] {
+        let list = match root {
+            Root::LutPin { lut, pin } => {
+                ov(&self.lut_ov, &self.lut_ovs, lut).map(|o| &o.pins[pin as usize])
+            }
+            Root::LutData { lut } => ov(&self.lut_ov, &self.lut_ovs, lut).map(|o| &o.data),
+            Root::LutWe { lut } => ov(&self.lut_ov, &self.lut_ovs, lut).map(|o| &o.we),
+            Root::FfD { ff } => ov(&self.ff_ov, &self.ff_ovs, ff).map(|o| &o.d),
+            Root::FfCe { ff } => ov(&self.ff_ov, &self.ff_ovs, ff).map(|o| &o.ce),
+            Root::FfSr { ff } => ov(&self.ff_ov, &self.ff_ovs, ff).map(|o| &o.sr),
+            Root::BramAddr { bram, i } => {
+                ov(&self.bram_ov, &self.bram_ovs, bram).map(|o| &o.addr[i as usize])
+            }
+            Root::BramDin { bram, i } => {
+                ov(&self.bram_ov, &self.bram_ovs, bram).map(|o| &o.din[i as usize])
+            }
+            Root::BramWe { bram } => ov(&self.bram_ov, &self.bram_ovs, bram).map(|o| &o.we),
+            Root::BramEn { bram } => ov(&self.bram_ov, &self.bram_ovs, bram).map(|o| &o.en),
+            Root::OutEntry { .. } => None,
+        };
+        list.map_or(&[], |l| &l[..])
+    }
+
     /// Record one reroute lane's ops as lane-masked overrides.
     fn install_ops(&mut self, lane: u8, ops: &[DeltaOp]) {
         let m = 1u64 << lane;
         for op in ops {
             match op {
-                DeltaOp::LutPin { lut, pin, src } => {
-                    ov_mut(&mut self.lut_ov, &mut self.lut_ovs, *lut).pins[*pin as usize]
-                        .push((m, *src));
-                }
-                DeltaOp::LutData { lut, src } => {
-                    ov_mut(&mut self.lut_ov, &mut self.lut_ovs, *lut)
-                        .data
-                        .push((m, *src));
-                }
-                DeltaOp::LutWe { lut, src } => {
-                    ov_mut(&mut self.lut_ov, &mut self.lut_ovs, *lut)
-                        .we
-                        .push((m, *src));
-                }
-                DeltaOp::FfD { ff, src } => {
-                    ov_mut(&mut self.ff_ov, &mut self.ff_ovs, *ff)
-                        .d
-                        .push((m, *src));
-                }
-                DeltaOp::FfCe { ff, src } => {
-                    ov_mut(&mut self.ff_ov, &mut self.ff_ovs, *ff)
-                        .ce
-                        .push((m, *src));
-                }
-                DeltaOp::FfSr { ff, src } => {
-                    ov_mut(&mut self.ff_ov, &mut self.ff_ovs, *ff)
-                        .sr
-                        .push((m, *src));
-                }
-                DeltaOp::BramAddr { bram, i, src } => {
-                    ov_mut(&mut self.bram_ov, &mut self.bram_ovs, *bram).addr[*i as usize]
-                        .push((m, *src));
-                }
-                DeltaOp::BramDin { bram, i, src } => {
-                    ov_mut(&mut self.bram_ov, &mut self.bram_ovs, *bram).din[*i as usize]
-                        .push((m, *src));
-                }
-                DeltaOp::BramWe { bram, src } => {
-                    ov_mut(&mut self.bram_ov, &mut self.bram_ovs, *bram)
-                        .we
-                        .push((m, *src));
-                }
-                DeltaOp::BramEn { bram, src } => {
-                    ov_mut(&mut self.bram_ov, &mut self.bram_ovs, *bram)
-                        .en
-                        .push((m, *src));
-                }
+                DeltaOp::Rebind(root, src) => self.ov_list(*root).push((m, *src)),
                 DeltaOp::Outputs { outs, seeds } => {
                     let gl = self.net.outputs.len();
                     if outs.len() != gl {
@@ -554,132 +533,63 @@ impl WideEngine {
         }
     }
 
-    /// Freeze the nodes lane `lane`'s corrupted network drops: reverse
-    /// BFS from the lane's outputs over the golden graph with this lane's
-    /// source overrides applied. The scalar corrupted compile only keeps
-    /// the cone of the (corrupted) outputs; anything outside it holds its
-    /// state — FFs don't clock, dynamic LUT tables don't shift, BRAM
-    /// ports neither write nor latch — until repair restores the cone.
-    fn apply_reachability(&mut self, lane: u8) {
-        let m = 1u64 << lane;
-        let empty: &[(u64, Src)] = &[];
-        let mut lut_seen = vec![false; self.net.luts.len()];
-        let mut ff_seen = vec![false; self.net.ffs.len()];
-        let mut bram_seen = vec![false; self.net.brams.len()];
-        let mut work: Vec<Src> = Vec::new();
-
-        match self.out_ovs.iter().find(|&&(l, _, _)| l == lane) {
-            // The seed list covers every enabled entry's cone — also
-            // shadowed ones, which the compiler still traces and keeps
-            // clocking.
-            Some((_, _, seeds)) => work.extend_from_slice(seeds),
-            None => work.extend(self.net.outputs.iter().map(|&(s, _)| s)),
+    /// Set the reroute lanes' reach masks to the nodes their corrupted
+    /// networks hold: one pass from each lane's outputs over the network
+    /// with that lane's source overrides applied, all lanes at once. The
+    /// scalar corrupted compile only keeps the cone of the (corrupted)
+    /// outputs; anything outside it holds its state — FFs don't clock,
+    /// dynamic LUT tables don't shift, BRAM ports neither write nor latch
+    /// — until repair restores the golden cone.
+    fn apply_reachability(&mut self, reroutes: u64) {
+        // A lane with a replacement output vector seeds every enabled
+        // entry's cone — also shadowed ones, which the compiler still
+        // traces and keeps clocking.
+        let rebound = self.out_ovs.iter().fold(0u64, |m, &(l, _, _)| m | 1 << l);
+        let mut seeds: Vec<(Src, u64)> = self
+            .net
+            .outputs
+            .iter()
+            .map(|&(s, _)| (s, reroutes & !rebound))
+            .collect();
+        for (lane, _, lane_seeds) in &self.out_ovs {
+            seeds.extend(lane_seeds.iter().map(|&s| (s, 1u64 << lane)));
         }
         // Diagnostics mode compiles every flip-flop unconditionally, so a
         // reroute can never drop one.
         if self.all_state {
-            work.extend((0..self.net.ffs.len() as u32).map(Src::Ff));
+            seeds.extend((0..self.net.ffs.len() as u32).map(|i| (Src::Ff(i), reroutes)));
         }
+        let r = reach(&self.net, &seeds, |root| self.ovs(root));
+        for (active, held) in [
+            (&mut self.lut_active, &r.luts),
+            (&mut self.ff_active, &r.ffs),
+            (&mut self.bram_active, &r.brams),
+        ] {
+            for (a, &h) in active.iter_mut().zip(held) {
+                *a = (*a & !reroutes) | (h & reroutes);
+            }
+        }
+    }
 
-        while let Some(s) = work.pop() {
-            match s {
-                Src::Lut(i) => {
-                    let i = i as usize;
-                    if lut_seen[i] {
-                        continue;
-                    }
-                    lut_seen[i] = true;
-                    let l = &self.net.luts[i];
-                    let oi = self.lut_ov[i];
-                    for (p, &pin) in l.pins.iter().enumerate() {
-                        let ovs = if oi == u32::MAX {
-                            empty
-                        } else {
-                            &self.lut_ovs[oi as usize].pins[p]
-                        };
-                        work.push(eff_src(pin, ovs, m));
-                    }
-                    if l.mode.is_dynamic() {
-                        let (d_ovs, w_ovs) = if oi == u32::MAX {
-                            (empty, empty)
-                        } else {
-                            let ov = &self.lut_ovs[oi as usize];
-                            (&ov.data[..], &ov.we[..])
-                        };
-                        work.push(eff_src(l.data, d_ovs, m));
-                        work.push(eff_src(l.we, w_ovs, m));
-                    }
-                }
-                Src::Ff(i) => {
-                    let i = i as usize;
-                    if ff_seen[i] {
-                        continue;
-                    }
-                    ff_seen[i] = true;
-                    let f = &self.net.ffs[i];
-                    let oi = self.ff_ov[i];
-                    let (d, ce, sr) = if oi == u32::MAX {
-                        (empty, empty, empty)
-                    } else {
-                        let ov = &self.ff_ovs[oi as usize];
-                        (&ov.d[..], &ov.ce[..], &ov.sr[..])
-                    };
-                    work.push(eff_src(f.d, d, m));
-                    work.push(eff_src(f.ce, ce, m));
-                    work.push(eff_src(f.sr, sr, m));
-                }
-                Src::Bram { id, .. } => {
-                    let i = id as usize;
-                    if bram_seen[i] {
-                        continue;
-                    }
-                    bram_seen[i] = true;
-                    let b = &self.net.brams[i];
-                    let oi = self.bram_ov[i];
-                    for (k, &a) in b.addr.iter().enumerate() {
-                        let ovs = if oi == u32::MAX {
-                            empty
-                        } else {
-                            &self.bram_ovs[oi as usize].addr[k]
-                        };
-                        work.push(eff_src(a, ovs, m));
-                    }
-                    for (k, &d) in b.din.iter().enumerate() {
-                        let ovs = if oi == u32::MAX {
-                            empty
-                        } else {
-                            &self.bram_ovs[oi as usize].din[k]
-                        };
-                        work.push(eff_src(d, ovs, m));
-                    }
-                    let (we, en) = if oi == u32::MAX {
-                        (empty, empty)
-                    } else {
-                        let ov = &self.bram_ovs[oi as usize];
-                        (&ov.we[..], &ov.en[..])
-                    };
-                    work.push(eff_src(b.we, we, m));
-                    work.push(eff_src(b.en, en, m));
-                }
-                _ => {}
-            }
+    /// Add the out-of-cone nodes some lane reaches to the batch schedule.
+    fn schedule_reached(&mut self) {
+        let g = self.golden;
+        let ffs = (g.ffs..self.ff_active.len()).filter(|&i| self.ff_active[i] != 0);
+        self.ffs.extend(ffs.map(|i| i as u32));
+        let brams = (g.brams..self.bram_active.len()).filter(|&i| self.bram_active[i] != 0);
+        self.brams.extend(brams.map(|i| i as u32));
+        if self.lut_active[g.luts..].iter().any(|&m| m != 0) {
+            let active = &self.lut_active;
+            self.order = self
+                .net
+                .order
+                .iter()
+                .copied()
+                .filter(|&i| (i as usize) < g.luts || active[i as usize] != 0)
+                .collect();
         }
-
-        for (i, seen) in lut_seen.iter().enumerate() {
-            if !seen {
-                self.lut_active[i] &= !m;
-            }
-        }
-        for (i, seen) in ff_seen.iter().enumerate() {
-            if !seen {
-                self.ff_active[i] &= !m;
-            }
-        }
-        for (i, seen) in bram_seen.iter().enumerate() {
-            if !seen {
-                self.bram_active[i] &= !m;
-            }
-        }
+        self.ext_dirty |=
+            self.order.len() > g.luts || self.ffs.len() > g.ffs || self.brams.len() > g.brams;
     }
 
     /// Per golden output port, the lanes whose comparison against the
@@ -704,9 +614,7 @@ impl WideEngine {
             Src::HalfLatch { site, invert } => splat(self.half.value(site) ^ invert),
             Src::Lut(i) => self.lut_vals[i as usize],
             Src::Ff(i) => self.ff[i as usize],
-            Src::Bram { id, bit } => {
-                self.bram_out[self.port_out[id as usize] as usize][bit as usize]
-            }
+            Src::Bram { id, bit } => self.bram_out[id as usize][bit as usize],
             Src::Input { port, invert } => {
                 splat(inputs.get(port as usize).copied().unwrap_or(false) ^ invert)
             }
@@ -747,30 +655,59 @@ impl WideEngine {
         }
     }
 
+    /// LUT `li`'s lane-packed output: Shannon reduction of its 16 minterm
+    /// planes by the 4 pin words.
+    #[inline]
+    fn lut_out(&self, li: usize, inputs: &[bool]) -> u64 {
+        let p = self.pin_words(li, inputs);
+        let t = &self.tab[li];
+        let mut s8 = [0u64; 8];
+        for (j, s) in s8.iter_mut().enumerate() {
+            *s = (t[2 * j] & !p[0]) | (t[2 * j + 1] & p[0]);
+        }
+        let mut s4 = [0u64; 4];
+        for (j, s) in s4.iter_mut().enumerate() {
+            *s = (s8[2 * j] & !p[1]) | (s8[2 * j + 1] & p[1]);
+        }
+        let s2 = [
+            (s4[0] & !p[2]) | (s4[1] & p[2]),
+            (s4[2] & !p[2]) | (s4[3] & p[2]),
+        ];
+        (s2[0] & !p[3]) | (s2[1] & p[3])
+    }
+
+    /// Settle combinational logic: one sweep in topological order, or —
+    /// when some lane's edges run against it — sweeps until no lane word
+    /// of a node that lane holds changes. Every lane's held network is
+    /// acyclic, so that fixpoint is its one combinational solution.
+    fn settle(&mut self, inputs: &[bool]) {
+        if !self.resweep {
+            for k in 0..self.order.len() {
+                let li = self.order[k] as usize;
+                self.lut_vals[li] = self.lut_out(li, inputs);
+            }
+            return;
+        }
+        for _ in 0..=self.order.len() {
+            let mut changed = 0u64;
+            for k in 0..self.order.len() {
+                let li = self.order[k] as usize;
+                let v = self.lut_out(li, inputs);
+                changed |= (v ^ self.lut_vals[li]) & self.lut_active[li];
+                self.lut_vals[li] = v;
+            }
+            if changed == 0 {
+                return;
+            }
+        }
+        unreachable!("an acyclic lane network settles within one sweep per LUT");
+    }
+
     /// One full clock edge for all lanes; outputs land in `out` (cleared
     /// first) as one lane word per output port. Mirrors
     /// `engine::eval_cycle_into` phase for phase.
     pub fn step(&mut self, inputs: &[bool], out: &mut Vec<u64>) {
-        // Settle: one sweep in topological order (acyclic by construction).
-        for oi in 0..self.net.order.len() {
-            let li = self.net.order[oi] as usize;
-            let p = self.pin_words(li, inputs);
-            // Shannon reduction of the 16 minterm planes by the 4 pins.
-            let t = &self.tab[li];
-            let mut s8 = [0u64; 8];
-            for (j, s) in s8.iter_mut().enumerate() {
-                *s = (t[2 * j] & !p[0]) | (t[2 * j + 1] & p[0]);
-            }
-            let mut s4 = [0u64; 4];
-            for (j, s) in s4.iter_mut().enumerate() {
-                *s = (s8[2 * j] & !p[1]) | (s8[2 * j + 1] & p[1]);
-            }
-            let s2 = [
-                (s4[0] & !p[2]) | (s4[1] & p[2]),
-                (s4[2] & !p[2]) | (s4[3] & p[2]),
-            ];
-            self.lut_vals[li] = (s2[0] & !p[3]) | (s2[1] & p[3]);
-        }
+        self.settle(inputs);
 
         // Sample outputs: golden bindings, then per-lane replacement
         // vectors for reroute lanes whose output cone changed.
@@ -786,7 +723,8 @@ impl WideEngine {
         }
 
         // FF next-state (double-buffered; reads old BRAM registers).
-        for i in 0..self.net.ffs.len() {
+        for k in 0..self.ffs.len() {
+            let i = self.ffs[k] as usize;
             let ff = &self.net.ffs[i];
             let oi = self.ff_ov[i];
             let (sr, ce, d) = if oi == u32::MAX {
@@ -807,10 +745,11 @@ impl WideEngine {
             self.ff_next[i] = (sr & self.ff_init[i]) | (!sr & ((ce & d) | (!ce & cur)));
         }
 
-        // BRAM port operations, in port order, write-first per lane.
-        // Lanes whose corrupted cone dropped the port are masked out of
-        // `en`, freezing both the output register and the content.
-        for bi in 0..self.net.brams.len() {
+        // BRAM port operations, write-first per lane. Lanes whose network
+        // does not hold the block are masked out of `en`, freezing both
+        // the output register and the content.
+        for k in 0..self.brams.len() {
+            let bi = self.brams[k] as usize;
             let b = &self.net.brams[bi];
             let oi = self.bram_ov[bi];
             let en = if oi == u32::MAX {
@@ -844,16 +783,14 @@ impl WideEngine {
                     };
                 }
             }
-            let mi = self.port_mem[bi] as usize;
-            let oi = self.port_out[bi] as usize;
-            let mut new_out = self.bram_out[oi];
+            let mut new_out = self.bram_out[bi];
             for lane in ones(en) {
                 let m = 1u64 << lane;
                 let mut a = 0usize;
                 for (i, w) in addr_w.iter().enumerate() {
                     a |= (((w >> lane) & 1) as usize) << i;
                 }
-                let word = &mut self.mem[mi][a];
+                let word = &mut self.mem[bi][a];
                 if we & m != 0 {
                     for (k, plane) in word.iter_mut().enumerate() {
                         *plane = (*plane & !m) | (din_w[k] & m);
@@ -863,12 +800,13 @@ impl WideEngine {
                     new_out[k] = (new_out[k] & !m) | (plane & m);
                 }
             }
-            self.bram_out[oi] = new_out;
+            self.bram_out[bi] = new_out;
         }
 
-        // Run-time LUT writes (distributed RAM and SRL16). Frozen lanes
-        // (LUT outside the lane's corrupted cone) don't advance.
-        for li in 0..self.net.luts.len() {
+        // Run-time LUT writes (distributed RAM and SRL16). Lanes whose
+        // network does not hold the LUT don't advance.
+        for k in 0..self.order.len() {
+            let li = self.order[k] as usize;
             if !self.net.luts[li].mode.is_dynamic() {
                 continue;
             }
@@ -912,15 +850,17 @@ impl WideEngine {
             }
         }
 
-        // Commit flip-flops; frozen lanes hold their value (the scalar
-        // corrupted compile dropped those FFs from the cone).
+        // Commit flip-flops; lanes whose network does not hold an FF keep
+        // its value (the scalar corrupted compile dropped it).
         if self.has_reroute {
-            for i in 0..self.ff.len() {
+            for k in 0..self.ffs.len() {
+                let i = self.ffs[k] as usize;
                 let act = self.ff_active[i];
                 self.ff[i] = (self.ff[i] & !act) | (self.ff_next[i] & act);
             }
         } else {
-            self.ff.copy_from_slice(&self.ff_next);
+            let g = self.golden.ffs;
+            self.ff[..g].copy_from_slice(&self.ff_next[..g]);
         }
     }
 }
@@ -930,14 +870,17 @@ mod tests {
     use super::*;
     use crate::bits::{
         encode_wire, ff_dmux_offset, input_mux_offset, lut_table_offset, out_sel_offset,
-        outmux_offset, MuxPin, MUX_UNCONNECTED, MUX_UNCONNECTED_INV,
+        outmux_offset, pip_offset, MuxPin, MUX_FLOATING, MUX_UNCONNECTED, MUX_UNCONNECTED_INV,
     };
-    use crate::frames::IobEntry;
+    use crate::delta::DeltaClass;
+    use crate::frames::{
+        bram_if_addr_off, bram_if_din_off, IobEntry, BRAM_IF_EN_OFF, BRAM_IF_WE_OFF,
+    };
     use crate::geometry::Dir;
     use crate::{ConfigMemory, Edge, Geometry, Tile};
 
     /// One XOR LUT routed west→east, as in the proptest designs.
-    fn tiny_design() -> Device {
+    fn tiny_config() -> ConfigMemory {
         let geom = Geometry::tiny();
         let mut cm = ConfigMemory::new(geom.clone());
         cm.write_iob(
@@ -977,7 +920,7 @@ mod tests {
             let t = Tile::new(0, col);
             cm.write_tile_field(
                 t,
-                crate::bits::pip_offset(Dir::East as usize * 24),
+                pip_offset(Dir::East as usize * 24),
                 8,
                 1 | ((encode_wire(Dir::West, 0) as u64) << 1),
             );
@@ -992,9 +935,17 @@ mod tests {
                 invert: false,
             },
         );
-        let mut dev = Device::new(geom);
-        dev.configure_full(&cm);
+        cm
+    }
+
+    fn configure(cm: &ConfigMemory) -> Device {
+        let mut dev = Device::new(cm.geometry().clone());
+        dev.configure_full(cm);
         dev
+    }
+
+    fn tiny_design() -> Device {
+        configure(&tiny_config())
     }
 
     #[test]
@@ -1016,48 +967,152 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lut_table_lane_matches_scalar_flip() {
-        let mut dev = tiny_design();
-        let mut wide = WideEngine::new(&mut dev).expect("wide engine");
-        // Find a compiled LUT-table bit and run it in lane 1 vs scalar.
-        let mut probe = dev.clone();
-        let bit = probe
-            .active_config_bits()
-            .into_iter()
-            .find(|&b| {
-                matches!(
-                    wide.classify(&probe, b),
-                    WideClass::Lane(WideTarget::LutTable { .. })
-                )
-            })
-            .expect("a compiled LUT table bit");
-        let WideClass::Lane(target) = wide.classify(&probe, bit) else {
-            unreachable!()
-        };
-
+    /// Run `upset` in lane 1 against a scalar device with `bit` flipped,
+    /// through corruption, repair and a persistence window; lane 0 must
+    /// track an uncorrupted device throughout. Returns the cycles on
+    /// which lane 1 diverged from lane 0.
+    fn lane_matches_scalar(
+        wide: &mut WideEngine,
+        dev: &Device,
+        bit: usize,
+        upset: LaneUpset,
+    ) -> usize {
+        let mut golden = dev.clone();
         let mut scalar = dev.clone();
         scalar.flip_config_bit(bit);
-        wide.load_batch(&[target]);
+        wide.load_batch_upsets(&[upset]);
         let mut wout = Vec::new();
-        for c in 0..32 {
-            let iv = [c % 3 == 0];
-            let sout = scalar.step(&iv);
-            wide.step(&iv, &mut wout);
+        let mut diverged = 0;
+        let mut check = |wide: &mut WideEngine, scalar: &mut Device, iv: &[bool], what: &str| {
+            let sout = scalar.step(iv);
+            let gout = golden.step(iv);
+            wide.step(iv, &mut wout);
             for (o, w) in wout.iter().enumerate() {
-                assert_eq!((*w >> 1) & 1 == 1, sout[o], "cycle {c} output {o}");
+                assert_eq!((*w >> 1) & 1 == 1, sout[o], "{what}: output {o}");
+                assert_eq!(*w & 1 == 1, gout[o], "{what}: golden output {o}");
             }
+            diverged += usize::from(sout != gout);
+        };
+        for c in 0..32 {
+            check(wide, &mut scalar, &[c % 3 == 0], &format!("cycle {c}"));
         }
         // Repair mid-stream and verify both converge.
         scalar.flip_config_bit(bit);
         wide.repair();
         for c in 0..16 {
-            let iv = [c % 2 == 0];
-            let sout = scalar.step(&iv);
-            wide.step(&iv, &mut wout);
-            for (o, w) in wout.iter().enumerate() {
-                assert_eq!((*w >> 1) & 1 == 1, sout[o], "post-repair cycle {c}");
-            }
+            check(
+                wide,
+                &mut scalar,
+                &[c % 2 == 0],
+                &format!("post-repair cycle {c}"),
+            );
         }
+        diverged
+    }
+
+    #[test]
+    fn lut_table_lane_matches_scalar_flip() {
+        let mut dev = tiny_design();
+        let map = DeltaMap::build(&mut dev);
+        let mut wide = WideEngine::with_map(&mut dev, &map).expect("wide engine");
+        // Find a compiled LUT-table bit and run it in lane 1 vs scalar.
+        let mut probe = dev.clone();
+        let (bit, upset) = probe
+            .active_config_bits()
+            .into_iter()
+            .find_map(|b| match map.classify(&mut probe, b) {
+                DeltaClass::Lane(u)
+                    if matches!(u.0, UpsetKind::State(WideTarget::LutTable { .. })) =>
+                {
+                    Some((b, u))
+                }
+                _ => None,
+            })
+            .expect("a compiled LUT table bit");
+        assert!(lane_matches_scalar(&mut wide, &dev, bit, upset) > 0);
+    }
+
+    /// A reroute reaching past the golden cone: one PIP bit on the output
+    /// route switches it to a BRAM data-out bit. The BRAM is outside the
+    /// golden cone, and so is the toggle flip-flop on its address, while
+    /// its write enable taps the golden route. Lane 1 must clock both
+    /// exactly as the corrupted scalar compile does, and leave them frozen
+    /// again after repair.
+    #[test]
+    fn out_of_cone_reroute_matches_scalar() {
+        let mut cm = tiny_config();
+        let (ff_tile, home) = (Tile::new(0, 3), Tile::new(0, 4));
+        assert_eq!(cm.geometry().bram_at_home_tile(home), Some((0, 0)));
+        // The FF's output loops back to its LUT through a PIP on the
+        // BRAM's home tile; the LUT inverts it.
+        cm.write_tile_field(ff_tile, lut_table_offset(0, 0, 0), 16, 0x5555);
+        cm.write_tile_field(
+            ff_tile,
+            input_mux_offset(0, MuxPin::LutPin { lut: 0, pin: 0 }),
+            8,
+            encode_wire(Dir::East, 2) as u64,
+        );
+        cm.write_tile_field(
+            home,
+            pip_offset(Dir::West as usize * 24 + 2),
+            8,
+            1 | ((encode_wire(Dir::West, 1) as u64) << 1),
+        );
+        cm.write_tile_field(
+            ff_tile,
+            input_mux_offset(0, MuxPin::Cex),
+            8,
+            MUX_UNCONNECTED as u64,
+        );
+        cm.write_tile_field(
+            ff_tile,
+            input_mux_offset(0, MuxPin::Srx),
+            8,
+            MUX_UNCONNECTED_INV as u64,
+        );
+        cm.write_tile_field(ff_tile, out_sel_offset(0, 0), 1, 1);
+        cm.write_tile_field(ff_tile, outmux_offset(Dir::East, 1), 4, 0b0001);
+        for i in 0..8 {
+            let sel = if i == 0 {
+                encode_wire(Dir::West, 1)
+            } else {
+                MUX_FLOATING
+            };
+            cm.write_bram_if_field(0, 0, bram_if_addr_off(i), 8, sel as u64);
+        }
+        for i in 0..16 {
+            let sel = if i == 8 {
+                MUX_UNCONNECTED
+            } else {
+                MUX_FLOATING
+            };
+            cm.write_bram_if_field(0, 0, bram_if_din_off(i), 8, sel as u64);
+        }
+        let we = encode_wire(Dir::West, 0);
+        cm.write_bram_if_field(0, 0, BRAM_IF_WE_OFF, 8, we as u64);
+        cm.write_bram_if_field(0, 0, BRAM_IF_EN_OFF, 8, MUX_UNCONNECTED as u64);
+        let mut dev = configure(&cm);
+
+        // PIP select West-0 (72) with bit 5 set is BramOut(8) (104).
+        let bit = dev
+            .config()
+            .tile_bit_index(home, pip_offset(Dir::East as usize * 24) + 1 + 5);
+        let map = DeltaMap::build(&mut dev);
+        let DeltaClass::Lane(upset) = map.classify(&mut dev.clone(), bit) else {
+            panic!("the BRAM reroute must be a lane");
+        };
+        assert!(upset.is_augmented());
+        let mut wide = WideEngine::with_map(&mut dev, &map).expect("wide engine");
+        assert!(lane_matches_scalar(&mut wide, &dev, bit, upset.clone()) > 0);
+        let g = map.golden;
+        wide.load_batch_upsets(&[upset]);
+        assert_eq!(wide.ffs.len(), g.ffs + 1, "lane reaches the out-of-cone FF");
+        assert_eq!(
+            wide.brams.len(),
+            g.brams + 1,
+            "lane reaches the out-of-cone BRAM"
+        );
+        wide.repair();
+        assert_eq!(wide.ffs.len(), g.ffs, "repair drops the out-of-cone FF");
     }
 }

@@ -53,7 +53,7 @@ pub use bitvec::BitVec;
 pub use cibola_telemetry::PortFaultStats;
 pub use delta::{DeltaClass, DeltaMap, LaneUpset};
 pub use device::{Bitstream, Device, NetworkStats};
-pub use engine_wide::{same_topology, WideClass, WideEngine, WideTarget, LANES};
+pub use engine_wide::{same_topology, WideEngine, WideTarget, LANES};
 pub use frames::{BitLocus, BlockType, ConfigMemory, Edge, FrameAddr, IobEntry};
 pub use geometry::{Dir, Geometry, Tile};
 pub use halflatch::HlSite;

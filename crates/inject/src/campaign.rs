@@ -12,9 +12,7 @@
 
 use std::time::Instant;
 
-use cibola_arch::{
-    same_topology, DeltaClass, DeltaMap, Device, LaneUpset, SimDuration, WideEngine,
-};
+use cibola_arch::{DeltaClass, DeltaMap, Device, LaneUpset, SimDuration, WideEngine};
 use cibola_telemetry::{Severity, Subsystem, Telemetry, TelemetryEvent, THROUGHPUT_BUCKETS};
 use rand::rngs::SmallRng;
 use rand::{seq::SliceRandom, SeedableRng};
@@ -225,19 +223,7 @@ pub fn inject_one_with(
     // Corrupt: the simulator "partially reconfigures the DUT to load the
     // corrupted frame".
     dut.flip_config_bit(bit);
-    observe_and_classify(dut, tb, cfg, bit)
-}
 
-/// Observe window, repair, persistence pass and restore for a DUT whose
-/// configuration bit `bit` has *already* been flipped (and which may
-/// already be compiled — the wide campaign's structural path arrives here
-/// straight from a topology comparison, saving a recompile).
-fn observe_and_classify(
-    dut: &mut Device,
-    tb: &Testbed,
-    cfg: &CampaignConfig,
-    bit: usize,
-) -> Option<SensitiveBit> {
     let observe = cfg.observe_cycles.min(tb.trace_len());
     let persist_end = (cfg.observe_cycles + cfg.persist_cycles).min(tb.trace_len());
 
@@ -386,13 +372,10 @@ fn emit_campaign_summary(
     );
 }
 
-/// Run a full campaign.
-pub fn run_campaign(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
-    let total_bits = tb.total_bits();
-    let (bits, inert_bits, exhaustive, closure_size) = select_bits(tb, cfg);
-
-    let start = Instant::now();
-    let sensitive: Vec<SensitiveBit> = if cfg.parallel {
+/// Run one scalar experiment per bit of `bits`; the sensitive ones, in
+/// no particular order.
+fn run_scalar(tb: &Testbed, cfg: &CampaignConfig, bits: &[usize]) -> Vec<SensitiveBit> {
+    if cfg.parallel {
         // One scratch DUT per rayon task: cloned at split points, reused
         // across the items of each task.
         bits.par_iter()
@@ -404,10 +387,17 @@ pub fn run_campaign(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
         bits.iter()
             .filter_map(|&b| inject_one_with(&mut dut, tb, cfg, b))
             .collect()
-    };
-    let host_seconds = start.elapsed().as_secs_f64();
+    }
+}
 
-    let mut sensitive = sensitive;
+/// Run a full campaign.
+pub fn run_campaign(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
+    let total_bits = tb.total_bits();
+    let (bits, inert_bits, exhaustive, closure_size) = select_bits(tb, cfg);
+
+    let start = Instant::now();
+    let mut sensitive = run_scalar(tb, cfg, &bits);
+    let host_seconds = start.elapsed().as_secs_f64();
     sensitive.sort_by_key(|s| s.bit);
 
     let sim_time = campaign_sim_time(cfg, bits.len() + inert_bits, sensitive.len());
@@ -549,29 +539,27 @@ fn run_wide_batch(
 ///
 /// * **Lane-expressible** — state bits of compiled elements (LUT tables,
 ///   FF inits, BRAM content) as lane-masked XOR overlays, plus routing /
-///   mux / IOB upsets whose re-derived network stays within the golden
-///   node set, as lane-masked source overrides. Simulated 63 per pass.
+///   mux / IOB upsets as lane-masked source overrides on the map's
+///   augmented network, which also holds every out-of-cone node such a
+///   reroute can reach. Simulated 63 per pass.
 /// * **Provably benign** — bits the golden compile never reads (the
 ///   corrupted compile then can't either), or whose re-derived network is
 ///   identical. Counted, not simulated.
-/// * **Structural** — the corrupted network leaves the golden node set,
-///   re-modes a LUT, or breaks the golden topological order. Flipped and
-///   *recompiled*; if the corrupted topology equals the golden one the
-///   experiment is benign with no observe window at all, otherwise the
-///   scalar window runs on the already-compiled DUT.
+/// * **Structural** — LUT re-modes and reroutes whose corrupted network
+///   has a combinational cycle. Run on the scalar path, flipped and
+///   recompiled, one experiment each.
 ///
 /// Falls back to [`run_campaign`] wholesale when the design is outside
 /// the wide engine's domain (combinational cycles, locked BRAM,
 /// unprogrammed device).
 pub fn run_campaign_wide(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
-    let mut probe = tb.base.clone();
-    let Some(wide) = WideEngine::new(&mut probe) else {
-        return run_campaign(tb, cfg);
-    };
-    let delta = DeltaMap::build(&mut probe);
-
     let total_bits = tb.total_bits();
     let (bits, inert_bits, exhaustive, closure_size) = select_bits(tb, cfg);
+    let mut probe = tb.base.clone();
+    let delta = DeltaMap::build_for(&mut probe, &bits);
+    let Some(wide) = WideEngine::with_map(&mut probe, &delta) else {
+        return run_campaign(tb, cfg);
+    };
 
     let start = Instant::now();
 
@@ -591,62 +579,46 @@ pub fn run_campaign_wide(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
             .map(|&b| delta.classify(&mut probe, b))
             .collect()
     };
+    // Lanes that reach past the golden cone or settle by repeated sweeps
+    // batch apart, so every other batch keeps the golden network's single
+    // sweep; lanes are independent, so the grouping cannot change a
+    // verdict.
     let mut lane_bits: Vec<(usize, LaneUpset)> = Vec::new();
+    let mut augmented: Vec<(usize, LaneUpset)> = Vec::new();
     let mut structural: Vec<usize> = Vec::new();
     for (&b, class) in bits.iter().zip(classes) {
         match class {
+            DeltaClass::Lane(u) if u.is_augmented() => augmented.push((b, u)),
             DeltaClass::Lane(u) => lane_bits.push((b, u)),
             DeltaClass::Benign => {}
             DeltaClass::Structural => structural.push(b),
         }
     }
+    let lanes = lane_bits.len() + augmented.len();
     if cfg.telemetry.is_enabled() {
-        let benign = bits.len() - lane_bits.len() - structural.len();
-        cfg.telemetry
-            .inc("inject.lane_bits", lane_bits.len() as u64);
+        let benign = bits.len() - lanes - structural.len();
+        cfg.telemetry.inc("inject.lane_bits", lanes as u64);
         cfg.telemetry
             .inc("inject.structural_bits", structural.len() as u64);
         cfg.telemetry.inc("inject.benign_bits", benign as u64);
     }
 
-    // Structural pass: one recompile decides most bits; only genuine
-    // topology changes pay for an observe window (already compiled).
-    let run_structural = |state: &mut (Device, Device), &b: &usize| -> Option<SensitiveBit> {
-        let (golden, dut) = state;
-        dut.flip_config_bit(b);
-        if same_topology(golden, dut) {
-            dut.flip_config_bit(b);
-            None
-        } else {
-            observe_and_classify(dut, tb, cfg, b)
-        }
-    };
-    let mut sensitive: Vec<SensitiveBit> = if cfg.parallel {
-        structural
-            .par_iter()
-            .map_with((tb.base.clone(), tb.base.clone()), run_structural)
-            .flatten()
-            .collect()
-    } else {
-        let mut state = (tb.base.clone(), tb.base.clone());
-        structural
-            .iter()
-            .filter_map(|b| run_structural(&mut state, b))
-            .collect()
-    };
+    let mut sensitive = run_scalar(tb, cfg, &structural);
 
     // Lane pass: 63 experiments per batch. A full `WideEngine` clone is
     // the per-worker cost, so guarantee each worker several batches to
     // amortise it — small designs produce only a handful of batches, and
     // one engine clone per batch-sized split is where the old near-flat
     // parallel scaling went.
-    let batches: Vec<&[(usize, LaneUpset)]> = lane_bits.chunks(wide.batch_capacity()).collect();
+    let cap = wide.batch_capacity();
+    let batches: Vec<&[(usize, LaneUpset)]> =
+        lane_bits.chunks(cap).chain(augmented.chunks(cap)).collect();
     if cfg.telemetry.is_enabled() && !batches.is_empty() {
         // Fraction of wide-engine lane slots carrying a live experiment:
-        // < 1.0 only on the final ragged batch.
-        let slots = (batches.len() * wide.batch_capacity()) as f64;
+        // < 1.0 only on the final ragged batch of each group.
+        let slots = (batches.len() * cap) as f64;
         cfg.telemetry
-            .gauge("inject.lane_utilization", lane_bits.len() as f64 / slots);
+            .gauge("inject.lane_utilization", lanes as f64 / slots);
     }
     let lane_sensitive: Vec<SensitiveBit> = if cfg.parallel {
         batches

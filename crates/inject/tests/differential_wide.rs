@@ -6,7 +6,8 @@
 //! simulated time). The wide engine is an optimisation, never an
 //! approximation.
 
-use cibola_arch::Geometry;
+use cibola_arch::bits::BitRole;
+use cibola_arch::{BitLocus, DeltaClass, DeltaMap, Geometry};
 use cibola_inject::{
     run_campaign, run_campaign_wide, BitSelection, CampaignConfig, CampaignResult, Testbed,
 };
@@ -50,6 +51,40 @@ fn design(pick: usize, w: usize, init: u16) -> Netlist {
         2 => gen::pipelined_multiplier(2 + w % 2),
         _ => dynamic_mix(2 + w % 3, init),
     }
+}
+
+/// The structural designs: one of each generator family plus the
+/// dynamic-state mix (BRAM, LUT-RAM and SRL16).
+fn structural_designs() -> Vec<Netlist> {
+    vec![
+        gen::counter_adder(4),
+        gen::pipelined_multiplier(3),
+        gen::lfsr_cluster_with(1, 6, 2),
+        dynamic_mix(3, 0xB7C3),
+    ]
+}
+
+/// Every closure bit whose flip can rewire the network: slice output and
+/// FF D selects, output multiplexers, PIPs, input multiplexers and LUT
+/// mode bits — the roles the seed's triage sent to the scalar fallback.
+fn routing_bits(tb: &Testbed) -> Vec<usize> {
+    tb.base
+        .clone()
+        .active_config_bits()
+        .into_iter()
+        .filter(|&b| match tb.base.config().describe(b) {
+            BitLocus::Clb { role, .. } => matches!(
+                role,
+                BitRole::OutSel { .. }
+                    | BitRole::FfDmux { .. }
+                    | BitRole::OutMux { .. }
+                    | BitRole::Pip { .. }
+                    | BitRole::InputMux { .. }
+                    | BitRole::LutModeBit { .. }
+            ),
+            _ => false,
+        })
+        .collect()
 }
 
 /// Compare everything an experimenter can observe from the two results —
@@ -230,4 +265,75 @@ fn wide_parallel_agnostic() {
     cfg.parallel = false;
     let b = run_campaign_wide(&tb, &cfg);
     assert_eq!(a.equivalence_key(), b.equivalence_key());
+}
+
+/// Every rewiring bit of the closure, run as an explicit list on both
+/// engines: the out-of-cone reroutes, the lanes settled by repeated
+/// sweeps and the scalar residue all meet the scalar oracle bit for bit.
+fn routing_bits_match(geom: &Geometry) {
+    for nl in structural_designs() {
+        let imp = implement(&nl, geom).unwrap();
+        let tb = Testbed::new(&imp, 0x5EED, 96);
+        let bits = routing_bits(&tb);
+        assert!(bits.len() > 100, "{}: too few routing bits", nl.name);
+        let cfg = CampaignConfig {
+            observe_cycles: 32,
+            persist_cycles: 24,
+            persist_tail: 8,
+            classify_persistence: true,
+            selection: BitSelection::List(bits),
+            parallel: true,
+            ..Default::default()
+        };
+        let scalar = run_campaign(&tb, &cfg);
+        let wide = run_campaign_wide(&tb, &cfg);
+        assert!(!wide.sensitive.is_empty(), "{}: vacuous", nl.name);
+        assert_equivalent(&scalar, &wide);
+    }
+}
+
+#[test]
+fn wide_matches_scalar_routing_bits() {
+    routing_bits_match(&Geometry::tiny());
+}
+
+#[test]
+fn wide_matches_scalar_routing_bits_virtex2_layout() {
+    routing_bits_match(&Geometry::tiny().with_virtex2_layout());
+}
+
+/// The scalar fallback keeps only what the wide engine cannot express:
+/// every bit the triage still calls structural re-modes a LUT or flips
+/// to a network with a combinational cycle.
+#[test]
+fn structural_residue_is_remodes_and_cycles() {
+    for nl in structural_designs() {
+        let imp = implement(&nl, &Geometry::tiny()).unwrap();
+        let tb = Testbed::new(&imp, 0x5EED, 96);
+        let mut probe = tb.base.clone();
+        let map = DeltaMap::build(&mut probe);
+        let mut residue = 0;
+        for b in probe.active_config_bits() {
+            if map.classify(&mut probe, b) != DeltaClass::Structural {
+                continue;
+            }
+            residue += 1;
+            let remode = matches!(
+                tb.base.config().describe(b),
+                BitLocus::Clb {
+                    role: BitRole::LutModeBit { .. },
+                    ..
+                }
+            );
+            let mut dut = tb.base.clone();
+            dut.flip_config_bit(b);
+            assert!(
+                remode || dut.network_stats().has_comb_cycles,
+                "{}: bit {b} ({:?}) is structural without a re-mode or a cycle",
+                nl.name,
+                tb.base.config().describe(b)
+            );
+        }
+        assert!(residue > 0, "{}: no residue to check", nl.name);
+    }
 }
