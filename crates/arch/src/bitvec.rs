@@ -64,23 +64,46 @@ impl BitVec {
     #[inline]
     pub fn get_bits(&self, i: usize, n: usize) -> u64 {
         debug_assert!(n <= 64);
-        let mut out = 0u64;
-        for k in 0..n {
-            let idx = i + k;
-            if idx < self.len && self.get(idx) {
-                out |= 1 << k;
-            }
+        if i >= self.len {
+            return 0;
         }
-        out
+        let n = n.min(self.len - i);
+        let (w, s) = (i / 64, i % 64);
+        let mut v = self.words[w] >> s;
+        if s + n > 64 {
+            v |= self.words[w + 1] << (64 - s);
+        }
+        v & low_mask(n)
     }
 
-    /// Store the low `n` bits of `v` starting at bit `i`.
+    /// Store the low `n` bits of `v` starting at bit `i`. Panics if the
+    /// range runs past the end.
     #[inline]
     pub fn set_bits(&mut self, i: usize, n: usize, v: u64) {
         debug_assert!(n <= 64);
-        for k in 0..n {
-            self.set(i + k, (v >> k) & 1 == 1);
+        if n == 0 {
+            return;
         }
+        self.check_range(i, n);
+        let mask = low_mask(n);
+        let v = v & mask;
+        let (w, s) = (i / 64, i % 64);
+        self.words[w] = (self.words[w] & !(mask << s)) | (v << s);
+        if s + n > 64 {
+            let done = 64 - s;
+            self.words[w + 1] = (self.words[w + 1] & !(mask >> done)) | (v >> done);
+        }
+    }
+
+    /// Panic unless `[start, start + n)` lies inside the vector (an empty
+    /// range always does).
+    #[inline]
+    fn check_range(&self, start: usize, n: usize) {
+        assert!(
+            n == 0 || start.checked_add(n).is_some_and(|end| end <= self.len),
+            "bit range {start}+{n} out of range {}",
+            self.len
+        );
     }
 
     /// Number of set bits.
@@ -97,21 +120,33 @@ impl BitVec {
     }
 
     /// Serialize a bit range into bytes, LSB-first within each byte.
+    /// Panics if the range runs past the end.
     pub fn range_to_bytes(&self, start: usize, n: usize) -> Vec<u8> {
-        let mut out = vec![0u8; n.div_ceil(8)];
-        for k in 0..n {
-            if self.get(start + k) {
-                out[k / 8] |= 1 << (k % 8);
-            }
+        self.check_range(start, n);
+        let mut out = Vec::with_capacity(n.div_ceil(8));
+        let mut k = 0;
+        while k < n {
+            let m = (n - k).min(64);
+            let v = self.get_bits(start + k, m);
+            out.extend_from_slice(&v.to_le_bytes()[..m.div_ceil(8)]);
+            k += m;
         }
         out
     }
 
     /// Overwrite a bit range from bytes, LSB-first within each byte.
+    /// Panics if the range runs past the end.
     pub fn range_from_bytes(&mut self, start: usize, n: usize, bytes: &[u8]) {
         assert!(bytes.len() * 8 >= n, "byte slice too short for {n} bits");
-        for k in 0..n {
-            self.set(start + k, (bytes[k / 8] >> (k % 8)) & 1 == 1);
+        self.check_range(start, n);
+        let mut k = 0;
+        while k < n {
+            let m = (n - k).min(64);
+            let chunk = &bytes[k / 8..k / 8 + m.div_ceil(8)];
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.set_bits(start + k, m, u64::from_le_bytes(word));
+            k += m;
         }
     }
 
@@ -120,6 +155,16 @@ impl BitVec {
         (start..start + n)
             .filter(|&i| self.get(i) != other.get(i))
             .collect()
+    }
+}
+
+/// The low `n` bits set (`n` ≤ 64).
+#[inline]
+fn low_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 
@@ -176,5 +221,122 @@ mod tests {
     fn bits_past_end_read_zero() {
         let bv = BitVec::zeros(10);
         assert_eq!(bv.get_bits(8, 8), 0);
+    }
+
+    // ---- word paths against bit-at-a-time references ----
+
+    /// Length of the vectors below: long enough for every start in 0..130
+    /// with every length up to 200, and not a multiple of 64.
+    const LEN: usize = 333;
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    fn random_bits(len: usize, seed: u64) -> BitVec {
+        let mut s = seed;
+        let mut bv = BitVec::zeros(len);
+        for i in 0..len {
+            bv.set(i, xorshift(&mut s) & 1 == 1);
+        }
+        bv
+    }
+
+    fn get_bits_ref(bv: &BitVec, i: usize, n: usize) -> u64 {
+        (0..n)
+            .filter(|&k| i + k < bv.len() && bv.get(i + k))
+            .fold(0, |v, k| v | 1 << k)
+    }
+
+    fn set_bits_ref(bv: &mut BitVec, i: usize, n: usize, v: u64) {
+        for k in 0..n {
+            bv.set(i + k, (v >> k) & 1 == 1);
+        }
+    }
+
+    fn to_bytes_ref(bv: &BitVec, start: usize, n: usize) -> Vec<u8> {
+        let mut out = vec![0u8; n.div_ceil(8)];
+        for k in 0..n {
+            if bv.get(start + k) {
+                out[k / 8] |= 1 << (k % 8);
+            }
+        }
+        out
+    }
+
+    fn from_bytes_ref(bv: &mut BitVec, start: usize, n: usize, bytes: &[u8]) {
+        for k in 0..n {
+            bv.set(start + k, (bytes[k / 8] >> (k % 8)) & 1 == 1);
+        }
+    }
+
+    #[test]
+    fn byte_ranges_match_bitwise_reference() {
+        let bv = random_bits(LEN, 0x9E37_79B9_7F4A_7C15);
+        let mut s = 0xC1B0_1A5E_u64;
+        for start in 0..130 {
+            for n in 0..=200 {
+                assert_eq!(
+                    bv.range_to_bytes(start, n),
+                    to_bytes_ref(&bv, start, n),
+                    "range_to_bytes({start}, {n})"
+                );
+                let bytes: Vec<u8> = (0..n.div_ceil(8)).map(|_| xorshift(&mut s) as u8).collect();
+                let mut fast = bv.clone();
+                fast.range_from_bytes(start, n, &bytes);
+                let mut slow = bv.clone();
+                from_bytes_ref(&mut slow, start, n, &bytes);
+                // Whole-vector equality: the bits beside the range and
+                // the unused high bits of the last byte are untouched.
+                assert_eq!(fast, slow, "range_from_bytes({start}, {n})");
+            }
+        }
+    }
+
+    #[test]
+    fn bit_fields_match_bitwise_reference() {
+        let bv = random_bits(LEN, 0x5EED);
+        let mut s = 0xB17_F1E1D_u64;
+        for n in 0..=64 {
+            // Every start in 0..130 straddles a word boundary for some n;
+            // the starts near the end read past it.
+            for i in (0..130).chain(LEN - 70..LEN + 3) {
+                assert_eq!(
+                    bv.get_bits(i, n),
+                    get_bits_ref(&bv, i, n),
+                    "get_bits({i}, {n})"
+                );
+                if i + n > LEN {
+                    continue;
+                }
+                let v = xorshift(&mut s);
+                let mut fast = bv.clone();
+                fast.set_bits(i, n, v);
+                let mut slow = bv.clone();
+                set_bits_ref(&mut slow, i, n, v);
+                assert_eq!(fast, slow, "set_bits({i}, {n})");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_bits_past_end_panics() {
+        BitVec::zeros(LEN).set_bits(LEN - 3, 4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn range_from_bytes_past_end_panics() {
+        BitVec::zeros(LEN).range_from_bytes(LEN - 8, 16, &[0xFF, 0xFF]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn range_to_bytes_past_end_panics() {
+        BitVec::zeros(LEN).range_to_bytes(LEN - 1, 2);
     }
 }

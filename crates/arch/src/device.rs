@@ -78,6 +78,13 @@ pub struct Device {
     /// and cannot carry a telemetry handle.
     pub(crate) port_faults: PortFaultStats,
     pub(crate) compiled: Option<Compiled>,
+    /// Cache of the LUTs configured as RAM or SRL16 — the sites the
+    /// readback hazard corrupts. Entry `tile_index(tile)` holds bit
+    /// `slice * 2 + lut` per dynamic LUT. Derived from the mode bits
+    /// alone, so it is dropped wherever a mode bit can change
+    /// ([`Device::invalidate`], [`Device::config_mut`],
+    /// [`Device::flip_config_bit`]) and rebuilt on the next CLB readback.
+    pub(crate) dynamic_luts: Option<Vec<u8>>,
 }
 
 impl Clone for Device {
@@ -101,8 +108,10 @@ impl Clone for Device {
             write_faults: self.write_faults.clone(),
             port_wedged: self.port_wedged,
             port_faults: self.port_faults,
-            // The compiled network is a cache; rebuild lazily in the clone.
+            // The compiled network and the dynamic-LUT sites are caches;
+            // rebuild lazily in the clone.
             compiled: None,
+            dynamic_luts: None,
         }
     }
 }
@@ -130,6 +139,7 @@ impl Device {
             port_wedged: false,
             port_faults: PortFaultStats::default(),
             compiled: None,
+            dynamic_luts: None,
             config,
             geom,
         }
@@ -148,7 +158,7 @@ impl Device {
     /// network — use the frame-level [`crate::selectmap`] operations to
     /// model real configuration-port traffic.
     pub fn config_mut(&mut self) -> &mut ConfigMemory {
-        self.compiled = None;
+        self.invalidate();
         &mut self.config
     }
 
@@ -422,9 +432,11 @@ impl Device {
         }
     }
 
-    /// Invalidate the compiled network (configuration changed).
+    /// Invalidate the caches derived from configuration memory (it
+    /// changed): the compiled network and the dynamic-LUT sites.
     pub(crate) fn invalidate(&mut self) {
         self.compiled = None;
+        self.dynamic_luts = None;
     }
 
     /// Statistics about the compiled network (for tests and reports).

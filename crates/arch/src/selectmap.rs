@@ -213,6 +213,9 @@ impl Device {
         use crate::frames::BitLocus;
 
         let new_val = self.config.flip_bit(global);
+        // Any flip may be a LUT mode bit; drop the hazard cache before
+        // the early return below skips the per-role handling.
+        self.dynamic_luts = None;
         if self.compiled.is_none() {
             return;
         }
@@ -264,8 +267,22 @@ impl Device {
     }
 
     fn corrupt_dynamic_luts_in_frame(&mut self, addr: FrameAddr) {
+        let dynamic = self
+            .dynamic_luts
+            .take()
+            .unwrap_or_else(|| self.dynamic_lut_sites());
         let col = addr.major as usize;
-        let minor = addr.minor as usize;
+        if (0..self.geom.rows).any(|row| dynamic[self.geom.tile_index(Tile::new(row, col))] != 0) {
+            self.corrupt_column_luts(&dynamic, col, addr.minor as usize);
+        }
+        // The hazard flips only table bits, so every mode — and with it
+        // the cache — stands.
+        self.dynamic_luts = Some(dynamic);
+    }
+
+    /// Flip one table bit of each dynamic LUT in column `col` with a table
+    /// bit in frame `minor`, visiting (slice, lut, row) in order.
+    fn corrupt_column_luts(&mut self, dynamic: &[u8], col: usize, minor: usize) {
         let mut corrupted = false;
         for slice in 0..2 {
             for lut in 0..2 {
@@ -278,12 +295,7 @@ impl Device {
                 }
                 for row in 0..self.geom.rows {
                     let tile = Tile::new(row, col);
-                    let mode = LutMode::from_bits(self.config.read_tile_field(
-                        tile,
-                        lut_mode_offset(slice, lut),
-                        2,
-                    ));
-                    if mode.is_dynamic() {
+                    if (dynamic[self.geom.tile_index(tile)] >> (slice * 2 + lut)) & 1 == 1 {
                         let bit = (self.hazard_counter % 16) as usize;
                         self.hazard_counter = self.hazard_counter.wrapping_add(1);
                         let idx = self.config.tile_bit_index(tile, table_off + bit);
@@ -296,6 +308,30 @@ impl Device {
         if corrupted {
             self.invalidate();
         }
+    }
+
+    /// Per-tile mask of dynamic-mode LUTs (see [`Device`]'s
+    /// `dynamic_luts`), read from configuration memory.
+    fn dynamic_lut_sites(&self) -> Vec<u8> {
+        (0..self.geom.num_tiles())
+            .map(|ti| {
+                let tile = self.geom.tile_at(ti);
+                let mut sites = 0u8;
+                for slice in 0..2 {
+                    for lut in 0..2 {
+                        let mode = LutMode::from_bits(self.config.read_tile_field(
+                            tile,
+                            lut_mode_offset(slice, lut),
+                            2,
+                        ));
+                        if mode.is_dynamic() {
+                            sites |= 1 << (slice * 2 + lut);
+                        }
+                    }
+                }
+                sites
+            })
+            .collect()
     }
 
     fn capture_ffs_into(&self, addr: FrameAddr, data: &mut [u8]) {

@@ -197,3 +197,46 @@ fn capture_readback_roundtrip_costs_and_frame_sizes() {
         "flight config size {mbit:.1} Mbit"
     );
 }
+
+#[test]
+fn hazard_cache_follows_mode_flips_on_an_uncompiled_device() {
+    // The device caches which LUTs are dynamic. `flip_config_bit` returns
+    // early when no compiled network exists, and a mode-bit flip on that
+    // path must still drop the cache: the readback after it has to
+    // corrupt exactly what a device with a cold cache corrupts.
+    let geom = Geometry::tiny();
+    let t = Tile::new(0, 0);
+    let mut bs = srl_config(&geom);
+    bs.write_tile_field(t, lut_mode_offset(0, 0), 2, LutMode::Logic as u64);
+    bs.write_tile_field(t, lut_table_offset(0, 0, 0), 16, 0x5A3C);
+    let mut dev = Device::new(geom);
+    // No step or sample follows, so the network is never compiled.
+    dev.configure_full(&bs);
+    dev.set_clock_running(true);
+    let minor = dev.config().tile_pos(lut_table_offset(0, 0, 0)) / TILE_BITS_PER_FRAME;
+    let addr = FrameAddr::clb(0, minor);
+    let table = |d: &Device| d.config().read_tile_field(t, lut_table_offset(0, 0, 0), 16);
+
+    // Warm the cache: the LUT is static, so this readback is clean.
+    let (clean, _) = dev.readback_frame(addr, ReadbackOptions::default());
+    assert_eq!(clean, bs.read_frame(addr));
+    assert_eq!(table(&dev), 0x5A3C);
+
+    // Logic (0b00) → RAM (0b10), then back; each time the warm device
+    // must match a clone with a cold cache, bit for bit.
+    let mode_bit = dev.config().tile_bit_index(t, lut_mode_offset(0, 0) + 1);
+    for becomes_dynamic in [true, false] {
+        dev.flip_config_bit(mode_bit);
+        let before = table(&dev);
+        let mut cold = dev.clone();
+        let (warm_data, _) = dev.readback_frame(addr, ReadbackOptions::default());
+        let (cold_data, _) = cold.readback_frame(addr, ReadbackOptions::default());
+        assert_eq!(warm_data, cold_data, "dynamic = {becomes_dynamic}");
+        assert!(dev.config() == cold.config(), "dynamic = {becomes_dynamic}");
+        assert_eq!(
+            table(&dev) != before,
+            becomes_dynamic,
+            "only a dynamic LUT is corrupted by readback"
+        );
+    }
+}

@@ -88,8 +88,8 @@ pub fn rule(n: usize) -> String {
 
 /// The standard nine-FPGA payload (three boards of three devices), every
 /// position loaded with the same implementation — the configuration the
-/// paper flew and the shape `fig4_scrub`, `ablation_scanrate`,
-/// `bench_mission` and the conformance corpus all build.
+/// paper flew and the shape `fig4_scrub`, `ablation_scanrate`, the
+/// benchmark's storm workload and the conformance corpus all build.
 pub fn nine_fpga_payload(geom: &Geometry, imp: &Implementation, label: &str) -> Payload {
     let mut payload = Payload::new();
     for board in 0..3 {

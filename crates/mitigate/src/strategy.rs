@@ -150,7 +150,7 @@ pub trait MitigationStrategy {
 
     /// Does the per-pass repair action run the CRC-codebook self-check
     /// (rung 0)? Strategies that never consult the codebook return false
-    /// so a suspect codebook does not force rounds active.
+    /// so a corrupt codebook does not force rounds active.
     fn uses_codebook(&self) -> bool {
         true
     }
@@ -334,8 +334,7 @@ impl VotedRedundancy {
         // Scan, with the ladder's wedge handling.
         let mut report = {
             let f = p.fpga_mut(b, fi);
-            let mgr = f.manager.clone();
-            mgr.scan(&mut f.device)
+            f.manager.scan(&mut f.device)
         };
         out.duration += report.duration;
         if report.aborted_frames > 0 {
@@ -358,8 +357,7 @@ impl VotedRedundancy {
             p.reset_port(b, fi, now, out);
             report = {
                 let f = p.fpga_mut(b, fi);
-                let mgr = f.manager.clone();
-                mgr.scan(&mut f.device)
+                f.manager.scan(&mut f.device)
             };
             out.duration += report.duration;
             if report.wedged {
@@ -564,8 +562,7 @@ impl VotedRedundancy {
         // reconfiguration, port power-cycle + reconfiguration, degrade.
         let recheck = {
             let f = p.fpga_mut(b, fi);
-            let mgr = f.manager.clone();
-            mgr.scan(&mut f.device)
+            f.manager.scan(&mut f.device)
         };
         out.duration += recheck.duration;
         if !recheck.wedged

@@ -6,9 +6,11 @@
 /// Reflected CRC-32 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, built at compile time.
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables, built at compile time. `TABLES[0]` is the
+/// classic bytewise table; `TABLES[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so eight table lookups fold in eight input bytes.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -21,13 +23,23 @@ const fn build_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut s = 1;
+    while s < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        s += 1;
+    }
+    t
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// Streaming CRC-32.
 #[derive(Debug, Clone, Copy)]
@@ -47,10 +59,25 @@ impl Crc32 {
     }
 
     pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            let idx = ((self.state ^ b as u32) & 0xff) as usize;
-            self.state = (self.state >> 8) ^ TABLE[idx];
+        let t = &TABLES;
+        let mut crc = self.state;
+        let mut chunks = data.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xff) as usize]
+                ^ t[2][((hi >> 8) & 0xff) as usize]
+                ^ t[1][((hi >> 16) & 0xff) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
+        }
+        self.state = crc;
     }
 
     pub fn finish(self) -> u32 {
@@ -86,6 +113,41 @@ mod tests {
         c.update(&data[..100]);
         c.update(&data[100..]);
         assert_eq!(c.finish(), crc32(&data));
+    }
+
+    /// The classic one-table, one-byte-per-step CRC-32.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn slicing_by_8_matches_bytewise() {
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s as u8
+        };
+        for len in 0..=64 {
+            let data: Vec<u8> = (0..len).map(|_| next()).collect();
+            assert_eq!(crc32(&data), crc32_bytewise(&data), "length {len}");
+        }
+        // Random frames of the CLB/IOB/BRAM sizes, streamed in ragged
+        // pieces so chunk boundaries land mid-word.
+        for len in [240usize, 30, 13, 32, 128, 757, 1024] {
+            let data: Vec<u8> = (0..len).map(|_| next()).collect();
+            let mut c = Crc32::new();
+            for piece in data.chunks(7) {
+                c.update(piece);
+            }
+            assert_eq!(c.finish(), crc32_bytewise(&data), "frame of {len} bytes");
+            assert_eq!(crc32(&data), crc32_bytewise(&data), "frame of {len} bytes");
+        }
     }
 
     #[test]

@@ -24,50 +24,61 @@ pub struct CodeWord {
     pub check: u8,
 }
 
-/// Map data-bit index (0..64) to its 1-based codeword position (skipping
-/// power-of-two positions, which hold check bits).
-fn data_position(i: usize) -> usize {
-    // Positions 1..=71, skipping 1, 2, 4, 8, 16, 32, 64.
-    let mut pos = 0usize;
-    let mut seen = 0usize;
-    while seen <= i {
-        pos += 1;
-        if !pos.is_power_of_two() {
-            seen += 1;
+/// 1-based codeword position of each data bit: positions 1..=71 in
+/// order, skipping the power-of-two positions that hold check bits.
+const DATA_POS: [u8; 64] = {
+    let mut pos = [0u8; 64];
+    let mut p = 0usize;
+    let mut i = 0;
+    while i < 64 {
+        p += 1;
+        if !p.is_power_of_two() {
+            pos[i] = p as u8;
+            i += 1;
         }
     }
     pos
-}
+};
 
-/// Precomputed positions for the 64 data bits.
-fn positions() -> &'static [usize; 64] {
-    use std::sync::OnceLock;
-    static POS: OnceLock<[usize; 64]> = OnceLock::new();
-    POS.get_or_init(|| {
-        let mut p = [0usize; 64];
-        for (i, slot) in p.iter_mut().enumerate() {
-            *slot = data_position(i);
+/// Inverse of [`DATA_POS`] over every 7-bit syndrome: the data bit at
+/// each codeword position, or `NO_DATA` at a check-bit position or past
+/// the last position (a syndrome only triple errors produce).
+const DATA_AT: [u8; 128] = {
+    let mut at = [NO_DATA; 128];
+    let mut i = 0;
+    while i < 64 {
+        at[DATA_POS[i] as usize] = i as u8;
+        i += 1;
+    }
+    at
+};
+const NO_DATA: u8 = u8::MAX;
+
+/// The data bits each Hamming check bit covers: bit `i` of
+/// `CHECK_MASKS[c]` is set when data bit `i`'s position has bit `c` set,
+/// so check bit `c` is the parity of `data & CHECK_MASKS[c]`.
+const CHECK_MASKS: [u64; 7] = {
+    let mut masks = [0u64; 7];
+    let mut c = 0;
+    while c < 7 {
+        let mut i = 0;
+        while i < 64 {
+            if DATA_POS[i] & (1 << c) != 0 {
+                masks[c] |= 1 << i;
+            }
+            i += 1;
         }
-        p
-    })
-}
+        c += 1;
+    }
+    masks
+};
 
 /// Encode 64 data bits into a SECDED codeword.
 pub fn encode(data: u64) -> CodeWord {
-    let pos = positions();
     // Hamming check bits p1..p64 (7 of them).
     let mut check = 0u8;
-    for c in 0..7 {
-        let mask = 1usize << c;
-        let mut parity = false;
-        for (i, &p) in pos.iter().enumerate() {
-            if p & mask != 0 && (data >> i) & 1 == 1 {
-                parity = !parity;
-            }
-        }
-        if parity {
-            check |= 1 << c;
-        }
+    for (c, mask) in CHECK_MASKS.iter().enumerate() {
+        check |= (((data & mask).count_ones() & 1) as u8) << c;
     }
     // Overall parity over data + the 7 check bits.
     let overall = (data.count_ones() + u32::from(check).count_ones()) & 1 == 1;
@@ -80,7 +91,6 @@ pub fn encode(data: u64) -> CodeWord {
 /// Decode a codeword, correcting a single-bit error if present. Returns
 /// the (possibly corrected) data and the outcome.
 pub fn decode(word: CodeWord) -> (u64, EccOutcome) {
-    let pos = positions();
     let recomputed = encode(word.data);
     let syndrome = (recomputed.check ^ word.check) & 0x7f;
     // Overall parity of *all received bits* (data + 7 check bits + parity
@@ -106,10 +116,10 @@ pub fn decode(word: CodeWord) -> (u64, EccOutcome) {
         // A check bit flipped; data is intact.
         return (word.data, EccOutcome::Corrected);
     }
-    if let Some(i) = pos.iter().position(|&q| q == p) {
-        return (word.data ^ (1u64 << i), EccOutcome::Corrected);
+    match DATA_AT[p] {
+        NO_DATA => (word.data, EccOutcome::Uncorrectable),
+        i => (word.data ^ (1u64 << i), EccOutcome::Corrected),
     }
-    (word.data, EccOutcome::Uncorrectable)
 }
 
 #[cfg(test)]
@@ -191,12 +201,104 @@ mod tests {
 
     #[test]
     fn data_positions_are_distinct_non_powers() {
-        let pos = positions();
         let mut seen = std::collections::HashSet::new();
-        for &p in pos.iter() {
+        for (i, &p) in DATA_POS.iter().enumerate() {
             assert!(!p.is_power_of_two(), "data at check position {p}");
             assert!((3..=71).contains(&p));
             assert!(seen.insert(p));
+            assert_eq!(DATA_AT[p as usize] as usize, i);
         }
+        assert!(DATA_POS.windows(2).all(|w| w[0] < w[1]), "in order");
+        assert!(DATA_AT[72..].iter().all(|&i| i == NO_DATA));
+    }
+
+    /// The per-bit Hamming loop the mask table replaces: check bit `c` is
+    /// the parity of every data bit whose position has bit `c` set.
+    fn encode_reference(data: u64) -> CodeWord {
+        let mut check = 0u8;
+        for c in 0..7 {
+            let mut parity = false;
+            for (i, &p) in DATA_POS.iter().enumerate() {
+                if p & (1 << c) != 0 && (data >> i) & 1 == 1 {
+                    parity = !parity;
+                }
+            }
+            if parity {
+                check |= 1 << c;
+            }
+        }
+        if (data.count_ones() + u32::from(check).count_ones()) & 1 == 1 {
+            check |= 0x80;
+        }
+        CodeWord { data, check }
+    }
+
+    /// Flip codeword bit `b` (0..64 data, 64..72 check).
+    fn flip(cw: CodeWord, b: usize) -> CodeWord {
+        if b < 64 {
+            CodeWord {
+                data: cw.data ^ (1 << b),
+                check: cw.check,
+            }
+        } else {
+            CodeWord {
+                data: cw.data,
+                check: cw.check ^ (1 << (b - 64)),
+            }
+        }
+    }
+
+    #[test]
+    fn mask_encode_matches_per_bit_reference() {
+        let mut s = 0x243F_6A88_85A3_08D3u64;
+        let mut words = sample_words();
+        for _ in 0..2000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            words.push(s);
+        }
+        for (n, &w) in words.iter().enumerate() {
+            let cw = encode(w);
+            assert_eq!(cw, encode_reference(w), "word {w:#x}");
+            // All 72 single-bit errors correct back to the data.
+            for b in 0..72 {
+                let bad = flip(cw, b);
+                assert_eq!(encode(bad.data), encode_reference(bad.data));
+                assert_eq!(decode(bad), (w, EccOutcome::Corrected), "{w:#x} bit {b}");
+            }
+            // A sample of double-bit errors is detected, never miscorrected.
+            let a = n % 72;
+            for b in (0..72).filter(|&b| b != a).step_by(5) {
+                let bad = flip(flip(cw, a), b);
+                assert_eq!(encode(bad.data), encode_reference(bad.data));
+                assert_eq!(
+                    decode(bad).1,
+                    EccOutcome::Uncorrectable,
+                    "{w:#x} bits {a},{b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn syndromes_past_the_last_position_are_uncorrectable() {
+        // Three data errors whose positions XOR past 71 leave odd parity
+        // and a syndrome no single error produces: detected, never an
+        // out-of-range correction.
+        let cw = encode(0);
+        let mut found = 0;
+        for (a, &pa) in DATA_POS.iter().enumerate() {
+            for (b, &pb) in DATA_POS.iter().enumerate().skip(a + 1) {
+                for (c, &pc) in DATA_POS.iter().enumerate().skip(b + 1) {
+                    if pa ^ pb ^ pc > 71 {
+                        let bad = flip(flip(flip(cw, a), b), c);
+                        assert_eq!(decode(bad).1, EccOutcome::Uncorrectable);
+                        found += 1;
+                    }
+                }
+            }
+        }
+        assert!(found > 0);
     }
 }

@@ -49,6 +49,8 @@ pub enum FlashError {
     Full { need: usize, free: usize },
     /// Unknown slot.
     NoSuchSlot(usize),
+    /// The slot exists but its image has no frame with this index.
+    NoSuchFrame { slot: usize, frame: usize },
     /// An uncorrectable ECC error was encountered.
     Uncorrectable { slot: usize, word: usize },
 }
@@ -58,6 +60,9 @@ impl std::fmt::Display for FlashError {
         match self {
             FlashError::Full { need, free } => write!(f, "flash full: need {need}, free {free}"),
             FlashError::NoSuchSlot(s) => write!(f, "no such flash slot {s}"),
+            FlashError::NoSuchFrame { slot, frame } => {
+                write!(f, "no frame {frame} in flash slot {slot}")
+            }
             FlashError::Uncorrectable { slot, word } => {
                 write!(f, "uncorrectable ECC error in slot {slot}, word {word}")
             }
@@ -146,7 +151,10 @@ impl Flash {
         let off = *s
             .frame_offsets
             .get(frame_index)
-            .ok_or(FlashError::NoSuchSlot(slot))?;
+            .ok_or(FlashError::NoSuchFrame {
+                slot,
+                frame: frame_index,
+            })?;
         let len = s.frame_lens[frame_index];
         let w0 = off / 8;
         let w1 = (off + len).div_ceil(8);
@@ -330,6 +338,27 @@ mod tests {
         let (restored, _) = flash.read_bitstream(slot, &bs, &mut stats).unwrap();
         assert!(restored.diff(&bs).is_empty());
         assert_eq!(stats.corrected, 1);
+    }
+
+    #[test]
+    fn bad_indices_name_what_is_missing() {
+        let bs = image();
+        let mut flash = Flash::default();
+        let slot = flash.store("app", &bs).unwrap();
+        let mut stats = EccStats::default();
+        let frames = bs.frame_count();
+        assert_eq!(
+            flash.read_frame(slot, frames, &mut stats),
+            Err(FlashError::NoSuchFrame {
+                slot,
+                frame: frames
+            })
+        );
+        assert_eq!(
+            flash.read_frame(slot + 1, 0, &mut stats),
+            Err(FlashError::NoSuchSlot(slot + 1))
+        );
+        assert_eq!(stats, EccStats::default(), "nothing was read");
     }
 
     #[test]

@@ -29,31 +29,46 @@ pub struct CrcCodebook {
     masked: Vec<bool>,
     /// CRC over `crcs` + `masked` — the book's own integrity check.
     meta_crc: u32,
+    /// Whether `crcs` + `masked` still hash to `meta_crc`. `masked` never
+    /// changes after construction and [`CrcCodebook::upset`] is the only
+    /// writer of `crcs`, so recomputing it there keeps it exact.
+    intact: bool,
+    /// Unmasked frames and their total bytes: what one scan moves over
+    /// the port, fixed by the golden image and the mask.
+    scanned_frames: u64,
+    scanned_bytes: u64,
 }
 
 impl CrcCodebook {
     /// Build a codebook from a golden image, masking `masked_frames`
     /// (dense frame indices).
     pub fn new(golden: &Bitstream, masked_frames: &HashSet<usize>) -> Self {
-        let crcs: Vec<u32> = golden
-            .frame_addrs()
-            .map(|a| crc32(&golden.read_frame(a)))
-            .collect();
-        let masked: Vec<bool> = (0..crcs.len())
-            .map(|i| masked_frames.contains(&i))
-            .collect();
+        let mut crcs = Vec::with_capacity(golden.frame_count());
+        let mut masked = Vec::with_capacity(golden.frame_count());
+        let (mut scanned_frames, mut scanned_bytes) = (0u64, 0u64);
+        for (i, addr) in golden.frame_addrs().enumerate() {
+            crcs.push(crc32(&golden.read_frame(addr)));
+            let m = masked_frames.contains(&i);
+            masked.push(m);
+            if !m {
+                scanned_frames += 1;
+                scanned_bytes += golden.frame_bytes(addr.block) as u64;
+            }
+        }
         let meta_crc = Self::compute_meta(&crcs, &masked);
         CrcCodebook {
             crcs,
             masked,
             meta_crc,
+            intact: true,
+            scanned_frames,
+            scanned_bytes,
         }
     }
 
     fn compute_meta(crcs: &[u32], masked: &[bool]) -> u32 {
-        // Streamed: self_check runs on every scrub pass, so building the
-        // byte image in a temporary Vec each time would dominate quiet
-        // rounds. Byte-for-byte identical to hashing the concatenation.
+        // Streamed: byte-for-byte identical to hashing the concatenation
+        // without building it.
         let mut h = Crc32::new();
         for c in crcs {
             h.update(&c.to_le_bytes());
@@ -65,9 +80,11 @@ impl CrcCodebook {
     }
 
     /// Verify the book against its own CRC. Any SRAM upset to a stored
-    /// frame CRC or mask flag since construction makes this fail.
+    /// frame CRC since construction makes this fail (until a second upset
+    /// of the same bit restores the entry). O(1): the answer is kept up
+    /// to date by [`CrcCodebook::upset`].
     pub fn self_check(&self) -> bool {
-        Self::compute_meta(&self.crcs, &self.masked) == self.meta_crc
+        self.intact
     }
 
     /// Flip one bit of a stored frame CRC (an SEU in the Actel's SRAM).
@@ -76,6 +93,7 @@ impl CrcCodebook {
     pub fn upset(&mut self, entry: usize, bit: usize) {
         let n = self.crcs.len();
         self.crcs[entry % n] ^= 1 << (bit % 32);
+        self.intact = Self::compute_meta(&self.crcs, &self.masked) == self.meta_crc;
     }
 
     pub fn frame_count(&self) -> usize {
@@ -102,7 +120,6 @@ impl CrcCodebook {
 pub fn masked_frames_for(golden: &Bitstream) -> HashSet<usize> {
     let geom = golden.geometry().clone();
     let mut masked = HashSet::new();
-    let mut any_bram_port_enabled = false;
 
     for col in 0..geom.cols {
         for row in 0..geom.rows {
@@ -132,7 +149,6 @@ pub fn masked_frames_for(golden: &Bitstream) -> HashSet<usize> {
         for block in 0..geom.bram_blocks_per_col() {
             let en = golden.read_bram_if_field(bc, block, cibola_arch::frames::BRAM_IF_EN_OFF, 8);
             if en != 0 {
-                any_bram_port_enabled = true;
                 for sub in 0..cibola_arch::frames::BRAM_CONTENT_SUBFRAMES {
                     masked.insert(golden.frame_index(FrameAddr {
                         block: BlockType::BramContent,
@@ -143,7 +159,6 @@ pub fn masked_frames_for(golden: &Bitstream) -> HashSet<usize> {
             }
         }
     }
-    let _ = any_bram_port_enabled;
     masked
 }
 
@@ -201,16 +216,16 @@ impl FaultManager {
     /// codebook. Readback happens while the design runs — no interruption
     /// of service.
     pub fn scan(&self, dev: &mut Device) -> ScanReport {
-        let addrs: Vec<FrameAddr> = dev.config().frame_addrs().collect();
         let mut corrupt = Vec::new();
         let mut duration = SimDuration::ZERO;
         let mut scanned = 0usize;
         let mut aborted = 0usize;
         let mut wedged = false;
-        for (fi, addr) in addrs.into_iter().enumerate() {
+        for fi in 0..dev.config().frame_count() {
             if self.codebook.is_masked(fi) {
                 continue;
             }
+            let addr = dev.config().frame_addr(fi);
             let (res, d) = dev.try_readback_frame(addr, ReadbackOptions::default());
             match res {
                 Ok(data) => {
@@ -250,19 +265,17 @@ impl FaultManager {
 
     /// Scan cost without performing readback (used by mission simulation
     /// for known-clean devices — readback of a clean device is a no-op by
-    /// construction, but the time still passes).
+    /// construction, but the time still passes). O(1): the per-frame sum
+    /// of port time and Actel overhead over the unmasked frames, taken in
+    /// integer nanoseconds, so it equals what a clean [`FaultManager::scan`]
+    /// charges.
     pub fn scan_cost(&self, dev: &Device) -> SimDuration {
-        let mut duration = SimDuration::ZERO;
-        for (fi, addr) in dev.config().frame_addrs().enumerate() {
-            if self.codebook.is_masked(fi) {
-                continue;
-            }
-            let bytes = dev.config().frame_bytes(addr.block) as u64;
-            duration += SimDuration::from_nanos(
-                dev.port_timing.op_overhead_ns + bytes * dev.port_timing.ns_per_byte,
-            ) + self.frame_overhead;
-        }
-        duration
+        debug_assert_eq!(dev.config().frame_count(), self.codebook.frame_count());
+        let t = dev.port_timing;
+        let per_frame = t.op_overhead_ns + self.frame_overhead.as_nanos();
+        SimDuration::from_nanos(
+            self.codebook.scanned_frames * per_frame + self.codebook.scanned_bytes * t.ns_per_byte,
+        )
     }
 
     /// Repair a frame with golden bytes (fetched from FLASH by the
@@ -374,5 +387,97 @@ impl FaultManager {
             merged[byte] = (merged[byte] & !(1 << bit)) | (live << bit);
         }
         read_cost + dev.partial_configure_frame(addr, &merged)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cibola_arch::{ConfigMemory, Geometry};
+
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    /// A non-trivial image with a seeded random subset of frames masked.
+    fn image_and_mask(geom: Geometry, seed: u64) -> (Bitstream, HashSet<usize>) {
+        let mut cm = ConfigMemory::new(geom);
+        let mut s = seed;
+        for _ in 0..cm.total_bits() / 50 {
+            let i = xorshift(&mut s) as usize % cm.total_bits();
+            cm.set_bit(i, true);
+        }
+        let masked = (0..cm.frame_count())
+            .filter(|_| xorshift(&mut s) % 7 == 0)
+            .collect();
+        (cm, masked)
+    }
+
+    #[test]
+    fn memoised_self_check_tracks_random_upsets() {
+        let (golden, masked) = image_and_mask(Geometry::tiny(), 0xC0DE_B00C);
+        let mut book = CrcCodebook::new(&golden, &masked);
+        let n = book.frame_count();
+        let fresh = |b: &CrcCodebook| CrcCodebook::compute_meta(&b.crcs, &b.masked) == b.meta_crc;
+        assert!(book.self_check() && fresh(&book));
+        let mut s = 0x5EED_0001u64;
+        for round in 0..200 {
+            let entry = xorshift(&mut s) as usize % (2 * n);
+            let bit = xorshift(&mut s) as usize % 64;
+            book.upset(entry, bit);
+            assert_eq!(book.self_check(), fresh(&book), "round {round}");
+            // Every few rounds, flip the same bit again: that restores
+            // the entry, and with it whatever the check said before.
+            if round % 3 == 0 {
+                let before = book.self_check();
+                book.upset(entry, bit);
+                assert_eq!(book.self_check(), fresh(&book), "round {round} undo");
+                book.upset(entry, bit);
+                assert_eq!(book.self_check(), before, "round {round} redo");
+            }
+        }
+        // One upset, then the same bit again: the book is whole again.
+        let mut book = CrcCodebook::new(&golden, &masked);
+        book.upset(5, 17);
+        assert!(!book.self_check());
+        book.upset(5, 17);
+        assert!(book.self_check() && fresh(&book));
+    }
+
+    #[test]
+    fn scan_cost_equals_the_per_frame_sum() {
+        for (geom, seed) in [(Geometry::tiny(), 1u64), (Geometry::small(), 2)] {
+            let (golden, masked) = image_and_mask(geom.clone(), seed);
+            let mut dev = Device::new(geom);
+            dev.configure_full(&golden);
+            // Random mode bits make dynamic LUTs; stop the clock so the
+            // readback hazard leaves them alone.
+            dev.set_clock_running(false);
+            let mut mgr = FaultManager::new(CrcCodebook::new(&golden, &masked));
+            for (ns_per_byte, overhead_ns, frame_overhead_ns) in
+                [(20, 2_000, 5_000), (7, 0, 0), (1, 13, 999)]
+            {
+                dev.port_timing.ns_per_byte = ns_per_byte;
+                dev.port_timing.op_overhead_ns = overhead_ns;
+                mgr.frame_overhead = SimDuration::from_nanos(frame_overhead_ns);
+                let mut sum = SimDuration::ZERO;
+                for (fi, addr) in dev.config().frame_addrs().enumerate() {
+                    if mgr.codebook.is_masked(fi) {
+                        continue;
+                    }
+                    let bytes = dev.config().frame_bytes(addr.block) as u64;
+                    sum += SimDuration::from_nanos(overhead_ns + bytes * ns_per_byte)
+                        + mgr.frame_overhead;
+                }
+                assert_eq!(mgr.scan_cost(&dev), sum);
+                // A clean scan charges the same time.
+                let report = mgr.scan(&mut dev);
+                assert!(report.corrupt.is_empty());
+                assert_eq!(report.duration, sum);
+            }
+        }
     }
 }

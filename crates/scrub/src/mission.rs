@@ -256,15 +256,10 @@ pub struct MissionKernel<'a> {
     last_refresh: Vec<SimTime>,
     /// Reused per-board dirty-snapshot buffer.
     board_dirty: Vec<bool>,
-    /// Whether the device's codebook *might* fail its self-check: set by
-    /// a codebook-upset SEFI, cleared once a scrub pass (whose rung 0
-    /// rebuilds a failing book) has run. Lets the skip predicate avoid
-    /// re-hashing every codebook between events.
-    codebook_suspect: Vec<bool>,
     /// True (the default) while the driving strategy runs the codebook
     /// self-check each pass. Strategies that never consult the codebook
-    /// (blind scrubbing) clear it so a suspect book neither forces rounds
-    /// active nor trips the skip-safety assertion.
+    /// (blind scrubbing) clear it so a corrupt book does not force rounds
+    /// active.
     codebook_in_loop: bool,
     /// True (the default) while the driving strategy performs readback.
     /// Write-only strategies clear it: latched read faults can then never
@@ -338,13 +333,6 @@ impl<'a> MissionKernel<'a> {
             .unwrap_or(SimDuration::from_millis(180));
         assert!(round.as_nanos() > 0, "scan round must be non-zero");
 
-        // Callers may hand over a payload whose codebooks are already
-        // corrupted; seed the suspect flags from one real self-check.
-        let codebook_suspect: Vec<bool> = positions
-            .iter()
-            .map(|&(b, f)| !payload.fpga(b, f).manager.codebook.self_check())
-            .collect();
-
         MissionKernel {
             positions,
             board_base,
@@ -364,7 +352,6 @@ impl<'a> MissionKernel<'a> {
             unavailable: SimDuration::ZERO,
             last_refresh: vec![SimTime::ZERO; ndev],
             board_dirty: Vec::new(),
-            codebook_suspect,
             codebook_in_loop: true,
             readback_in_loop: true,
             payload,
@@ -606,7 +593,6 @@ impl<'a> MissionKernel<'a> {
                     let entry = p.rng().gen_range(0..book.frame_count());
                     let bit = p.rng().gen_range(0..32);
                     book.upset(entry, bit);
-                    self.codebook_suspect[di] = true;
                 }
             }
             if self.payload.telemetry.is_enabled() {
@@ -653,8 +639,8 @@ impl<'a> MissionKernel<'a> {
     }
 
     /// Fold one board's pass outcome into the mission ledger: counter
-    /// roll-up, pass-latency histogram, closing the unavailability
-    /// windows of every repaired fault, and codebook-suspect clearing.
+    /// roll-up, pass-latency histogram, and closing the unavailability
+    /// windows of every repaired fault.
     /// Exactly the bookkeeping the built-in `scrub_round` performs, so a
     /// strategy that substitutes its own repair action inherits identical
     /// accounting.
@@ -710,21 +696,6 @@ impl<'a> MissionKernel<'a> {
             self.resolved_buf = resolved;
             // User-state upsets were flushed by the reset too.
             self.dirty[di] = self.outstanding[di].iter().any(|o| o.repairable);
-        }
-        // A pass that ended with the failure counter clear got past
-        // rung 0, i.e. the codebook passed self-check or was rebuilt.
-        // Failed passes (counter > 0) may have left it corrupt, but
-        // they also force every subsequent round to execute, so the
-        // stale suspect flag is never consulted for a skip. Strategies
-        // that never run rung 0 must not clear the flag.
-        if self.codebook_in_loop {
-            let nf = self.payload.boards[b].fpgas.len();
-            for f in 0..nf {
-                let health = &self.payload.fpga(b, f).health;
-                if !health.degraded && health.consecutive_failures == 0 {
-                    self.codebook_suspect[base + f] = false;
-                }
-            }
         }
     }
 
@@ -892,23 +863,14 @@ impl<'a> MissionKernel<'a> {
         } else {
             fpga.device.pending_write_faults() > 0
         };
-        // `codebook_suspect` stands in for hashing the codebook: clear
-        // means the last clean scrub pass (or construction) proved
-        // self_check passes and no codebook SEFI has landed since.
-        // Strategies without a codebook in the loop ignore it entirely.
-        if self.dirty[di]
+        // Strategies without a codebook in the loop ignore its state
+        // entirely; the self-check is O(1).
+        self.dirty[di]
             || fpga.health.consecutive_failures > 0
             || !fpga.device.is_programmed()
             || fpga.device.is_port_wedged()
             || pending_faults
-            || (self.codebook_in_loop && self.codebook_suspect[di])
-        {
-            return true;
-        }
-        // Skip-safety invariant: never skip a device whose codebook
-        // would fail rung 0.
-        debug_assert!(!self.codebook_in_loop || fpga.manager.codebook.self_check());
-        false
+            || (self.codebook_in_loop && !fpga.manager.codebook.self_check())
     }
 
     pub fn any_device_needs_scrub(&self) -> bool {

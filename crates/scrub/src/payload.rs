@@ -399,8 +399,7 @@ impl Payload {
         // Rung 1 — scan. A wedged port gets one power-cycle + rescan.
         let mut report = {
             let f = &mut self.boards[board].fpgas[fi];
-            let mgr = f.manager.clone();
-            mgr.scan(&mut f.device)
+            f.manager.scan(&mut f.device)
         };
         out.duration += report.duration;
         if report.aborted_frames > 0 {
@@ -423,8 +422,7 @@ impl Payload {
             self.reset_port(board, fi, now, out);
             report = {
                 let f = &mut self.boards[board].fpgas[fi];
-                let mgr = f.manager.clone();
-                mgr.scan(&mut f.device)
+                f.manager.scan(&mut f.device)
             };
             out.duration += report.duration;
             if report.wedged {
@@ -524,8 +522,7 @@ impl Payload {
         // readback) can fabricate "failed" repairs; trust a clean rescan.
         let recheck = {
             let f = &mut self.boards[board].fpgas[fi];
-            let mgr = f.manager.clone();
-            mgr.scan(&mut f.device)
+            f.manager.scan(&mut f.device)
         };
         out.duration += recheck.duration;
         self.observe_rung_latency(EscalationRung::RescanVerify, recheck.duration);
@@ -670,10 +667,12 @@ impl Payload {
         now: SimTime,
         out: &mut ScrubOutcome,
     ) -> bool {
-        let slot = self.boards[board].fpgas[fi].flash_slot;
-        let golden = self.boards[board].fpgas[fi].golden.clone();
+        let f = &self.boards[board].fpgas[fi];
         let mut stats = EccStats::default();
-        match self.flash.read_bitstream(slot, &golden, &mut stats) {
+        match self
+            .flash
+            .read_bitstream(f.flash_slot, &f.golden, &mut stats)
+        {
             Ok((image, fetch)) => {
                 self.merge_ecc(board, fi, now, &stats);
                 let masked = masked_frames_for(&image);
@@ -731,10 +730,12 @@ impl Payload {
         if self.boards[board].fpgas[fi].device.is_port_wedged() {
             self.reset_port(board, fi, now, out);
         }
-        let slot = self.boards[board].fpgas[fi].flash_slot;
-        let golden = self.boards[board].fpgas[fi].golden.clone();
+        let f = &self.boards[board].fpgas[fi];
         let mut stats = EccStats::default();
-        match self.flash.read_bitstream(slot, &golden, &mut stats) {
+        match self
+            .flash
+            .read_bitstream(f.flash_slot, &f.golden, &mut stats)
+        {
             Ok((image, fetch)) => {
                 self.merge_ecc(board, fi, now, &stats);
                 let f = &mut self.boards[board].fpgas[fi];
