@@ -114,13 +114,13 @@ impl Device {
     }
 
     /// The half-latch sites the active logic reads (critical *and*
-    /// non-critical), for hidden-state fault campaigns.
+    /// non-critical), sorted, for hidden-state fault campaigns.
     pub fn active_half_latch_sites(&mut self) -> Vec<crate::halflatch::HlSite> {
         self.ensure_compiled();
-        let c = self.compiled.as_ref().expect("compiled");
-        let mut sites: Vec<_> = c.hl_site_list.clone();
-        sites.sort();
-        sites.dedup();
-        sites
+        self.compiled
+            .as_ref()
+            .expect("compiled")
+            .hl_site_list
+            .clone()
     }
 }

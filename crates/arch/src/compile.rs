@@ -17,8 +17,13 @@
 //! [`compile_with`] can also pull in extra sites beyond the output cones;
 //! [`crate::delta::DeltaMap`] uses it to build the augmented network the
 //! wide engine runs structural upsets on.
+//!
+//! Last, every operand is lowered from its [`Src`] to a slot of one flat
+//! value array ([`Layout`]), so both engines gather operands by index.
+//! `Src` stays the currency of the compiler, the delta map and the
+//! reachability pass; the engines read slots only.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::bits::{
     decode_mux, decode_pip, ff_dmux_offset, ff_init_offset, input_mux_offset, lut_mode_offset,
@@ -27,7 +32,7 @@ use crate::bits::{
 };
 use crate::device::Device;
 use crate::frames::{bram_if_addr_off, bram_if_din_off, Edge, BRAM_IF_EN_OFF, BRAM_IF_WE_OFF};
-use crate::geometry::{Dir, Tile, OUTMUX_WIRES_PER_DIR, WIRES_PER_DIR};
+use crate::geometry::{Dir, Geometry, Tile, OUTMUX_WIRES_PER_DIR, WIRES_PER_DIR};
 use crate::halflatch::HlSite;
 use crate::permfault::FaultSite;
 
@@ -139,6 +144,181 @@ impl NodeCounts {
     }
 }
 
+/// The half-latch sites a network reads, one bit per mux pin of each
+/// slice and BRAM block. A site's rank among them in [`HlSite`] order —
+/// its half-latch slot pair — is a prefix count, with no sort or search.
+#[derive(Debug, Clone)]
+pub(crate) struct HlIndex {
+    cols: usize,
+    /// Slices on the device: the entries before the BRAM blocks'.
+    slices: usize,
+    blocks_per_col: usize,
+    /// Per slice (tile index × 2 + slice), then per BRAM block: the pins
+    /// read through a half-latch, and the rank of the first.
+    pins: Vec<(u32, u32)>,
+}
+
+impl HlIndex {
+    fn new(geom: &Geometry) -> HlIndex {
+        let slices = 2 * geom.num_tiles();
+        HlIndex {
+            cols: geom.cols,
+            slices,
+            blocks_per_col: geom.bram_blocks_per_col(),
+            pins: vec![(0, 0); slices + geom.num_bram_blocks()],
+        }
+    }
+
+    /// (entry, pin) of `site`; entries run in `HlSite` order.
+    fn entry(&self, site: HlSite) -> (usize, u8) {
+        match site {
+            HlSite::Slice { tile, slice, pin } => {
+                let t = tile.row as usize * self.cols + tile.col as usize;
+                (2 * t + slice as usize, pin)
+            }
+            HlSite::Bram { col, block, pin } => (
+                self.slices + col as usize * self.blocks_per_col + block as usize,
+                pin,
+            ),
+        }
+    }
+
+    fn insert(&mut self, site: HlSite) {
+        let (e, pin) = self.entry(site);
+        self.pins[e].0 |= 1 << pin;
+    }
+
+    /// Rank every site; returns them in rank order.
+    fn rank(&mut self) -> Vec<HlSite> {
+        let (cols, slices, per_col) = (self.cols, self.slices, self.blocks_per_col);
+        let mut sites = Vec::new();
+        for (e, (mask, first)) in self.pins.iter_mut().enumerate() {
+            *first = sites.len() as u32;
+            let mut m = *mask;
+            while m != 0 {
+                let pin = m.trailing_zeros() as u8;
+                m &= m - 1;
+                sites.push(if e < slices {
+                    HlSite::Slice {
+                        tile: Tile::new(e / 2 / cols, e / 2 % cols),
+                        slice: (e % 2) as u8,
+                        pin,
+                    }
+                } else {
+                    let b = e - slices;
+                    HlSite::Bram {
+                        col: (b / per_col) as u16,
+                        block: (b % per_col) as u16,
+                        pin,
+                    }
+                });
+            }
+        }
+        sites
+    }
+
+    /// The rank of `site`, if the network reads it.
+    fn rank_of(&self, site: HlSite) -> Option<u32> {
+        let (e, pin) = self.entry(site);
+        let (mask, first) = self.pins[e];
+        ((mask >> pin) & 1 == 1).then(|| first + (mask & ((1 << pin) - 1)).count_ones())
+    }
+}
+
+/// Slot of the constant 0 in every [`Layout`].
+pub(crate) const ZERO_SLOT: u32 = 0;
+/// Slot of the constant 1.
+pub(crate) const ONE_SLOT: u32 = 1;
+
+/// The slot of constant `v`.
+pub(crate) fn const_slot(v: bool) -> u32 {
+    if v {
+        ONE_SLOT
+    } else {
+        ZERO_SLOT
+    }
+}
+
+/// Where each value a compiled network reads lives in the flat value
+/// array both engines evaluate over. In order: the constants 0 and 1;
+/// each input port, plain then inverted; each half-latch site of
+/// [`Compiled::hl_site_list`], plain then inverted; LUT outputs; FF
+/// values; 16 output-register bits per BRAM. Each field is the first slot
+/// of its region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Layout {
+    pub inputs: u32,
+    pub half_latches: u32,
+    pub luts: u32,
+    pub ffs: u32,
+    pub brams: u32,
+    /// Slots in all.
+    pub len: u32,
+}
+
+impl Layout {
+    fn new(inputs: usize, half_latches: usize, luts: usize, ffs: usize, brams: usize) -> Layout {
+        let mut at = 2;
+        let mut region = |n: usize| {
+            let first = at;
+            at += n as u32;
+            first
+        };
+        let inputs = region(2 * inputs);
+        let half_latches = region(2 * half_latches);
+        let luts = region(luts);
+        let ffs = region(ffs);
+        let brams = region(16 * brams);
+        Layout {
+            inputs,
+            half_latches,
+            luts,
+            ffs,
+            brams,
+            len: at,
+        }
+    }
+
+    /// The slot holding `s`, if this layout has one; `hl` ranks the
+    /// half-latch sites.
+    fn slot(&self, hl: &HlIndex, s: Src) -> Option<u32> {
+        Some(match s {
+            Src::Zero => ZERO_SLOT,
+            Src::One => ONE_SLOT,
+            Src::Input { port, invert } => {
+                let plain = self.inputs + 2 * port as u32;
+                if plain >= self.half_latches {
+                    return None;
+                }
+                plain + invert as u32
+            }
+            Src::HalfLatch { site, invert } => {
+                self.half_latches + 2 * hl.rank_of(site)? + invert as u32
+            }
+            Src::Lut(i) => self.luts + i,
+            Src::Ff(i) => self.ffs + i,
+            Src::Bram { id, bit } => self.brams + 16 * id + bit as u32,
+        })
+    }
+}
+
+/// The slots of one flip-flop's operands.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FfSlots {
+    pub sr: u32,
+    pub ce: u32,
+    pub d: u32,
+}
+
+/// The slots of one BRAM port's operands.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BramSlots {
+    pub addr: [u32; 8],
+    pub din: [u32; 16],
+    pub we: u32,
+    pub en: u32,
+}
+
 /// The compiled network plus evaluation scratch space.
 #[derive(Debug, Clone)]
 pub(crate) struct Compiled {
@@ -153,21 +333,50 @@ pub(crate) struct Compiled {
     /// Output port sources (port index → source, invert).
     pub outputs: Vec<(Src, bool)>,
     pub num_inputs: usize,
-    pub half_latch_sites: usize,
     /// Every (tile index, flat wire) the wire tracer visited — the routing
     /// resources whose configuration can influence the output cones.
     pub active_wires: Vec<(usize, u16)>,
-    /// Distinct half-latch sites the active logic reads.
+    /// Distinct half-latch sites the active logic reads, sorted.
     pub hl_site_list: Vec<HlSite>,
+    /// Each read site's rank in `hl_site_list`.
+    pub hl_index: HlIndex,
     /// Dense site → compiled LUT id (u32::MAX = inactive); index =
     /// tile × 4 + slice × 2 + lut.
     pub lut_site_index: Vec<u32>,
     /// Dense site → compiled FF id; index = ff state index.
     pub ff_site_index: Vec<u32>,
-    /// Scratch: current LUT output values.
-    pub lut_vals: Vec<bool>,
-    /// Scratch: next flip-flop values.
-    pub ff_next: Vec<bool>,
+
+    // ---- every operand above, lowered to its slot of `layout` -----------
+    // Kept apart from the nodes so `same_topology` compares sources only;
+    // slots never hold a table or an init, so in-place table and init
+    // patches leave them valid.
+    pub layout: Layout,
+    /// Per LUT: its four pins.
+    pub lut_pins: Vec<[u32; 4]>,
+    /// Per LUT: write data and write enable (constant 0 for static LUTs).
+    pub lut_data: Vec<u32>,
+    pub lut_we: Vec<u32>,
+    pub ff_slots: Vec<FfSlots>,
+    pub bram_slots: Vec<BramSlots>,
+    /// Per output port: slot and inversion.
+    pub out_slots: Vec<(u32, bool)>,
+    /// The LUTs in RAM or shift mode, ascending: the ones that write
+    /// their tables.
+    pub dynamic_luts: Vec<u32>,
+
+    /// Scratch: the scalar engine's value per slot. Its LUT slots carry
+    /// over from cycle to cycle, so a cyclic network relaxes from the
+    /// previous cycle's values.
+    pub vals: Vec<bool>,
+}
+
+impl Compiled {
+    /// The slot holding `s`, if the layout has one. Every source the
+    /// network's own operands read has one; a lane override may name a
+    /// half-latch site or input port they never read.
+    pub fn slot(&self, s: Src) -> Option<u32> {
+        self.layout.slot(&self.hl_index, s)
+    }
 }
 
 struct Builder<'d> {
@@ -183,7 +392,7 @@ struct Builder<'d> {
     bram_ids: HashMap<(u16, u16), u32>,
     work: Vec<Work>,
     num_inputs: usize,
-    hl_sites: HashSet<HlSite>,
+    hl_sites: HlIndex,
     /// Bitmap over tile × 96 wires.
     visited_bitmap: Vec<bool>,
     visited_list: Vec<(usize, u16)>,
@@ -209,7 +418,7 @@ impl<'d> Builder<'d> {
             bram_ids: HashMap::new(),
             work: Vec::new(),
             num_inputs: 0,
-            hl_sites: HashSet::new(),
+            hl_sites: HlIndex::new(&dev.geom),
             visited_bitmap: vec![false; dev.geom.num_tiles() * 96],
             visited_list: Vec::new(),
         }
@@ -635,9 +844,45 @@ pub(crate) fn compile_with(dev: &Device, extra: &[Site]) -> Compiled {
         order.extend((0..n as u32).filter(|&i| !in_order[i as usize]));
     }
 
+    // Lower every operand to its slot.
+    let mut hl_index = b.hl_sites;
+    let hl_site_list = hl_index.rank();
+    let (nf, nb) = (b.ffs.len(), b.brams.len());
+    let layout = Layout::new(b.num_inputs, hl_site_list.len(), n, nf, nb);
+    let slot = |s: Src| {
+        layout
+            .slot(&hl_index, s)
+            .expect("the network reads its own sources")
+    };
     Compiled {
-        lut_vals: vec![false; n],
-        ff_next: vec![false; b.ffs.len()],
+        lut_pins: b.luts.iter().map(|l| l.pins.map(slot)).collect(),
+        lut_data: b.luts.iter().map(|l| slot(l.data)).collect(),
+        lut_we: b.luts.iter().map(|l| slot(l.we)).collect(),
+        ff_slots: b
+            .ffs
+            .iter()
+            .map(|f| FfSlots {
+                sr: slot(f.sr),
+                ce: slot(f.ce),
+                d: slot(f.d),
+            })
+            .collect(),
+        bram_slots: b
+            .brams
+            .iter()
+            .map(|m| BramSlots {
+                addr: m.addr.map(slot),
+                din: m.din.map(slot),
+                we: slot(m.we),
+                en: slot(m.en),
+            })
+            .collect(),
+        out_slots: outputs.iter().map(|&(s, inv)| (slot(s), inv)).collect(),
+        dynamic_luts: (0..n as u32)
+            .filter(|&i| b.luts[i as usize].mode.is_dynamic())
+            .collect(),
+        vals: (0..layout.len).map(|s| s == ONE_SLOT).collect(),
+        layout,
         luts: b.luts,
         ffs: b.ffs,
         brams: b.brams,
@@ -645,9 +890,9 @@ pub(crate) fn compile_with(dev: &Device, extra: &[Site]) -> Compiled {
         iterative,
         outputs,
         num_inputs: b.num_inputs,
-        half_latch_sites: b.hl_sites.len(),
         active_wires: b.visited_list,
-        hl_site_list: b.hl_sites.into_iter().collect(),
+        hl_site_list,
+        hl_index,
         lut_site_index: b.lut_ids,
         ff_site_index: b.ff_ids,
     }

@@ -217,10 +217,10 @@ impl Reach {
 /// where `ovs(root)` rebinds the root for the lanes in each mask. The
 /// least fixpoint is, lane by lane, exactly the node set a scalar compile
 /// of that lane's network holds — found for all lanes in one pass.
-pub(crate) fn reach<'o>(
+pub(crate) fn reach<I: IntoIterator<Item = (u64, Src)>>(
     net: &Compiled,
     seeds: &[(Src, u64)],
-    ovs: impl Fn(Root) -> &'o [(u64, Src)],
+    ovs: impl Fn(Root) -> I,
 ) -> Reach {
     let mut r = Reach {
         luts: vec![0; net.luts.len()],
@@ -241,7 +241,7 @@ pub(crate) fn reach<'o>(
         };
         for_each_root(net, s, |root, base| {
             let mut through = m;
-            for &(lanes, src) in ovs(root) {
+            for (lanes, src) in ovs(root) {
                 if r.grow(src, m & lanes) {
                     work.push(src);
                 }
@@ -967,7 +967,7 @@ impl DeltaMap {
             };
             let seeds: Vec<(Src, u64)> =
                 self.lane_seeds(&ops).into_iter().map(|s| (s, 1)).collect();
-            let held = reach(&self.net, &seeds, ovs).luts;
+            let held = reach(&self.net, &seeds, |root| ovs(root).iter().copied()).luts;
             let src_of = |root, base| ovs(root).first().map_or(base, |&(_, s)| s);
             if has_cycle(&self.net, &held, src_of) {
                 return DeltaClass::Structural;

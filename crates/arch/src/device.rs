@@ -448,7 +448,7 @@ impl Device {
             ffs: c.ffs.len(),
             brams: c.brams.len(),
             has_comb_cycles: c.iterative,
-            half_latch_sites: c.half_latch_sites,
+            half_latch_sites: c.hl_site_list.len(),
         }
     }
 }

@@ -8,63 +8,93 @@
 //! configuration memory. That write-through is what makes the paper's
 //! readback hazards (§II-C) and read-modify-write scrubbing discussion
 //! (§IV-B) fall out of the model instead of being special-cased.
+//!
+//! Operands are read by slot from `Compiled::vals`, one `bool` per slot of
+//! the network's slot layout (`compile::Layout`). Each cycle first
+//! loads the slots the device owns: input ports from the stimulus (a port
+//! it does not carry reads 0), half-latches from `Device::half_latches`,
+//! flip-flops and BRAM output registers from the device state. LUT slots
+//! are never loaded: they hold the previous cycle's settled values, the
+//! warm start a cyclic network relaxes from.
 
 use crate::bits::{lut_table_offset, LutMode};
-use crate::compile::{Compiled, Src};
+use crate::compile::Compiled;
 use crate::device::Device;
 
 /// Maximum relaxation sweeps for combinational cycles.
 const MAX_SWEEPS: usize = 8;
 
+/// The bits read from `slots`, slot `i` as bit `i`.
 #[inline]
-fn src_val(s: Src, lut_vals: &[bool], c: &Compiled, d: &Device, inputs: &[bool]) -> bool {
-    match s {
-        Src::Zero => false,
-        Src::One => true,
-        Src::HalfLatch { site, invert } => d.half_latches.value(site) ^ invert,
-        Src::Lut(i) => lut_vals[i as usize],
-        Src::Ff(i) => d.ff_state.get(c.ffs[i as usize].state_idx),
-        Src::Bram { id, bit } => (d.bram_outreg[c.brams[id as usize].reg_idx] >> bit) & 1 == 1,
-        Src::Input { port, invert } => inputs.get(port as usize).copied().unwrap_or(false) ^ invert,
+fn gather(vals: &[bool], slots: &[u32]) -> usize {
+    slots
+        .iter()
+        .enumerate()
+        .fold(0, |a, (i, &s)| a | (vals[s as usize] as usize) << i)
+}
+
+/// Write `v` to `slot` and its inverse to the next slot.
+#[inline]
+fn set_pair(vals: &mut [bool], slot: usize, v: bool) {
+    vals[slot] = v;
+    vals[slot + 1] = !v;
+}
+
+/// Load the slots the device and stimulus own for this cycle.
+fn load(c: &mut Compiled, d: &Device, inputs: &[bool]) {
+    let l = c.layout;
+    let vals = &mut c.vals;
+    for p in 0..c.num_inputs {
+        let v = inputs.get(p).copied().unwrap_or(false);
+        set_pair(vals, l.inputs as usize + 2 * p, v);
+    }
+    for (k, &site) in c.hl_site_list.iter().enumerate() {
+        set_pair(
+            vals,
+            l.half_latches as usize + 2 * k,
+            d.half_latches.value(site),
+        );
+    }
+    for (i, ff) in c.ffs.iter().enumerate() {
+        vals[l.ffs as usize + i] = d.ff_state.get(ff.state_idx);
+    }
+    for (i, b) in c.brams.iter().enumerate() {
+        load_bram(vals, l.brams as usize + 16 * i, d.bram_outreg[b.reg_idx]);
     }
 }
 
-/// Settle combinational logic into `c.lut_vals`.
-fn settle(c: &mut Compiled, d: &Device, inputs: &[bool]) {
-    let mut vals = std::mem::take(&mut c.lut_vals);
+/// Spread a BRAM output register over its 16 slots from `at`.
+#[inline]
+fn load_bram(vals: &mut [bool], at: usize, word: u16) {
+    for (k, v) in vals[at..at + 16].iter_mut().enumerate() {
+        *v = (word >> k) & 1 == 1;
+    }
+}
+
+/// Settle combinational logic into the LUT slots.
+fn settle(c: &mut Compiled) {
+    let base = c.layout.luts as usize;
     let sweeps = if c.iterative { MAX_SWEEPS } else { 1 };
     for _ in 0..sweeps {
         let mut changed = false;
         for &li in &c.order {
-            let lut = &c.luts[li as usize];
-            let mut a = 0usize;
-            for (p, &pin) in lut.pins.iter().enumerate() {
-                if src_val(pin, &vals, c, d, inputs) {
-                    a |= 1 << p;
-                }
-            }
-            let v = (lut.table >> a) & 1 == 1;
-            if vals[li as usize] != v {
-                vals[li as usize] = v;
-                changed = true;
-            }
+            let li = li as usize;
+            let a = gather(&c.vals, &c.lut_pins[li]);
+            let v = (c.luts[li].table >> a) & 1 == 1;
+            changed |= c.vals[base + li] != v;
+            c.vals[base + li] = v;
         }
         if !changed {
             break;
         }
     }
-    c.lut_vals = vals;
 }
 
 /// Sample the output pins into a caller-provided scratch buffer (cleared
 /// first), so steady-state stepping performs no heap allocation.
-fn read_outputs_into(c: &Compiled, d: &Device, inputs: &[bool], out: &mut Vec<bool>) {
+fn read_outputs_into(c: &Compiled, out: &mut Vec<bool>) {
     out.clear();
-    out.extend(
-        c.outputs
-            .iter()
-            .map(|&(src, inv)| src_val(src, &c.lut_vals, c, d, inputs) ^ inv),
-    );
+    out.extend(c.out_slots.iter().map(|&(s, inv)| c.vals[s as usize] ^ inv));
 }
 
 /// Settle and sample outputs without advancing sequential state.
@@ -74,8 +104,9 @@ pub(crate) fn settle_outputs_into(
     inputs: &[bool],
     out: &mut Vec<bool>,
 ) {
-    settle(c, d, inputs);
-    read_outputs_into(c, d, inputs, out);
+    load(c, d, inputs);
+    settle(c);
+    read_outputs_into(c, out);
 }
 
 /// Execute one full clock cycle, sampling outputs into `out` (cleared
@@ -87,106 +118,73 @@ pub(crate) fn eval_cycle_into(
     inputs: &[bool],
     out: &mut Vec<bool>,
 ) {
-    settle(c, d, inputs);
-    read_outputs_into(c, d, inputs, out);
+    settle_outputs_into(c, d, inputs, out);
+    let l = c.layout;
 
-    // Flip-flop next-state (double-buffered: all D/CE/SR sampled before any
-    // commit).
-    for i in 0..c.ffs.len() {
-        let ff = &c.ffs[i];
-        let sr = src_val(ff.sr, &c.lut_vals, c, d, inputs);
-        let ce = src_val(ff.ce, &c.lut_vals, c, d, inputs);
-        let cur = d.ff_state.get(ff.state_idx);
-        c.ff_next[i] = if sr {
+    // Flip-flop next-state, committed at once: every later read this
+    // cycle goes through the FF slots, which keep the old values.
+    for (i, ff) in c.ffs.iter().enumerate() {
+        let s = c.ff_slots[i];
+        let next = if c.vals[s.sr as usize] {
             ff.init
-        } else if ce {
-            src_val(ff.d, &c.lut_vals, c, d, inputs)
+        } else if c.vals[s.ce as usize] {
+            c.vals[s.d as usize]
         } else {
-            cur
+            c.vals[l.ffs as usize + i]
         };
+        d.ff_state.set(ff.state_idx, next);
     }
 
     // BRAM port operations. A block whose content frame is mid-readback is
     // locked: the configuration logic owns its address lines (paper §IV-A).
-    for bi in 0..c.brams.len() {
-        let (reg_idx, col, block) = {
-            let b = &c.brams[bi];
-            (b.reg_idx, b.col as usize, b.block as usize)
-        };
-        if d.bram_locked[reg_idx] > 0 {
-            d.bram_locked[reg_idx] -= 1;
+    // A port's new output register reaches its slots at once, so later
+    // ports and LUT-RAM writes this cycle read it.
+    for (bi, b) in c.brams.iter().enumerate() {
+        if d.bram_locked[b.reg_idx] > 0 {
+            d.bram_locked[b.reg_idx] -= 1;
             continue;
         }
-        let b = &c.brams[bi];
-        let en = src_val(b.en, &c.lut_vals, c, d, inputs);
-        if !en {
+        let s = &c.bram_slots[bi];
+        if !c.vals[s.en as usize] {
             continue;
         }
-        let mut addr = 0usize;
-        for (i, &a) in b.addr.iter().enumerate() {
-            if src_val(a, &c.lut_vals, c, d, inputs) {
-                addr |= 1 << i;
-            }
-        }
-        let we = src_val(b.we, &c.lut_vals, c, d, inputs);
-        if we {
-            let mut w = 0u16;
-            for (i, &dsrc) in b.din.iter().enumerate() {
-                if src_val(dsrc, &c.lut_vals, c, d, inputs) {
-                    w |= 1 << i;
-                }
-            }
+        let (col, block) = (b.col as usize, b.block as usize);
+        let addr = gather(&c.vals, &s.addr);
+        if c.vals[s.we as usize] {
             // Write-first: the output register sees the new word.
+            let w = gather(&c.vals, &s.din) as u16;
             d.config.write_bram_word(col, block, addr, w);
             d.design_wrote_config = true;
         }
-        d.bram_outreg[reg_idx] = d.config.read_bram_word(col, block, addr);
+        let word = d.config.read_bram_word(col, block, addr);
+        d.bram_outreg[b.reg_idx] = word;
+        load_bram(&mut c.vals, l.brams as usize + 16 * bi, word);
     }
 
     // Run-time LUT writes (distributed RAM and SRL16). These mutate the
     // *configuration memory*, so a scrub pass that blindly restores the
     // golden frame will clobber live data — the paper's RMW problem.
-    for li in 0..c.luts.len() {
-        if !c.luts[li].mode.is_dynamic() {
+    for &li in &c.dynamic_luts {
+        let li = li as usize;
+        if !c.vals[c.lut_we[li] as usize] {
             continue;
         }
-        let we = src_val(c.luts[li].we, &c.lut_vals, c, d, inputs);
-        if !we {
-            continue;
-        }
-        let data = src_val(c.luts[li].data, &c.lut_vals, c, d, inputs);
-        let new_table = match c.luts[li].mode {
+        let lut = &mut c.luts[li];
+        let data = c.vals[c.lut_data[li] as usize];
+        lut.table = match lut.mode {
             LutMode::Ram => {
-                let mut a = 0usize;
-                for (p, &pin) in c.luts[li].pins.iter().enumerate() {
-                    if src_val(pin, &c.lut_vals, c, d, inputs) {
-                        a |= 1 << p;
-                    }
-                }
-                let mut t = c.luts[li].table;
-                if data {
-                    t |= 1 << a;
-                } else {
-                    t &= !(1 << a);
-                }
-                t
+                let a = gather(&c.vals, &c.lut_pins[li]);
+                (lut.table & !(1 << a)) | (data as u16) << a
             }
-            LutMode::Shift => (c.luts[li].table << 1) | data as u16,
+            LutMode::Shift => (lut.table << 1) | data as u16,
             _ => unreachable!(),
         };
-        let (tile, slice, lut) = {
-            let l = &c.luts[li];
-            (l.tile, l.slice as usize, l.lut as usize)
-        };
-        c.luts[li].table = new_table;
         d.design_wrote_config = true;
-        d.config
-            .write_tile_field(tile, lut_table_offset(slice, lut, 0), 16, new_table as u64);
-    }
-
-    // Commit flip-flops.
-    for i in 0..c.ffs.len() {
-        let idx = c.ffs[i].state_idx;
-        d.ff_state.set(idx, c.ff_next[i]);
+        d.config.write_tile_field(
+            lut.tile,
+            lut_table_offset(lut.slice as usize, lut.lut as usize, 0),
+            16,
+            lut.table as u64,
+        );
     }
 }

@@ -30,13 +30,26 @@
 //! minterm bit-planes and evaluated by Shannon reduction on the four
 //! lane-packed pin words, which uniformly handles corrupted-table lanes and
 //! run-time LUT writes.
+//!
+//! Operands are gathered by index: one lane word per slot of the
+//! network's slot layout (`compile::Layout`), in one `vals` array. The
+//! constant and half-latch slots are filled once, from the device the
+//! engine is built from, and never change. The input slots are written at
+//! the start of every step (a port the stimulus does not carry reads 0).
+//! The LUT, FF and BRAM-register regions are the batch's evolving state,
+//! reset by every batch load. A BRAM port's new register lands in its
+//! slots at once, so later ports and LUT-RAM writes in the same step read
+//! it, while FF next-state was sampled before. Lane overrides are lowered
+//! to slots when a batch loads: a half-latch override folds to a constant
+//! by the build device's latches, and an input port only an override
+//! names gets a slot pair past the layout.
 
 use crate::bits::LutMode;
-use crate::compile::{Compiled, NodeCounts, Src};
+use crate::compile::{const_slot, Compiled, NodeCounts, Src, ONE_SLOT};
 use crate::delta::{reach, DeltaMap, DeltaOp, LaneUpset, Root, UpsetKind};
 use crate::device::Device;
 use crate::geometry::BRAM_DEPTH;
-use crate::halflatch::HalfLatches;
+use crate::halflatch::HlSite;
 
 /// Experiments per batch including the golden lane 0.
 pub const LANES: usize = 64;
@@ -118,35 +131,39 @@ pub fn same_topology(a: &mut Device, b: &mut Device) -> bool {
         && ca.brams == cb.brams
 }
 
+/// A lane-masked source override: (lanes, source, the slot it reads).
+type Ov = (u64, Src, u32);
+
 /// Per-LUT lane-masked source overrides installed by reroute upsets.
 /// Each entry rebinds the source for the lanes in its mask; masks from
 /// different lanes are disjoint, so application order is irrelevant.
 #[derive(Debug, Clone, Default)]
 struct LutOv {
-    pins: [Vec<(u64, Src)>; 4],
-    data: Vec<(u64, Src)>,
-    we: Vec<(u64, Src)>,
+    pins: [Vec<Ov>; 4],
+    data: Vec<Ov>,
+    we: Vec<Ov>,
 }
 
 #[derive(Debug, Clone, Default)]
 struct FfOv {
-    d: Vec<(u64, Src)>,
-    ce: Vec<(u64, Src)>,
-    sr: Vec<(u64, Src)>,
+    d: Vec<Ov>,
+    ce: Vec<Ov>,
+    sr: Vec<Ov>,
 }
 
 #[derive(Debug, Clone, Default)]
 struct BramOv {
-    addr: [Vec<(u64, Src)>; 8],
-    din: [Vec<(u64, Src)>; 16],
-    we: Vec<(u64, Src)>,
-    en: Vec<(u64, Src)>,
+    addr: [Vec<Ov>; 8],
+    din: [Vec<Ov>; 16],
+    we: Vec<Ov>,
+    en: Vec<Ov>,
 }
 
-/// One lane's replacement output vector: (lane, corrupted outputs,
-/// reachability seeds — the sources of every enabled east entry in the
-/// lane's corrupted configuration, shadowed bindings included).
-type OutOverride = (u8, Vec<(Src, bool)>, Vec<Src>);
+/// One lane's replacement output vector: (lane, corrupted outputs as
+/// (slot, invert), reachability seeds — the sources of every enabled east
+/// entry in the lane's corrupted configuration, shadowed bindings
+/// included).
+type OutOverride = (u8, Vec<(u32, bool)>, Vec<Src>);
 
 /// The word-parallel engine: a network snapshot plus lane-packed dynamic
 /// state for one batch of up to [`LANES`]` - 1` experiments.
@@ -158,7 +175,12 @@ pub struct WideEngine {
     golden: NodeCounts,
     /// Settle order of the golden cone.
     golden_order: Vec<u32>,
-    half: HalfLatches,
+    /// The build device's upset half-latches, sorted: a half-latch
+    /// override folds to a constant by it.
+    upset_latches: Vec<HlSite>,
+    /// (port, plain slot) of every input port with a slot pair: the
+    /// layout's, then any port only an override names, past the layout.
+    input_slots: Vec<(u16, u32)>,
     /// Golden truth table per compiled LUT (batch reset source).
     golden_tables: Vec<u16>,
     /// Golden init value per compiled FF.
@@ -179,14 +201,14 @@ pub struct WideEngine {
     ext_dirty: bool,
 
     // ---- lane-packed state, rebuilt per batch ---------------------------
+    /// One lane word per slot of the network's layout: constants, inputs
+    /// and half-latches, then the LUT values, FF values and BRAM output
+    /// registers (16 data-bit planes per block) the batch evolves.
+    vals: Vec<u64>,
     /// Truth tables as 16 minterm planes per LUT.
     tab: Vec<[u64; 16]>,
-    lut_vals: Vec<u64>,
-    ff: Vec<u64>,
     ff_next: Vec<u64>,
     ff_init: Vec<u64>,
-    /// BRAM output registers as 16 data-bit planes per block.
-    bram_out: Vec<[u64; 16]>,
     /// BRAM content as 16 planes per word per block.
     mem: Vec<Vec<[u64; 16]>>,
 
@@ -284,8 +306,23 @@ impl WideEngine {
         let n_brams = net.brams.len();
         let n_outputs = net.outputs.len();
         let held = |n: usize, g: usize| (0..n).map(|i| splat(i < g)).collect::<Vec<u64>>();
+        // Constants and half-latches never change: fill them once.
+        let l = net.layout;
+        let mut vals = vec![0u64; l.len as usize];
+        vals[ONE_SLOT as usize] = !0;
+        for (k, &site) in net.hl_site_list.iter().enumerate() {
+            let v = splat(dev.half_latches.value(site));
+            vals[l.half_latches as usize + 2 * k] = v;
+            vals[l.half_latches as usize + 2 * k + 1] = !v;
+        }
+        let mut upset_latches = dev.upset_half_latch_sites();
+        upset_latches.sort_unstable();
         WideEngine {
-            half: dev.half_latches.clone(),
+            upset_latches,
+            input_slots: (0..net.num_inputs as u16)
+                .map(|p| (p, l.inputs + 2 * p as u32))
+                .collect(),
+            vals,
             golden_tables,
             golden_init,
             golden_mem,
@@ -296,11 +333,8 @@ impl WideEngine {
             resweep: false,
             ext_dirty: true,
             tab: vec![[0u64; 16]; n_luts],
-            lut_vals: vec![0; n_luts],
-            ff: vec![0; n_ffs],
             ff_next: vec![0; n_ffs],
             ff_init: vec![0; n_ffs],
-            bram_out: vec![[0u64; 16]; n_brams],
             mem: vec![vec![[0u64; 16]; BRAM_DEPTH]; n_brams],
             state_targets: Vec::new(),
             lut_ov: vec![u32::MAX; n_luts],
@@ -365,14 +399,15 @@ impl WideEngine {
         for (tab, &t) in self.tab[..n.luts].iter_mut().zip(&self.golden_tables) {
             *tab = broadcast_table(t);
         }
-        self.lut_vals.fill(0);
+        let l = self.net.layout;
+        self.vals[l.luts as usize..l.ffs as usize].fill(0);
         for (i, &init) in self.golden_init[..n.ffs].iter().enumerate() {
-            self.ff[i] = splat(init);
+            self.vals[l.ffs as usize + i] = splat(init);
             self.ff_init[i] = splat(init);
         }
         self.ff_next.fill(0);
+        self.vals[l.brams as usize..][..16 * n.brams].fill(0);
         for bi in 0..n.brams {
-            self.bram_out[bi] = [0u64; 16];
             for (word, &w) in self.mem[bi].iter_mut().zip(&self.golden_mem[bi]) {
                 *word = broadcast_table(w);
             }
@@ -464,7 +499,7 @@ impl WideEngine {
     }
 
     /// The override list of `root`, created on first use.
-    fn ov_list(&mut self, root: Root) -> &mut Vec<(u64, Src)> {
+    fn ov_list(&mut self, root: Root) -> &mut Vec<Ov> {
         match root {
             Root::LutPin { lut, pin } => {
                 &mut ov_mut(&mut self.lut_ov, &mut self.lut_ovs, lut).pins[pin as usize]
@@ -487,7 +522,7 @@ impl WideEngine {
     }
 
     /// The overrides installed on `root` (empty if none).
-    fn ovs(&self, root: Root) -> &[(u64, Src)] {
+    fn ovs(&self, root: Root) -> &[Ov] {
         let list = match root {
             Root::LutPin { lut, pin } => {
                 ov(&self.lut_ov, &self.lut_ovs, lut).map(|o| &o.pins[pin as usize])
@@ -510,12 +545,39 @@ impl WideEngine {
         list.map_or(&[], |l| &l[..])
     }
 
+    /// The slot an override source reads. A half-latch folds to a
+    /// constant, since this engine's latch values never change; an input
+    /// port the network never reads gets a slot pair past the layout.
+    fn ov_slot(&mut self, s: Src) -> u32 {
+        match s {
+            Src::HalfLatch { site, invert } => {
+                const_slot(self.upset_latches.binary_search(&site).is_err() ^ invert)
+            }
+            Src::Input { port, invert } if self.net.slot(s).is_none() => {
+                let plain = match self.input_slots.iter().find(|&&(p, _)| p == port) {
+                    Some(&(_, at)) => at,
+                    None => {
+                        let at = self.vals.len() as u32;
+                        self.vals.extend([0, !0]);
+                        self.input_slots.push((port, at));
+                        at
+                    }
+                };
+                plain + invert as u32
+            }
+            _ => self.net.slot(s).expect("a network node or constant"),
+        }
+    }
+
     /// Record one reroute lane's ops as lane-masked overrides.
     fn install_ops(&mut self, lane: u8, ops: &[DeltaOp]) {
         let m = 1u64 << lane;
         for op in ops {
             match op {
-                DeltaOp::Rebind(root, src) => self.ov_list(*root).push((m, *src)),
+                DeltaOp::Rebind(root, src) => {
+                    let slot = self.ov_slot(*src);
+                    self.ov_list(*root).push((m, *src, slot));
+                }
                 DeltaOp::Outputs { outs, seeds } => {
                     let gl = self.net.outputs.len();
                     if outs.len() != gl {
@@ -527,7 +589,11 @@ impl WideEngine {
                     for valid in self.valid_out.iter_mut().skip(outs.len().min(gl)) {
                         *valid &= !m;
                     }
-                    self.out_ovs.push((lane, outs.clone(), seeds.clone()));
+                    let outs = outs
+                        .iter()
+                        .map(|&(s, inv)| (self.ov_slot(s), inv))
+                        .collect();
+                    self.out_ovs.push((lane, outs, seeds.clone()));
                 }
             }
         }
@@ -559,7 +625,9 @@ impl WideEngine {
         if self.all_state {
             seeds.extend((0..self.net.ffs.len() as u32).map(|i| (Src::Ff(i), reroutes)));
         }
-        let r = reach(&self.net, &seeds, |root| self.ovs(root));
+        let r = reach(&self.net, &seeds, |root| {
+            self.ovs(root).iter().map(|&(lanes, src, _)| (lanes, src))
+        });
         for (active, held) in [
             (&mut self.lut_active, &r.luts),
             (&mut self.ff_active, &r.ffs),
@@ -605,61 +673,34 @@ impl WideEngine {
         self.len_diff
     }
 
-    /// Lane-packed value of a compiled source.
+    /// The lane word in `slot` with lane-masked overrides applied on top.
     #[inline]
-    fn val(&self, s: Src, inputs: &[bool]) -> u64 {
-        match s {
-            Src::Zero => 0,
-            Src::One => !0,
-            Src::HalfLatch { site, invert } => splat(self.half.value(site) ^ invert),
-            Src::Lut(i) => self.lut_vals[i as usize],
-            Src::Ff(i) => self.ff[i as usize],
-            Src::Bram { id, bit } => self.bram_out[id as usize][bit as usize],
-            Src::Input { port, invert } => {
-                splat(inputs.get(port as usize).copied().unwrap_or(false) ^ invert)
-            }
-        }
-    }
-
-    /// Lane-packed value of a compiled source with lane-masked overrides
-    /// applied on top.
-    #[inline]
-    fn oval(&self, base: Src, ovs: &[(u64, Src)], inputs: &[bool]) -> u64 {
-        let mut v = self.val(base, inputs);
-        for &(m, s) in ovs {
-            v = (v & !m) | (self.val(s, inputs) & m);
+    fn oval(&self, slot: u32, ovs: &[Ov]) -> u64 {
+        let mut v = self.vals[slot as usize];
+        for &(m, _, s) in ovs {
+            v = (v & !m) | (self.vals[s as usize] & m);
         }
         v
     }
 
     /// Gather the 4 lane-packed pin words of LUT `li`.
     #[inline]
-    fn pin_words(&self, li: usize, inputs: &[bool]) -> [u64; 4] {
-        let pins = self.net.luts[li].pins;
+    fn pin_words(&self, li: usize) -> [u64; 4] {
+        let pins = self.net.lut_pins[li];
         let oi = self.lut_ov[li];
         if oi == u32::MAX {
-            [
-                self.val(pins[0], inputs),
-                self.val(pins[1], inputs),
-                self.val(pins[2], inputs),
-                self.val(pins[3], inputs),
-            ]
+            pins.map(|s| self.vals[s as usize])
         } else {
             let ov = &self.lut_ovs[oi as usize];
-            [
-                self.oval(pins[0], &ov.pins[0], inputs),
-                self.oval(pins[1], &ov.pins[1], inputs),
-                self.oval(pins[2], &ov.pins[2], inputs),
-                self.oval(pins[3], &ov.pins[3], inputs),
-            ]
+            [0, 1, 2, 3].map(|p| self.oval(pins[p], &ov.pins[p]))
         }
     }
 
     /// LUT `li`'s lane-packed output: Shannon reduction of its 16 minterm
     /// planes by the 4 pin words.
     #[inline]
-    fn lut_out(&self, li: usize, inputs: &[bool]) -> u64 {
-        let p = self.pin_words(li, inputs);
+    fn lut_out(&self, li: usize) -> u64 {
+        let p = self.pin_words(li);
         let t = &self.tab[li];
         let mut s8 = [0u64; 8];
         for (j, s) in s8.iter_mut().enumerate() {
@@ -680,11 +721,12 @@ impl WideEngine {
     /// when some lane's edges run against it — sweeps until no lane word
     /// of a node that lane holds changes. Every lane's held network is
     /// acyclic, so that fixpoint is its one combinational solution.
-    fn settle(&mut self, inputs: &[bool]) {
+    fn settle(&mut self) {
+        let base = self.net.layout.luts as usize;
         if !self.resweep {
             for k in 0..self.order.len() {
                 let li = self.order[k] as usize;
-                self.lut_vals[li] = self.lut_out(li, inputs);
+                self.vals[base + li] = self.lut_out(li);
             }
             return;
         }
@@ -692,9 +734,9 @@ impl WideEngine {
             let mut changed = 0u64;
             for k in 0..self.order.len() {
                 let li = self.order[k] as usize;
-                let v = self.lut_out(li, inputs);
-                changed |= (v ^ self.lut_vals[li]) & self.lut_active[li];
-                self.lut_vals[li] = v;
+                let v = self.lut_out(li);
+                changed |= (v ^ self.vals[base + li]) & self.lut_active[li];
+                self.vals[base + li] = v;
             }
             if changed == 0 {
                 return;
@@ -707,83 +749,71 @@ impl WideEngine {
     /// first) as one lane word per output port. Mirrors
     /// `engine::eval_cycle_into` phase for phase.
     pub fn step(&mut self, inputs: &[bool], out: &mut Vec<u64>) {
-        self.settle(inputs);
+        for &(port, at) in &self.input_slots {
+            let v = splat(inputs.get(port as usize).copied().unwrap_or(false));
+            self.vals[at as usize] = v;
+            self.vals[at as usize + 1] = !v;
+        }
+        self.settle();
 
         // Sample outputs: golden bindings, then per-lane replacement
         // vectors for reroute lanes whose output cone changed.
+        let word = |(s, inv): (u32, bool)| self.vals[s as usize] ^ splat(inv);
         out.clear();
-        for &(src, inv) in &self.net.outputs {
-            out.push(self.val(src, inputs) ^ splat(inv));
-        }
+        out.extend(self.net.out_slots.iter().map(|&o| word(o)));
         for (lane, ovec, _) in &self.out_ovs {
             let m = 1u64 << lane;
-            for (slot, &(src, inv)) in out.iter_mut().zip(ovec.iter()) {
-                *slot = (*slot & !m) | ((self.val(src, inputs) ^ splat(inv)) & m);
+            for (slot, &o) in out.iter_mut().zip(ovec.iter()) {
+                *slot = (*slot & !m) | (word(o) & m);
             }
         }
 
         // FF next-state (double-buffered; reads old BRAM registers).
+        let ff_base = self.net.layout.ffs as usize;
         for k in 0..self.ffs.len() {
             let i = self.ffs[k] as usize;
-            let ff = &self.net.ffs[i];
+            let s = self.net.ff_slots[i];
             let oi = self.ff_ov[i];
             let (sr, ce, d) = if oi == u32::MAX {
                 (
-                    self.val(ff.sr, inputs),
-                    self.val(ff.ce, inputs),
-                    self.val(ff.d, inputs),
+                    self.vals[s.sr as usize],
+                    self.vals[s.ce as usize],
+                    self.vals[s.d as usize],
                 )
             } else {
                 let ov = &self.ff_ovs[oi as usize];
                 (
-                    self.oval(ff.sr, &ov.sr, inputs),
-                    self.oval(ff.ce, &ov.ce, inputs),
-                    self.oval(ff.d, &ov.d, inputs),
+                    self.oval(s.sr, &ov.sr),
+                    self.oval(s.ce, &ov.ce),
+                    self.oval(s.d, &ov.d),
                 )
             };
-            let cur = self.ff[i];
+            let cur = self.vals[ff_base + i];
             self.ff_next[i] = (sr & self.ff_init[i]) | (!sr & ((ce & d) | (!ce & cur)));
         }
 
         // BRAM port operations, write-first per lane. Lanes whose network
         // does not hold the block are masked out of `en`, freezing both
-        // the output register and the content.
+        // the output register and the content. The new register lands in
+        // the block's slots at once, for later ports and LUT-RAM writes.
+        let bram_base = self.net.layout.brams as usize;
         for k in 0..self.brams.len() {
             let bi = self.brams[k] as usize;
-            let b = &self.net.brams[bi];
-            let oi = self.bram_ov[bi];
-            let en = if oi == u32::MAX {
-                self.val(b.en, inputs)
-            } else {
-                self.oval(b.en, &self.bram_ovs[oi as usize].en, inputs)
-            } & self.bram_active[bi];
+            let s = &self.net.bram_slots[bi];
+            let ov = self.bram_ovs.get(self.bram_ov[bi] as usize);
+            let word = |slot, ovs: Option<&Vec<Ov>>| self.oval(slot, ovs.map_or(&[], |v| v));
+            let en = word(s.en, ov.map(|o| &o.en)) & self.bram_active[bi];
             if en == 0 {
                 continue;
             }
-            let we = if oi == u32::MAX {
-                self.val(b.we, inputs)
-            } else {
-                self.oval(b.we, &self.bram_ovs[oi as usize].we, inputs)
-            } & en;
-            let mut addr_w = [0u64; 8];
-            for (i, &a) in b.addr.iter().enumerate() {
-                addr_w[i] = if oi == u32::MAX {
-                    self.val(a, inputs)
-                } else {
-                    self.oval(a, &self.bram_ovs[oi as usize].addr[i], inputs)
-                };
-            }
-            let mut din_w = [0u64; 16];
-            if we != 0 {
-                for (i, &dsrc) in b.din.iter().enumerate() {
-                    din_w[i] = if oi == u32::MAX {
-                        self.val(dsrc, inputs)
-                    } else {
-                        self.oval(dsrc, &self.bram_ovs[oi as usize].din[i], inputs)
-                    };
-                }
-            }
-            let mut new_out = self.bram_out[bi];
+            let we = word(s.we, ov.map(|o| &o.we)) & en;
+            let addr_w: [u64; 8] = std::array::from_fn(|i| word(s.addr[i], ov.map(|o| &o.addr[i])));
+            let din_w: [u64; 16] = match we {
+                0 => [0; 16],
+                _ => std::array::from_fn(|i| word(s.din[i], ov.map(|o| &o.din[i]))),
+            };
+            let out_at = bram_base + 16 * bi;
+            let mut new_out: [u64; 16] = self.vals[out_at..out_at + 16].try_into().unwrap();
             for lane in ones(en) {
                 let m = 1u64 << lane;
                 let mut a = 0usize;
@@ -800,37 +830,24 @@ impl WideEngine {
                     new_out[k] = (new_out[k] & !m) | (plane & m);
                 }
             }
-            self.bram_out[bi] = new_out;
+            self.vals[out_at..out_at + 16].copy_from_slice(&new_out);
         }
 
         // Run-time LUT writes (distributed RAM and SRL16). Lanes whose
-        // network does not hold the LUT don't advance.
-        for k in 0..self.order.len() {
-            let li = self.order[k] as usize;
-            if !self.net.luts[li].mode.is_dynamic() {
-                continue;
-            }
-            let oi = self.lut_ov[li];
-            let we = if oi == u32::MAX {
-                self.val(self.net.luts[li].we, inputs)
-            } else {
-                self.oval(self.net.luts[li].we, &self.lut_ovs[oi as usize].we, inputs)
-            } & self.lut_active[li];
+        // network does not hold the LUT don't advance; that includes
+        // every lane for an out-of-cone LUT this batch does not schedule.
+        for k in 0..self.net.dynamic_luts.len() {
+            let li = self.net.dynamic_luts[k] as usize;
+            let ov = self.lut_ovs.get(self.lut_ov[li] as usize);
+            let word = |slot, ovs: Option<&Vec<Ov>>| self.oval(slot, ovs.map_or(&[], |v| v));
+            let we = word(self.net.lut_we[li], ov.map(|o| &o.we)) & self.lut_active[li];
             if we == 0 {
                 continue;
             }
-            let data = if oi == u32::MAX {
-                self.val(self.net.luts[li].data, inputs)
-            } else {
-                self.oval(
-                    self.net.luts[li].data,
-                    &self.lut_ovs[oi as usize].data,
-                    inputs,
-                )
-            };
+            let data = word(self.net.lut_data[li], ov.map(|o| &o.data));
             match self.net.luts[li].mode {
                 LutMode::Ram => {
-                    let p = self.pin_words(li, inputs);
+                    let p = self.pin_words(li);
                     for lane in ones(we) {
                         let m = 1u64 << lane;
                         let mut a = 0usize;
@@ -856,11 +873,12 @@ impl WideEngine {
             for k in 0..self.ffs.len() {
                 let i = self.ffs[k] as usize;
                 let act = self.ff_active[i];
-                self.ff[i] = (self.ff[i] & !act) | (self.ff_next[i] & act);
+                let ff = &mut self.vals[ff_base + i];
+                *ff = (*ff & !act) | (self.ff_next[i] & act);
             }
         } else {
             let g = self.golden.ffs;
-            self.ff[..g].copy_from_slice(&self.ff_next[..g]);
+            self.vals[ff_base..ff_base + g].copy_from_slice(&self.ff_next[..g]);
         }
     }
 }
@@ -869,8 +887,9 @@ impl WideEngine {
 mod tests {
     use super::*;
     use crate::bits::{
-        encode_wire, ff_dmux_offset, input_mux_offset, lut_table_offset, out_sel_offset,
-        outmux_offset, pip_offset, MuxPin, MUX_FLOATING, MUX_UNCONNECTED, MUX_UNCONNECTED_INV,
+        encode_wire, ff_dmux_offset, input_mux_offset, lut_mode_offset, lut_table_offset,
+        out_sel_offset, outmux_offset, pip_offset, MuxPin, MUX_FLOATING, MUX_UNCONNECTED,
+        MUX_UNCONNECTED_INV,
     };
     use crate::delta::DeltaClass;
     use crate::frames::{
@@ -1114,5 +1133,155 @@ mod tests {
         );
         wide.repair();
         assert_eq!(wide.ffs.len(), g.ffs, "repair drops the out-of-cone FF");
+    }
+
+    /// A PIP chain from tile `from` through `steps` tiles in direction
+    /// `dir`: each hop's outgoing wire `idx` takes the previous hop's.
+    fn route(cm: &mut ConfigMemory, from: Tile, dir: Dir, idx: usize, steps: usize) {
+        let mut t = from;
+        for _ in 0..steps {
+            t = cm
+                .geometry()
+                .neighbor(t, dir)
+                .expect("route stays on the device");
+            cm.write_tile_field(
+                t,
+                pip_offset(dir as usize * 24 + idx),
+                8,
+                1 | ((encode_wire(dir.opposite(), idx) as u64) << 1),
+            );
+        }
+    }
+
+    /// Bind east output `port` to outgoing East wire `idx` of `row`.
+    fn east_port(cm: &mut ConfigMemory, row: usize, idx: usize, port: u8) {
+        let entry = IobEntry {
+            enabled: true,
+            port,
+            invert: false,
+        };
+        cm.write_iob(Edge::East, row, idx, entry);
+    }
+
+    /// Within one cycle, a BRAM port's freshly latched output register
+    /// reaches every later BRAM port and LUT-RAM write, while flip-flop
+    /// next-state samples the old one. BRAM A (compiled first) reads
+    /// input port 0 as its address; its data-out bit 3 addresses BRAM B,
+    /// write-enables a RAM-mode LUT and feeds a flip-flop's D. Lane 0 and
+    /// a state-overlay lane on A's content must match the scalar engine
+    /// cycle for cycle.
+    #[test]
+    fn bram_output_reaches_later_ports_the_same_cycle() {
+        let mut cm = tiny_config();
+        let (a_home, b_home, ram) = (Tile::new(0, 4), Tile::new(4, 4), Tile::new(0, 5));
+        assert_eq!(cm.geometry().bram_at_home_tile(a_home), Some((0, 0)));
+        assert_eq!(cm.geometry().bram_at_home_tile(b_home), Some((0, 1)));
+        let bram_out = |bit: u64| 1 | ((96 + bit) << 1);
+
+        // Input port 0 along row 0 to A's address pin 0.
+        cm.write_tile_field(
+            Tile::new(0, 0),
+            pip_offset(Dir::East as usize * 24 + 5),
+            8,
+            1 | ((encode_wire(Dir::West, 0) as u64) << 1),
+        );
+        route(&mut cm, Tile::new(0, 0), Dir::East, 5, 4);
+        // A: word 0 = bit 0, word 1 = bit 3, always enabled, read-only.
+        // B: word 1 = all ones.
+        cm.write_bram_word(0, 0, 0, 0b0001);
+        cm.write_bram_word(0, 0, 1, 0b1000);
+        cm.write_bram_word(0, 1, 1, 0xFFFF);
+        for block in 0..2 {
+            for i in 0..8 {
+                cm.write_bram_if_field(0, block, bram_if_addr_off(i), 8, MUX_FLOATING as u64);
+            }
+            for i in 0..16 {
+                cm.write_bram_if_field(0, block, bram_if_din_off(i), 8, MUX_FLOATING as u64);
+            }
+            cm.write_bram_if_field(0, block, BRAM_IF_WE_OFF, 8, MUX_FLOATING as u64);
+            let en = MUX_UNCONNECTED as u64;
+            cm.write_bram_if_field(0, block, BRAM_IF_EN_OFF, 8, en);
+        }
+        let a_addr0 = encode_wire(Dir::West, 5) as u64;
+        cm.write_bram_if_field(0, 0, bram_if_addr_off(0), 8, a_addr0);
+
+        // A's bit 0 out to port 2: compiled before B, so A's port runs
+        // first.
+        cm.write_tile_field(
+            a_home,
+            pip_offset(Dir::East as usize * 24 + 2),
+            8,
+            bram_out(0),
+        );
+        route(&mut cm, a_home, Dir::East, 2, 3);
+        east_port(&mut cm, 0, 2, 2);
+        // A's bit 3 south to B's address pin 0, and east to the slice.
+        cm.write_tile_field(
+            a_home,
+            pip_offset(Dir::South as usize * 24 + 7),
+            8,
+            bram_out(3),
+        );
+        route(&mut cm, a_home, Dir::South, 7, 3);
+        let b_addr0 = encode_wire(Dir::North, 7) as u64;
+        cm.write_bram_if_field(0, 1, bram_if_addr_off(0), 8, b_addr0);
+        cm.write_tile_field(
+            a_home,
+            pip_offset(Dir::East as usize * 24 + 6),
+            8,
+            bram_out(3),
+        );
+        // B's bit 2 out to port 3.
+        cm.write_tile_field(
+            b_home,
+            pip_offset(Dir::East as usize * 24 + 3),
+            8,
+            bram_out(2),
+        );
+        route(&mut cm, b_home, Dir::East, 3, 3);
+        east_port(&mut cm, 4, 3, 3);
+
+        // LUT F of the slice: RAM mode, table 0, write-enabled by A's bit
+        // 3, data from input port 0; its output to port 1.
+        cm.write_tile_field(ram, lut_mode_offset(0, 0), 2, 2);
+        cm.write_tile_field(ram, lut_table_offset(0, 0, 0), 16, 0);
+        for pin in 0..4 {
+            let off = input_mux_offset(0, MuxPin::LutPin { lut: 0, pin });
+            cm.write_tile_field(ram, off, 8, MUX_FLOATING as u64);
+        }
+        let a_bit3 = encode_wire(Dir::West, 6) as u64;
+        cm.write_tile_field(ram, input_mux_offset(0, MuxPin::Srx), 8, a_bit3);
+        let input = encode_wire(Dir::West, 5) as u64;
+        route(&mut cm, a_home, Dir::East, 5, 1);
+        cm.write_tile_field(ram, input_mux_offset(0, MuxPin::Bx), 8, input);
+        cm.write_tile_field(ram, outmux_offset(Dir::East, 1), 4, 0b0001);
+        route(&mut cm, ram, Dir::East, 1, 2);
+        east_port(&mut cm, 0, 1, 1);
+        // Flip-flop Y of the slice: D = A's bit 3, always enabled; its
+        // output to port 4.
+        cm.write_tile_field(ram, ff_dmux_offset(0, 1), 1, 1);
+        cm.write_tile_field(ram, input_mux_offset(0, MuxPin::By), 8, a_bit3);
+        let cey = MUX_UNCONNECTED as u64;
+        cm.write_tile_field(ram, input_mux_offset(0, MuxPin::Cey), 8, cey);
+        let sry = MUX_UNCONNECTED_INV as u64;
+        cm.write_tile_field(ram, input_mux_offset(0, MuxPin::Sry), 8, sry);
+        cm.write_tile_field(ram, out_sel_offset(0, 1), 1, 1);
+        cm.write_tile_field(ram, outmux_offset(Dir::East, 4), 4, 0b0011);
+        route(&mut cm, ram, Dir::East, 4, 2);
+        east_port(&mut cm, 0, 4, 4);
+        let mut dev = configure(&cm);
+        assert_eq!(dev.num_outputs(), 5);
+        let stats = dev.network_stats();
+        assert_eq!((stats.brams, stats.has_comb_cycles), (2, false));
+
+        // Lane 1 clears A's word-1 bit 3.
+        let bit = dev.config().bram_content_index(0, 0, 16 + 3);
+        let map = DeltaMap::build(&mut dev);
+        let upset = match map.classify(&mut dev.clone(), bit) {
+            DeltaClass::Lane(u) if matches!(u.0, UpsetKind::State(WideTarget::BramBit { .. })) => u,
+            other => panic!("A's content bit must be a state overlay, got {other:?}"),
+        };
+        let mut wide = WideEngine::with_map(&mut dev, &map).expect("wide engine");
+        assert!(lane_matches_scalar(&mut wide, &dev, bit, upset) > 0);
     }
 }

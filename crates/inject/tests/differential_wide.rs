@@ -267,6 +267,43 @@ fn wide_parallel_agnostic() {
     assert_eq!(a.equivalence_key(), b.equivalence_key());
 }
 
+/// The wide engine reads half-latches from the device it is built from.
+/// With one active latch upset on the base (and the golden trace
+/// re-captured from it), the wide campaign must still match the scalar
+/// one, which reads the latch from each experiment's device.
+#[test]
+fn wide_honours_upset_half_latch() {
+    let imp = implement(&gen::counter_adder(4), &Geometry::tiny()).unwrap();
+    let healthy = Testbed::new(&imp, 0xC1B07A, 96);
+    let sites = healthy.base.clone().active_half_latch_sites();
+    let tb = sites
+        .into_iter()
+        .find_map(|site| {
+            let mut tb = healthy.clone();
+            tb.base.upset_half_latch(site);
+            let mut dev = tb.base.clone();
+            tb.golden = tb.stimulus.iter().map(|iv| dev.step(iv)).collect();
+            (tb.golden != healthy.golden).then_some(tb)
+        })
+        .expect("some active half-latch upset shows at the outputs");
+    let cfg = CampaignConfig {
+        observe_cycles: 32,
+        persist_cycles: 24,
+        persist_tail: 8,
+        classify_persistence: true,
+        selection: BitSelection::SampleClosure {
+            fraction: 0.25,
+            seed: 0x4A1F,
+        },
+        parallel: true,
+        ..Default::default()
+    };
+    let scalar = run_campaign(&tb, &cfg);
+    let wide = run_campaign_wide(&tb, &cfg);
+    assert!(!wide.sensitive.is_empty());
+    assert_equivalent(&scalar, &wide);
+}
+
 /// Every rewiring bit of the closure, run as an explicit list on both
 /// engines: the out-of-cone reroutes, the lanes settled by repeated
 /// sweeps and the scalar residue all meet the scalar oracle bit for bit.
