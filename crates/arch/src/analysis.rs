@@ -43,9 +43,7 @@ impl Device {
             slots.insert((l.tile, l.slice, l.lut));
         }
         for f in &c.ffs {
-            let idx = f.state_idx;
-            let tile = self.geom.tile_at(idx / 4);
-            slots.insert((tile, ((idx / 2) % 2) as u8, (idx % 2) as u8));
+            slots.insert(self.ff_site(f.state_idx));
         }
         for (tile, slice, idx) in slots {
             let (s, i) = (slice as usize, idx as usize);

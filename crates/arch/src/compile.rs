@@ -18,26 +18,41 @@
 //! [`crate::delta::DeltaMap`] uses it to build the augmented network the
 //! wide engine runs structural upsets on.
 //!
+//! Every configuration read happens in one [`Tracer`], through three
+//! helpers — tile field, BRAM interface field, IOB entry — which also
+//! hand each bit read to the node set's recorder when one is attached.
+//! The tracer resolves a [`Root`] (a node operand or an output entry) to
+//! its source, and is generic over its [`NodeSet`]. The compiler's node
+//! set allocates each site it reaches and builds the node by resolving
+//! that node's roots; the delta map's looks sites up in a compiled network
+//! and, while building, records which bits each root reads. So the
+//! recorded read set is the compiler's by construction. Only four kinds
+//! of bits are read outside any root — LUT tables and modes, flip-flop
+//! inits, and the east IOB entries that bind output ports — and
+//! `DeltaMap::classify` decides each from the bit's role (see
+//! [`crate::delta`]).
+//!
 //! Last, every operand is lowered from its [`Src`] to a slot of one flat
 //! value array ([`Layout`]), so both engines gather operands by index.
 //! `Src` stays the currency of the compiler, the delta map and the
 //! reachability pass; the engines read slots only.
 
-use std::collections::HashMap;
-
 use crate::bits::{
     decode_mux, decode_pip, ff_dmux_offset, ff_init_offset, input_mux_offset, lut_mode_offset,
-    lut_table_offset, out_sel_offset, outmux_offset, pip_offset, LutMode, MuxPin, MuxSel,
-    OUTMUX_BITS_PER_WIRE, PIP_BITS_PER_WIRE,
+    lut_table_offset, out_sel_offset, outmux_offset, pip_offset, LutMode, MuxPin, MuxSel, PipSel,
+    MUX_FIELD_BITS, OUTMUX_BITS_PER_WIRE, PIP_BITS_PER_WIRE,
 };
 use crate::device::Device;
-use crate::frames::{bram_if_addr_off, bram_if_din_off, Edge, BRAM_IF_EN_OFF, BRAM_IF_WE_OFF};
+use crate::frames::{
+    bram_if_addr_off, bram_if_din_off, Edge, IobEntry, BRAM_IF_EN_OFF, BRAM_IF_WE_OFF,
+    IOB_ENTRY_BITS,
+};
 use crate::geometry::{Dir, Geometry, Tile, OUTMUX_WIRES_PER_DIR, WIRES_PER_DIR};
 use crate::halflatch::HlSite;
 use crate::permfault::FaultSite;
 
 /// Maximum PIP chain length traced before declaring a routing loop.
-pub(crate) const MAX_TRACE_DEPTH: usize = 64;
+const MAX_TRACE_DEPTH: usize = 64;
 
 /// A value source in the compiled network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +128,47 @@ pub(crate) enum Site {
     Ff { tile: Tile, slice: u8, ff: u8 },
     Bram { col: u16, block: u16 },
 }
+
+impl Site {
+    /// Index into the dense site → node id maps: tile × 4 + slice × 2 +
+    /// LUT or flip-flop (for a flip-flop, its state index), or column ×
+    /// blocks per column + block (its output-register index).
+    fn key(self, geom: &Geometry) -> usize {
+        match self {
+            Site::Lut {
+                tile,
+                slice,
+                lut: i,
+            }
+            | Site::Ff { tile, slice, ff: i } => {
+                (geom.tile_index(tile) * 2 + slice as usize) * 2 + i as usize
+            }
+            Site::Bram { col, block } => col as usize * geom.bram_blocks_per_col() + block as usize,
+        }
+    }
+}
+
+/// A network attachment point whose source the compiler derives from
+/// configuration bits: a node operand or an output entry — the unit of
+/// tracing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Root {
+    LutPin { lut: u32, pin: u8 },
+    LutData { lut: u32 },
+    LutWe { lut: u32 },
+    FfD { ff: u32 },
+    FfCe { ff: u32 },
+    FfSr { ff: u32 },
+    BramAddr { bram: u32, i: u8 },
+    BramDin { bram: u32, i: u8 },
+    BramWe { bram: u32 },
+    BramEn { bram: u32 },
+    OutEntry { row: u16, wire: u8 },
+}
+
+/// Trace failure: the path reaches a site the node set lacks.
+#[derive(Debug)]
+pub(crate) struct Incompat;
 
 /// Node counts of a compiled network. A network compiled by
 /// [`compile_with`] holds the plain compile's nodes as an id prefix, so
@@ -345,6 +401,8 @@ pub(crate) struct Compiled {
     pub lut_site_index: Vec<u32>,
     /// Dense site → compiled FF id; index = ff state index.
     pub ff_site_index: Vec<u32>,
+    /// Dense site → compiled BRAM id; index = output-register index.
+    pub bram_site_index: Vec<u32>,
 
     // ---- every operand above, lowered to its slot of `layout` -----------
     // Kept apart from the nodes so `same_topology` compares sources only;
@@ -377,20 +435,306 @@ impl Compiled {
     pub fn slot(&self, s: Src) -> Option<u32> {
         self.layout.slot(&self.hl_index, s)
     }
+
+    /// The id of the node at `site`, if the network holds one.
+    pub fn node(&self, geom: &Geometry, site: Site) -> Option<u32> {
+        let ids = match site {
+            Site::Lut { .. } => &self.lut_site_index,
+            Site::Ff { .. } => &self.ff_site_index,
+            Site::Bram { .. } => &self.bram_site_index,
+        };
+        let id = ids[site.key(geom)];
+        (id != u32::MAX).then_some(id)
+    }
 }
 
-struct Builder<'d> {
-    dev: &'d Device,
+/// The nodes a [`Tracer`] resolves sites to, and where the configuration
+/// bits it reads go.
+pub(crate) trait NodeSet {
+    /// The LUT, flip-flop and BRAM nodes, by id.
+    fn nodes(&self) -> (&[CLut], &[CFf], &[CBram]);
+    /// The id of the node at `site`; `None` for a site the set notes as
+    /// missing, which the trace reads as floating.
+    fn node(&mut self, geom: &Geometry, site: Site) -> Result<Option<u32>, Incompat>;
+    /// The recorder, if one is attached: the (bit, root) list each
+    /// configuration bit read joins, and the root being traced.
+    fn recorder(&mut self) -> Option<(&mut Vec<(usize, Root)>, Root)> {
+        None
+    }
+    /// The trace passes outgoing wire `flat` of tile index `tile`.
+    fn visit(&mut self, _tile: usize, _flat: usize) {}
+    /// The trace reaches input port `port`.
+    fn input(&mut self, _port: u8) {}
+    /// The trace reaches half-latch `site`.
+    fn half_latch(&mut self, _site: HlSite) {}
+}
+
+/// Resolves roots against configuration memory: output multiplexers
+/// (which take priority over PIPs), PIP chains cut at
+/// [`MAX_TRACE_DEPTH`], input multiplexers and stuck-at overlays, back to
+/// nodes, half-latches, input ports or constants.
+pub(crate) struct Tracer<'d, N> {
+    pub dev: &'d Device,
+    pub nodes: N,
+}
+
+impl<N: NodeSet> Tracer<'_, N> {
+    fn tile_field(&mut self, tile: Tile, off: usize, n: usize) -> u64 {
+        let cfg = &self.dev.config;
+        if let Some((deps, root)) = self.nodes.recorder() {
+            deps.extend((off..off + n).map(|o| (cfg.tile_bit_index(tile, o), root)));
+        }
+        cfg.read_tile_field(tile, off, n)
+    }
+
+    fn bram_if_field(&mut self, col: usize, block: usize, off: usize, n: usize) -> u64 {
+        let cfg = &self.dev.config;
+        if let Some((deps, root)) = self.nodes.recorder() {
+            deps.extend((off..off + n).map(|o| (cfg.bram_if_index(col, block, o), root)));
+        }
+        cfg.read_bram_if_field(col, block, off, n)
+    }
+
+    fn iob_entry(&mut self, edge: Edge, row: usize, wire: usize) -> IobEntry {
+        let cfg = &self.dev.config;
+        if let Some((deps, root)) = self.nodes.recorder() {
+            deps.extend((0..IOB_ENTRY_BITS).map(|b| (cfg.iob_bit_index(edge, row, wire, b), root)));
+        }
+        cfg.read_iob(edge, row, wire)
+    }
+
+    /// The node at `site` as the source `src(id)`.
+    fn node(&mut self, site: Site, src: impl FnOnce(u32) -> Src) -> Result<Src, Incompat> {
+        Ok(self
+            .nodes
+            .node(&self.dev.geom, site)?
+            .map_or(Src::Zero, src))
+    }
+
+    /// The source `root` reads under the current configuration.
+    pub fn root_src(&mut self, root: Root) -> Result<Src, Incompat> {
+        let (luts, ffs, brams) = self.nodes.nodes();
+        let dev = self.dev;
+        let lut = |id: u32| {
+            let l = &luts[id as usize];
+            (l.tile, l.slice, l.lut as usize)
+        };
+        let ff = |id: u32| {
+            let (tile, slice, ff) = dev.ff_site(ffs[id as usize].state_idx);
+            (tile, slice, ff as usize)
+        };
+        let bram = |id: u32| {
+            let b = &brams[id as usize];
+            (b.col as usize, b.block as usize)
+        };
+        let (tile, slice, pin) = match root {
+            Root::LutPin { lut: id, pin } => {
+                let (tile, slice, l) = lut(id);
+                (tile, slice, MuxPin::LutPin { lut: l as u8, pin })
+            }
+            Root::LutData { lut: id } => {
+                let (tile, slice, l) = lut(id);
+                (tile, slice, [MuxPin::Bx, MuxPin::By][l])
+            }
+            Root::LutWe { lut: id } => {
+                let (tile, slice, l) = lut(id);
+                (tile, slice, [MuxPin::Srx, MuxPin::Sry][l])
+            }
+            Root::FfD { ff: id } => {
+                let (tile, slice, f) = ff(id);
+                if self.tile_field(tile, ff_dmux_offset(slice as usize, f), 1) == 0 {
+                    return self.lut_src(tile, slice, f as u8);
+                }
+                (tile, slice, [MuxPin::Bx, MuxPin::By][f])
+            }
+            Root::FfCe { ff: id } => {
+                let (tile, slice, f) = ff(id);
+                (tile, slice, [MuxPin::Cex, MuxPin::Cey][f])
+            }
+            Root::FfSr { ff: id } => {
+                let (tile, slice, f) = ff(id);
+                (tile, slice, [MuxPin::Srx, MuxPin::Sry][f])
+            }
+            // Half-latch pins of a BRAM port: 0..8 address, 8..24 data
+            // in, 24 write enable, 25 enable (see `HlSite::Bram`).
+            Root::BramAddr { bram: id, i } => {
+                let (col, block) = bram(id);
+                return self.bram_mux_src(col, block, bram_if_addr_off(i as usize), i);
+            }
+            Root::BramDin { bram: id, i } => {
+                let (col, block) = bram(id);
+                return self.bram_mux_src(col, block, bram_if_din_off(i as usize), 8 + i);
+            }
+            Root::BramWe { bram: id } => {
+                let (col, block) = bram(id);
+                return self.bram_mux_src(col, block, BRAM_IF_WE_OFF, 24);
+            }
+            Root::BramEn { bram: id } => {
+                let (col, block) = bram(id);
+                return self.bram_mux_src(col, block, BRAM_IF_EN_OFF, 25);
+            }
+            Root::OutEntry { row, wire } => {
+                let tile = Tile::new(row as usize, dev.geom.cols - 1);
+                return self.out_wire_src(
+                    tile,
+                    Dir::East as usize * WIRES_PER_DIR + wire as usize,
+                    0,
+                );
+            }
+        };
+        self.mux_src(tile, slice, pin)
+    }
+
+    /// Source feeding outgoing wire `flat` (0..96) of `tile`.
+    fn out_wire_src(&mut self, tile: Tile, flat: usize, depth: usize) -> Result<Src, Incompat> {
+        self.nodes.visit(self.dev.geom.tile_index(tile), flat);
+        if let Some(v) = self.dev.perm_faults.get(FaultSite::Wire {
+            tile,
+            wire: flat as u8,
+        }) {
+            return Ok(const_src(v));
+        }
+        if depth > MAX_TRACE_DEPTH {
+            return Ok(Src::Zero); // routing loop: modelled as undriven
+        }
+        let dir = Dir::from_index(flat / WIRES_PER_DIR);
+        let idx = flat % WIRES_PER_DIR;
+        // Output multiplexer has priority over PIPs.
+        if idx < OUTMUX_WIRES_PER_DIR {
+            let e = self.tile_field(tile, outmux_offset(dir, idx), OUTMUX_BITS_PER_WIRE);
+            if e & 1 == 1 {
+                let sel = ((e >> 1) & 3) as u8;
+                return self.slice_out_src(tile, sel / 2, sel % 2);
+            }
+        }
+        let p = self.tile_field(tile, pip_offset(flat), PIP_BITS_PER_WIRE);
+        if p & 1 == 0 {
+            return Ok(Src::Zero);
+        }
+        match decode_pip(((p >> 1) & 0x7f) as u8) {
+            PipSel::Wire(d, i) => self.in_wire_src(tile, d, i as usize, depth + 1),
+            PipSel::BramOut(bit) if bit < 16 => match self.dev.geom.bram_at_home_tile(tile) {
+                Some((col, block)) => {
+                    let site = Site::Bram {
+                        col: col as u16,
+                        block: block as u16,
+                    };
+                    self.node(site, |id| Src::Bram { id, bit })
+                }
+                None => Ok(Src::Zero),
+            },
+            PipSel::BramOut(_) | PipSel::Floating => Ok(Src::Zero),
+        }
+    }
+
+    /// Source feeding the incoming wire (`dir`, `idx`) of `tile`.
+    fn in_wire_src(
+        &mut self,
+        tile: Tile,
+        dir: Dir,
+        idx: usize,
+        depth: usize,
+    ) -> Result<Src, Incompat> {
+        if let Some(nb) = self.dev.geom.neighbor(tile, dir) {
+            return self.out_wire_src(nb, dir.opposite() as usize * WIRES_PER_DIR + idx, depth);
+        }
+        // Device boundary. West-edge wires can be bound to input ports
+        // through the IOB configuration.
+        if dir == Dir::West && tile.col == 0 {
+            let e = self.iob_entry(Edge::West, tile.row as usize, idx);
+            if e.enabled {
+                self.nodes.input(e.port);
+                return Ok(Src::Input {
+                    port: e.port as u16,
+                    invert: e.invert,
+                });
+            }
+        }
+        Ok(Src::Zero)
+    }
+
+    /// Source of slice output `out` (0 = X, 1 = Y) of (`tile`, `slice`).
+    fn slice_out_src(&mut self, tile: Tile, slice: u8, out: u8) -> Result<Src, Incompat> {
+        if let Some(v) = self
+            .dev
+            .perm_faults
+            .get(FaultSite::SliceOut { tile, slice, out })
+        {
+            return Ok(const_src(v));
+        }
+        if self.tile_field(tile, out_sel_offset(slice as usize, out as usize), 1) != 0 {
+            let site = Site::Ff {
+                tile,
+                slice,
+                ff: out,
+            };
+            self.node(site, Src::Ff)
+        } else {
+            self.lut_src(tile, slice, out)
+        }
+    }
+
+    /// Source for LUT `lut` of (`tile`, `slice`), honouring stuck outputs.
+    fn lut_src(&mut self, tile: Tile, slice: u8, lut: u8) -> Result<Src, Incompat> {
+        if let Some(v) = self
+            .dev
+            .perm_faults
+            .get(FaultSite::LutOut { tile, slice, lut })
+        {
+            return Ok(const_src(v));
+        }
+        self.node(Site::Lut { tile, slice, lut }, Src::Lut)
+    }
+
+    /// Resolve a slice input multiplexer.
+    fn mux_src(&mut self, tile: Tile, slice: u8, pin: MuxPin) -> Result<Src, Incompat> {
+        let sel = self.tile_field(tile, input_mux_offset(slice as usize, pin), MUX_FIELD_BITS);
+        let pin = pin.index() as u8;
+        self.mux_sel_src(tile, sel as u8, HlSite::Slice { tile, slice, pin })
+    }
+
+    /// Resolve a BRAM interface multiplexer (`pin` numbering per
+    /// [`HlSite::Bram`]).
+    fn bram_mux_src(
+        &mut self,
+        col: usize,
+        block: usize,
+        off: usize,
+        pin: u8,
+    ) -> Result<Src, Incompat> {
+        let sel = self.bram_if_field(col, block, off, MUX_FIELD_BITS);
+        let home = self.dev.geom.bram_home_tile(col, block);
+        let (col, block) = (col as u16, block as u16);
+        self.mux_sel_src(home, sel as u8, HlSite::Bram { col, block, pin })
+    }
+
+    /// The source multiplexer select `sel` picks: an incoming wire of
+    /// `tile`, the half-latch at `site`, or nothing.
+    fn mux_sel_src(&mut self, tile: Tile, sel: u8, site: HlSite) -> Result<Src, Incompat> {
+        match decode_mux(sel) {
+            MuxSel::Wire(d, i) => self.in_wire_src(tile, d, i as usize, 0),
+            MuxSel::Floating => Ok(Src::Zero),
+            MuxSel::HalfLatch { invert } => {
+                self.nodes.half_latch(site);
+                Ok(Src::HalfLatch { site, invert })
+            }
+        }
+    }
+}
+
+/// The compiler's node set: a node for every site the trace reaches,
+/// allocated on first use and scheduled to be built.
+struct Builder {
     luts: Vec<CLut>,
-    /// Dense site → compiled-LUT id (u32::MAX = not compiled); index =
-    /// tile × 4 + slice × 2 + lut.
-    lut_ids: Vec<u32>,
     ffs: Vec<CFf>,
-    /// Dense site → compiled-FF id; index = ff state index.
-    ff_ids: Vec<u32>,
     brams: Vec<CBram>,
-    bram_ids: HashMap<(u16, u16), u32>,
-    work: Vec<Work>,
+    /// Dense site → node id (u32::MAX = not compiled), indexed as
+    /// [`Compiled::lut_site_index`] and its siblings.
+    lut_ids: Vec<u32>,
+    ff_ids: Vec<u32>,
+    bram_ids: Vec<u32>,
+    /// Allocated nodes not built yet.
+    work: Vec<(Site, u32)>,
     num_inputs: usize,
     hl_sites: HlIndex,
     /// Bitmap over tile × 96 wires.
@@ -398,345 +742,177 @@ struct Builder<'d> {
     visited_list: Vec<(usize, u16)>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Work {
-    Lut(u32),
-    Ff(u32),
-    Bram(u32),
-}
-
-impl<'d> Builder<'d> {
-    fn new(dev: &'d Device) -> Self {
-        let sites = dev.geom.num_tiles() * 4;
+impl Builder {
+    fn new(geom: &Geometry) -> Self {
         Builder {
-            dev,
             luts: Vec::new(),
-            lut_ids: vec![u32::MAX; sites],
             ffs: Vec::new(),
-            ff_ids: vec![u32::MAX; sites],
             brams: Vec::new(),
-            bram_ids: HashMap::new(),
+            lut_ids: vec![u32::MAX; geom.num_tiles() * 4],
+            ff_ids: vec![u32::MAX; geom.num_tiles() * 4],
+            bram_ids: vec![u32::MAX; geom.num_bram_blocks()],
             work: Vec::new(),
             num_inputs: 0,
-            hl_sites: HlIndex::new(&dev.geom),
-            visited_bitmap: vec![false; dev.geom.num_tiles() * 96],
+            hl_sites: HlIndex::new(geom),
+            visited_bitmap: vec![false; geom.num_tiles() * 96],
             visited_list: Vec::new(),
         }
     }
 
-    /// Node id for a LUT, allocating (and scheduling its build) on first use.
-    fn lut_id(&mut self, tile: Tile, slice: u8, lut: u8) -> u32 {
-        let key = self.dev.geom.tile_index(tile) * 4 + slice as usize * 2 + lut as usize;
-        if self.lut_ids[key] != u32::MAX {
-            return self.lut_ids[key];
-        }
-        let id = self.luts.len() as u32;
-        self.luts.push(CLut {
-            tile,
-            slice,
-            lut,
-            mode: LutMode::Logic,
-            pins: [Src::Zero; 4],
-            data: Src::Zero,
-            we: Src::Zero,
-            table: 0,
-        });
-        self.lut_ids[key] = id;
-        self.work.push(Work::Lut(id));
-        id
-    }
-
-    fn ff_id(&mut self, tile: Tile, slice: u8, ff: u8) -> u32 {
-        let key = self.dev.ff_index(tile, slice as usize, ff as usize);
-        if self.ff_ids[key] != u32::MAX {
-            return self.ff_ids[key];
-        }
-        let id = self.ffs.len() as u32;
-        self.ffs.push(CFf {
-            d: Src::Zero,
-            ce: Src::Zero,
-            sr: Src::Zero,
-            init: false,
-            state_idx: self.dev.ff_index(tile, slice as usize, ff as usize),
-        });
-        self.ff_ids[key] = id;
-        self.work.push(Work::Ff(id));
-        id
-    }
-
-    fn bram_id(&mut self, col: usize, block: usize) -> u32 {
-        let key = (col as u16, block as u16);
-        if let Some(&id) = self.bram_ids.get(&key) {
-            return id;
-        }
-        let id = self.brams.len() as u32;
-        self.brams.push(CBram {
-            col: col as u16,
-            block: block as u16,
-            addr: [Src::Zero; 8],
-            din: [Src::Zero; 16],
-            we: Src::Zero,
-            en: Src::Zero,
-            reg_idx: col * self.dev.geom.bram_blocks_per_col() + block,
-        });
-        self.bram_ids.insert(key, id);
-        self.work.push(Work::Bram(id));
-        id
-    }
-
-    /// Source feeding outgoing wire `flat` (0..96) of `tile`.
-    fn out_wire_src(&mut self, tile: Tile, flat: usize, depth: usize) -> Src {
-        let vkey = self.dev.geom.tile_index(tile) * 96 + flat;
-        if !self.visited_bitmap[vkey] {
-            self.visited_bitmap[vkey] = true;
-            self.visited_list
-                .push((self.dev.geom.tile_index(tile), flat as u16));
-        }
-        if let Some(v) = self.dev.perm_faults.get(FaultSite::Wire {
-            tile,
-            wire: flat as u8,
-        }) {
-            return const_src(v);
-        }
-        if depth > MAX_TRACE_DEPTH {
-            return Src::Zero; // routing loop: modelled as undriven
-        }
-        let dir = Dir::from_index(flat / WIRES_PER_DIR);
-        let idx = flat % WIRES_PER_DIR;
-        // Output multiplexer has priority over PIPs.
-        if idx < OUTMUX_WIRES_PER_DIR {
-            let e = self.dev.config.read_tile_field(
-                tile,
-                outmux_offset(dir, idx),
-                OUTMUX_BITS_PER_WIRE,
-            );
-            if e & 1 == 1 {
-                let sel = ((e >> 1) & 3) as u8;
-                return self.slice_out_src(tile, sel / 2, sel % 2);
-            }
-        }
-        let p = self
-            .dev
-            .config
-            .read_tile_field(tile, pip_offset(flat), PIP_BITS_PER_WIRE);
-        if p & 1 == 1 {
-            match decode_pip(((p >> 1) & 0x7f) as u8) {
-                crate::bits::PipSel::Wire(d, i) => {
-                    return self.in_wire_src(tile, d, i as usize, depth + 1)
+    /// The node id of `site`, allocating (and scheduling its build) on
+    /// first use.
+    fn alloc(&mut self, geom: &Geometry, site: Site) -> u32 {
+        let key = site.key(geom);
+        let id = match site {
+            Site::Lut { .. } => &mut self.lut_ids[key],
+            Site::Ff { .. } => &mut self.ff_ids[key],
+            Site::Bram { .. } => &mut self.bram_ids[key],
+        };
+        if *id == u32::MAX {
+            let zero = Src::Zero;
+            *id = match site {
+                Site::Lut { tile, slice, lut } => {
+                    self.luts.push(CLut {
+                        tile,
+                        slice,
+                        lut,
+                        mode: LutMode::Logic,
+                        pins: [zero; 4],
+                        data: zero,
+                        we: zero,
+                        table: 0,
+                    });
+                    self.luts.len() - 1
                 }
-                crate::bits::PipSel::BramOut(bit) => {
-                    if bit < 16 {
-                        if let Some((bc, blk)) = self.dev.geom.bram_at_home_tile(tile) {
-                            let id = self.bram_id(bc, blk);
-                            return Src::Bram { id, bit };
-                        }
-                    }
-                    return Src::Zero;
+                Site::Ff { .. } => {
+                    self.ffs.push(CFf {
+                        d: zero,
+                        ce: zero,
+                        sr: zero,
+                        init: false,
+                        state_idx: key,
+                    });
+                    self.ffs.len() - 1
                 }
-                crate::bits::PipSel::Floating => return Src::Zero,
-            }
-        }
-        Src::Zero
-    }
-
-    /// Source feeding the incoming wire (`dir`, `idx`) of `tile`.
-    fn in_wire_src(&mut self, tile: Tile, dir: Dir, idx: usize, depth: usize) -> Src {
-        match self.dev.geom.neighbor(tile, dir) {
-            Some(nb) => self.out_wire_src(nb, dir.opposite() as usize * WIRES_PER_DIR + idx, depth),
-            None => {
-                // Device boundary. West-edge wires can be bound to input
-                // ports through the IOB configuration.
-                if dir == Dir::West && tile.col == 0 {
-                    let e = self.dev.config.read_iob(Edge::West, tile.row as usize, idx);
-                    if e.enabled {
-                        self.num_inputs = self.num_inputs.max(e.port as usize + 1);
-                        return Src::Input {
-                            port: e.port as u16,
-                            invert: e.invert,
-                        };
-                    }
+                Site::Bram { col, block } => {
+                    self.brams.push(CBram {
+                        col,
+                        block,
+                        addr: [zero; 8],
+                        din: [zero; 16],
+                        we: zero,
+                        en: zero,
+                        reg_idx: key,
+                    });
+                    self.brams.len() - 1
                 }
-                Src::Zero
-            }
+            } as u32;
+            self.work.push((site, *id));
         }
-    }
-
-    /// Source of slice output `out` (0 = X, 1 = Y) of (`tile`, `slice`).
-    fn slice_out_src(&mut self, tile: Tile, slice: u8, out: u8) -> Src {
-        if let Some(v) = self
-            .dev
-            .perm_faults
-            .get(FaultSite::SliceOut { tile, slice, out })
-        {
-            return const_src(v);
-        }
-        let reg =
-            self.dev
-                .config
-                .read_tile_field(tile, out_sel_offset(slice as usize, out as usize), 1)
-                != 0;
-        if reg {
-            Src::Ff(self.ff_id(tile, slice, out))
-        } else {
-            self.lut_src(tile, slice, out)
-        }
-    }
-
-    /// Source for LUT `lut` of (`tile`, `slice`), honouring stuck outputs.
-    fn lut_src(&mut self, tile: Tile, slice: u8, lut: u8) -> Src {
-        if let Some(v) = self
-            .dev
-            .perm_faults
-            .get(FaultSite::LutOut { tile, slice, lut })
-        {
-            return const_src(v);
-        }
-        Src::Lut(self.lut_id(tile, slice, lut))
-    }
-
-    /// Resolve a slice input multiplexer.
-    fn mux_src(&mut self, tile: Tile, slice: u8, pin: MuxPin) -> Src {
-        let v = self
-            .dev
-            .config
-            .read_tile_field(tile, input_mux_offset(slice as usize, pin), 8) as u8;
-        match decode_mux(v) {
-            MuxSel::Wire(d, i) => self.in_wire_src(tile, d, i as usize, 0),
-            MuxSel::Floating => Src::Zero,
-            MuxSel::HalfLatch { invert } => {
-                let site = HlSite::Slice {
-                    tile,
-                    slice,
-                    pin: pin.index() as u8,
-                };
-                self.hl_sites.insert(site);
-                Src::HalfLatch { site, invert }
-            }
-        }
-    }
-
-    /// Resolve a BRAM interface multiplexer (`pin` numbering per
-    /// [`HlSite::Bram`]).
-    fn bram_mux_src(&mut self, col: usize, block: usize, off: usize, pin: u8) -> Src {
-        let v = self.dev.config.read_bram_if_field(col, block, off, 8) as u8;
-        let home = self.dev.geom.bram_home_tile(col, block);
-        match decode_mux(v) {
-            MuxSel::Wire(d, i) => self.in_wire_src(home, d, i as usize, 0),
-            MuxSel::Floating => Src::Zero,
-            MuxSel::HalfLatch { invert } => {
-                let site = HlSite::Bram {
-                    col: col as u16,
-                    block: block as u16,
-                    pin,
-                };
-                self.hl_sites.insert(site);
-                Src::HalfLatch { site, invert }
-            }
-        }
-    }
-
-    fn build_lut(&mut self, id: u32) {
-        let (tile, slice, lut) = {
-            let l = &self.luts[id as usize];
-            (l.tile, l.slice, l.lut)
-        };
-        let cfg = &self.dev.config;
-        let mode = LutMode::from_bits(cfg.read_tile_field(
-            tile,
-            lut_mode_offset(slice as usize, lut as usize),
-            2,
-        ));
-        let table =
-            cfg.read_tile_field(tile, lut_table_offset(slice as usize, lut as usize, 0), 16) as u16;
-        let mut pins = [Src::Zero; 4];
-        for (p, pin) in pins.iter_mut().enumerate() {
-            *pin = self.mux_src(tile, slice, MuxPin::LutPin { lut, pin: p as u8 });
-        }
-        let (data, we) = if mode.is_dynamic() {
-            let data_pin = if lut == 0 { MuxPin::Bx } else { MuxPin::By };
-            let we_pin = if lut == 0 { MuxPin::Srx } else { MuxPin::Sry };
-            (
-                self.mux_src(tile, slice, data_pin),
-                self.mux_src(tile, slice, we_pin),
-            )
-        } else {
-            (Src::Zero, Src::Zero)
-        };
-        let l = &mut self.luts[id as usize];
-        l.mode = mode;
-        l.table = table;
-        l.pins = pins;
-        l.data = data;
-        l.we = we;
-    }
-
-    fn build_ff(&mut self, id: u32) {
-        // Recover location from the state index.
-        let state_idx = self.ffs[id as usize].state_idx;
-        let ff = (state_idx % 2) as u8;
-        let slice = ((state_idx / 2) % 2) as u8;
-        let tile = self.dev.geom.tile_at(state_idx / 4);
-        let cfg = &self.dev.config;
-        let dmux = cfg.read_tile_field(tile, ff_dmux_offset(slice as usize, ff as usize), 1) != 0;
-        let init = cfg.read_tile_field(tile, ff_init_offset(slice as usize, ff as usize), 1) != 0;
-        let d = if dmux {
-            let pin = if ff == 0 { MuxPin::Bx } else { MuxPin::By };
-            self.mux_src(tile, slice, pin)
-        } else {
-            self.lut_src(tile, slice, ff)
-        };
-        let ce_pin = if ff == 0 { MuxPin::Cex } else { MuxPin::Cey };
-        let sr_pin = if ff == 0 { MuxPin::Srx } else { MuxPin::Sry };
-        let ce = self.mux_src(tile, slice, ce_pin);
-        let sr = self.mux_src(tile, slice, sr_pin);
-        let f = &mut self.ffs[id as usize];
-        f.d = d;
-        f.ce = ce;
-        f.sr = sr;
-        f.init = init;
-    }
-
-    /// Build every scheduled node (the transitive fan-in of whatever was
-    /// allocated since the last drain).
-    fn drain(&mut self) {
-        while let Some(w) = self.work.pop() {
-            match w {
-                Work::Lut(id) => self.build_lut(id),
-                Work::Ff(id) => self.build_ff(id),
-                Work::Bram(id) => self.build_bram(id),
-            }
-        }
-    }
-
-    fn build_bram(&mut self, id: u32) {
-        let (col, block) = {
-            let b = &self.brams[id as usize];
-            (b.col as usize, b.block as usize)
-        };
-        let mut addr = [Src::Zero; 8];
-        for (i, a) in addr.iter_mut().enumerate() {
-            *a = self.bram_mux_src(col, block, bram_if_addr_off(i), i as u8);
-        }
-        let mut din = [Src::Zero; 16];
-        for (i, dsrc) in din.iter_mut().enumerate() {
-            *dsrc = self.bram_mux_src(col, block, bram_if_din_off(i), 8 + i as u8);
-        }
-        let we = self.bram_mux_src(col, block, BRAM_IF_WE_OFF, 24);
-        let en = self.bram_mux_src(col, block, BRAM_IF_EN_OFF, 25);
-        let b = &mut self.brams[id as usize];
-        b.addr = addr;
-        b.din = din;
-        b.we = we;
-        b.en = en;
+        *id
     }
 }
 
-pub(crate) fn const_src(v: bool) -> Src {
+impl NodeSet for Builder {
+    fn nodes(&self) -> (&[CLut], &[CFf], &[CBram]) {
+        (&self.luts, &self.ffs, &self.brams)
+    }
+
+    fn node(&mut self, geom: &Geometry, site: Site) -> Result<Option<u32>, Incompat> {
+        Ok(Some(self.alloc(geom, site)))
+    }
+
+    fn visit(&mut self, tile: usize, flat: usize) {
+        let vkey = tile * 96 + flat;
+        if !self.visited_bitmap[vkey] {
+            self.visited_bitmap[vkey] = true;
+            self.visited_list.push((tile, flat as u16));
+        }
+    }
+
+    fn input(&mut self, port: u8) {
+        self.num_inputs = self.num_inputs.max(port as usize + 1);
+    }
+
+    fn half_latch(&mut self, site: HlSite) {
+        self.hl_sites.insert(site);
+    }
+}
+
+impl Tracer<'_, Builder> {
+    /// `root`'s source; the compiler allocates every site, so its trace
+    /// never fails.
+    fn resolve(&mut self, root: Root) -> Src {
+        self.root_src(root)
+            .expect("the compiler allocates every site")
+    }
+
+    /// Build every scheduled node (the transitive fan-in of whatever was
+    /// allocated since the last drain): resolve its roots, and read what
+    /// no root traces — a LUT's mode and table, a flip-flop's init.
+    fn drain(&mut self) {
+        while let Some((site, id)) = self.nodes.work.pop() {
+            match site {
+                Site::Lut { tile, slice, lut } => {
+                    let (s, l) = (slice as usize, lut as usize);
+                    let mode = LutMode::from_bits(self.tile_field(tile, lut_mode_offset(s, l), 2));
+                    let table = self.tile_field(tile, lut_table_offset(s, l, 0), 16) as u16;
+                    let pins = [0, 1, 2, 3].map(|pin| self.resolve(Root::LutPin { lut: id, pin }));
+                    let (data, we) = if mode.is_dynamic() {
+                        let data = self.resolve(Root::LutData { lut: id });
+                        (data, self.resolve(Root::LutWe { lut: id }))
+                    } else {
+                        (Src::Zero, Src::Zero)
+                    };
+                    let n = &mut self.nodes.luts[id as usize];
+                    (n.mode, n.table, n.pins, n.data, n.we) = (mode, table, pins, data, we);
+                }
+                Site::Ff { tile, slice, ff } => {
+                    let init =
+                        self.tile_field(tile, ff_init_offset(slice as usize, ff as usize), 1);
+                    let d = self.resolve(Root::FfD { ff: id });
+                    let ce = self.resolve(Root::FfCe { ff: id });
+                    let sr = self.resolve(Root::FfSr { ff: id });
+                    let n = &mut self.nodes.ffs[id as usize];
+                    (n.d, n.ce, n.sr, n.init) = (d, ce, sr, init != 0);
+                }
+                Site::Bram { .. } => {
+                    let addr = std::array::from_fn(|i| {
+                        let i = i as u8;
+                        self.resolve(Root::BramAddr { bram: id, i })
+                    });
+                    let din = std::array::from_fn(|i| {
+                        let i = i as u8;
+                        self.resolve(Root::BramDin { bram: id, i })
+                    });
+                    let we = self.resolve(Root::BramWe { bram: id });
+                    let en = self.resolve(Root::BramEn { bram: id });
+                    let n = &mut self.nodes.brams[id as usize];
+                    (n.addr, n.din, n.we, n.en) = (addr, din, we, en);
+                }
+            }
+        }
+    }
+}
+
+fn const_src(v: bool) -> Src {
     if v {
         Src::One
     } else {
         Src::Zero
     }
+}
+
+/// The output-port vector of the enabled east entries `ports`, in scan
+/// order, each with the source of its wire: each entry binds its port,
+/// and a later entry overrides an earlier one for the same port.
+pub(crate) fn port_vector(ports: &[(IobEntry, Src)]) -> Vec<(Src, bool)> {
+    let num_ports = ports.iter().map(|(e, _)| e.port as usize + 1).max();
+    let mut outputs = vec![(Src::Zero, false); num_ports.unwrap_or(0)];
+    for &(e, src) in ports {
+        outputs[e.port as usize] = (src, e.invert);
+    }
+    outputs
 }
 
 /// Compile the device's current configuration into an executable network.
@@ -750,22 +926,21 @@ pub(crate) fn compile(dev: &Device) -> Compiled {
 /// so the plain compile's nodes keep their ids as a prefix and extending
 /// `extra` only appends nodes.
 pub(crate) fn compile_with(dev: &Device, extra: &[Site]) -> Compiled {
-    let mut b = Builder::new(dev);
+    let geom = &dev.geom;
+    let mut t = Tracer {
+        dev,
+        nodes: Builder::new(geom),
+    };
 
     // Bound output ports: east-edge IOB entries sampling outgoing east
     // wires of the last column.
-    let mut port_srcs: Vec<(u8, Src, bool)> = Vec::new();
-    let last_col = dev.geom.cols - 1;
-    for row in 0..dev.geom.rows {
+    let mut ports = Vec::new();
+    for row in 0..geom.rows {
         for wire in 0..WIRES_PER_DIR {
-            let e = dev.config.read_iob(Edge::East, row, wire);
+            let e = t.iob_entry(Edge::East, row, wire);
             if e.enabled {
-                let src = b.out_wire_src(
-                    Tile::new(row, last_col),
-                    Dir::East as usize * WIRES_PER_DIR + wire,
-                    0,
-                );
-                port_srcs.push((e.port, src, e.invert));
+                let (row, wire) = (row as u16, wire as u8);
+                ports.push((e, t.resolve(Root::OutEntry { row, wire })));
             }
         }
     }
@@ -773,39 +948,20 @@ pub(crate) fn compile_with(dev: &Device, extra: &[Site]) -> Compiled {
     // Diagnostics mode: every flip-flop on the device clocks, observed or
     // not (readback capture sees them all).
     if dev.compile_all_state {
-        for ti in 0..dev.geom.num_tiles() {
-            let tile = dev.geom.tile_at(ti);
-            for slice in 0..2u8 {
-                for ff in 0..2u8 {
-                    b.ff_id(tile, slice, ff);
-                }
-            }
+        for idx in 0..geom.num_tiles() * 4 {
+            let (tile, slice, ff) = dev.ff_site(idx);
+            t.nodes.alloc(geom, Site::Ff { tile, slice, ff });
         }
     }
 
     // Pull in the transitive fan-in, then each extra site's.
-    b.drain();
+    t.drain();
     for &site in extra {
-        match site {
-            Site::Lut { tile, slice, lut } => {
-                b.lut_id(tile, slice, lut);
-            }
-            Site::Ff { tile, slice, ff } => {
-                b.ff_id(tile, slice, ff);
-            }
-            Site::Bram { col, block } => {
-                b.bram_id(col as usize, block as usize);
-            }
-        }
-        b.drain();
+        t.nodes.alloc(geom, site);
+        t.drain();
     }
-
-    // Assemble the output vector.
-    let num_ports = port_srcs.iter().map(|&(p, _, _)| p as usize + 1).max();
-    let mut outputs = vec![(Src::Zero, false); num_ports.unwrap_or(0)];
-    for (p, src, inv) in port_srcs {
-        outputs[p as usize] = (src, inv);
-    }
+    let b = t.nodes;
+    let outputs = port_vector(&ports);
 
     // Topological order over LUT→LUT combinational edges (Kahn).
     let n = b.luts.len();
@@ -895,5 +1051,6 @@ pub(crate) fn compile_with(dev: &Device, extra: &[Site]) -> Compiled {
         hl_index,
         lut_site_index: b.lut_ids,
         ff_site_index: b.ff_ids,
+        bram_site_index: b.bram_ids,
     }
 }

@@ -10,8 +10,26 @@
 //! [`DeltaMap`] removes that cliff. One *recording* trace over the golden
 //! compiled network notes, for every configuration bit the compiler reads,
 //! which network attachment points (`Root`s: a LUT pin mux, an FF control
-//! mux, a BRAM interface mux, an output IOB entry) depend on it. Then a
-//! bit flip is classified without recompiling:
+//! mux, a BRAM interface mux, an output IOB entry) depend on it. The trace
+//! is the compiler's own: the same tracer, over a node set that looks
+//! nodes up instead of allocating them and records every bit its three
+//! read helpers touch. So the recorded read set equals the compiler's by
+//! construction. The compiler reads four kinds of bits outside any root,
+//! and [`DeltaMap::classify`] decides each from the bit's role rather
+//! than from a recorded reader:
+//!
+//! * a LUT's table: a lane overlay on a golden LUT, else benign;
+//! * a LUT's mode: benign off the golden cone, or for the Logic↔ROM bit of
+//!   a static LUT; otherwise structural, since it re-modes the evaluator
+//!   and decides whether the LUT's write roots are traced at all;
+//! * a flip-flop's init: a lane overlay on a golden flip-flop, else
+//!   benign;
+//! * an east IOB entry, which binds an output port: the port vector is
+//!   rebuilt with that one entry re-read.
+//!
+//! (BRAM content is never compiled: the engines read it live, and a flip
+//! is a lane overlay on a golden block, else benign.) Every other bit is
+//! classified through the recorded read set:
 //!
 //! * **No golden reader** — the golden compile never read the bit.
 //!   Compilation is a deterministic adaptive reader: a run that never
@@ -19,7 +37,7 @@
 //!   corrupted compile is bit-for-bit the golden one. Benign, proven.
 //! * **Read by some roots** — flip the bit in place and re-trace just
 //!   those roots read-only. Each root that now resolves to a different
-//!   source becomes a [`DeltaOp`]; the set of ops is a per-lane network
+//!   source becomes a `DeltaOp`; the set of ops is a per-lane network
 //!   edit the wide engine applies as lane-masked source overrides. Zero
 //!   ops ⇒ the corrupted network is behaviourally the golden one ⇒ benign.
 //! * **Structural** — the flip re-modes a LUT (the evaluator changes), or
@@ -46,40 +64,15 @@
 //! cycle, and the lane is marked to settle by repeated sweeps. That is
 //! exact, because an acyclic network has one combinational solution.
 
-use std::collections::HashMap;
-
-use crate::bits::{
-    decode_mux, decode_pip, ff_dmux_offset, input_mux_offset, out_sel_offset, outmux_offset,
-    pip_offset, BitRole, MuxPin, MuxSel, PipSel, MUX_FIELD_BITS, OUTMUX_BITS_PER_WIRE,
-    PIP_BITS_PER_WIRE,
+use crate::bits::BitRole;
+use crate::compile::{
+    compile_with, port_vector, CBram, CFf, CLut, Compiled, Incompat, NodeCounts, NodeSet, Root,
+    Site, Src, Tracer,
 };
-use crate::compile::{compile_with, const_src, Compiled, NodeCounts, Site, Src, MAX_TRACE_DEPTH};
 use crate::device::Device;
 use crate::engine_wide::WideTarget;
-use crate::frames::{
-    bram_if_addr_off, bram_if_din_off, BitLocus, Edge, IobEntry, BRAM_IF_EN_OFF, BRAM_IF_WE_OFF,
-    IOB_ENTRY_BITS,
-};
-use crate::geometry::{Dir, Tile, BRAM_WIDTH, OUTMUX_WIRES_PER_DIR, WIRES_PER_DIR};
-use crate::halflatch::HlSite;
-use crate::permfault::FaultSite;
-
-/// A network attachment point whose source the compiler derives from
-/// configuration bits — the unit of re-tracing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Root {
-    LutPin { lut: u32, pin: u8 },
-    LutData { lut: u32 },
-    LutWe { lut: u32 },
-    FfD { ff: u32 },
-    FfCe { ff: u32 },
-    FfSr { ff: u32 },
-    BramAddr { bram: u32, i: u8 },
-    BramDin { bram: u32, i: u8 },
-    BramWe { bram: u32 },
-    BramEn { bram: u32 },
-    OutEntry { row: u16, wire: u8 },
-}
+use crate::frames::{BitLocus, Edge, IobEntry};
+use crate::geometry::{Geometry, BRAM_WIDTH, WIRES_PER_DIR};
 
 /// One edit in a lane's corrupted network, against augmented node ids.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,9 +138,6 @@ pub enum DeltaClass {
     /// network with a combinational cycle.
     Structural,
 }
-
-/// Re-trace failure: the corrupted path leaves the traced network.
-struct Incompat;
 
 /// Call `f(root, source)` for every root of `node` (a LUT, FF or BRAM
 /// source; anything else has none), with the network's own source.
@@ -304,305 +294,43 @@ fn net_src(net: &Compiled, root: Root) -> Option<Src> {
     })
 }
 
-/// Read-only wire/mux tracer resolving against a network's node ids,
-/// optionally recording every configuration bit it reads under a fixed
-/// root.
-///
-/// Mirrors the compiler's `Builder` trace functions statement for
-/// statement (perm-fault short-circuits, outmux-before-PIP priority,
-/// depth-limited loop cut) — the recorded read set is exactly the
-/// compiler's read set, which is what makes "no recorded reader ⇒ benign"
-/// a proof rather than a heuristic.
-struct Tracer<'a> {
-    dev: &'a Device,
+/// The delta map's node set: a compiled network's nodes, looked up.
+/// While the map is built, a trace either records each configuration bit
+/// it reads under its root, or notes each site the network lacks and
+/// reads it as floating. A classifying re-trace does neither, and a
+/// missing site fails it.
+struct Lookup<'a> {
     net: &'a Compiled,
-    bram_ids: &'a HashMap<(u16, u16), u32>,
     rec: Option<(&'a mut Vec<(usize, Root)>, Root)>,
-    /// Collect mode: a site the network lacks is noted here (and traced as
-    /// a floating source) instead of failing the trace.
     missing: Option<&'a mut Vec<Site>>,
 }
 
-impl<'a> Tracer<'a> {
-    fn new(dev: &'a Device, net: &'a Compiled, bram_ids: &'a HashMap<(u16, u16), u32>) -> Self {
-        Tracer {
-            dev,
-            net,
-            bram_ids,
-            rec: None,
-            missing: None,
-        }
+impl NodeSet for Lookup<'_> {
+    fn nodes(&self) -> (&[CLut], &[CFf], &[CBram]) {
+        (&self.net.luts, &self.net.ffs, &self.net.brams)
     }
 
-    fn rec_tile(&mut self, tile: Tile, off: usize, n: usize) {
-        if let Some((sink, root)) = self.rec.as_mut() {
-            let root = *root;
-            for k in 0..n {
-                sink.push((self.dev.config.tile_bit_index(tile, off + k), root));
-            }
+    fn node(&mut self, geom: &Geometry, site: Site) -> Result<Option<u32>, Incompat> {
+        if let Some(id) = self.net.node(geom, site) {
+            return Ok(Some(id));
         }
+        self.missing.as_mut().ok_or(Incompat)?.push(site);
+        Ok(None)
     }
 
-    fn rec_iob(&mut self, edge: Edge, row: usize, wire: usize) {
-        if let Some((sink, root)) = self.rec.as_mut() {
-            let root = *root;
-            for bit in 0..IOB_ENTRY_BITS {
-                sink.push((self.dev.config.iob_bit_index(edge, row, wire, bit), root));
-            }
-        }
+    fn recorder(&mut self) -> Option<(&mut Vec<(usize, Root)>, Root)> {
+        self.rec.as_mut().map(|(deps, root)| (&mut **deps, *root))
     }
+}
 
-    fn rec_bram(&mut self, col: usize, block: usize, off: usize, n: usize) {
-        if let Some((sink, root)) = self.rec.as_mut() {
-            let root = *root;
-            for k in 0..n {
-                sink.push((self.dev.config.bram_if_index(col, block, off + k), root));
-            }
-        }
-    }
-
-    /// Node `id` of the network (`u32::MAX` = not compiled) as a source,
-    /// or the missing `site`.
-    fn node(&mut self, id: u32, site: Site, src: impl FnOnce(u32) -> Src) -> Result<Src, Incompat> {
-        if id != u32::MAX {
-            return Ok(src(id));
-        }
-        match self.missing.as_mut() {
-            Some(sites) => {
-                sites.push(site);
-                Ok(Src::Zero)
-            }
-            None => Err(Incompat),
-        }
-    }
-
-    /// Re-derive `root`'s source from configuration memory, reading
-    /// exactly what the compiler reads for it.
-    fn root_src(&mut self, root: Root) -> Result<Src, Incompat> {
-        let net = self.net;
-        match root {
-            Root::LutPin { lut, pin } => {
-                let l = &net.luts[lut as usize];
-                self.mux_src(l.tile, l.slice, MuxPin::LutPin { lut: l.lut, pin })
-            }
-            Root::LutData { lut } => {
-                let l = &net.luts[lut as usize];
-                let pin = if l.lut == 0 { MuxPin::Bx } else { MuxPin::By };
-                self.mux_src(l.tile, l.slice, pin)
-            }
-            Root::LutWe { lut } => {
-                let l = &net.luts[lut as usize];
-                let pin = if l.lut == 0 { MuxPin::Srx } else { MuxPin::Sry };
-                self.mux_src(l.tile, l.slice, pin)
-            }
-            Root::FfD { ff } => {
-                let (tile, slice, fi) = ff_site(self.dev, net.ffs[ff as usize].state_idx);
-                let off = ff_dmux_offset(slice as usize, fi as usize);
-                self.rec_tile(tile, off, 1);
-                if self.dev.config.read_tile_field(tile, off, 1) != 0 {
-                    self.mux_src(tile, slice, if fi == 0 { MuxPin::Bx } else { MuxPin::By })
-                } else {
-                    self.lut_src(tile, slice, fi)
-                }
-            }
-            Root::FfCe { ff } => {
-                let (tile, slice, fi) = ff_site(self.dev, net.ffs[ff as usize].state_idx);
-                self.mux_src(tile, slice, if fi == 0 { MuxPin::Cex } else { MuxPin::Cey })
-            }
-            Root::FfSr { ff } => {
-                let (tile, slice, fi) = ff_site(self.dev, net.ffs[ff as usize].state_idx);
-                self.mux_src(tile, slice, if fi == 0 { MuxPin::Srx } else { MuxPin::Sry })
-            }
-            Root::BramAddr { bram, i } => {
-                let b = &net.brams[bram as usize];
-                let off = bram_if_addr_off(i as usize);
-                self.bram_mux_src(b.col as usize, b.block as usize, off, i)
-            }
-            Root::BramDin { bram, i } => {
-                let b = &net.brams[bram as usize];
-                let off = bram_if_din_off(i as usize);
-                self.bram_mux_src(b.col as usize, b.block as usize, off, 8 + i)
-            }
-            Root::BramWe { bram } => {
-                let b = &net.brams[bram as usize];
-                self.bram_mux_src(b.col as usize, b.block as usize, BRAM_IF_WE_OFF, 24)
-            }
-            Root::BramEn { bram } => {
-                let b = &net.brams[bram as usize];
-                self.bram_mux_src(b.col as usize, b.block as usize, BRAM_IF_EN_OFF, 25)
-            }
-            Root::OutEntry { row, wire } => self.out_wire_src(
-                Tile::new(row as usize, self.dev.geom.cols - 1),
-                Dir::East as usize * WIRES_PER_DIR + wire as usize,
-                0,
-            ),
-        }
-    }
-
-    fn out_wire_src(&mut self, tile: Tile, flat: usize, depth: usize) -> Result<Src, Incompat> {
-        if let Some(v) = self.dev.perm_faults.get(FaultSite::Wire {
-            tile,
-            wire: flat as u8,
-        }) {
-            return Ok(const_src(v));
-        }
-        if depth > MAX_TRACE_DEPTH {
-            return Ok(Src::Zero);
-        }
-        let dir = Dir::from_index(flat / WIRES_PER_DIR);
-        let idx = flat % WIRES_PER_DIR;
-        if idx < OUTMUX_WIRES_PER_DIR {
-            self.rec_tile(tile, outmux_offset(dir, idx), OUTMUX_BITS_PER_WIRE);
-            let e = self.dev.config.read_tile_field(
-                tile,
-                outmux_offset(dir, idx),
-                OUTMUX_BITS_PER_WIRE,
-            );
-            if e & 1 == 1 {
-                let sel = ((e >> 1) & 3) as u8;
-                return self.slice_out_src(tile, sel / 2, sel % 2);
-            }
-        }
-        self.rec_tile(tile, pip_offset(flat), PIP_BITS_PER_WIRE);
-        let p = self
-            .dev
-            .config
-            .read_tile_field(tile, pip_offset(flat), PIP_BITS_PER_WIRE);
-        if p & 1 == 1 {
-            match decode_pip(((p >> 1) & 0x7f) as u8) {
-                PipSel::Wire(d, i) => return self.in_wire_src(tile, d, i as usize, depth + 1),
-                PipSel::BramOut(bit) => {
-                    if bit < 16 {
-                        if let Some((col, block)) = self.dev.geom.bram_at_home_tile(tile) {
-                            let (col, block) = (col as u16, block as u16);
-                            let id = self.bram_ids.get(&(col, block)).copied();
-                            return self.node(
-                                id.unwrap_or(u32::MAX),
-                                Site::Bram { col, block },
-                                |id| Src::Bram { id, bit },
-                            );
-                        }
-                    }
-                    return Ok(Src::Zero);
-                }
-                PipSel::Floating => return Ok(Src::Zero),
-            }
-        }
-        Ok(Src::Zero)
-    }
-
-    fn in_wire_src(
-        &mut self,
-        tile: Tile,
-        dir: Dir,
-        idx: usize,
-        depth: usize,
-    ) -> Result<Src, Incompat> {
-        match self.dev.geom.neighbor(tile, dir) {
-            Some(nb) => self.out_wire_src(nb, dir.opposite() as usize * WIRES_PER_DIR + idx, depth),
-            None => {
-                if dir == Dir::West && tile.col == 0 {
-                    self.rec_iob(Edge::West, tile.row as usize, idx);
-                    let e = self.dev.config.read_iob(Edge::West, tile.row as usize, idx);
-                    if e.enabled {
-                        return Ok(Src::Input {
-                            port: e.port as u16,
-                            invert: e.invert,
-                        });
-                    }
-                }
-                Ok(Src::Zero)
-            }
-        }
-    }
-
-    fn slice_out_src(&mut self, tile: Tile, slice: u8, out: u8) -> Result<Src, Incompat> {
-        if let Some(v) = self
-            .dev
-            .perm_faults
-            .get(FaultSite::SliceOut { tile, slice, out })
-        {
-            return Ok(const_src(v));
-        }
-        self.rec_tile(tile, out_sel_offset(slice as usize, out as usize), 1);
-        let reg =
-            self.dev
-                .config
-                .read_tile_field(tile, out_sel_offset(slice as usize, out as usize), 1)
-                != 0;
-        if reg {
-            let key = self.dev.ff_index(tile, slice as usize, out as usize);
-            let site = Site::Ff {
-                tile,
-                slice,
-                ff: out,
-            };
-            self.node(self.net.ff_site_index[key], site, Src::Ff)
-        } else {
-            self.lut_src(tile, slice, out)
-        }
-    }
-
-    fn lut_src(&mut self, tile: Tile, slice: u8, lut: u8) -> Result<Src, Incompat> {
-        if let Some(v) = self
-            .dev
-            .perm_faults
-            .get(FaultSite::LutOut { tile, slice, lut })
-        {
-            return Ok(const_src(v));
-        }
-        let key = self.dev.geom.tile_index(tile) * 4 + slice as usize * 2 + lut as usize;
-        let site = Site::Lut { tile, slice, lut };
-        self.node(self.net.lut_site_index[key], site, Src::Lut)
-    }
-
-    fn mux_src(&mut self, tile: Tile, slice: u8, pin: MuxPin) -> Result<Src, Incompat> {
-        self.rec_tile(tile, input_mux_offset(slice as usize, pin), MUX_FIELD_BITS);
-        let v = self.dev.config.read_tile_field(
-            tile,
-            input_mux_offset(slice as usize, pin),
-            MUX_FIELD_BITS,
-        ) as u8;
-        match decode_mux(v) {
-            MuxSel::Wire(d, i) => self.in_wire_src(tile, d, i as usize, 0),
-            MuxSel::Floating => Ok(Src::Zero),
-            MuxSel::HalfLatch { invert } => Ok(Src::HalfLatch {
-                site: HlSite::Slice {
-                    tile,
-                    slice,
-                    pin: pin.index() as u8,
-                },
-                invert,
-            }),
-        }
-    }
-
-    fn bram_mux_src(
-        &mut self,
-        col: usize,
-        block: usize,
-        off: usize,
-        pin: u8,
-    ) -> Result<Src, Incompat> {
-        self.rec_bram(col, block, off, MUX_FIELD_BITS);
-        let v = self
-            .dev
-            .config
-            .read_bram_if_field(col, block, off, MUX_FIELD_BITS) as u8;
-        let home = self.dev.geom.bram_home_tile(col, block);
-        match decode_mux(v) {
-            MuxSel::Wire(d, i) => self.in_wire_src(home, d, i as usize, 0),
-            MuxSel::Floating => Ok(Src::Zero),
-            MuxSel::HalfLatch { invert } => Ok(Src::HalfLatch {
-                site: HlSite::Bram {
-                    col: col as u16,
-                    block: block as u16,
-                    pin,
-                },
-                invert,
-            }),
-        }
-    }
+/// A tracer over `net` that neither records nor notes missing sites.
+fn tracer<'a>(dev: &'a Device, net: &'a Compiled) -> Tracer<'a, Lookup<'a>> {
+    let nodes = Lookup {
+        net,
+        rec: None,
+        missing: None,
+    };
+    Tracer { dev, nodes }
 }
 
 /// Every root of the nodes with ids from `from` up to `to`.
@@ -619,14 +347,6 @@ fn roots_between(net: &Compiled, from: NodeCounts, to: NodeCounts) -> Vec<Root> 
         for_each_root(net, node, |root, _| roots.push(root));
     }
     roots
-}
-
-fn bram_ids(net: &Compiled) -> HashMap<(u16, u16), u32> {
-    net.brams
-        .iter()
-        .enumerate()
-        .map(|(id, b)| ((b.col, b.block), id as u32))
-        .collect()
 }
 
 /// The entries of `deps` (sorted by bit) that read `global`.
@@ -648,7 +368,6 @@ pub struct DeltaMap {
     pub(crate) golden: NodeCounts,
     /// Settle position of each LUT in `net.order`.
     pos: Vec<u32>,
-    bram_ids: HashMap<(u16, u16), u32>,
     /// (global bit, reading root) over the golden roots, sorted by bit.
     deps: Vec<(usize, Root)>,
     /// The same over the out-of-cone roots, kept only for golden-read
@@ -687,7 +406,6 @@ impl DeltaMap {
         let golden = NodeCounts::of(&net);
         let mut map = DeltaMap {
             pos: Vec::new(),
-            bram_ids: bram_ids(&net),
             deps: Vec::new(),
             ext_deps: Vec::new(),
             east_entries: Vec::new(),
@@ -728,10 +446,10 @@ impl DeltaMap {
     fn record(&mut self, dev: &Device, roots: &[Root]) -> Vec<(usize, Root)> {
         let mut deps = Vec::new();
         for &root in roots {
-            let mut tr = Tracer::new(dev, &self.net, &self.bram_ids);
-            tr.rec = Some((&mut deps, root));
+            let mut t = tracer(dev, &self.net);
+            t.nodes.rec = Some((&mut deps, root));
             // The network holds its own fan-in, so golden traces resolve.
-            let src = tr.root_src(root).unwrap_or(Src::Zero);
+            let src = t.root_src(root).unwrap_or(Src::Zero);
             match root {
                 Root::OutEntry { row, wire } => {
                     self.east_srcs[row as usize * WIRES_PER_DIR + wire as usize] = Some(src);
@@ -753,9 +471,9 @@ impl DeltaMap {
         let mut missing = Vec::new();
         for (idx, e) in self.east_entries.iter().enumerate() {
             if !e.enabled {
-                let mut tr = Tracer::new(dev, &self.net, &self.bram_ids);
-                tr.missing = Some(&mut missing);
-                let _ = tr.root_src(Root::OutEntry {
+                let mut t = tracer(dev, &self.net);
+                t.nodes.missing = Some(&mut missing);
+                let _ = t.root_src(Root::OutEntry {
                     row: (idx / WIRES_PER_DIR) as u16,
                     wire: (idx % WIRES_PER_DIR) as u8,
                 });
@@ -777,7 +495,6 @@ impl DeltaMap {
             }
             let from = NodeCounts::of(&self.net);
             self.net = compile_with(dev, &extra);
-            self.bram_ids = bram_ids(&self.net);
             let roots = roots_between(&self.net, from, NodeCounts::of(&self.net));
             let mut new_deps = self.record(dev, &roots);
             new_deps.retain(|&(b, _)| !readers(&self.deps, b).is_empty());
@@ -798,9 +515,9 @@ impl DeltaMap {
             let group = readers(&deps[k..], deps[k].0);
             dev.config.flip_bit(group[0].0);
             for &(_, root) in group {
-                let mut tr = Tracer::new(dev, &self.net, &self.bram_ids);
-                tr.missing = Some(&mut *missing);
-                let _ = tr.root_src(root);
+                let mut t = tracer(dev, &self.net);
+                t.nodes.missing = Some(&mut *missing);
+                let _ = t.root_src(root);
             }
             dev.config.flip_bit(group[0].0);
             k += group.len();
@@ -812,28 +529,22 @@ impl DeltaMap {
     /// configuration is probed by a temporary in-place flip (restored
     /// before returning); the compiled cache is never touched.
     pub fn classify(&self, dev: &mut Device, global: usize) -> DeltaClass {
+        let overlay = |t| DeltaClass::Lane(LaneUpset::state(t));
         match dev.config.describe(global) {
             BitLocus::Clb { tile, role } => match role {
-                BitRole::LutTable { slice, lut, bit } => match self
-                    .golden_lut(dev, tile, slice, lut)
-                {
-                    None => DeltaClass::Benign,
-                    Some(id) => {
-                        DeltaClass::Lane(LaneUpset::state(WideTarget::LutTable { lut: id, bit }))
-                    }
-                },
-                BitRole::FfInit { slice, ff } => {
-                    let id =
-                        self.net.ff_site_index[dev.ff_index(tile, slice as usize, ff as usize)];
-                    if (id as usize) < self.golden.ffs {
-                        DeltaClass::Lane(LaneUpset::state(WideTarget::FfInit { ff: id }))
-                    } else {
-                        DeltaClass::Benign
-                    }
-                }
+                BitRole::LutTable { slice, lut, bit } => self
+                    .golden_node(dev, Site::Lut { tile, slice, lut })
+                    .map_or(DeltaClass::Benign, |id| {
+                        overlay(WideTarget::LutTable { lut: id, bit })
+                    }),
+                BitRole::FfInit { slice, ff } => self
+                    .golden_node(dev, Site::Ff { tile, slice, ff })
+                    .map_or(DeltaClass::Benign, |id| {
+                        overlay(WideTarget::FfInit { ff: id })
+                    }),
                 BitRole::SliceReserved { .. } | BitRole::Pad => DeltaClass::Benign,
                 BitRole::LutModeBit { slice, lut, bit } => {
-                    match self.golden_lut(dev, tile, slice, lut) {
+                    match self.golden_node(dev, Site::Lut { tile, slice, lut }) {
                         None => DeltaClass::Benign,
                         // Bit 0 toggles Logic↔ROM (behaviourally identical
                         // static tables). Anything touching dynamicity
@@ -846,16 +557,15 @@ impl DeltaMap {
                 }
                 _ => self.classify_deps(dev, global),
             },
-            BitLocus::BramContent { col, block, bit } => match self.bram_ids.get(&(col, block)) {
-                Some(&mem) if (mem as usize) < self.golden.brams => {
-                    DeltaClass::Lane(LaneUpset::state(WideTarget::BramBit {
+            BitLocus::BramContent { col, block, bit } => self
+                .golden_node(dev, Site::Bram { col, block })
+                .map_or(DeltaClass::Benign, |mem| {
+                    overlay(WideTarget::BramBit {
                         mem,
                         addr: (bit as usize / BRAM_WIDTH) as u16,
                         plane: (bit as usize % BRAM_WIDTH) as u8,
-                    }))
-                }
-                _ => DeltaClass::Benign,
-            },
+                    })
+                }),
             BitLocus::Iob {
                 edge: Edge::East,
                 row,
@@ -875,11 +585,16 @@ impl DeltaMap {
         }
     }
 
-    /// Compiled id of a golden-cone LUT site, if it is one.
-    fn golden_lut(&self, dev: &Device, tile: Tile, slice: u8, lut: u8) -> Option<u32> {
-        let key = dev.geom.tile_index(tile) * 4 + slice as usize * 2 + lut as usize;
-        let id = self.net.lut_site_index[key];
-        ((id as usize) < self.golden.luts).then_some(id)
+    /// Compiled id of the golden-cone node at `site`, if there is one.
+    fn golden_node(&self, dev: &Device, site: Site) -> Option<u32> {
+        let golden = match site {
+            Site::Lut { .. } => self.golden.luts,
+            Site::Ff { .. } => self.golden.ffs,
+            Site::Bram { .. } => self.golden.brams,
+        };
+        self.net
+            .node(&dev.geom, site)
+            .filter(|&id| (id as usize) < golden)
     }
 
     /// Classify via the recorded read set: no golden reader ⇒ benign;
@@ -917,7 +632,7 @@ impl DeltaMap {
                 }
                 continue;
             }
-            let src = Tracer::new(dev, &self.net, &self.bram_ids).root_src(root)?;
+            let src = tracer(dev, &self.net).root_src(root)?;
             if Some(src) != net_src(&self.net, root) {
                 ops.push(DeltaOp::Rebind(root, src));
             }
@@ -997,11 +712,11 @@ impl DeltaMap {
     }
 
     /// Rebuild the output-port vector under the current (possibly
-    /// corrupted) configuration, mirroring the compiler's east-IOB scan.
+    /// corrupted) configuration, the way the compiler binds ports.
     /// `reread` re-decodes that one entry from configuration memory;
     /// `retrace` re-traces those entries' wires. Everything else comes
     /// from the golden cache. Returns `None` when identical to golden,
-    /// else a [`DeltaOp::Outputs`] carrying both the port vector and the
+    /// else a `DeltaOp::Outputs` carrying both the port vector and the
     /// full enabled-entry source list (the lane's reachability seeds).
     fn recompute_outputs(
         &self,
@@ -1009,48 +724,26 @@ impl DeltaMap {
         reread: Option<(u16, u8)>,
         retrace: &[(u16, u8)],
     ) -> Result<Option<DeltaOp>, Incompat> {
-        let mut port_srcs: Vec<(u8, Src, bool)> = Vec::new();
-        for row in 0..dev.geom.rows {
-            for wire in 0..WIRES_PER_DIR {
-                let idx = row * WIRES_PER_DIR + wire;
-                let key = (row as u16, wire as u8);
-                let e = if reread == Some(key) {
-                    dev.config.read_iob(Edge::East, row, wire)
-                } else {
-                    self.east_entries[idx]
-                };
-                if !e.enabled {
-                    continue;
-                }
+        let mut ports = Vec::new();
+        for (idx, &golden) in self.east_entries.iter().enumerate() {
+            let (row, wire) = ((idx / WIRES_PER_DIR) as u16, (idx % WIRES_PER_DIR) as u8);
+            let e = if reread == Some((row, wire)) {
+                dev.config.read_iob(Edge::East, row as usize, wire as usize)
+            } else {
+                golden
+            };
+            if e.enabled {
                 let src = match self.east_srcs[idx] {
-                    Some(src) if !retrace.contains(&key) => src,
-                    _ => Tracer::new(dev, &self.net, &self.bram_ids).root_src(Root::OutEntry {
-                        row: key.0,
-                        wire: key.1,
-                    })?,
+                    Some(src) if !retrace.contains(&(row, wire)) => src,
+                    _ => tracer(dev, &self.net).root_src(Root::OutEntry { row, wire })?,
                 };
-                port_srcs.push((e.port, src, e.invert));
+                ports.push((e, src));
             }
         }
-        let seeds: Vec<Src> = port_srcs.iter().map(|&(_, s, _)| s).collect();
-        let num_ports = port_srcs.iter().map(|&(p, _, _)| p as usize + 1).max();
-        let mut outs = vec![(Src::Zero, false); num_ports.unwrap_or(0)];
-        for (p, src, inv) in port_srcs {
-            outs[p as usize] = (src, inv);
-        }
-        Ok(if outs == self.net.outputs {
-            None
-        } else {
-            Some(DeltaOp::Outputs { outs, seeds })
-        })
+        let outs = port_vector(&ports);
+        Ok((outs != self.net.outputs).then(|| DeltaOp::Outputs {
+            outs,
+            seeds: ports.iter().map(|&(_, s)| s).collect(),
+        }))
     }
-}
-
-/// Recover (tile, slice, ff) from a flip-flop state index (inverse of
-/// `Device::ff_index`).
-fn ff_site(dev: &Device, state_idx: usize) -> (Tile, u8, u8) {
-    let ff = (state_idx % 2) as u8;
-    let slice = ((state_idx / 2) % 2) as u8;
-    let tile = dev.geom.tile_at(state_idx / 4);
-    (tile, slice, ff)
 }

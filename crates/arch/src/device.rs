@@ -320,6 +320,13 @@ impl Device {
         (self.geom.tile_index(tile) * 2 + slice) * 2 + ff
     }
 
+    /// Inverse of [`Device::ff_index`]: (tile, slice, ff) of a state
+    /// index.
+    pub(crate) fn ff_site(&self, idx: usize) -> (Tile, u8, u8) {
+        let (slice, ff) = ((idx / 2 % 2) as u8, (idx % 2) as u8);
+        (self.geom.tile_at(idx / 4), slice, ff)
+    }
+
     /// Current value of a flip-flop.
     pub fn ff(&self, tile: Tile, slice: usize, ff: usize) -> bool {
         self.ff_state.get(self.ff_index(tile, slice, ff))

@@ -45,8 +45,8 @@
 //! names gets a slot pair past the layout.
 
 use crate::bits::LutMode;
-use crate::compile::{const_slot, Compiled, NodeCounts, Src, ONE_SLOT};
-use crate::delta::{reach, DeltaMap, DeltaOp, LaneUpset, Root, UpsetKind};
+use crate::compile::{const_slot, Compiled, NodeCounts, Root, Src, ONE_SLOT};
+use crate::delta::{reach, DeltaMap, DeltaOp, LaneUpset, UpsetKind};
 use crate::device::Device;
 use crate::geometry::BRAM_DEPTH;
 use crate::halflatch::HlSite;

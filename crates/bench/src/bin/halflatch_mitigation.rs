@@ -2,7 +2,7 @@
 //! unmitigated design against its RadDRC'd version in a scrubbed beam
 //! exposure, counting *hard failures* — output-error events a scrub
 //! repair cannot explain, which on orbit force a full reconfiguration.
-//! The paper: "Mitigated designs were found to be 100X [more] resistant
+//! The paper: "Mitigated designs were found to be 100X \[more\] resistant
 //! to failure than unmitigated designs."
 //!
 //! Usage: `cargo run --release -p cibola-bench --bin halflatch_mitigation --

@@ -17,8 +17,9 @@
 //!   `mission.upset`/`mission.sefi` origin on an **earlier** line —
 //!   dangling correlation ids fail the lint;
 //! - severity: SOH events carry exactly the severity the shared
-//!   [`SOH_EVENT_META`] table assigns them, so the downlink planner,
-//!   the lint and forensics can never disagree about what is critical.
+//!   [`SOH_EVENT_META`](cibola_telemetry::SOH_EVENT_META) table assigns
+//!   them, so the downlink planner, the lint and forensics can never
+//!   disagree about what is critical.
 //!
 //! CI runs this over the dump `orbit_mission --telemetry` produces, so a
 //! regression in any instrumented crate fails the build rather than
@@ -26,38 +27,34 @@
 //!
 //! Usage: `telemetry_lint <dump.jsonl> [--max-t-ns N]`
 //!
-//! Exits non-zero on the first malformed line, reporting its number.
+//! Exits non-zero on the first malformed line, reporting its number. A
+//! malformed or missing `--max-t-ns` value prints `error: --max-t-ns
+//! <value>: <reason>` and exits 2, like every bench binary's arguments.
 
 use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
 
+use cibola_bench::Args;
 use cibola_forensics::{IdSpace, RawEvent};
 use cibola_telemetry::{known_event_required_fields, soh_meta_for, validate_telemetry_line};
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(path) = args.next() else {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Some(path) = raw.first() else {
         eprintln!("usage: telemetry_lint <dump.jsonl> [--max-t-ns N]");
         return ExitCode::FAILURE;
     };
-    let mut max_t_ns: Option<u64> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--max-t-ns" => {
-                max_t_ns = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--max-t-ns needs an integer"),
-                );
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::FAILURE;
-            }
+    let horizon = Args::parse().u64("--max-t-ns", u64::MAX);
+    let mut rest = raw[1..].iter();
+    while let Some(arg) = rest.next() {
+        if arg != "--max-t-ns" {
+            eprintln!("unknown argument: {arg}");
+            return ExitCode::FAILURE;
         }
+        rest.next();
     }
 
-    let dump = match std::fs::read_to_string(&path) {
+    let dump = match std::fs::read_to_string(path) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("{path}: {e}");
@@ -101,14 +98,12 @@ fn main() -> ExitCode {
             }
         }
 
-        if let Some(horizon) = max_t_ns {
-            if ev.t_ns > horizon {
-                eprintln!(
-                    "{path}:{lineno}: t_ns {} exceeds horizon {horizon}",
-                    ev.t_ns
-                );
-                return ExitCode::FAILURE;
-            }
+        if ev.t_ns > horizon {
+            eprintln!(
+                "{path}:{lineno}: t_ns {} exceeds horizon {horizon}",
+                ev.t_ns
+            );
+            return ExitCode::FAILURE;
         }
 
         // Ordering: each device's per-subsystem point stream must be

@@ -69,6 +69,10 @@ impl Args {
         self.value(key, default).unwrap_or_else(|e| exit_usage(&e))
     }
 
+    pub fn u64(&self, key: &str, default: u64) -> u64 {
+        self.value(key, default).unwrap_or_else(|e| exit_usage(&e))
+    }
+
     pub fn flag(&self, key: &str) -> bool {
         self.raw.iter().any(|a| a == key)
     }
@@ -94,15 +98,6 @@ impl Args {
 fn exit_usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
-}
-
-/// A `usize` from the environment, with a default (shared by the bench
-/// binaries so CI can clamp their scales).
-pub fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Percent formatting.
@@ -143,6 +138,8 @@ mod tests {
         let a = args(&["--hours", "6", "--accel", "1.5"]);
         assert_eq!(a.value("--hours", 12usize), Ok(6));
         assert_eq!(a.value("--accel", 200.0), Ok(1.5));
+        let t = args(&["dump.jsonl", "--max-t-ns", "7260000000000"]);
+        assert_eq!(t.value("--max-t-ns", u64::MAX), Ok(7_260_000_000_000));
         assert_eq!(a.value("--stride", 1usize), Ok(1), "absent flag");
         assert_eq!(a.try_geometry("tiny").unwrap().name, "CIB-T");
         let g = args(&["--geometry", "small-v2"])
@@ -165,6 +162,10 @@ mod tests {
             args(&["--accel", "fast"]).value("--accel", 200.0),
             Err("--accel fast: invalid float literal".to_string())
         );
+        assert_eq!(
+            args(&["--max-t-ns", "abc"]).value("--max-t-ns", u64::MAX),
+            Err("--max-t-ns abc: invalid digit found in string".to_string())
+        );
         let e = args(&["--geometry", "huge"])
             .try_geometry("tiny")
             .unwrap_err();
@@ -176,6 +177,10 @@ mod tests {
         assert_eq!(
             args(&["--trace"]).value("--trace", 96usize),
             Err("--trace: missing value".to_string())
+        );
+        assert_eq!(
+            args(&["dump.jsonl", "--max-t-ns"]).value("--max-t-ns", u64::MAX),
+            Err("--max-t-ns: missing value".to_string())
         );
         let e = args(&["--geometry"]).try_geometry("tiny").unwrap_err();
         assert_eq!(e, "--geometry: missing value");

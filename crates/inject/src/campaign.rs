@@ -4,7 +4,7 @@
 //! corrupt the bit → partially reconfigure the DUT → run the clock while
 //! the comparator checks for output discrepancies → log → repair the bit
 //! → (optionally, keep running without reset to classify *persistence*,
-//! per [12]) → reset and move to the next bit.
+//! per \[12\]) → reset and move to the next bit.
 //!
 //! Campaigns over millions of independent single-bit experiments are
 //! embarrassingly parallel; with `parallel = true` the sweep fans out over

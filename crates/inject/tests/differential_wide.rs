@@ -304,6 +304,36 @@ fn wide_honours_upset_half_latch() {
     assert_equivalent(&scalar, &wide);
 }
 
+/// Diagnostics mode compiles every flip-flop on the device, observed or
+/// not, so each lane's network must keep clocking all of them too: the
+/// wide engine seeds every flip-flop's cone, as the scalar compile does.
+#[test]
+fn wide_matches_scalar_diagnostics_mode() {
+    for (nl, seed) in [
+        (gen::counter_adder(4), 0xC1B07A),
+        (dynamic_mix(3, 0xB7C3), 0x5EED),
+    ] {
+        let imp = implement(&nl, &Geometry::tiny()).unwrap();
+        let mut tb = Testbed::new(&imp, seed, 96);
+        tb.base.set_compile_all_state(true);
+        let mut dev = tb.base.clone();
+        tb.golden = tb.stimulus.iter().map(|iv| dev.step(iv)).collect();
+        let cfg = CampaignConfig {
+            observe_cycles: 32,
+            persist_cycles: 24,
+            persist_tail: 8,
+            classify_persistence: true,
+            selection: BitSelection::ActiveClosure,
+            parallel: true,
+            ..Default::default()
+        };
+        let scalar = run_campaign(&tb, &cfg);
+        let wide = run_campaign_wide(&tb, &cfg);
+        assert!(!wide.sensitive.is_empty(), "{}: vacuous", nl.name);
+        assert_equivalent(&scalar, &wide);
+    }
+}
+
 /// Every rewiring bit of the closure, run as an explicit list on both
 /// engines: the out-of-cone reroutes, the lanes settled by repeated
 /// sweeps and the scalar residue all meet the scalar oracle bit for bit.

@@ -7,7 +7,7 @@
 //!   pin, eliminating the hidden state that readback cannot see and
 //!   partial reconfiguration cannot repair. The paper measured mitigated
 //!   designs ≈100× more failure-resistant under proton beam.
-//! * **TMR** ([`tmr`]): full and *selective* triple modular redundancy,
+//! * **TMR** ([`tmr`](mod@tmr)): full and *selective* triple modular redundancy,
 //!   the latter targeted at the sensitive cross-section identified by the
 //!   SEU simulator's correlation data.
 

@@ -5,7 +5,7 @@
 //! developed a half-latch removal tool RadDRC that automatically removes
 //! half-latches from an application design. The half latches are replaced
 //! either by constants from an external source or by LUT ROM constants.
-//! Mitigated designs were found to be 100X [more] resistant to failure
+//! Mitigated designs were found to be 100X \[more\] resistant to failure
 //! than unmitigated designs."
 
 use cibola_netlist::ir::{Cell, Ctrl, NetId, Netlist};

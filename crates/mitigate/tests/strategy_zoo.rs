@@ -9,7 +9,9 @@
 //!    sweep, under SEFI/port-fault chaos.
 //! 2. **Anchor** — driving `LadderStrategy` through the strategy seam is
 //!    bit-identical to the plain `run_mission` kernel, so the refactor
-//!    provably changed nothing for the paper's baseline.
+//!    provably changed nothing for the paper's baseline; and an
+//!    `AdaptiveScrub` whose clamp is pinned at k = 1 flies the ladder's
+//!    mission exactly, strategy counters included.
 //! 3. **Adaptive edge cases** — zero upsets (period climbs to the
 //!    ceiling, no divide-by-zero), flare saturation (clamp plus bounded
 //!    anti-windup recovery), and deterministic voter tie-breaking under
@@ -183,6 +185,24 @@ fn ladder_strategy_matches_plain_mission_bit_identically() {
             cfg.seed
         );
         assert_eq!(p_plain.soh.len(), p_strat.soh.len());
+
+        // The adaptive controller with its clamp pinned at k = 1 can never
+        // retune, so it flies the ladder's mission exactly.
+        let mut p_pinned = nine_fpga_payload(&geom);
+        let mut pinned = AdaptiveScrub::new(
+            LadderStrategy,
+            AdaptiveConfig {
+                k_floor: 1,
+                k_ceiling: 1,
+                ..Default::default()
+            },
+        );
+        let pinned = run_strategy_mission(&mut p_pinned, &cfg, &sens, &mut pinned);
+        assert_eq!(
+            pinned, strat,
+            "pinned adaptive controller diverged from the ladder (seed {})",
+            cfg.seed
+        );
     }
 }
 
