@@ -18,7 +18,7 @@ use crate::halflatch::{HalfLatches, HlSite};
 use std::collections::VecDeque;
 
 use crate::permfault::{FaultSite, PermFaults};
-use crate::selectmap::{PortTiming, ReadFault, WriteFault};
+use crate::selectmap::{DynamicLuts, PortTiming, ReadFault, WriteFault};
 use cibola_telemetry::PortFaultStats;
 
 /// A full configuration image, as stored in the payload's FLASH module.
@@ -79,12 +79,11 @@ pub struct Device {
     pub(crate) port_faults: PortFaultStats,
     pub(crate) compiled: Option<Compiled>,
     /// Cache of the LUTs configured as RAM or SRL16 — the sites the
-    /// readback hazard corrupts. Entry `tile_index(tile)` holds bit
-    /// `slice * 2 + lut` per dynamic LUT. Derived from the mode bits
-    /// alone, so it is dropped wherever a mode bit can change
-    /// ([`Device::invalidate`], [`Device::config_mut`],
-    /// [`Device::flip_config_bit`]) and rebuilt on the next CLB readback.
-    pub(crate) dynamic_luts: Option<Vec<u8>>,
+    /// readback hazard corrupts. Derived from the mode bits alone, so it
+    /// is dropped wherever a mode bit can change ([`Device::invalidate`],
+    /// [`Device::config_mut`], [`Device::flip_config_bit`]) and rebuilt
+    /// on the next CLB readback or purity query.
+    pub(crate) dynamic_luts: Option<DynamicLuts>,
 }
 
 impl Clone for Device {

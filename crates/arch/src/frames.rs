@@ -13,6 +13,8 @@
 //!   *live*: the running design writes it, which is why scrubbing must
 //!   treat these frames specially (paper §II-C, §IV).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::bits::{self, BitRole, FRAMES_PER_CLB_COL, TILE_BITS, TILE_BITS_PER_FRAME};
 use crate::bitvec::BitVec;
 use crate::geometry::{FrameLayout, Geometry, Tile, BRAM_BITS, WIRES_PER_DIR};
@@ -128,12 +130,31 @@ pub enum BitLocus {
     BramContent { col: u16, block: u16, bit: u16 },
 }
 
+/// What one frame of one memory held at one moment: the memory's
+/// identity and the number of writes that frame had taken. Equal stamps
+/// of a frame mean equal contents — every writer of [`ConfigMemory`]
+/// counts its frames, and a memory takes a fresh identity when it is
+/// built and every time it is cloned, so a stamp never matches a copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameStamp {
+    memory: u64,
+    generation: u64,
+}
+
+/// Identities handed to memories as they are built or cloned. Writes
+/// never touch it: they count in the memory's own `generations`.
+static NEXT_MEMORY: AtomicU64 = AtomicU64::new(0);
+
 /// The device's configuration memory: a flat bit store with frame and
-/// tile-field addressing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// tile-field addressing. Equality compares contents only.
+#[derive(Debug)]
 pub struct ConfigMemory {
     geom: Geometry,
     bits: BitVec,
+    /// This memory's identity (see [`FrameStamp`]).
+    identity: u64,
+    /// Writes taken by each frame, by dense frame index.
+    generations: Vec<u64>,
     clb_frame_bits: usize,
     clb_frames: usize,
     iob_base: usize,
@@ -157,9 +178,12 @@ impl ConfigMemory {
         let bram_content_base = bram_if_base + bram_if_frames * BRAM_IF_BITS;
         let bram_content_frames = geom.num_bram_blocks() * BRAM_CONTENT_SUBFRAMES;
         let total_bits = bram_content_base + bram_content_frames * BRAM_CONTENT_FRAME_BITS;
+        let frames = clb_frames + iob_frames + bram_if_frames + bram_content_frames;
         ConfigMemory {
             geom,
             bits: BitVec::zeros(total_bits),
+            identity: NEXT_MEMORY.fetch_add(1, Ordering::Relaxed),
+            generations: vec![0; frames],
             clb_frame_bits,
             clb_frames,
             iob_base,
@@ -184,7 +208,16 @@ impl ConfigMemory {
 
     /// Total number of frames.
     pub fn frame_count(&self) -> usize {
-        self.clb_frames + self.iob_frames + self.bram_if_frames + self.bram_content_frames
+        self.generations.len()
+    }
+
+    /// The current [`FrameStamp`] of frame `frame_index` (dense order).
+    #[inline]
+    pub fn frame_stamp(&self, frame_index: usize) -> FrameStamp {
+        FrameStamp {
+            memory: self.identity,
+            generation: self.generations[frame_index],
+        }
     }
 
     /// Length in bits of a frame of the given block type.
@@ -303,33 +336,49 @@ impl ConfigMemory {
         let base = self.frame_base(addr);
         self.bits
             .range_from_bytes(base, self.frame_bits(addr.block), data);
+        let frame = self.frame_index(addr);
+        self.generations[frame] += 1;
+    }
+
+    /// Dense index of the frame holding a global bit, and the bit's
+    /// offset within it.
+    fn frame_of(&self, global: usize) -> (usize, usize) {
+        if global < self.iob_base {
+            (global / self.clb_frame_bits, global % self.clb_frame_bits)
+        } else if global < self.bram_if_base {
+            let g = global - self.iob_base;
+            (self.clb_frames + g / IOB_FRAME_BITS, g % IOB_FRAME_BITS)
+        } else if global < self.bram_content_base {
+            let g = global - self.bram_if_base;
+            (
+                self.clb_frames + self.iob_frames + g / BRAM_IF_BITS,
+                g % BRAM_IF_BITS,
+            )
+        } else {
+            let g = global - self.bram_content_base;
+            (
+                self.clb_frames
+                    + self.iob_frames
+                    + self.bram_if_frames
+                    + g / BRAM_CONTENT_FRAME_BITS,
+                g % BRAM_CONTENT_FRAME_BITS,
+            )
+        }
+    }
+
+    /// Count a write to the frame holding global bit `global` — for
+    /// fields that never cross a frame boundary.
+    #[inline]
+    fn touch(&mut self, global: usize) {
+        let (frame, _) = self.frame_of(global);
+        self.generations[frame] += 1;
     }
 
     /// Locate a global bit: which frame, and at what offset within it.
     pub fn locate(&self, global: usize) -> (FrameAddr, usize) {
         assert!(global < self.total_bits);
-        if global < self.iob_base {
-            let fi = global / self.clb_frame_bits;
-            (self.frame_addr(fi), global % self.clb_frame_bits)
-        } else if global < self.bram_if_base {
-            let g = global - self.iob_base;
-            let fi = g / IOB_FRAME_BITS;
-            (self.frame_addr(self.clb_frames + fi), g % IOB_FRAME_BITS)
-        } else if global < self.bram_content_base {
-            let g = global - self.bram_if_base;
-            let fi = g / BRAM_IF_BITS;
-            (
-                self.frame_addr(self.clb_frames + self.iob_frames + fi),
-                g % BRAM_IF_BITS,
-            )
-        } else {
-            let g = global - self.bram_content_base;
-            let fi = g / BRAM_CONTENT_FRAME_BITS;
-            (
-                self.frame_addr(self.clb_frames + self.iob_frames + self.bram_if_frames + fi),
-                g % BRAM_CONTENT_FRAME_BITS,
-            )
-        }
+        let (fi, off) = self.frame_of(global);
+        (self.frame_addr(fi), off)
     }
 
     /// Semantic description of a global configuration bit.
@@ -382,12 +431,15 @@ impl ConfigMemory {
     #[inline]
     pub fn set_bit(&mut self, global: usize, v: bool) {
         self.bits.set(global, v);
+        self.touch(global);
     }
 
     /// Flip a bit (the fault-injection primitive), returning its new value.
     #[inline]
     pub fn flip_bit(&mut self, global: usize) -> bool {
-        self.bits.flip(global)
+        let v = self.bits.flip(global);
+        self.touch(global);
+        v
     }
 
     // ---- tile-field access ----------------------------------------------
@@ -416,13 +468,21 @@ impl ConfigMemory {
     /// Global bit index of tile-relative offset `off` of `tile`.
     #[inline]
     pub fn tile_bit_index(&self, tile: Tile, off: usize) -> usize {
+        self.tile_bit(tile, off).1
+    }
+
+    /// Dense frame index and global bit index of tile-relative offset
+    /// `off` of `tile`.
+    #[inline]
+    fn tile_bit(&self, tile: Tile, off: usize) -> (usize, usize) {
         debug_assert!(off < TILE_BITS);
         let pos = self.tile_pos(off);
-        let frame = pos / TILE_BITS_PER_FRAME;
+        let frame = tile.col as usize * FRAMES_PER_CLB_COL + pos / TILE_BITS_PER_FRAME;
         let within = pos % TILE_BITS_PER_FRAME;
-        (tile.col as usize * FRAMES_PER_CLB_COL + frame) * self.clb_frame_bits
-            + tile.row as usize * TILE_BITS_PER_FRAME
-            + within
+        (
+            frame,
+            frame * self.clb_frame_bits + tile.row as usize * TILE_BITS_PER_FRAME + within,
+        )
     }
 
     /// Read an `n`-bit tile field starting at tile-relative offset `off`.
@@ -437,12 +497,13 @@ impl ConfigMemory {
         v
     }
 
-    /// Write an `n`-bit tile field.
+    /// Write an `n`-bit tile field. Its bits may span several frames.
     pub fn write_tile_field(&mut self, tile: Tile, off: usize, n: usize, v: u64) {
         debug_assert!(n <= 64 && off + n <= TILE_BITS);
         for k in 0..n {
-            let idx = self.tile_bit_index(tile, off + k);
+            let (frame, idx) = self.tile_bit(tile, off + k);
             self.bits.set(idx, (v >> k) & 1 == 1);
+            self.generations[frame] += 1;
         }
     }
 
@@ -466,6 +527,7 @@ impl ConfigMemory {
     pub fn write_iob(&mut self, edge: Edge, row: usize, wire: usize, entry: IobEntry) {
         let base = self.iob_bit_index(edge, row, wire, 0);
         self.bits.set_bits(base, IOB_ENTRY_BITS, entry.encode());
+        self.touch(base);
     }
 
     // ---- BRAM access ------------------------------------------------------
@@ -484,6 +546,7 @@ impl ConfigMemory {
     pub fn write_bram_if_field(&mut self, col: usize, block: usize, off: usize, n: usize, v: u64) {
         let base = self.bram_if_index(col, block, off);
         self.bits.set_bits(base, n, v);
+        self.touch(base);
     }
 
     /// Global bit index of content bit `bit` of block (`col`, `block`).
@@ -505,6 +568,7 @@ impl ConfigMemory {
     pub fn write_bram_word(&mut self, col: usize, block: usize, addr: usize, v: u16) {
         let base = self.bram_content_index(col, block, addr * 16);
         self.bits.set_bits(base, 16, v as u64);
+        self.touch(base);
     }
 
     /// Bits that differ from `other` (used by readback-compare scrubbers and
@@ -514,6 +578,29 @@ impl ConfigMemory {
         self.bits.diff_range(&other.bits, 0, self.total_bits)
     }
 }
+
+impl Clone for ConfigMemory {
+    /// A copy with the same contents and generations under a fresh
+    /// identity, so no [`FrameStamp`] of the original matches it.
+    fn clone(&self) -> Self {
+        ConfigMemory {
+            geom: self.geom.clone(),
+            bits: self.bits.clone(),
+            identity: NEXT_MEMORY.fetch_add(1, Ordering::Relaxed),
+            generations: self.generations.clone(),
+            ..*self
+        }
+    }
+}
+
+impl PartialEq for ConfigMemory {
+    fn eq(&self, other: &Self) -> bool {
+        // Every other field derives from the geometry.
+        self.geom == other.geom && self.bits == other.bits
+    }
+}
+
+impl Eq for ConfigMemory {}
 
 #[cfg(test)]
 mod tests {
@@ -636,6 +723,76 @@ mod tests {
         for a in 0..8 {
             assert_eq!(cm.read_bram_word(0, 0, a), (a * 0x101) as u16);
         }
+    }
+
+    /// Frames whose stamp `write` moved.
+    fn stamps_moved(cm: &mut ConfigMemory, write: impl FnOnce(&mut ConfigMemory)) -> Vec<usize> {
+        let before: Vec<FrameStamp> = (0..cm.frame_count()).map(|i| cm.frame_stamp(i)).collect();
+        write(cm);
+        (0..cm.frame_count())
+            .filter(|&i| cm.frame_stamp(i) != before[i])
+            .collect()
+    }
+
+    #[test]
+    fn every_writer_moves_the_stamps_of_exactly_the_frames_it_writes() {
+        let mut cm = ConfigMemory::new(Geometry::tiny());
+        let frame_of = |cm: &ConfigMemory, g: usize| cm.frame_index(cm.locate(g).0);
+
+        // A LUT table spans sixteen frames; rewriting the same value
+        // still counts as a write.
+        let (t, table) = (Tile::new(3, 5), lut_table_offset(1, 0, 0));
+        let mut want: Vec<usize> = (0..16)
+            .map(|k| frame_of(&cm, cm.tile_bit_index(t, table + k)))
+            .collect();
+        want.sort();
+        want.dedup();
+        assert!(want.len() > 1);
+        for _ in 0..2 {
+            let moved = stamps_moved(&mut cm, |cm| cm.write_tile_field(t, table, 16, 0xCAFE));
+            assert_eq!(moved, want);
+        }
+
+        let g = cm.tile_bit_index(Tile::new(1, 2), 100);
+        let want = [frame_of(&cm, g)];
+        assert_eq!(stamps_moved(&mut cm, |cm| cm.set_bit(g, true)), want);
+        let moved = stamps_moved(&mut cm, |cm| {
+            cm.flip_bit(g);
+        });
+        assert_eq!(moved, want);
+
+        let e = IobEntry {
+            enabled: true,
+            port: 3,
+            invert: false,
+        };
+        let want = [frame_of(&cm, cm.iob_bit_index(Edge::East, 3, 7, 0))];
+        assert_eq!(
+            stamps_moved(&mut cm, |cm| cm.write_iob(Edge::East, 3, 7, e)),
+            want
+        );
+
+        let want = [frame_of(&cm, cm.bram_if_index(0, 1, BRAM_IF_WE_OFF))];
+        let moved = stamps_moved(&mut cm, |cm| {
+            cm.write_bram_if_field(0, 1, BRAM_IF_WE_OFF, 8, 0x5A)
+        });
+        assert_eq!(moved, want);
+
+        // Word 130 lies in the block's third content sub-frame.
+        let want = [frame_of(&cm, cm.bram_content_index(0, 1, 130 * 16))];
+        assert_eq!(
+            stamps_moved(&mut cm, |cm| cm.write_bram_word(0, 1, 130, 7)),
+            want
+        );
+
+        let addr = cm.frame_addr(9);
+        let data = cm.read_frame(addr);
+        assert_eq!(stamps_moved(&mut cm, |cm| cm.write_frame(addr, &data)), [9]);
+
+        // A clone holds the same contents under stamps of its own.
+        let copy = cm.clone();
+        assert_eq!(copy, cm);
+        assert!((0..cm.frame_count()).all(|i| copy.frame_stamp(i) != cm.frame_stamp(i)));
     }
 
     #[test]

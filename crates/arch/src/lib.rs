@@ -54,7 +54,7 @@ pub use cibola_telemetry::PortFaultStats;
 pub use delta::{DeltaClass, DeltaMap, LaneUpset};
 pub use device::{Bitstream, Device, NetworkStats};
 pub use engine_wide::{same_topology, WideEngine, WideTarget, LANES};
-pub use frames::{BitLocus, BlockType, ConfigMemory, Edge, FrameAddr, IobEntry};
+pub use frames::{BitLocus, BlockType, ConfigMemory, Edge, FrameAddr, FrameStamp, IobEntry};
 pub use geometry::{Dir, Geometry, Tile};
 pub use halflatch::HlSite;
 pub use permfault::FaultSite;

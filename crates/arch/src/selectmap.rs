@@ -52,6 +52,16 @@ impl PortTiming {
     }
 }
 
+/// The LUTs configured as RAM or SRL16 — the sites the CLB readback
+/// hazard corrupts (cached in [`Device`]).
+#[derive(Debug)]
+pub(crate) struct DynamicLuts {
+    /// Entry `tile_index(tile)` holds bit `slice * 2 + lut` per dynamic LUT.
+    sites: Vec<u8>,
+    /// Whether each CLB column holds a dynamic LUT.
+    columns: Vec<bool>,
+}
+
 /// Options for a readback operation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReadbackOptions {
@@ -176,19 +186,20 @@ impl Device {
             return (data, dur);
         }
 
-        // Hazard: dynamic LUT contents corrupt if their frame is read while
-        // the clock runs.
-        if self.clock_running && addr.block == BlockType::Clb {
-            self.corrupt_dynamic_luts_in_frame(addr);
-        }
-        // Hazard: BRAM content readback corrupts the output register and
-        // locks the block's port.
-        if self.clock_running && addr.block == BlockType::BramContent {
-            let col = addr.major as usize;
-            let block = addr.minor as usize / BRAM_CONTENT_SUBFRAMES;
-            let reg = col * self.geom.bram_blocks_per_col() + block;
-            self.bram_outreg[reg] ^= 0xA5A5;
-            self.bram_locked[reg] = 2;
+        if self.readback_hazard(addr) {
+            if addr.block == BlockType::Clb {
+                // Dynamic LUT contents corrupt if their frame is read
+                // while the clock runs.
+                self.corrupt_dynamic_luts_in_frame(addr);
+            } else {
+                // BRAM content readback corrupts the output register and
+                // locks the block's port.
+                let col = addr.major as usize;
+                let block = addr.minor as usize / BRAM_CONTENT_SUBFRAMES;
+                let reg = col * self.geom.bram_blocks_per_col() + block;
+                self.bram_outreg[reg] ^= 0xA5A5;
+                self.bram_locked[reg] = 2;
+            }
         }
 
         let mut data = self.config.read_frame(addr);
@@ -196,6 +207,35 @@ impl Device {
             self.capture_ffs_into(addr, &mut data);
         }
         (data, dur)
+    }
+
+    /// Whether a readback of `addr` now would disturb the running design:
+    /// with the clock running, a CLB frame in a column holding a dynamic
+    /// LUT, or any BRAM content frame. [`Device::readback_frame`] applies
+    /// its two hazards exactly when this holds.
+    #[inline]
+    fn readback_hazard(&mut self, addr: FrameAddr) -> bool {
+        self.clock_running
+            && match addr.block {
+                BlockType::Clb => self.dynamic_luts().columns[addr.major as usize],
+                BlockType::BramContent => true,
+                BlockType::Iob | BlockType::BramInterface => false,
+            }
+    }
+
+    /// Whether [`Device::try_readback_frame`] of `addr` now would do
+    /// nothing but copy the frame's bytes: the device is programmed, the
+    /// port is not wedged, no read fault is pending, and no readback
+    /// hazard applies. A pure readback returns exactly
+    /// `config().read_frame(addr)` and changes no state, so a fault
+    /// manager that already holds the frame's CRC for its current
+    /// [`crate::FrameStamp`] may skip it.
+    #[inline]
+    pub fn readback_is_pure(&mut self, addr: FrameAddr) -> bool {
+        self.programmed
+            && !self.port_wedged
+            && self.read_faults.is_empty()
+            && !self.readback_hazard(addr)
     }
 
     /// Flip one configuration bit directly (test/bench convenience; a real
@@ -266,22 +306,16 @@ impl Device {
         }
     }
 
+    /// Flip one table bit of each dynamic LUT in `addr`'s column with a
+    /// table bit in that frame, visiting (slice, lut, row) in order.
     fn corrupt_dynamic_luts_in_frame(&mut self, addr: FrameAddr) {
-        let dynamic = self
-            .dynamic_luts
-            .take()
-            .unwrap_or_else(|| self.dynamic_lut_sites());
-        let col = addr.major as usize;
-        if (0..self.geom.rows).any(|row| dynamic[self.geom.tile_index(Tile::new(row, col))] != 0) {
-            self.corrupt_column_luts(&dynamic, col, addr.minor as usize);
-        }
+        let dynamic = self.dynamic_luts.take().expect("built by readback_hazard");
+        self.corrupt_column_luts(&dynamic.sites, addr.major as usize, addr.minor as usize);
         // The hazard flips only table bits, so every mode — and with it
         // the cache — stands.
         self.dynamic_luts = Some(dynamic);
     }
 
-    /// Flip one table bit of each dynamic LUT in column `col` with a table
-    /// bit in frame `minor`, visiting (slice, lut, row) in order.
     fn corrupt_column_luts(&mut self, dynamic: &[u8], col: usize, minor: usize) {
         let mut corrupted = false;
         for slice in 0..2 {
@@ -310,8 +344,27 @@ impl Device {
         }
     }
 
-    /// Per-tile mask of dynamic-mode LUTs (see [`Device`]'s
-    /// `dynamic_luts`), read from configuration memory.
+    /// The dynamic-LUT cache, built from configuration memory if absent.
+    #[inline]
+    fn dynamic_luts(&mut self) -> &DynamicLuts {
+        if self.dynamic_luts.is_none() {
+            self.build_dynamic_luts();
+        }
+        self.dynamic_luts.as_ref().unwrap()
+    }
+
+    #[cold]
+    fn build_dynamic_luts(&mut self) {
+        let sites = self.dynamic_lut_sites();
+        let columns = (0..self.geom.cols)
+            .map(|col| {
+                (0..self.geom.rows).any(|row| sites[self.geom.tile_index(Tile::new(row, col))] != 0)
+            })
+            .collect();
+        self.dynamic_luts = Some(DynamicLuts { sites, columns });
+    }
+
+    /// Per-tile mask of dynamic-mode LUTs, read from configuration memory.
     fn dynamic_lut_sites(&self) -> Vec<u8> {
         (0..self.geom.num_tiles())
             .map(|ti| {

@@ -102,6 +102,17 @@ fn builtin_mission_reconciles_exactly_on_chaos() {
     assert_exact(&report, &stats, "builtin");
 }
 
+/// A zero-length mission has no exposure: the kernel reports
+/// availability 1.0, the rule forensics applies, not 0/0.
+#[test]
+fn zero_length_mission_reconciles_exactly() {
+    let mut cfg = chaos(42);
+    cfg.duration = SimDuration::ZERO;
+    let (stats, report) = recorded_mission(&cfg, false);
+    assert_eq!(stats.availability, 1.0);
+    assert_exact(&report, &stats, "zero-length");
+}
+
 #[test]
 fn all_five_zoo_strategies_reconcile_exactly_on_chaos() {
     let geom = Geometry::tiny();

@@ -951,8 +951,14 @@ impl<'a> MissionKernel<'a> {
                 .fold(0.0, f64::max);
         }
         self.stats.unavailable_ms = self.unavailable.as_millis_f64();
-        self.stats.availability = 1.0
-            - self.unavailable.as_secs_f64() / (self.cfg.duration.as_secs_f64() * self.ndev as f64);
+        // Zero exposure (no time or no devices) loses nothing: 1.0, the
+        // rule forensics applies to the same stream.
+        self.stats.availability = if self.cfg.duration > SimDuration::ZERO && self.ndev > 0 {
+            1.0 - self.unavailable.as_secs_f64()
+                / (self.cfg.duration.as_secs_f64() * self.ndev as f64)
+        } else {
+            1.0
+        };
         self.stats.elapsed_s = self.cfg.duration.as_secs_f64();
         self.stats.soh_records = self.payload.soh.len();
 

@@ -19,7 +19,7 @@ fn scan_detects_and_repair_restores() {
     let geom = Geometry::tiny();
     let imp = implemented(&gen::counter_adder(4), &geom);
     let masked = masked_frames_for(&imp.bitstream);
-    let mgr = FaultManager::new(CrcCodebook::new(&imp.bitstream, &masked));
+    let mut mgr = FaultManager::new(CrcCodebook::new(&imp.bitstream, &masked));
     let mut dev = cibola_arch::Device::new(geom.clone());
     dev.configure_full(&imp.bitstream);
 
@@ -68,7 +68,7 @@ fn masked_frames_cover_dynamic_luts_and_bram() {
 
     // The codebook skips them, so a running design that writes its own
     // memory never trips the scrubber.
-    let mgr = FaultManager::new(CrcCodebook::new(&imp.bitstream, &masked));
+    let mut mgr = FaultManager::new(CrcCodebook::new(&imp.bitstream, &masked));
     let mut dev = cibola_arch::Device::new(geom);
     dev.configure_full(&imp.bitstream);
     for c in 0..32 {
@@ -872,4 +872,169 @@ fn scrubber_never_repairs_live_lutram_frames() {
             "masked frame {fi} was touched by the scrubber"
         );
     }
+}
+
+/// A design holding every kind of run-time-written state: LUT-RAM, an
+/// SRL16 and a BRAM, all written while the clock runs.
+fn dynamic_mix() -> cibola_netlist::Netlist {
+    use cibola_netlist::Ctrl;
+    let mut b = cibola_netlist::NetlistBuilder::new("dynamic-mix");
+    let din = b.input();
+    let q = gen::counter::counter_into(&mut b, 4);
+    let wen = q[0];
+    let ram = b.lut_ram(&q[..2], din, wen, 0x6A5C);
+    let srl = b.srl16(&q[..2], din, Ctrl::Net(wen), 0x93A5);
+    let init = (0..256u16).map(|i| i.wrapping_mul(0x9e37)).collect();
+    let dout = b.bram(
+        &q,
+        &[Some(din), Some(srl), Some(ram)],
+        Ctrl::Net(wen),
+        Ctrl::One,
+        init,
+    );
+    b.output(ram);
+    b.output(srl);
+    b.outputs(&dout[..4]);
+    b.finish()
+}
+
+/// Everything a scan can change on a device, compared between the two.
+fn assert_same_device(a: &cibola_arch::Device, b: &cibola_arch::Device, what: &str) {
+    let diff = a.config().diff(b.config());
+    assert!(diff.is_empty(), "{what}: configuration differs at {diff:?}");
+    assert_eq!(a.port_fault_stats(), b.port_fault_stats(), "{what}");
+    assert_eq!(a.pending_read_faults(), b.pending_read_faults(), "{what}");
+    assert_eq!(a.pending_write_faults(), b.pending_write_faults(), "{what}");
+    assert_eq!(a.is_programmed(), b.is_programmed(), "{what}");
+    assert_eq!(a.is_port_wedged(), b.is_port_wedged(), "{what}");
+    let geom = a.geometry();
+    for col in 0..geom.bram_cols {
+        for block in 0..geom.bram_blocks_per_col() {
+            assert_eq!(
+                a.bram_outreg(col, block),
+                b.bram_outreg(col, block),
+                "{what}: BRAM ({col}, {block}) output register"
+            );
+        }
+    }
+}
+
+/// The generation scan against a cold scan. Device A keeps one manager,
+/// and with it the per-frame match records, for the whole run; device B
+/// scans with a fresh manager every time (the same codebook upsets
+/// replayed), so it always reads every frame. The same seeded actions hit
+/// both — configuration flips (LUT mode bits among them, so static LUTs
+/// turn dynamic), codebook upsets, read faults, clock runs, repairs,
+/// port resets and reconfigurations — with the clock running, and every
+/// scan and clock run must agree exactly.
+#[test]
+fn generation_scan_matches_a_cold_scan() {
+    use cibola_arch::bits::lut_mode_offset;
+    use cibola_arch::{Device, ReadFault};
+
+    let geom = Geometry::tiny();
+    let golden = implemented(&dynamic_mix(), &geom).bitstream;
+    let masked = masked_frames_for(&golden);
+    let unmasked: Vec<usize> = (0..golden.frame_count())
+        .filter(|fi| !masked.contains(fi))
+        .collect();
+    let mut warm = FaultManager::new(CrcCodebook::new(&golden, &masked));
+    let mut book_upsets: Vec<(usize, usize)> = Vec::new();
+    let (mut a, mut b) = (Device::new(geom.clone()), Device::new(geom.clone()));
+    a.configure_full(&golden);
+    b.configure_full(&golden);
+    let inputs = a.num_inputs();
+    let mut last_corrupt = Vec::new();
+    let (mut scans, mut corrupt_seen) = (0, 0);
+
+    let mut s = 0x05CA_1AB1_E0DD_5EED_u64;
+    let mut next = move |n: usize| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s % n as u64) as usize
+    };
+    for step in 0..600 {
+        let what = format!("step {step}");
+        match next(16) {
+            // A configuration upset anywhere in the image.
+            0 | 1 => {
+                let bit = next(golden.total_bits());
+                a.flip_config_bit(bit);
+                b.flip_config_bit(bit);
+            }
+            // A LUT mode bit: a static LUT may turn dynamic, and its
+            // column's readback then disturbs it.
+            2 => {
+                let tile = geom.tile_at(next(geom.num_tiles()));
+                let off = lut_mode_offset(next(2), next(2)) + next(2);
+                let bit = golden.tile_bit_index(tile, off);
+                a.flip_config_bit(bit);
+                b.flip_config_bit(bit);
+            }
+            3 => {
+                let (entry, bit) = (unmasked[next(unmasked.len())], next(32));
+                warm.codebook.upset(entry, bit);
+                book_upsets.push((entry, bit));
+            }
+            4 => {
+                let fault = match next(3) {
+                    0 => ReadFault::Abort,
+                    1 => ReadFault::Corrupt {
+                        bit_flips: 1 + next(3) as u32,
+                    },
+                    _ => ReadFault::Wedge,
+                };
+                a.inject_read_fault(fault);
+                b.inject_read_fault(fault);
+            }
+            5 | 6 => {
+                for _ in 0..1 + next(6) {
+                    let x: Vec<bool> = (0..inputs).map(|_| next(2) == 1).collect();
+                    assert_eq!(a.step(&x), b.step(&x), "{what}: outputs");
+                }
+            }
+            // Repair what the last scan found, or else one random frame.
+            7 => {
+                if last_corrupt.is_empty() {
+                    last_corrupt.push(golden.frame_addr(unmasked[next(unmasked.len())]));
+                }
+                for addr in last_corrupt.drain(..) {
+                    let frame = golden.read_frame(addr);
+                    warm.repair(&mut a, addr, &frame);
+                    warm.repair(&mut b, addr, &frame);
+                }
+            }
+            8 => {
+                a.port_reset();
+                b.port_reset();
+            }
+            9 => match next(3) {
+                0 => {
+                    a.upset_config_fsm();
+                    b.upset_config_fsm();
+                }
+                _ => {
+                    a.configure_full(&golden);
+                    b.configure_full(&golden);
+                }
+            },
+            _ => {
+                let mut cold = FaultManager::new(CrcCodebook::new(&golden, &masked));
+                for &(entry, bit) in &book_upsets {
+                    cold.codebook.upset(entry, bit);
+                }
+                let report = warm.scan(&mut a);
+                assert_eq!(report, cold.scan(&mut b), "{what}: scan reports");
+                assert_same_device(&a, &b, &what);
+                scans += 1;
+                corrupt_seen += report.corrupt.len();
+                last_corrupt = report.corrupt.iter().map(|c| c.addr).collect();
+            }
+        }
+    }
+    assert!(
+        scans > 100 && corrupt_seen > 0,
+        "{scans} scans, {corrupt_seen} finds"
+    );
 }

@@ -23,7 +23,7 @@ fn main() {
 
     // The fault manager continuously CRC-scans every frame.
     let masked = masked_frames_for(&imp.bitstream);
-    let manager = FaultManager::new(CrcCodebook::new(&imp.bitstream, &masked));
+    let mut manager = FaultManager::new(CrcCodebook::new(&imp.bitstream, &masked));
     let clean = manager.scan(&mut dev);
     println!(
         "clean scan: {} frames in {} — no mismatch",
