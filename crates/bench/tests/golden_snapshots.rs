@@ -14,7 +14,9 @@
 
 use std::path::PathBuf;
 
-use cibola_bench::experiments::{bist, fig4, fig7, fig8, orbit, rmw, scanrate, tmr, virtex2, Tier};
+use cibola_bench::experiments::{
+    bist, fig4, fig7, fig8, orbit, rmw, scanrate, strategies, tmr, virtex2, Tier,
+};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -114,4 +116,11 @@ fn rmw_snapshot() {
 fn virtex2_masking_snapshot() {
     let r = virtex2::run(&virtex2::Virtex2Params::for_tier(Tier::Smoke));
     assert_snapshot("virtex2_masking", &r.report);
+}
+
+#[test]
+fn strategy_compare_smoke_snapshot() {
+    // Pins each strategy's FLASH words read, which no corpus digest covers.
+    let r = strategies::run(&strategies::StrategiesParams::smoke());
+    assert_snapshot("strategy_compare_smoke", &r.report);
 }
