@@ -20,7 +20,7 @@ use cibola_telemetry::{
 use crate::correlate::CorrelationLedger;
 use crate::crc::crc32;
 use crate::flash::{EccStats, Eeprom, Flash, FlashError};
-use crate::manager::{masked_frames_for, CrcCodebook, FaultManager};
+use crate::manager::{masked_frames_for, CorruptFrame, CrcCodebook, FaultManager};
 
 /// Boards in the flight payload.
 pub const BOARDS: usize = 3;
@@ -336,13 +336,36 @@ impl Payload {
             .sum()
     }
 
-    /// Scrub one board once at simulated time `now`: self-check the
-    /// codebook, scan each FPGA, repair corrupt frames from FLASH with
-    /// verify-after-write and bounded retry, and climb the escalation
-    /// ladder when repairs do not stick. `dirty` hints which FPGAs might
-    /// have bitstream changes — clean devices are charged scan time
-    /// without a simulated readback (their scan provably finds nothing).
+    /// Scrub one board once at simulated time `now`, repairing corrupt
+    /// frames from FLASH: [`scrub_board_with`](Self::scrub_board_with)
+    /// with [`repair_from_golden`](Self::repair_from_golden) as rung 1.
     pub fn scrub_board(&mut self, board: usize, now: SimTime, dirty: &[bool]) -> ScrubOutcome {
+        self.scrub_board_with(board, now, dirty, |p, b, fi, frame, now, out| {
+            p.repair_from_golden(b, fi, frame, now, out).is_some()
+        })
+    }
+
+    /// Scrub one board once at simulated time `now`: self-check the
+    /// codebook, scan each FPGA, hand each corrupt frame to `repair`, and
+    /// climb the escalation ladder when repairs do not stick. `dirty`
+    /// hints which FPGAs might have bitstream changes — clean devices are
+    /// charged scan time without a simulated readback (their scan
+    /// provably finds nothing).
+    ///
+    /// `repair(payload, board, fpga, frame, now, out)` is rung 1, the
+    /// ladder's only parameter: it rewrites one corrupt frame, accounts
+    /// for it in `out` and the SOH log, and returns whether the frame now
+    /// matches the codebook.
+    pub fn scrub_board_with<F>(
+        &mut self,
+        board: usize,
+        now: SimTime,
+        dirty: &[bool],
+        mut repair: F,
+    ) -> ScrubOutcome
+    where
+        F: FnMut(&mut Payload, usize, usize, &CorruptFrame, SimTime, &mut ScrubOutcome) -> bool,
+    {
         let mut out = ScrubOutcome::default();
         for fi in 0..self.boards[board].fpgas.len() {
             if self.boards[board].fpgas[fi].health.degraded {
@@ -350,20 +373,23 @@ impl Payload {
                 continue;
             }
             let dirty_hint = dirty.get(fi).copied().unwrap_or(true);
-            self.scrub_fpga(board, fi, now, dirty_hint, &mut out);
+            self.scrub_fpga(board, fi, now, dirty_hint, &mut out, &mut repair);
         }
         out
     }
 
     /// One device's pass through the hardened scrub pipeline.
-    fn scrub_fpga(
+    fn scrub_fpga<F>(
         &mut self,
         board: usize,
         fi: usize,
         now: SimTime,
         dirty: bool,
         out: &mut ScrubOutcome,
-    ) {
+        repair: &mut F,
+    ) where
+        F: FnMut(&mut Payload, usize, usize, &CorruptFrame, SimTime, &mut ScrubOutcome) -> bool,
+    {
         // Rung 0 — trust the codebook only after it proves itself. The
         // self-check runs in Actel hardware alongside the scan, so it
         // costs no extra simulated time; a rebuild costs a FLASH fetch.
@@ -456,7 +482,7 @@ impl Payload {
             return;
         }
 
-        // Rung 1 proper — verified frame repair with bounded retry.
+        // Rung 1 proper — each corrupt frame goes to the repair source.
         let mut failed_frames = 0usize;
         for cf in &report.corrupt {
             self.push_soh(
@@ -467,46 +493,8 @@ impl Payload {
                     frame_index: cf.frame_index,
                 },
             );
-            let slot = self.boards[board].fpgas[fi].flash_slot;
-            let mut stats = EccStats::default();
-            let golden = match self.flash.read_frame(slot, cf.frame_index, &mut stats) {
-                Ok((bytes, fetch)) => {
-                    self.merge_ecc(board, fi, now, &stats);
-                    out.duration += fetch;
-                    bytes
-                }
-                Err(FlashError::Uncorrectable { .. }) => {
-                    // Never repair a frame with corrupt golden data:
-                    // report and skip — the frame stays outstanding.
-                    self.merge_ecc(board, fi, now, &stats);
-                    out.ladder.golden_uncorrectable += 1;
-                    self.push_soh(
-                        board,
-                        fi,
-                        now + out.duration,
-                        SohEvent::GoldenFrameUncorrectable {
-                            frame_index: cf.frame_index,
-                        },
-                    );
-                    failed_frames += 1;
-                    continue;
-                }
-                Err(e) => panic!("golden frame fetch: {e}"),
-            };
-
-            if self.repair_frame_verified(board, fi, cf.frame_index, cf.addr, &golden, now, out) {
-                out.frames_repaired += 1;
-                self.push_soh(
-                    board,
-                    fi,
-                    now + out.duration,
-                    SohEvent::FrameRepaired {
-                        frame_index: cf.frame_index,
-                    },
-                );
-            } else {
+            if !repair(self, board, fi, cf, now, out) {
                 failed_frames += 1;
-                out.ladder.frames_escalated += 1;
             }
         }
         // "…and then resets the system" (one reset after repairs).
@@ -556,10 +544,66 @@ impl Payload {
         self.note_failed_pass(board, fi, now, out);
     }
 
+    /// Rung 1 from FLASH: fetch one corrupt frame's golden bytes and write
+    /// them with verify-after-write. An uncorrectable golden frame is
+    /// reported and skipped, never written; a write that never verifies
+    /// escalates the frame. Returns the bytes written when the repair
+    /// verified. Public: mitigation strategies use it as their fallback
+    /// repair.
+    pub fn repair_from_golden(
+        &mut self,
+        board: usize,
+        fi: usize,
+        frame: &CorruptFrame,
+        now: SimTime,
+        out: &mut ScrubOutcome,
+    ) -> Option<Vec<u8>> {
+        let slot = self.boards[board].fpgas[fi].flash_slot;
+        let mut stats = EccStats::default();
+        let fetched = self.flash.read_frame(slot, frame.frame_index, &mut stats);
+        self.merge_ecc(board, fi, now, &stats);
+        let golden = match fetched {
+            Ok((bytes, fetch)) => {
+                out.duration += fetch;
+                bytes
+            }
+            Err(FlashError::Uncorrectable { .. }) => {
+                // Never repair a frame with corrupt golden data: report
+                // and skip — the frame stays outstanding.
+                out.ladder.golden_uncorrectable += 1;
+                self.push_soh(
+                    board,
+                    fi,
+                    now + out.duration,
+                    SohEvent::GoldenFrameUncorrectable {
+                        frame_index: frame.frame_index,
+                    },
+                );
+                return None;
+            }
+            Err(e) => panic!("golden frame fetch: {e}"),
+        };
+        if !self.repair_frame_verified(board, fi, frame.frame_index, frame.addr, &golden, now, out)
+        {
+            out.ladder.frames_escalated += 1;
+            return None;
+        }
+        out.frames_repaired += 1;
+        self.push_soh(
+            board,
+            fi,
+            now + out.duration,
+            SohEvent::FrameRepaired {
+                frame_index: frame.frame_index,
+            },
+        );
+        Some(golden)
+    }
+
     /// Write `golden` to the frame, re-read it, and compare against the
     /// codebook; retry with exponential backoff up to the policy bound.
-    /// Public: mitigation strategies use it as their golden-fallback
-    /// repair primitive.
+    /// Public: mitigation strategies write their own repair bytes with
+    /// it.
     #[allow(clippy::too_many_arguments)]
     pub fn repair_frame_verified(
         &mut self,
@@ -660,7 +704,7 @@ impl Payload {
 
     /// Rebuild the CRC codebook from the ECC-protected FLASH golden.
     /// Returns false if the golden image itself is unreadable.
-    pub fn rebuild_codebook(
+    fn rebuild_codebook(
         &mut self,
         board: usize,
         fi: usize,
