@@ -20,8 +20,13 @@
 //!
 //! * a LUT's table: a lane overlay on a golden LUT, else benign;
 //! * a LUT's mode: benign off the golden cone, or for the Logic↔ROM bit of
-//!   a static LUT; otherwise structural, since it re-modes the evaluator
-//!   and decides whether the LUT's write roots are traced at all;
+//!   a static LUT; otherwise a lane that re-modes the LUT's table writes.
+//!   Static→dynamic rebinds its data and write-enable roots to their
+//!   traced sources and sets the lane's write mode (RAM or SRL16);
+//!   dynamic→static rebinds both to `Src::Zero`, so the lane never
+//!   writes; RAM↔SRL16 sets the write mode alone. The write roots of a
+//!   static LUT are not the compiler's, so they read no bit in the
+//!   recorded read set;
 //! * a flip-flop's init: a lane overlay on a golden flip-flop, else
 //!   benign;
 //! * an east IOB entry, which binds an output port: the port vector is
@@ -40,20 +45,22 @@
 //!   source becomes a `DeltaOp`; the set of ops is a per-lane network
 //!   edit the wide engine applies as lane-masked source overrides. Zero
 //!   ops ⇒ the corrupted network is behaviourally the golden one ⇒ benign.
-//! * **Structural** — the flip re-modes a LUT (the evaluator changes), or
-//!   the lane's corrupted network has a combinational cycle (the scalar
-//!   engine's relaxation of a cycle is warm-start history dependent). Only
-//!   these pay the scalar recompile path.
+//! * **Structural** — the lane's corrupted network has a combinational
+//!   cycle, counting a dynamic LUT's data and write-enable edges the way
+//!   the compiler's settle order does (the scalar engine's relaxation of a
+//!   cycle is warm-start history dependent). Only these pay the scalar
+//!   recompile path.
 //!
 //! A re-trace may reach a LUT, flip-flop or BRAM outside the golden cone.
 //! [`DeltaMap::build`] finds every such site up front: it flips each
-//! golden-read bit once, re-traces its readers, and compiles the golden
-//! configuration again with the sites reached as extra roots, repeating
-//! until no new site appears. Ops resolve against this *augmented*
-//! network. Its golden nodes keep their ids as a prefix; the out-of-cone
-//! nodes after them hold golden-configuration state that only a lane
-//! reaching them ever clocks. Their own state bits stay benign, since the
-//! golden compile never reads them.
+//! golden-read bit once, re-traces its readers, traces the write roots of
+//! every static golden LUT a re-mode could make dynamic, and compiles the
+//! golden configuration again with the sites reached as extra roots,
+//! repeating until no new site appears. Ops resolve against this
+//! *augmented* network. Its golden nodes keep their ids as a prefix; the
+//! out-of-cone nodes after them hold golden-configuration state that only
+//! a lane reaching them ever clocks. Their own state bits stay benign,
+//! since the golden compile never reads them.
 //!
 //! Soundness leans on two facts. First, the augmented network holds every
 //! node a single-bit corrupted compile of a golden-read bit can contain,
@@ -64,7 +71,7 @@
 //! cycle, and the lane is marked to settle by repeated sweeps. That is
 //! exact, because an acyclic network has one combinational solution.
 
-use crate::bits::BitRole;
+use crate::bits::{lut_mode_offset, BitRole, LutMode};
 use crate::compile::{
     compile_with, port_vector, CBram, CFf, CLut, Compiled, Incompat, NodeCounts, NodeSet, Root,
     Site, Src, Tracer,
@@ -90,17 +97,22 @@ pub(crate) enum DeltaOp {
         outs: Vec<(Src, bool)>,
         seeds: Vec<Src>,
     },
+    /// The lane writes LUT `lut`'s table at run time: by shifting (SRL16)
+    /// if `shift`, else at the pin address (RAM). A re-mode to RAM or
+    /// SRL16 carries it; a re-mode to a static mode instead rebinds the
+    /// write enable to `Src::Zero`.
+    WriteMode { lut: u32, shift: bool },
 }
 
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum UpsetKind {
     /// A state overlay: XOR one lane bit of packed table/init/content.
     State(WideTarget),
-    /// A network edit: lane-masked source overrides. `outside`: some op
-    /// reads a node outside the golden cone. `resweep`: the lane is
-    /// acyclic but not in settle order, so its batch settles by repeated
-    /// sweeps. (A boxed slice keeps a campaign's tens of thousands of
-    /// lanes free of `Vec` capacity slack.)
+    /// A network edit: lane-masked source overrides and LUT write modes.
+    /// `outside`: some op reads a node outside the golden cone.
+    /// `resweep`: the lane is acyclic but not in settle order, so its
+    /// batch settles by repeated sweeps. (A boxed slice keeps a campaign's
+    /// tens of thousands of lanes free of `Vec` capacity slack.)
     Reroute {
         ops: Box<[DeltaOp]>,
         outside: bool,
@@ -134,13 +146,17 @@ pub enum DeltaClass {
     /// Provably inert: the compiled network never reads the bit, or the
     /// flip re-derives an identical network.
     Benign,
-    /// Needs the scalar recompile path: a LUT re-mode or a corrupted
-    /// network with a combinational cycle.
+    /// Needs the scalar recompile path: the corrupted network has a
+    /// combinational cycle (a dynamic LUT's data and write-enable edges
+    /// count, as in the compiler's settle order), or a re-trace left the
+    /// augmented network.
     Structural,
 }
 
 /// Call `f(root, source)` for every root of `node` (a LUT, FF or BRAM
-/// source; anything else has none), with the network's own source.
+/// source; anything else has none), with the network's own source. A
+/// static LUT's write roots read `Src::Zero` here, so only a lane that
+/// re-modes the LUT and rebinds them gives them a source.
 fn for_each_root(net: &Compiled, node: Src, mut f: impl FnMut(Root, Src)) {
     match node {
         Src::Lut(lut) => {
@@ -154,10 +170,8 @@ fn for_each_root(net: &Compiled, node: Src, mut f: impl FnMut(Root, Src)) {
                     s,
                 );
             }
-            if l.mode.is_dynamic() {
-                f(Root::LutData { lut }, l.data);
-                f(Root::LutWe { lut }, l.we);
-            }
+            f(Root::LutData { lut }, l.data);
+            f(Root::LutWe { lut }, l.we);
         }
         Src::Ff(ff) => {
             let x = &net.ffs[ff as usize];
@@ -333,7 +347,8 @@ fn tracer<'a>(dev: &'a Device, net: &'a Compiled) -> Tracer<'a, Lookup<'a>> {
     Tracer { dev, nodes }
 }
 
-/// Every root of the nodes with ids from `from` up to `to`.
+/// Every root the compiler traces of the nodes with ids from `from` up to
+/// `to` (a static LUT's write roots are not among them).
 fn roots_between(net: &Compiled, from: NodeCounts, to: NodeCounts) -> Vec<Root> {
     let mut roots = Vec::new();
     let nodes = (from.luts..to.luts)
@@ -344,7 +359,11 @@ fn roots_between(net: &Compiled, from: NodeCounts, to: NodeCounts) -> Vec<Root> 
             bit: 0,
         }));
     for node in nodes {
-        for_each_root(net, node, |root, _| roots.push(root));
+        for_each_root(net, node, |root, _| match root {
+            Root::LutData { lut } | Root::LutWe { lut }
+                if !net.luts[lut as usize].mode.is_dynamic() => {}
+            _ => roots.push(root),
+        });
     }
     roots
 }
@@ -479,6 +498,17 @@ impl DeltaMap {
                 });
             }
         }
+        // A static LUT re-moded to RAM or SRL16 traces its write roots.
+        for lut in 0..self.golden.luts as u32 {
+            if !self.net.luts[lut as usize].mode.is_dynamic() && probed(self.dynamic_bit(dev, lut))
+            {
+                for root in [Root::LutData { lut }, Root::LutWe { lut }] {
+                    let mut t = tracer(dev, &self.net);
+                    t.nodes.missing = Some(&mut missing);
+                    let _ = t.root_src(root);
+                }
+            }
+        }
         let probe: Vec<(usize, Root)> = self.deps.iter().filter(|d| probed(d.0)).copied().collect();
         self.reached_sites(dev, &probe, &mut missing);
 
@@ -505,6 +535,14 @@ impl DeltaMap {
             self.reached_sites(dev, &new_deps, &mut missing);
         }
         self.ext_deps.sort_unstable();
+    }
+
+    /// The global index of the mode bit that makes LUT `lut` static or
+    /// dynamic (Logic↔RAM, ROM↔SRL16).
+    fn dynamic_bit(&self, dev: &Device, lut: u32) -> usize {
+        let l = &self.net.luts[lut as usize];
+        let off = lut_mode_offset(l.slice as usize, l.lut as usize) + 1;
+        dev.config.tile_bit_index(l.tile, off)
     }
 
     /// Flip each bit of `deps` (sorted by bit) in turn and re-trace its
@@ -543,18 +581,9 @@ impl DeltaMap {
                         overlay(WideTarget::FfInit { ff: id })
                     }),
                 BitRole::SliceReserved { .. } | BitRole::Pad => DeltaClass::Benign,
-                BitRole::LutModeBit { slice, lut, bit } => {
-                    match self.golden_node(dev, Site::Lut { tile, slice, lut }) {
-                        None => DeltaClass::Benign,
-                        // Bit 0 toggles Logic↔ROM (behaviourally identical
-                        // static tables). Anything touching dynamicity
-                        // re-modes the evaluator: scalar.
-                        Some(id) if bit == 0 && !self.net.luts[id as usize].mode.is_dynamic() => {
-                            DeltaClass::Benign
-                        }
-                        Some(_) => DeltaClass::Structural,
-                    }
-                }
+                BitRole::LutModeBit { slice, lut, bit } => self
+                    .golden_node(dev, Site::Lut { tile, slice, lut })
+                    .map_or(DeltaClass::Benign, |id| self.remode(dev, id, bit)),
                 _ => self.classify_deps(dev, global),
             },
             BitLocus::BramContent { col, block, bit } => self
@@ -595,6 +624,41 @@ impl DeltaMap {
         self.net
             .node(&dev.geom, site)
             .filter(|&id| (id as usize) < golden)
+    }
+
+    /// Classify flipping mode bit `bit` of golden LUT `lut`. Between two
+    /// static modes (Logic↔ROM) the tables behave alike: benign. Between
+    /// two dynamic modes (RAM↔SRL16) only the write mode changes. Across
+    /// the two, the write roots rebind: to their traced sources when the
+    /// LUT starts writing, to `Src::Zero` when it stops.
+    fn remode(&self, dev: &Device, lut: u32, bit: u8) -> DeltaClass {
+        let golden = self.net.luts[lut as usize].mode;
+        let mode = LutMode::from_bits(golden as u64 ^ (1 << bit));
+        let mut ops = Vec::new();
+        if golden.is_dynamic() != mode.is_dynamic() {
+            for root in [Root::LutData { lut }, Root::LutWe { lut }] {
+                let src = if mode.is_dynamic() {
+                    match tracer(dev, &self.net).root_src(root) {
+                        Ok(src) => src,
+                        Err(Incompat) => return DeltaClass::Structural,
+                    }
+                } else {
+                    Src::Zero
+                };
+                if Some(src) != net_src(&self.net, root) {
+                    ops.push(DeltaOp::Rebind(root, src));
+                }
+            }
+        }
+        if mode.is_dynamic() {
+            let shift = mode == LutMode::Shift;
+            ops.push(DeltaOp::WriteMode { lut, shift });
+        }
+        if ops.is_empty() {
+            DeltaClass::Benign
+        } else {
+            self.lane(ops)
+        }
     }
 
     /// Classify via the recorded read set: no golden reader ⇒ benign;
@@ -655,6 +719,7 @@ impl DeltaMap {
         let outside = ops.iter().any(|op| match op {
             DeltaOp::Rebind(_, s) => self.golden.beyond(*s),
             DeltaOp::Outputs { seeds, .. } => seeds.iter().any(|&s| self.golden.beyond(s)),
+            DeltaOp::WriteMode { .. } => false,
         });
         let in_order = ops.iter().all(|op| match *op {
             DeltaOp::Rebind(
@@ -671,7 +736,7 @@ impl DeltaMap {
                 .iter()
                 .filter_map(|op| match *op {
                     DeltaOp::Rebind(root, src) => Some((root, [(1, src)])),
-                    DeltaOp::Outputs { .. } => None,
+                    _ => None,
                 })
                 .collect();
             let ovs = |root: Root| {
@@ -700,7 +765,7 @@ impl DeltaMap {
     fn lane_seeds(&self, ops: &[DeltaOp]) -> Vec<Src> {
         let mut seeds: Vec<Src> = match ops.iter().find_map(|op| match op {
             DeltaOp::Outputs { seeds, .. } => Some(seeds),
-            DeltaOp::Rebind(..) => None,
+            _ => None,
         }) {
             Some(seeds) => seeds.clone(),
             None => self.east_srcs.iter().flatten().copied().collect(),

@@ -14,12 +14,14 @@
 //! A lane carries what [`DeltaMap::classify`], the campaign's triage, calls
 //! a lane upset: a state overlay (a LUT truth-table, flip-flop init or
 //! BRAM content bit XORed into the lane-packed state), or a reroute
-//! (lane-masked source overrides, with reach masks freezing the nodes the
-//! lane's corrupted network drops). [`WideEngine::with_map`] runs the
-//! map's augmented network: its nodes past the golden cone hold still in
-//! every lane that does not reach them, and are evaluated only in batches
-//! where some lane does. Bits the triage calls structural take the scalar
-//! path instead.
+//! (lane-masked source overrides and LUT write modes, with reach masks
+//! freezing the nodes the lane's corrupted network drops). A LUT re-mode
+//! is a reroute: a lane holds a LUT static by reading its write enable as
+//! 0, and dynamic by overriding it, writing as RAM or, in the LUT's SRL16
+//! lanes, by shifting. [`WideEngine::with_map`] runs the map's augmented
+//! network: its nodes past the golden cone hold still in every lane that
+//! does not reach them, and are evaluated only in batches where some lane
+//! does. Bits the triage calls structural take the scalar path instead.
 //!
 //! Evaluation mirrors `engine::eval_cycle_into` phase for phase: settle,
 //! output sample, FF next-state, BRAM port operations (write-first), dynamic
@@ -187,6 +189,8 @@ pub struct WideEngine {
     golden_init: Vec<bool>,
     /// Golden BRAM content per compiled block, 256 words each.
     golden_mem: Vec<Vec<u16>>,
+    /// The network's dynamic LUTs, each with its golden SRL16 lanes.
+    golden_writers: Vec<(u32, u64)>,
 
     // ---- the current batch's schedule ------------------------------------
     /// LUTs to settle, in order: the golden cone plus the out-of-cone LUTs
@@ -195,6 +199,11 @@ pub struct WideEngine {
     /// Flip-flops and BRAM blocks to clock, on the same rule.
     ffs: Vec<u32>,
     brams: Vec<u32>,
+    /// The LUTs whose tables the batch writes, each with the lanes that
+    /// write it by shifting (SRL16; the others write as RAM): the
+    /// network's dynamic LUTs, then any LUT a lane re-modes to RAM or
+    /// SRL16.
+    writers: Vec<(u32, u64)>,
     /// Some lane's edges run against `order`: settle repeats to a fixpoint.
     resweep: bool,
     /// A batch clocked out-of-cone state, so the next load resets it.
@@ -294,6 +303,11 @@ impl WideEngine {
                     .collect()
             })
             .collect();
+        let golden_writers: Vec<(u32, u64)> = net
+            .dynamic_luts
+            .iter()
+            .map(|&li| (li, splat(net.luts[li as usize].mode == LutMode::Shift)))
+            .collect();
         let golden_order: Vec<u32> = net
             .order
             .iter()
@@ -326,6 +340,8 @@ impl WideEngine {
             golden_tables,
             golden_init,
             golden_mem,
+            writers: golden_writers.clone(),
+            golden_writers,
             order: golden_order.clone(),
             golden_order,
             ffs: (0..golden.ffs as u32).collect(),
@@ -441,10 +457,11 @@ impl WideEngine {
     /// restore-to-golden: a dynamic resource may have overwritten the
     /// corrupted cell during the observe window, and the scalar repair
     /// likewise flips whatever is there now. Reroute lanes drop their
-    /// source overrides and return to the golden reach masks — the scalar
-    /// repair recompiles back to the golden network with the device state
-    /// (including state the frozen or out-of-cone nodes hold) carried
-    /// over. Dynamic state is deliberately kept in both cases, so the
+    /// source overrides and write modes and return to the golden reach
+    /// masks — the scalar repair recompiles back to the golden network
+    /// with the device state (including state the frozen or out-of-cone
+    /// nodes hold, and every table a re-moded LUT wrote) carried over.
+    /// Dynamic state is deliberately kept in both cases, so the
     /// persistence window continues from the post-upset state exactly like
     /// the scalar path.
     pub fn repair(&mut self) {
@@ -478,6 +495,7 @@ impl WideEngine {
             }
             self.ffs.truncate(g.ffs);
             self.brams.truncate(g.brams);
+            self.writers.clone_from(&self.golden_writers);
             self.valid_out.fill(!0);
             self.len_diff = 0;
             self.resweep = false;
@@ -594,6 +612,17 @@ impl WideEngine {
                         .map(|&(s, inv)| (self.ov_slot(s), inv))
                         .collect();
                     self.out_ovs.push((lane, outs, seeds.clone()));
+                }
+                &DeltaOp::WriteMode { lut, shift } => {
+                    let at = match self.writers.iter().position(|&(l, _)| l == lut) {
+                        Some(at) => at,
+                        None => {
+                            self.writers.push((lut, 0));
+                            self.writers.len() - 1
+                        }
+                    };
+                    let lanes = &mut self.writers[at].1;
+                    *lanes = (*lanes & !m) | (splat(shift) & m);
                 }
             }
         }
@@ -836,8 +865,10 @@ impl WideEngine {
         // Run-time LUT writes (distributed RAM and SRL16). Lanes whose
         // network does not hold the LUT don't advance; that includes
         // every lane for an out-of-cone LUT this batch does not schedule.
-        for k in 0..self.net.dynamic_luts.len() {
-            let li = self.net.dynamic_luts[k] as usize;
+        // A lane holding the LUT static reads its write enable as 0.
+        for k in 0..self.writers.len() {
+            let (li, shift) = self.writers[k];
+            let li = li as usize;
             let ov = self.lut_ovs.get(self.lut_ov[li] as usize);
             let word = |slot, ovs: Option<&Vec<Ov>>| self.oval(slot, ovs.map_or(&[], |v| v));
             let we = word(self.net.lut_we[li], ov.map(|o| &o.we)) & self.lut_active[li];
@@ -845,25 +876,25 @@ impl WideEngine {
                 continue;
             }
             let data = word(self.net.lut_data[li], ov.map(|o| &o.data));
-            match self.net.luts[li].mode {
-                LutMode::Ram => {
-                    let p = self.pin_words(li);
-                    for lane in ones(we) {
-                        let m = 1u64 << lane;
-                        let mut a = 0usize;
-                        for (i, w) in p.iter().enumerate() {
-                            a |= (((w >> lane) & 1) as usize) << i;
-                        }
-                        self.tab[li][a] = (self.tab[li][a] & !m) | (data & m);
+            let ram = we & !shift;
+            if ram != 0 {
+                let p = self.pin_words(li);
+                for lane in ones(ram) {
+                    let m = 1u64 << lane;
+                    let mut a = 0usize;
+                    for (i, w) in p.iter().enumerate() {
+                        a |= (((w >> lane) & 1) as usize) << i;
                     }
+                    self.tab[li][a] = (self.tab[li][a] & !m) | (data & m);
                 }
-                LutMode::Shift => {
-                    for k in (1..16).rev() {
-                        self.tab[li][k] = (self.tab[li][k] & !we) | (self.tab[li][k - 1] & we);
-                    }
-                    self.tab[li][0] = (self.tab[li][0] & !we) | (data & we);
+            }
+            let shifted = we & shift;
+            if shifted != 0 {
+                let tab = &mut self.tab[li];
+                for k in (1..16).rev() {
+                    tab[k] = (tab[k] & !shifted) | (tab[k - 1] & shifted);
                 }
-                _ => unreachable!(),
+                tab[0] = (tab[0] & !shifted) | (data & shifted);
             }
         }
 
@@ -1283,5 +1314,126 @@ mod tests {
         };
         let mut wide = WideEngine::with_map(&mut dev, &map).expect("wide engine");
         assert!(lane_matches_scalar(&mut wide, &dev, bit, upset) > 0);
+    }
+
+    /// `tiny_config` plus LUT F of tile (1, 0), slice 0, in `mode`: table
+    /// 0, pin 0 on input port 0, write data on the inverted port, write
+    /// enable on tile (0, 0)'s flip-flop, output to port 1. Input port 0
+    /// enters row 1 on West wires 0 (plain) and 1 (inverted).
+    fn remode_config(mode: LutMode) -> ConfigMemory {
+        let mut cm = tiny_config();
+        let t = Tile::new(1, 0);
+        for (wire, invert) in [(0, false), (1, true)] {
+            let entry = IobEntry {
+                enabled: true,
+                port: 0,
+                invert,
+            };
+            cm.write_iob(Edge::West, 1, wire, entry);
+        }
+        cm.write_tile_field(Tile::new(0, 0), outmux_offset(Dir::South, 0), 4, 0b0001);
+        cm.write_tile_field(t, lut_mode_offset(0, 0), 2, mode as u64);
+        cm.write_tile_field(t, lut_table_offset(0, 0, 0), 16, 0);
+        for pin in 0..4 {
+            let sel = if pin == 0 {
+                encode_wire(Dir::West, 0)
+            } else {
+                MUX_FLOATING
+            };
+            let off = input_mux_offset(0, MuxPin::LutPin { lut: 0, pin });
+            cm.write_tile_field(t, off, 8, sel as u64);
+        }
+        let data = encode_wire(Dir::West, 1) as u64;
+        cm.write_tile_field(t, input_mux_offset(0, MuxPin::Bx), 8, data);
+        let we = encode_wire(Dir::North, 0) as u64;
+        cm.write_tile_field(t, input_mux_offset(0, MuxPin::Srx), 8, we);
+        cm.write_tile_field(t, outmux_offset(Dir::East, 1), 4, 0b0001);
+        route(&mut cm, t, Dir::East, 1, 7);
+        east_port(&mut cm, 1, 1, 1);
+        cm
+    }
+
+    /// Flip mode bit `bit` of `remode_config(mode)`'s LUT in lane 1: the
+    /// re-mode must be a reroute lane that shows at the outputs and
+    /// tracks the scalar engine through corruption, repair and the
+    /// persistence window after it.
+    fn remode_matches_scalar(mode: LutMode, bit: usize) {
+        let mut dev = configure(&remode_config(mode));
+        let off = lut_mode_offset(0, 0) + bit;
+        let global = dev.config().tile_bit_index(Tile::new(1, 0), off);
+        let map = DeltaMap::build(&mut dev);
+        let upset = match map.classify(&mut dev.clone(), global) {
+            DeltaClass::Lane(u) if matches!(u.0, UpsetKind::Reroute { .. }) => u,
+            other => panic!("{mode:?} mode bit {bit}: {other:?} is not a reroute lane"),
+        };
+        let mut wide = WideEngine::with_map(&mut dev, &map).expect("wide engine");
+        assert!(lane_matches_scalar(&mut wide, &dev, global, upset) > 0);
+    }
+
+    #[test]
+    fn remode_logic_to_ram_matches_scalar() {
+        remode_matches_scalar(LutMode::Logic, 1);
+    }
+
+    #[test]
+    fn remode_rom_to_srl16_matches_scalar() {
+        remode_matches_scalar(LutMode::Rom, 1);
+    }
+
+    #[test]
+    fn remode_ram_to_logic_matches_scalar() {
+        remode_matches_scalar(LutMode::Ram, 1);
+    }
+
+    #[test]
+    fn remode_srl16_to_rom_matches_scalar() {
+        remode_matches_scalar(LutMode::Shift, 1);
+    }
+
+    #[test]
+    fn remode_ram_srl16_matches_scalar() {
+        remode_matches_scalar(LutMode::Ram, 0);
+        remode_matches_scalar(LutMode::Shift, 0);
+    }
+
+    /// Diagnostics mode compiles every flip-flop, so a lane's network
+    /// holds the fan-in of flip-flops no output observes. In tile (2, 1),
+    /// LUT F inverts LUT G and feeds only its slice's flip-flop; one bit
+    /// of LUT G's pin-0 select (East 4 → East 5) makes it read LUT F back
+    /// through a U-turn on tile (2, 2), closing a loop the scalar compile
+    /// relaxes. The triage must call it structural.
+    #[test]
+    fn diagnostics_loop_on_unobserved_flip_flop_is_structural() {
+        let mut cm = tiny_config();
+        let (t, n) = (Tile::new(2, 1), Tile::new(2, 2));
+        cm.write_tile_field(t, lut_table_offset(0, 0, 0), 16, 0x5555);
+        cm.write_tile_field(t, lut_table_offset(0, 1, 0), 16, 0xAAAA);
+        let f_pin0 = input_mux_offset(0, MuxPin::LutPin { lut: 0, pin: 0 });
+        cm.write_tile_field(t, f_pin0, 8, encode_wire(Dir::East, 3) as u64);
+        let g_pin0 = input_mux_offset(0, MuxPin::LutPin { lut: 1, pin: 0 });
+        cm.write_tile_field(t, g_pin0, 8, encode_wire(Dir::East, 4) as u64);
+        for pin in 1..4 {
+            for lut in 0..2 {
+                let off = input_mux_offset(0, MuxPin::LutPin { lut, pin });
+                cm.write_tile_field(t, off, 8, MUX_FLOATING as u64);
+            }
+        }
+        // G out on East 1, F on East 2; tile (2, 2) turns them back on
+        // West 3 and West 5.
+        cm.write_tile_field(t, outmux_offset(Dir::East, 1), 4, 0b0011);
+        cm.write_tile_field(t, outmux_offset(Dir::East, 2), 4, 0b0001);
+        for (out, back) in [(3, 1), (5, 2)] {
+            let pip = 1 | ((encode_wire(Dir::West, back) as u64) << 1);
+            cm.write_tile_field(n, pip_offset(Dir::West as usize * 24 + out), 8, pip);
+        }
+        let mut dev = configure(&cm);
+        dev.set_compile_all_state(true);
+        let bit = dev.config().tile_bit_index(t, g_pin0);
+
+        let mut cyclic = dev.clone();
+        cyclic.flip_config_bit(bit);
+        assert!(cyclic.network_stats().has_comb_cycles);
+        let map = DeltaMap::build(&mut dev);
+        assert_eq!(map.classify(&mut dev.clone(), bit), DeltaClass::Structural);
     }
 }

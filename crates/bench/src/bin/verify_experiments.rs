@@ -17,7 +17,9 @@
 //! * `--tier paper`: the exact `run_experiments.sh` scales behind the
 //!   checked-in `results/*.txt` (minutes of runtime).
 //! * `--only Ex[,Ey…]`: evaluate a subset of experiments (claim counts
-//!   below the CI floor are expected then).
+//!   below the CI floor are expected then). Without `--out`, a subset's
+//!   summary goes to `target/verify_subset.json`, never over the
+//!   committed full summary.
 //! * `--print-reports`: dump each experiment's rendered text report as it
 //!   completes (what the table/figure binary would print).
 
@@ -86,6 +88,16 @@ impl Bands {
     }
 }
 
+/// Where the summary goes without `--out`: the committed full summary,
+/// or for an `--only` subset a file under `target/`.
+fn default_out(subset: bool) -> &'static str {
+    if subset {
+        "target/verify_subset.json"
+    } else {
+        "results/verify_summary.json"
+    }
+}
+
 fn wanted(only: &Option<Vec<String>>, exp: &str) -> bool {
     match only {
         None => true,
@@ -99,13 +111,13 @@ fn main() {
         eprintln!("unknown tier (expected smoke|paper)");
         std::process::exit(2);
     });
-    let out_path = args
-        .get("--out")
-        .unwrap_or("results/verify_summary.json")
-        .to_string();
     let only: Option<Vec<String>> = args
         .get("--only")
         .map(|s| s.split(',').map(|e| e.trim().to_string()).collect());
+    let out_path = args
+        .get("--out")
+        .unwrap_or(default_out(only.is_some()))
+        .to_string();
     let print_reports = args.flag("--print-reports");
     let bands = Bands::for_tier(tier);
 
@@ -618,5 +630,16 @@ fn main() {
     }
     if !set.all_pass() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::default_out;
+
+    #[test]
+    fn a_subset_run_defaults_away_from_the_committed_summary() {
+        assert_eq!(default_out(false), "results/verify_summary.json");
+        assert_eq!(default_out(true), "target/verify_subset.json");
     }
 }

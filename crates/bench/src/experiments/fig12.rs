@@ -109,7 +109,7 @@ pub fn run(p: &Fig12Params) -> Fig12Result {
         let nl = d.netlist();
         let imp = implement(&nl, &p.geometry).unwrap();
         let tb = Testbed::new(&imp, 0xBEA3 + i as u64, 40_000);
-        let campaign = run_campaign(
+        let campaign = run_campaign_wide(
             &tb,
             &CampaignConfig {
                 observe_cycles: 64,

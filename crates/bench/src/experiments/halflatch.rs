@@ -90,7 +90,7 @@ fn run_one(
     let sites = dev.network_stats().half_latch_sites;
 
     let tb = Testbed::new(&imp, 0x1A7C4, 40_000);
-    let campaign = run_campaign(
+    let campaign = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 64,

@@ -88,7 +88,7 @@ pub fn run(p: &TmrParams) -> TmrResult {
         classify_persistence: false,
         ..Default::default()
     };
-    let base = run_campaign(&tb, &cfg);
+    let base = run_campaign_wide(&tb, &cfg);
 
     let mut report = String::new();
     let _ = writeln!(
@@ -137,7 +137,7 @@ pub fn run(p: &TmrParams) -> TmrResult {
             }
         };
         let tb_v = Testbed::new(&imp_v, 0x5E1, 96);
-        let r = run_campaign(&tb_v, &cfg);
+        let r = run_campaign_wide(&tb_v, &cfg);
         let _ = writeln!(
             report,
             "{:<22} | {:>7} | {:>8} | {:>11} | {:>13}",

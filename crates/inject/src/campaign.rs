@@ -539,15 +539,16 @@ fn run_wide_batch(
 ///
 /// * **Lane-expressible** — state bits of compiled elements (LUT tables,
 ///   FF inits, BRAM content) as lane-masked XOR overlays, plus routing /
-///   mux / IOB upsets as lane-masked source overrides on the map's
-///   augmented network, which also holds every out-of-cone node such a
-///   reroute can reach. Simulated 63 per pass.
+///   mux / IOB upsets and LUT re-modes as lane-masked source overrides
+///   and write modes on the map's augmented network, which also holds
+///   every out-of-cone node such a reroute or re-mode can reach.
+///   Simulated 63 per pass.
 /// * **Provably benign** — bits the golden compile never reads (the
 ///   corrupted compile then can't either), or whose re-derived network is
 ///   identical. Counted, not simulated.
-/// * **Structural** — LUT re-modes and reroutes whose corrupted network
-///   has a combinational cycle. Run on the scalar path, flipped and
-///   recompiled, one experiment each.
+/// * **Structural** — bits whose corrupted network has a combinational
+///   cycle. Run on the scalar path, flipped and recompiled, one
+///   experiment each.
 ///
 /// Falls back to [`run_campaign`] wholesale when the design is outside
 /// the wide engine's domain (combinational cycles, locked BRAM,

@@ -370,21 +370,20 @@ fn wide_matches_scalar_routing_bits_virtex2_layout() {
 }
 
 /// The scalar fallback keeps only what the wide engine cannot express:
-/// every bit the triage still calls structural re-modes a LUT or flips
-/// to a network with a combinational cycle.
+/// every bit the triage still calls structural flips to a network with a
+/// combinational cycle. LUT re-modes ride lanes in every design, so a
+/// design's residue may be empty, but not all of them.
 #[test]
 fn structural_residue_is_remodes_and_cycles() {
+    let mut residue = 0;
     for nl in structural_designs() {
         let imp = implement(&nl, &Geometry::tiny()).unwrap();
         let tb = Testbed::new(&imp, 0x5EED, 96);
         let mut probe = tb.base.clone();
         let map = DeltaMap::build(&mut probe);
-        let mut residue = 0;
+        let mut remode_lanes = 0;
         for b in probe.active_config_bits() {
-            if map.classify(&mut probe, b) != DeltaClass::Structural {
-                continue;
-            }
-            residue += 1;
+            let class = map.classify(&mut probe, b);
             let remode = matches!(
                 tb.base.config().describe(b),
                 BitLocus::Clb {
@@ -392,15 +391,21 @@ fn structural_residue_is_remodes_and_cycles() {
                     ..
                 }
             );
+            remode_lanes += usize::from(remode && matches!(class, DeltaClass::Lane(_)));
+            if class != DeltaClass::Structural {
+                continue;
+            }
+            residue += 1;
             let mut dut = tb.base.clone();
             dut.flip_config_bit(b);
             assert!(
-                remode || dut.network_stats().has_comb_cycles,
-                "{}: bit {b} ({:?}) is structural without a re-mode or a cycle",
+                dut.network_stats().has_comb_cycles,
+                "{}: bit {b} ({:?}) is structural without a cycle",
                 nl.name,
                 tb.base.config().describe(b)
             );
         }
-        assert!(residue > 0, "{}: no residue to check", nl.name);
+        assert!(remode_lanes > 0, "{}: no LUT re-mode rides a lane", nl.name);
     }
+    assert!(residue > 0, "no residue to check");
 }

@@ -614,12 +614,12 @@ impl BlindScrub {
         let mut stats = EccStats::default();
         let image = match p.flash.read_bitstream(f.flash_slot, &f.golden, &mut stats) {
             Ok((image, fetch)) => {
-                p.merge_ecc(b, fi, now, &stats);
+                p.merge_ecc(b, fi, now + out.duration, &stats);
                 out.duration += fetch;
                 image
             }
             Err(FlashError::Uncorrectable { .. }) => {
-                p.merge_ecc(b, fi, now, &stats);
+                p.merge_ecc(b, fi, now + out.duration, &stats);
                 out.ladder.golden_uncorrectable += 1;
                 p.push_soh(
                     b,

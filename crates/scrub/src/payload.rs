@@ -561,7 +561,7 @@ impl Payload {
         let slot = self.boards[board].fpgas[fi].flash_slot;
         let mut stats = EccStats::default();
         let fetched = self.flash.read_frame(slot, frame.frame_index, &mut stats);
-        self.merge_ecc(board, fi, now, &stats);
+        self.merge_ecc(board, fi, now + out.duration, &stats);
         let golden = match fetched {
             Ok((bytes, fetch)) => {
                 out.duration += fetch;
@@ -718,7 +718,7 @@ impl Payload {
             .read_bitstream(f.flash_slot, &f.golden, &mut stats)
         {
             Ok((image, fetch)) => {
-                self.merge_ecc(board, fi, now, &stats);
+                self.merge_ecc(board, fi, now + out.duration, &stats);
                 let masked = masked_frames_for(&image);
                 self.boards[board].fpgas[fi].manager.codebook = CrcCodebook::new(&image, &masked);
                 out.duration += fetch;
@@ -728,7 +728,7 @@ impl Payload {
                 true
             }
             Err(FlashError::Uncorrectable { .. }) => {
-                self.merge_ecc(board, fi, now, &stats);
+                self.merge_ecc(board, fi, now + out.duration, &stats);
                 out.ladder.golden_uncorrectable += 1;
                 self.push_soh(
                     board,
@@ -781,7 +781,7 @@ impl Payload {
             .read_bitstream(f.flash_slot, &f.golden, &mut stats)
         {
             Ok((image, fetch)) => {
-                self.merge_ecc(board, fi, now, &stats);
+                self.merge_ecc(board, fi, now + out.duration, &stats);
                 let f = &mut self.boards[board].fpgas[fi];
                 let d = fetch + f.device.configure_full(&image);
                 out.duration += d;
@@ -791,7 +791,7 @@ impl Payload {
                 true
             }
             Err(FlashError::Uncorrectable { .. }) => {
-                self.merge_ecc(board, fi, now, &stats);
+                self.merge_ecc(board, fi, now + out.duration, &stats);
                 out.ladder.golden_uncorrectable += 1;
                 self.push_soh(
                     board,
@@ -839,10 +839,12 @@ impl Payload {
         out.duration
     }
 
-    /// Fold a FLASH access's ECC statistics into the payload log.
+    /// Fold a FLASH access's ECC statistics into the payload log, with
+    /// any correction stamped at `at`: the fetch's place in the pass,
+    /// `now + out.duration`, like every other rung event.
     /// Public: strategies performing their own golden fetches must charge
     /// the same wear and SOH accounting.
-    pub fn merge_ecc(&mut self, board: usize, fpga: usize, now: SimTime, stats: &EccStats) {
+    pub fn merge_ecc(&mut self, board: usize, fpga: usize, at: SimTime, stats: &EccStats) {
         self.ecc_stats.words_read += stats.words_read;
         self.ecc_stats.corrected += stats.corrected;
         self.ecc_stats.uncorrectable += stats.uncorrectable;
@@ -850,7 +852,7 @@ impl Payload {
             self.push_soh(
                 board,
                 fpga,
-                now,
+                at,
                 SohEvent::FlashCorrected {
                     words: stats.corrected,
                 },

@@ -173,6 +173,36 @@ fn flash_ecc_protects_golden_frames_during_repair() {
     assert!(payload.ecc_stats.corrected > 0);
 }
 
+/// A FLASH correction is logged when the fetch happens, not at the start
+/// of the pass: the SOH log never goes backwards in time.
+#[test]
+fn flash_correction_is_stamped_in_pass_order() {
+    let geom = Geometry::tiny();
+    let imp = implemented(&gen::counter_adder(4), &geom);
+    let mut payload = Payload::new();
+    let (b, f) = payload.load_design(0, "ctr", &geom, &imp.bitstream);
+    for w in (0..payload.flash.slot_words(0)).step_by(37) {
+        payload.flash.upset_data_bit(0, w, w % 64);
+    }
+    let mut probe = payload.fpga(b, f).device.clone();
+    let victim = probe.active_config_bits()[0];
+    payload.fpga_mut(b, f).device.flip_config_bit(victim);
+
+    let start = SimTime::from_secs(10);
+    payload.scrub_board(b, start, &[true]);
+    let times: Vec<u64> = payload.soh.iter().map(|r| r.time_ns).collect();
+    assert!(payload
+        .soh
+        .iter()
+        .any(|r| matches!(r.event, SohEvent::FlashCorrected { .. })));
+    assert!(times[0] >= start.as_nanos(), "SOH log: {:?}", payload.soh);
+    assert!(
+        times.windows(2).all(|w| w[0] <= w[1]),
+        "SOH log goes backwards: {:?}",
+        payload.soh
+    );
+}
+
 #[test]
 fn mission_detects_and_repairs_under_flare_load() {
     let geom = Geometry::tiny();
