@@ -111,14 +111,6 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Copy a bit range `[src_start, src_start+n)` from `src` into
-    /// `[dst_start, dst_start+n)` of `self`.
-    pub fn copy_range_from(&mut self, dst_start: usize, src: &BitVec, src_start: usize, n: usize) {
-        for k in 0..n {
-            self.set(dst_start + k, src.get(src_start + k));
-        }
-    }
-
     /// Serialize a bit range into bytes, LSB-first within each byte.
     /// Panics if the range runs past the end.
     pub fn range_to_bytes(&self, start: usize, n: usize) -> Vec<u8> {

@@ -81,8 +81,8 @@ pub struct Device {
     /// Cache of the LUTs configured as RAM or SRL16 — the sites the
     /// readback hazard corrupts. Derived from the mode bits alone, so it
     /// is dropped wherever a mode bit can change ([`Device::invalidate`],
-    /// [`Device::config_mut`], [`Device::flip_config_bit`]) and rebuilt
-    /// on the next CLB readback or purity query.
+    /// [`Device::flip_config_bit`]) and rebuilt on the next CLB readback
+    /// or purity query.
     pub(crate) dynamic_luts: Option<DynamicLuts>,
 }
 
@@ -153,14 +153,6 @@ impl Device {
         &self.config
     }
 
-    /// Mutable configuration memory access. Invalidates the compiled
-    /// network — use the frame-level [`crate::selectmap`] operations to
-    /// model real configuration-port traffic.
-    pub fn config_mut(&mut self) -> &mut ConfigMemory {
-        self.invalidate();
-        &mut self.config
-    }
-
     /// True once a full configuration has completed and no hidden-FSM upset
     /// has struck.
     pub fn is_programmed(&self) -> bool {
@@ -176,12 +168,6 @@ impl Device {
     /// (LUT-RAM, SRL16 or BRAM traffic) since the flag was last cleared.
     pub fn design_wrote_config(&self) -> bool {
         self.design_wrote_config
-    }
-
-    /// Clear the [`Device::design_wrote_config`] flag (e.g. after restoring
-    /// the configuration image).
-    pub fn clear_design_wrote_config(&mut self) {
-        self.design_wrote_config = false;
     }
 
     /// Clock *every* flip-flop on the device, not only those inside output
@@ -282,15 +268,9 @@ impl Device {
     }
 
     /// Tallies of port faults observed by the `try_*` operations and
-    /// [`Device::port_reset`] since power-on (or since the last
-    /// [`Device::clear_port_fault_stats`]).
+    /// [`Device::port_reset`] since power-on.
     pub fn port_fault_stats(&self) -> PortFaultStats {
         self.port_faults
-    }
-
-    /// Zero the port-fault tallies (e.g. between campaign experiments).
-    pub fn clear_port_fault_stats(&mut self) {
-        self.port_faults = PortFaultStats::default();
     }
 
     // ---- permanent faults --------------------------------------------------
@@ -407,28 +387,6 @@ impl Device {
         let mut c = self.compiled.take().expect("compiled network");
         engine::eval_cycle_into(&mut c, self, inputs, out);
         self.cycles += 1;
-        self.compiled = Some(c);
-    }
-
-    /// Sample the outputs without advancing the clock (combinational
-    /// settle only).
-    pub fn sample_outputs(&mut self, inputs: &[bool]) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.sample_outputs_into(inputs, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Device::sample_outputs`] (see [`Device::step_into`]).
-    pub fn sample_outputs_into(&mut self, inputs: &[bool], out: &mut Vec<bool>) {
-        self.ensure_compiled();
-        if !self.programmed {
-            let n = self.compiled.as_ref().unwrap().outputs.len();
-            out.clear();
-            out.resize(n, false);
-            return;
-        }
-        let mut c = self.compiled.take().expect("compiled network");
-        engine::settle_outputs_into(&mut c, self, inputs, out);
         self.compiled = Some(c);
     }
 

@@ -97,18 +97,6 @@ fn read_outputs_into(c: &Compiled, out: &mut Vec<bool>) {
     out.extend(c.out_slots.iter().map(|&(s, inv)| c.vals[s as usize] ^ inv));
 }
 
-/// Settle and sample outputs without advancing sequential state.
-pub(crate) fn settle_outputs_into(
-    c: &mut Compiled,
-    d: &mut Device,
-    inputs: &[bool],
-    out: &mut Vec<bool>,
-) {
-    load(c, d, inputs);
-    settle(c);
-    read_outputs_into(c, out);
-}
-
 /// Execute one full clock cycle, sampling outputs into `out` (cleared
 /// first). The hot path of every fault-injection experiment: with a
 /// caller-reused buffer, a whole observe window allocates nothing.
@@ -118,7 +106,9 @@ pub(crate) fn eval_cycle_into(
     inputs: &[bool],
     out: &mut Vec<bool>,
 ) {
-    settle_outputs_into(c, d, inputs, out);
+    load(c, d, inputs);
+    settle(c);
+    read_outputs_into(c, out);
     let l = c.layout;
 
     // Flip-flop next-state, committed at once: every later read this

@@ -383,14 +383,6 @@ impl WideEngine {
         LANES - 1
     }
 
-    /// Reset all lanes to the golden power-on state and corrupt lane
-    /// `i + 1` with `targets[i]`. State-overlay-only convenience wrapper
-    /// around [`WideEngine::load_batch_upsets`].
-    pub fn load_batch(&mut self, targets: &[WideTarget]) {
-        let ups: Vec<LaneUpset> = targets.iter().map(|&t| LaneUpset::state(t)).collect();
-        self.load_batch_upsets(&ups);
-    }
-
     /// Reset all lanes to the golden power-on state (FFs at init, BRAM
     /// output registers clear, golden tables and content) and corrupt
     /// lane `i + 1` with `upsets[i]` — a state overlay (lane-masked XOR)
@@ -1002,7 +994,7 @@ mod tests {
     fn golden_lane_tracks_scalar() {
         let mut dev = tiny_design();
         let mut wide = WideEngine::new(&mut dev).expect("wide engine");
-        wide.load_batch(&[]);
+        wide.load_batch_upsets(&[]);
         let mut wout = Vec::new();
         for c in 0..32 {
             let iv = [c % 3 == 0];

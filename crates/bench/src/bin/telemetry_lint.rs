@@ -13,9 +13,11 @@
 //! - ordering: per `(device, subsystem)` stream, *point* events carry
 //!   monotonically non-decreasing timestamps (spans like `mission.end`
 //!   cover the whole mission and are exempt);
-//! - causality: every `upset_id`/`sefi_id` reference resolves to a
-//!   `mission.upset`/`mission.sefi` origin on an **earlier** line —
-//!   dangling correlation ids fail the lint;
+//! - causality: the forensics engine's own lifecycle reconstruction
+//!   ([`cibola_forensics::reconstruct`]) accepts the stream — every
+//!   `upset_id`/`sefi_id` reference resolves to a `mission.upset`/
+//!   `mission.sefi` origin on an **earlier** line, no origin repeats and
+//!   no lifecycle closes twice;
 //! - severity: SOH events carry exactly the severity the shared
 //!   [`SOH_EVENT_META`](cibola_telemetry::SOH_EVENT_META) table assigns
 //!   them, so the downlink planner, the lint and forensics can never
@@ -31,11 +33,11 @@
 //! malformed or missing `--max-t-ns` value prints `error: --max-t-ns
 //! <value>: <reason>` and exits 2, like every bench binary's arguments.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::process::ExitCode;
 
 use cibola_bench::Args;
-use cibola_forensics::{IdSpace, RawEvent};
+use cibola_forensics::{reconstruct, RawEvent};
 use cibola_telemetry::{known_event_required_fields, soh_meta_for, validate_telemetry_line};
 
 fn main() -> ExitCode {
@@ -65,10 +67,8 @@ fn main() -> ExitCode {
     // Per-(device, subsystem) last point timestamp; None device groups
     // the global (mission-wide) stream of that subsystem.
     let mut last_point: HashMap<(Option<(u16, u16)>, String), u64> = HashMap::new();
-    // Correlation ids whose origin line has already been seen.
-    let mut origins: HashSet<(IdSpace, u64)> = HashSet::new();
+    let mut events = Vec::new();
 
-    let mut lines = 0usize;
     for (lineno, line) in dump.lines().enumerate() {
         let lineno = lineno + 1;
         if line.is_empty() {
@@ -79,7 +79,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         let ev = match RawEvent::parse(line) {
-            Ok(ev) => ev,
+            Ok(ev) => RawEvent { line: lineno, ..ev },
             Err(e) => {
                 eprintln!("{path}:{lineno}: {e}");
                 return ExitCode::FAILURE;
@@ -123,29 +123,6 @@ fn main() -> ExitCode {
             *last = ev.t_ns;
         }
 
-        // Causality: origins register their id; every other reference
-        // must land strictly after its origin line.
-        let origin_space = match ev.name.as_str() {
-            "mission.upset" => Some(IdSpace::Upset),
-            "mission.sefi" => Some(IdSpace::Sefi),
-            _ => None,
-        };
-        if let Some((space, id)) = ev.correlation() {
-            if origin_space == Some(space) {
-                if !origins.insert((space, id)) {
-                    eprintln!("{path}:{lineno}: duplicate {} origin id {id}", space.name());
-                    return ExitCode::FAILURE;
-                }
-            } else if !origins.contains(&(space, id)) {
-                eprintln!(
-                    "{path}:{lineno}: {} references dangling {} id {id}",
-                    ev.name,
-                    space.name()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-
         // Severity must come from the shared SOH table.
         if let Some(meta) = soh_meta_for(&ev.name) {
             if ev.severity != meta.severity.name() {
@@ -159,13 +136,22 @@ fn main() -> ExitCode {
             }
         }
 
-        lines += 1;
+        events.push(ev);
     }
 
-    if lines == 0 {
+    if events.is_empty() {
         eprintln!("{path}: no telemetry lines — instrumentation produced nothing");
         return ExitCode::FAILURE;
     }
-    println!("{path}: {lines} line(s) OK");
+    // Causality: the stream must reconstruct. Line 0 is a whole-stream
+    // error (an upset left open despite `mission.end`).
+    if let Err(e) = reconstruct(&events) {
+        match e.line {
+            0 => eprintln!("{path}: {}", e.message),
+            line => eprintln!("{path}:{line}: {}", e.message),
+        }
+        return ExitCode::FAILURE;
+    }
+    println!("{path}: {} line(s) OK", events.len());
     ExitCode::SUCCESS
 }

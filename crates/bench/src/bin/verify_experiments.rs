@@ -457,10 +457,12 @@ fn main() {
             5,
         );
         set.holds(
-            "E12-LADDER-MATCHES-BASELINE",
+            "E12-EVENT-MATCHES-REFERENCE",
             "E12",
-            "ladder strategy is bit-identical to plain run_mission",
-            r.row("ladder").stats.mission == r.baseline,
+            "chaos missions flown event-driven equal their every-round reference \
+             (ladder, voted, intermodular, adaptive; stats and SOH count)",
+            r.reference_matches.len() == strategies::REFERENCE_CHECKED.len()
+                && r.reference_matches.iter().all(|&(_, m)| m),
         );
         set.holds(
             "E12-AVAILABILITY-FLOOR",
@@ -474,6 +476,20 @@ fn main() {
             "majority voting repairs without FLASH wear (fewer golden reads than the ladder)",
             r.row("voted").stats.strategy.voted_repairs > 0
                 && r.row("voted").flash_words_read <= r.row("ladder").flash_words_read,
+        );
+        let hooked = &r.voted_chaos.stats;
+        let voter = &hooked.strategy;
+        let mut same_mission = hooked.mission.clone();
+        same_mission.soh_records = r.row("voted").stats.mission.soh_records;
+        set.holds(
+            "E12-VOTED-FALLBACK",
+            "E12",
+            "shadow chaos drives the voter to FLASH: fallbacks = disagreements > 0, two heals \
+             each, hook-free mission stats apart from SOH records",
+            voter.voter_fallbacks > 0
+                && voter.voter_disagreements == voter.voter_fallbacks
+                && voter.shadow_refreshes == 2 * voter.voter_fallbacks
+                && same_mission == r.row("voted").stats.mission,
         );
         set.holds(
             "E12-INTERMOD-QUEUE-DELAY",

@@ -1,17 +1,20 @@
 //! E12 — the mitigation-strategy zoo compared under one chaos mission:
 //! readback ladder, voted configuration redundancy, intermodular
 //! (shared-controller) scrubbing, blind scrubbing, and the adaptive
-//! auto-tuning scrubber, all driven through the same `MissionKernel`
-//! accounting over the same upset/SEFI stream, plus a quiet mission
-//! contrasting the adaptive controller against the fixed-rate ladder.
+//! auto-tuning scrubber, all flown by the same round loop over the same
+//! upset/SEFI stream, plus a quiet mission contrasting the adaptive
+//! controller against the fixed-rate ladder. The chaos mission is also
+//! flown every round for four of the five members, and once more by a
+//! voter whose shadow-chaos hook forces the FLASH fallback.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use cibola::designs::PaperDesign;
 use cibola::mitigate::{
-    make_strategy, run_strategy_mission, AdaptiveConfig, AdaptiveScrub, LadderStrategy,
-    StrategyMissionStats, STRATEGY_NAMES,
+    make_strategy, run_strategy_mission, run_strategy_mission_reference, AdaptiveConfig,
+    AdaptiveScrub, LadderStrategy, MitigationStrategy, StrategyMissionStats, VotedRedundancy,
+    STRATEGY_NAMES,
 };
 use cibola::prelude::*;
 use cibola::radiation::sefi::{SefiMix, SefiRates};
@@ -64,13 +67,28 @@ pub struct StrategyRow {
     pub flash_words_read: usize,
 }
 
+/// The chaos-mission rows also flown every round. Blind is left out: its
+/// every-round mission rewrites every frame of every device each round,
+/// which costs seconds, and the corpus's `strat-blind` rows already
+/// compare its two modes.
+pub const REFERENCE_CHECKED: [&str; 4] = ["ladder", "voted", "intermodular", "adaptive"];
+
+/// The voter's shadow-chaos period in the fallback row: flip the same
+/// bit of both shadows before every 4th vote.
+pub const VOTED_CHAOS_EVERY: u64 = 4;
+
 #[derive(Debug)]
 pub struct StrategiesResult {
     /// Chaos-mission rows, in `STRATEGY_NAMES` order.
     pub rows: Vec<StrategyRow>,
-    /// Plain `run_mission` on the identical chaos config — the baseline
-    /// the ladder row must match bit-for-bit.
-    pub baseline: cibola::scrub::MissionStats,
+    /// For each [`REFERENCE_CHECKED`] name: does its chaos mission flown
+    /// every round equal its event-driven row, in `StrategyMissionStats`
+    /// and in SOH records logged?
+    pub reference_matches: Vec<(&'static str, bool)>,
+    /// The chaos mission flown by `VotedRedundancy::with_shadow_chaos`
+    /// (not one of `rows`): the voter's disagreement and FLASH-fallback
+    /// path, which the hook-free voter never reaches.
+    pub voted_chaos: StrategyRow,
     /// Quiet mission: fixed-rate ladder vs the adaptive controller.
     pub quiet_fixed: StrategyMissionStats,
     pub quiet_adaptive: StrategyMissionStats,
@@ -129,6 +147,29 @@ fn chaos_config(p: &StrategiesParams) -> MissionConfig {
     }
 }
 
+/// Fly `strategy` over the chaos mission on a fresh payload, event-driven
+/// or every round; returns the row and the SOH records logged.
+fn fly_chaos(
+    p: &StrategiesParams,
+    name: &'static str,
+    strategy: &mut dyn MitigationStrategy,
+    event_driven: bool,
+) -> (StrategyRow, usize) {
+    let (mut payload, sens) = nine_fpga_payload(&p.geometry);
+    let chaos = chaos_config(p);
+    let stats = if event_driven {
+        run_strategy_mission(&mut payload, &chaos, &sens, strategy)
+    } else {
+        run_strategy_mission_reference(&mut payload, &chaos, &sens, strategy)
+    };
+    let row = StrategyRow {
+        name,
+        stats,
+        flash_words_read: payload.ecc_stats.words_read,
+    };
+    (row, payload.soh.len())
+}
+
 fn quiet_config(p: &StrategiesParams) -> MissionConfig {
     MissionConfig {
         duration: SimDuration::from_secs(p.quiet_s),
@@ -140,23 +181,19 @@ fn quiet_config(p: &StrategiesParams) -> MissionConfig {
 
 pub fn run(p: &StrategiesParams) -> StrategiesResult {
     let geom = &p.geometry;
-    let chaos = chaos_config(p);
-
-    // Baseline: the plain mission kernel on the identical scenario.
-    let (mut payload, sens) = nine_fpga_payload(geom);
-    let baseline = run_mission(&mut payload, &chaos, &sens);
 
     let mut rows = Vec::new();
+    let mut reference_matches = Vec::new();
     for name in STRATEGY_NAMES {
-        let (mut payload, sens) = nine_fpga_payload(geom);
-        let mut strategy = make_strategy(name);
-        let stats = run_strategy_mission(&mut payload, &chaos, &sens, strategy.as_mut());
-        rows.push(StrategyRow {
-            name,
-            stats,
-            flash_words_read: payload.ecc_stats.words_read,
-        });
+        let (row, soh) = fly_chaos(p, name, make_strategy(name).as_mut(), true);
+        if REFERENCE_CHECKED.contains(&name) {
+            let (reference, ref_soh) = fly_chaos(p, name, make_strategy(name).as_mut(), false);
+            reference_matches.push((name, reference.stats == row.stats && ref_soh == soh));
+        }
+        rows.push(row);
     }
+    let mut hooked = VotedRedundancy::with_shadow_chaos(VOTED_CHAOS_EVERY);
+    let (voted_chaos, _) = fly_chaos(p, "voted-chaos", &mut hooked, true);
 
     // Quiet contrast: fixed-rate ladder vs the adaptive controller.
     let quiet = quiet_config(p);
@@ -212,22 +249,29 @@ pub fn run(p: &StrategiesParams) -> StrategiesResult {
     let _ = writeln!(report);
     let _ = writeln!(
         report,
-        "ladder vs run_mission baseline: {}",
-        if rows[0].stats.mission == baseline {
+        "event-driven vs every-round reference ({}): {}",
+        REFERENCE_CHECKED.join(", "),
+        if reference_matches.iter().all(|&(_, m)| m) {
             "bit-identical"
         } else {
             "DIVERGED"
         }
     );
     let voted = rows.iter().find(|r| r.name == "voted").unwrap();
-    let _ = writeln!(
-        report,
-        "voted: {} majority repairs, {} disagreements, {} golden fallbacks, {} shadow heals",
-        voted.stats.strategy.voted_repairs,
-        voted.stats.strategy.voter_disagreements,
-        voted.stats.strategy.voter_fallbacks,
-        voted.stats.strategy.shadow_refreshes,
-    );
+    for (label, row) in [
+        ("voted".to_string(), voted),
+        (
+            format!("voted, shadow chaos every {VOTED_CHAOS_EVERY} votes"),
+            &voted_chaos,
+        ),
+    ] {
+        let s = &row.stats.strategy;
+        let _ = writeln!(
+            report,
+            "{label}: {} majority repairs, {} disagreements, {} golden fallbacks, {} shadow heals",
+            s.voted_repairs, s.voter_disagreements, s.voter_fallbacks, s.shadow_refreshes,
+        );
+    }
     let _ = writeln!(
         report,
         "quiet mission ({} s): fixed ladder busy {:.1} ms vs adaptive busy {:.1} ms \
@@ -241,7 +285,8 @@ pub fn run(p: &StrategiesParams) -> StrategiesResult {
 
     StrategiesResult {
         rows,
-        baseline,
+        reference_matches,
+        voted_chaos,
         quiet_fixed,
         quiet_adaptive,
         quiet_ceiling,

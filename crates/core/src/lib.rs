@@ -68,7 +68,6 @@ pub mod prelude {
         run_ensemble, run_mission, EnsembleConfig, FaultManager, MissionConfig, Payload,
     };
     pub use cibola_telemetry::{
-        EscalationRung, LadderStats, Severity, SohDownlinkPolicy, Telemetry, TelemetryConfig,
-        TelemetryEvent,
+        EscalationRung, LadderStats, Severity, SohDownlinkPolicy, Telemetry, TelemetryEvent,
     };
 }

@@ -111,8 +111,8 @@ pub fn reconstruct(events: &[RawEvent]) -> Result<Reconstruction, ForensicsError
     let mut r = Reconstruction::default();
     let err = |line: usize, message: String| ForensicsError { line, message };
 
-    for (i, ev) in events.iter().enumerate() {
-        let line = i + 1;
+    for ev in events {
+        let line = ev.line;
         if let Some(space) = origin_space(&ev.name) {
             let id_key = match space {
                 IdSpace::Upset => "upset_id",
@@ -299,6 +299,14 @@ mod tests {
         assert!(dangling.unwrap_err().message.contains("unknown upset id 9"));
         let dup = stream(&[UPSET, UPSET]);
         assert!(dup.unwrap_err().message.contains("duplicate upset id 1"));
+    }
+
+    #[test]
+    fn errors_cite_the_dump_line_past_blank_lines() {
+        let text = "\n\n{\"t_ns\":50,\"sev\":\"info\",\"sub\":\"scrub\",\"name\":\"scrub.frame_corrupt\",\"board\":0,\"fpga\":1,\"frame\":3,\"upset_id\":9}\n";
+        let err = crate::MissionForensics::from_jsonl(text).unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
+        assert!(err.message.contains("unknown upset id 9"));
     }
 
     #[test]

@@ -29,6 +29,10 @@ impl std::error::Error for ForensicsError {}
 /// typed fields; everything else stays in `fields` in emission order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawEvent {
+    /// 1-based line of the dump the record came from (its position in
+    /// the event vector for [`from_events`]; 0 from a bare
+    /// [`RawEvent::parse`]). Stream errors cite it.
+    pub line: usize,
     pub t_ns: u64,
     pub severity: String,
     pub subsystem: String,
@@ -70,6 +74,7 @@ impl RawEvent {
             _ => return Err("board/fpga must appear together".to_string()),
         };
         Ok(RawEvent {
+            line: 0,
             t_ns: t_ns.ok_or("missing t_ns")?,
             severity: severity.ok_or("missing sev")?,
             subsystem: subsystem.ok_or("missing sub")?,
@@ -134,20 +139,24 @@ impl IdSpace {
     }
 }
 
-/// Decode a whole JSONL dump, skipping blank lines. Errors carry the
-/// 1-based line number.
+/// Decode a whole JSONL dump, skipping blank lines. Each event, and any
+/// error, carries its 1-based line number.
 pub fn parse_jsonl(text: &str) -> Result<Vec<RawEvent>, ForensicsError> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        out.push(RawEvent::parse(line).map_err(|message| ForensicsError {
-            line: i + 1,
-            message,
-        })?);
+        out.push(parse_line(line, i + 1)?);
     }
     Ok(out)
+}
+
+/// Decode line `line` of a dump.
+fn parse_line(text: &str, line: usize) -> Result<RawEvent, ForensicsError> {
+    RawEvent::parse(text)
+        .map(|ev| RawEvent { line, ..ev })
+        .map_err(|message| ForensicsError { line, message })
 }
 
 /// Decode an in-memory event vector by serializing each event through
@@ -157,12 +166,7 @@ pub fn from_events(events: &[TelemetryEvent]) -> Result<Vec<RawEvent>, Forensics
     events
         .iter()
         .enumerate()
-        .map(|(i, ev)| {
-            RawEvent::parse(&ev.to_jsonl()).map_err(|message| ForensicsError {
-                line: i + 1,
-                message,
-            })
-        })
+        .map(|(i, ev)| parse_line(&ev.to_jsonl(), i + 1))
         .collect()
 }
 

@@ -13,31 +13,32 @@
 
 //!
 //! This crate also owns the **mitigation-strategy zoo** (the
-//! configuration-scrub policies the flight literature surveys), the
-//! adaptive scrub-rate controller, and the strategy mission drivers:
+//! configuration-scrub policies the flight literature surveys) and the
+//! adaptive scrub-rate controller:
 //!
-//! * [`strategy`] — the [`MitigationStrategy`] trait plus the readback
-//!   ladder, majority-voted redundancy, intermodular (shared-controller)
-//!   and blind (write-only) scrubbers.
+//! * [`strategy`] — majority-voted redundancy, intermodular
+//!   (shared-controller) and blind (write-only) scrubbers, and the
+//!   [`run_strategy_mission`] / [`run_strategy_mission_reference`] entry
+//!   points that fly any member event-driven or every round.
 //! * [`adaptive`] — the auto-tuning scrub-rate controller wrapping any
 //!   per-round-homogeneous strategy.
-//! * [`strategy_mission`] — event-driven and reference mission drivers
-//!   over the shared `cibola_scrub::MissionKernel`, bit-identical per
-//!   strategy and seed.
+//!
+//! The [`MitigationStrategy`] trait, the paper's [`LadderStrategy`],
+//! [`StrategyStats`], [`WindowObservation`], [`StrategyMissionStats`] and
+//! the one mission round loop they plug into live in `cibola-scrub`,
+//! because `run_mission` flies the ladder through that loop; they are
+//! re-exported here under their old names.
 
 pub mod adaptive;
 pub mod raddrc;
 pub mod strategy;
-pub mod strategy_mission;
 pub mod tmr;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveScrub};
 pub use raddrc::{remove_half_latches, ConstSource, RadDrcReport};
 pub use strategy::{
-    make_strategy, BlindScrub, IntermodularScrub, LadderStrategy, MitigationStrategy,
-    StrategyStats, VotedRedundancy, WindowObservation, STRATEGY_NAMES,
-};
-pub use strategy_mission::{
-    run_strategy_mission, run_strategy_mission_reference, StrategyMissionStats,
+    make_strategy, run_strategy_mission, run_strategy_mission_reference, BlindScrub,
+    IntermodularScrub, LadderStrategy, MitigationStrategy, StrategyMissionStats, StrategyStats,
+    VotedRedundancy, WindowObservation, STRATEGY_NAMES,
 };
 pub use tmr::{selective_tmr, tmr, TmrReport};

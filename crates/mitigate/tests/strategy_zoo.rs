@@ -30,6 +30,7 @@ use cibola_radiation::sefi::{SefiMix, SefiRates};
 use cibola_radiation::{OrbitRates, SefiConfig};
 use cibola_scrub::{
     run_mission, LadderStats, MissionConfig, Payload, ScrubOutcome, SohEvent, Telemetry,
+    MAX_FRAME_ATTEMPTS,
 };
 use proptest::prelude::*;
 
@@ -206,6 +207,32 @@ fn ladder_strategy_matches_plain_mission_bit_identically() {
             "pinned adaptive controller diverged from the ladder (seed {})",
             cfg.seed
         );
+    }
+}
+
+/// `run_mission` is the ladder flown through the same loop, without the
+/// `strategy.mission_begin` header: built-in dumps, forensics reports
+/// (`strategy: None`) and the benchmark's pinned storm digests depend on
+/// the header being absent.
+#[test]
+fn ladder_strategy_dump_is_run_missions_plus_the_header() {
+    let geom = Geometry::tiny();
+    let sens = sparse_sensitivity();
+    for cfg in [chaos_config(7), quiet_config(1)] {
+        let plain = Telemetry::recording();
+        let mut p_plain = nine_fpga_payload(&geom).with_telemetry(plain.clone());
+        let stats = run_mission(&mut p_plain, &cfg, &sens);
+        let strat = Telemetry::recording();
+        let mut p_strat = nine_fpga_payload(&geom).with_telemetry(strat.clone());
+        let out = run_strategy_mission(&mut p_strat, &cfg, &sens, &mut LadderStrategy);
+        assert_eq!(out.mission, stats);
+
+        let (plain, strat) = (plain.dump_jsonl(), strat.dump_jsonl());
+        assert!(!plain.contains("strategy.mission_begin"));
+        let (header, rest) = strat.split_once('\n').expect("a non-empty dump");
+        assert!(header.contains("\"name\":\"strategy.mission_begin\""));
+        assert!(header.contains("\"strategy\":\"ladder\""));
+        assert_eq!(rest, plain, "seed {}", cfg.seed);
     }
 }
 
@@ -480,7 +507,7 @@ fn voter_disagreement_falls_back_to_flash_and_heals_both_shadows() {
 fn never_verifying_voted_pass() -> (Payload, Bitstream, VotedRedundancy, usize, ScrubOutcome) {
     let (mut payload, golden, mut voter, victim, frame) =
         one_voted_device(VotedRedundancy::default(), Telemetry::recording());
-    for _ in 0..payload.policy.max_frame_attempts {
+    for _ in 0..MAX_FRAME_ATTEMPTS {
         payload
             .fpga_mut(0, 0)
             .device

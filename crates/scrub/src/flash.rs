@@ -20,7 +20,6 @@ pub struct EccStats {
 /// One stored configuration image, ECC-encoded word by word.
 #[derive(Debug, Clone)]
 struct Slot {
-    name: String,
     /// The geometry fingerprint (frame layout) of the stored image.
     frame_offsets: Vec<usize>,
     frame_lens: Vec<usize>,
@@ -96,12 +95,8 @@ impl Flash {
         self.slots.len()
     }
 
-    pub fn slot_name(&self, slot: usize) -> Option<&str> {
-        self.slots.get(slot).map(|s| s.name.as_str())
-    }
-
     /// Store a configuration image; returns the slot index.
-    pub fn store(&mut self, name: &str, bs: &Bitstream) -> Result<usize, FlashError> {
+    pub fn store(&mut self, bs: &Bitstream) -> Result<usize, FlashError> {
         let mut bytes = Vec::new();
         let mut frame_offsets = Vec::new();
         let mut frame_lens = Vec::new();
@@ -125,7 +120,6 @@ impl Flash {
             })
             .collect();
         self.slots.push(Slot {
-            name: name.to_string(),
             frame_offsets,
             frame_lens,
             words,
@@ -265,7 +259,7 @@ mod tests {
     fn store_and_read_frames_roundtrip() {
         let bs = image();
         let mut flash = Flash::default();
-        let slot = flash.store("app", &bs).unwrap();
+        let slot = flash.store(&bs).unwrap();
         let mut stats = EccStats::default();
         for (fi, addr) in bs.frame_addrs().enumerate().collect::<Vec<_>>() {
             let (bytes, dur) = flash.read_frame(slot, fi, &mut stats).unwrap();
@@ -280,7 +274,7 @@ mod tests {
     fn single_bit_flash_upsets_are_corrected() {
         let bs = image();
         let mut flash = Flash::default();
-        let slot = flash.store("app", &bs).unwrap();
+        let slot = flash.store(&bs).unwrap();
         for w in (0..flash.slot_words(slot)).step_by(211) {
             flash.upset_data_bit(slot, w, (w * 13) % 64);
         }
@@ -298,7 +292,7 @@ mod tests {
     fn double_bit_upset_is_detected_not_miscorrected() {
         let bs = image();
         let mut flash = Flash::default();
-        let slot = flash.store("app", &bs).unwrap();
+        let slot = flash.store(&bs).unwrap();
         flash.upset_data_bit(slot, 3, 5);
         flash.upset_data_bit(slot, 3, 9);
         let mut stats = EccStats::default();
@@ -312,14 +306,14 @@ mod tests {
         // bit streams" for the XQVR1000 (≈750 KB each, uncompressed).
         let bs = image(); // tiny image here, but exercise the accounting
         let mut flash = Flash::new(25 * bs_bytes(&bs));
-        for i in 0..20 {
-            flash.store(&format!("cfg{i}"), &bs).unwrap();
+        for _ in 0..20 {
+            flash.store(&bs).unwrap();
         }
         assert_eq!(flash.slot_count(), 20);
         assert!(flash.used_bytes() <= flash.capacity_bytes);
         let mut tiny_flash = Flash::new(bs_bytes(&bs) / 2);
         assert!(matches!(
-            tiny_flash.store("too-big", &bs),
+            tiny_flash.store(&bs),
             Err(FlashError::Full { .. })
         ));
     }
@@ -332,7 +326,7 @@ mod tests {
     fn check_bit_upsets_also_corrected() {
         let bs = image();
         let mut flash = Flash::default();
-        let slot = flash.store("app", &bs).unwrap();
+        let slot = flash.store(&bs).unwrap();
         flash.upset_check_bit(slot, 7, 3);
         let mut stats = EccStats::default();
         let (restored, _) = flash.read_bitstream(slot, &bs, &mut stats).unwrap();
@@ -344,7 +338,7 @@ mod tests {
     fn bad_indices_name_what_is_missing() {
         let bs = image();
         let mut flash = Flash::default();
-        let slot = flash.store("app", &bs).unwrap();
+        let slot = flash.store(&bs).unwrap();
         let mut stats = EccStats::default();
         let frames = bs.frame_count();
         assert_eq!(

@@ -13,7 +13,11 @@
 //! * [`flash`] — the 16 MB configuration store + 1 MB EEPROM.
 //! * [`manager`] — codebook, scan, repair; masked frames for LUT-RAM/BRAM.
 //! * [`payload`] — the 3-board × 3-FPGA SEM-E assembly with SOH logging.
-//! * [`mission`] — the payload in the LEO upset environment.
+//! * [`mission`] — the payload in the LEO upset environment: the mission
+//!   kernel and the one round loop every mission flies.
+//! * [`strategy`] — the [`MitigationStrategy`] seam that loop drives, and
+//!   the paper's [`LadderStrategy`]; the rest of the zoo lives in
+//!   `cibola-mitigate`.
 //! * [`ensemble`] — parallel Monte-Carlo mission sweeps over seeds.
 
 pub mod correlate;
@@ -24,6 +28,7 @@ pub mod flash;
 pub mod manager;
 pub mod mission;
 pub mod payload;
+pub mod strategy;
 pub mod uplink;
 
 pub use cibola_telemetry::{
@@ -39,9 +44,14 @@ pub use manager::{
     dynamic_bits_for, masked_frames_for, CorruptFrame, CrcCodebook, DynamicBitMask, FaultManager,
     ScanReport,
 };
-pub use mission::{run_mission, run_mission_reference, MissionConfig, MissionKernel, MissionStats};
+pub use mission::{
+    fly_mission, run_mission, run_mission_reference, MissionConfig, MissionKernel, MissionStats,
+};
 pub use payload::{
-    soh_event_meta, FpgaHealth, Payload, ScrubOutcome, ScrubPolicy, SohEvent, SohRecord, BOARDS,
-    FPGAS_PER_BOARD,
+    soh_event_meta, FpgaHealth, Payload, ScrubOutcome, SohEvent, SohRecord, BOARDS, DEGRADE_AFTER,
+    FPGAS_PER_BOARD, MAX_FRAME_ATTEMPTS, RETRY_BACKOFF,
+};
+pub use strategy::{
+    LadderStrategy, MitigationStrategy, StrategyMissionStats, StrategyStats, WindowObservation,
 };
 pub use uplink::{GroundLink, SOH_RECORD_BYTES};

@@ -107,10 +107,6 @@ impl CrcCodebook {
         self.crcs.len()
     }
 
-    pub fn masked_count(&self) -> usize {
-        self.masked.iter().filter(|&&m| m).count()
-    }
-
     pub fn is_masked(&self, frame_index: usize) -> bool {
         self.masked[frame_index]
     }

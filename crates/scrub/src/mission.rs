@@ -10,19 +10,24 @@
 //! faults, judged against per-design sensitivity maps from the SEU
 //! simulator.
 //!
-//! Two drivers share one [`MissionKernel`]:
+//! One round loop, [`fly_mission`], flies every mission over one
+//! [`MissionKernel`], in one of two modes:
 //!
-//! * [`run_mission_reference`] ticks every scan round for the whole
-//!   mission — the original loop, kept as the ground truth.
-//! * [`run_mission`] is event-driven: it advances directly between the
-//!   timestamps where observable state can change (upset arrivals, SEFI
-//!   arrivals, scan rounds with outstanding work, periodic full-reconfig
-//!   deadlines), charging the skipped rounds' `scrub_cycles` in bulk.
-//!   Because a skipped round is provably the reference loop's
-//!   charged-time-only fast path on every device (see
-//!   [`MissionKernel::device_needs_scrub`]), both drivers produce
-//!   bit-identical [`MissionStats`] for any seed — the differential test
-//!   suite asserts exactly that, float for float.
+//! * event-driven: it advances directly between the rounds where
+//!   observable state can change (upset arrivals, SEFI arrivals, rounds
+//!   where a board with outstanding work is scheduled for service,
+//!   periodic full-reconfig deadlines, retune-window boundaries),
+//!   charging the skipped rounds' `scrub_cycles` in bulk;
+//! * every round: it ticks every scan round for the whole mission, the
+//!   ground truth the event-driven mode is differentially tested against.
+//!
+//! A skipped round is provably an executed round's charged-time-only
+//! fast path on every device (see the skip-safety contract on
+//! [`MitigationStrategy`]), so both modes produce bit-identical
+//! [`MissionStats`] for any seed. [`run_mission`] is the
+//! [`LadderStrategy`] flown event-driven and [`run_mission_reference`]
+//! the same strategy flown every round; `cibola-mitigate` flies the rest
+//! of the strategy zoo through the same loop.
 
 use std::collections::{HashMap, HashSet};
 
@@ -40,6 +45,9 @@ use rand::Rng;
 
 use crate::correlate::FaultOrigin;
 use crate::payload::{soh_event_meta, Payload};
+use crate::strategy::{
+    LadderStrategy, MitigationStrategy, StrategyMissionStats, WindowObservation,
+};
 
 /// Mission parameters.
 ///
@@ -217,17 +225,17 @@ struct Outstanding {
     frame: Option<usize>,
 }
 
-/// All mission state both drivers mutate, with the original round loop
-/// factored into phase methods (`land_upsets`, `land_sefis`,
-/// `scrub_round`, `periodic_refresh`). The phases are verbatim extractions
-/// of the historical loop body, so the reference and event-driven drivers
-/// differ *only* in which rounds they visit.
+/// All mission state the round loop mutates, factored into phase
+/// methods (`land_upsets`, `land_sefis`, `apply_board_outcome`,
+/// `periodic_refresh`, `finish`): upset and SEFI landing, the
+/// outstanding-fault ledger, availability integration and the mission-end
+/// roll-up. [`fly_mission`] composes them with a strategy's per-board
+/// repair action, so the event-driven and every-round modes differ *only*
+/// in which rounds they visit.
 ///
-/// Public (fields private): the `cibola-mitigate` strategy drivers reuse
-/// the environment/accounting machinery — upset and SEFI landing, the
-/// outstanding-fault ledger, availability integration, mission-end
-/// roll-up — while substituting their own per-board repair action for
-/// [`Payload::scrub_board`] via [`MissionKernel::apply_board_outcome`].
+/// Public (fields private) because the benchmark's traced storm
+/// (`perfbench/src/mission.rs`, `fly_traced`) repeats the loop's kernel
+/// calls with a timer around each.
 pub struct MissionKernel<'a> {
     payload: &'a mut Payload,
     cfg: &'a MissionConfig,
@@ -254,17 +262,6 @@ pub struct MissionKernel<'a> {
     resolved_buf: Vec<Outstanding>,
     unavailable: SimDuration,
     last_refresh: Vec<SimTime>,
-    /// Reused per-board dirty-snapshot buffer.
-    board_dirty: Vec<bool>,
-    /// True (the default) while the driving strategy runs the codebook
-    /// self-check each pass. Strategies that never consult the codebook
-    /// (blind scrubbing) clear it so a corrupt book does not force rounds
-    /// active.
-    codebook_in_loop: bool,
-    /// True (the default) while the driving strategy performs readback.
-    /// Write-only strategies clear it: latched read faults can then never
-    /// be consumed, so only *write* faults keep a device scrub-active.
-    readback_in_loop: bool,
 }
 
 impl<'a> MissionKernel<'a> {
@@ -351,16 +348,11 @@ impl<'a> MissionKernel<'a> {
             resolved_buf: Vec::new(),
             unavailable: SimDuration::ZERO,
             last_refresh: vec![SimTime::ZERO; ndev],
-            board_dirty: Vec::new(),
-            codebook_in_loop: true,
-            readback_in_loop: true,
             payload,
             cfg,
             sensitivity,
         }
     }
-
-    // ---- accessors for external (strategy) drivers ----
 
     /// The scan-round duration (the longest live board's scan cycle).
     pub fn round(&self) -> SimDuration {
@@ -372,20 +364,10 @@ impl<'a> MissionKernel<'a> {
         self.end
     }
 
-    /// Statistics accumulated so far (final roll-up happens in `finish`).
-    pub fn stats(&self) -> &MissionStats {
-        &self.stats
-    }
-
     /// Board indices with at least one loaded FPGA, in board order — the
     /// strategy's "slot" space is an index into this slice.
     pub fn live_boards(&self) -> &[usize] {
         &self.live_boards
-    }
-
-    /// Every loaded (board, fpga) position.
-    pub fn positions(&self) -> &[(usize, usize)] {
-        &self.positions
     }
 
     pub fn payload(&self) -> &Payload {
@@ -394,18 +376,6 @@ impl<'a> MissionKernel<'a> {
 
     pub fn payload_mut(&mut self) -> &mut Payload {
         self.payload
-    }
-
-    /// Declare whether the driving strategy checks the CRC codebook each
-    /// pass (see [`MissionKernel::device_needs_scrub`]).
-    pub fn set_codebook_in_loop(&mut self, v: bool) {
-        self.codebook_in_loop = v;
-    }
-
-    /// Declare whether the driving strategy performs configuration
-    /// readback (see [`MissionKernel::device_needs_scrub`]).
-    pub fn set_readback_in_loop(&mut self, v: bool) {
-        self.readback_in_loop = v;
     }
 
     /// Land upsets arriving strictly before `round_end`. RNG draws happen
@@ -428,9 +398,9 @@ impl<'a> MissionKernel<'a> {
             let di = self.env.pick_device();
             let (b, f) = self.positions[di];
             self.stats.upsets_total += 1;
-            // Correlation id: 1-based landing order. Both kernels land
-            // the same upsets in the same order, so the id is stable
-            // across drivers and replays of the same seed.
+            // Correlation id: 1-based landing order. Both loop modes
+            // land the same upsets in the same order, so the id is stable
+            // across modes and replays of the same seed.
             let upset_id = self.stats.upsets_total as u64;
             let target = {
                 let dev = &mut self.payload.fpga_mut(b, f).device;
@@ -640,10 +610,8 @@ impl<'a> MissionKernel<'a> {
 
     /// Fold one board's pass outcome into the mission ledger: counter
     /// roll-up, pass-latency histogram, and closing the unavailability
-    /// windows of every repaired fault.
-    /// Exactly the bookkeeping the built-in `scrub_round` performs, so a
-    /// strategy that substitutes its own repair action inherits identical
-    /// accounting.
+    /// windows of every repaired fault. Every strategy's repair action
+    /// goes through it, so every strategy inherits identical accounting.
     pub fn apply_board_outcome(
         &mut self,
         b: usize,
@@ -759,22 +727,6 @@ impl<'a> MissionKernel<'a> {
         }
     }
 
-    /// Scrub every board (they run concurrently; the round already spans
-    /// the longest board), then settle dirty flags.
-    fn scrub_round(&mut self, now: SimTime, round_end: SimTime) {
-        for bi in 0..self.live_boards.len() {
-            let b = self.live_boards[bi];
-            // Reuse the snapshot buffer across rounds without fighting
-            // the borrow checker on `self`.
-            let mut buf = std::mem::take(&mut self.board_dirty);
-            self.fill_board_dirty(b, &mut buf);
-            let out = self.payload.scrub_board(b, now, &buf);
-            self.board_dirty = buf;
-            self.apply_board_outcome(b, &out, round_end);
-        }
-        self.settle_dirty();
-    }
-
     /// Periodic full reconfiguration: heals everything, including
     /// half-latches and other hidden state.
     pub fn periodic_refresh(&mut self, round_end: SimTime) {
@@ -808,17 +760,8 @@ impl<'a> MissionKernel<'a> {
         }
     }
 
-    /// One full scan round, exactly as the historical loop body ran it.
-    pub fn run_round(&mut self, now: SimTime, round_end: SimTime) {
-        self.land_upsets(round_end);
-        self.land_sefis(round_end);
-        self.scrub_round(now, round_end);
-        self.periodic_refresh(round_end);
-        self.stats.scrub_cycles += 1;
-    }
-
     /// Charge the scrub-cycle accounting (and telemetry) for rounds
-    /// `[r, nr)` that an event-driven driver proved to be observable-state
+    /// `[r, nr)` that the event-driven loop proved to be observable-state
     /// no-ops and is jumping over.
     pub fn note_rounds_skipped(&mut self, r: u64, nr: u64, round_ns: u64) {
         self.stats.scrub_cycles += (nr - r) as usize;
@@ -834,21 +777,22 @@ impl<'a> MissionKernel<'a> {
         });
     }
 
-    /// Count scan rounds a strategy driver executed itself.
+    /// Count executed scan rounds.
     pub fn add_scrub_cycles(&mut self, n: usize) {
         self.stats.scrub_cycles += n;
     }
 
-    /// Would scrubbing this device in the next round change *any*
-    /// observable state? When every sub-check is false, `scrub_fpga` is
-    /// guaranteed to take its charged-time-only fast path: the codebook
-    /// self-check passes (rung 0 is a no-op), the port is healthy with no
-    /// latched SEFI faults to consume, the device is programmed and its
-    /// bitstream matches the codebook (`dirty` tracks every config upset
-    /// and FSM strike), and the `consecutive_failures = 0` reset the fast
-    /// path performs is idempotent. Degraded devices are skipped by
-    /// `scrub_board` unconditionally.
-    pub fn device_needs_scrub(&self, di: usize) -> bool {
+    /// Would `strategy` servicing this device in the next round change
+    /// *any* observable state? When every sub-check is false, the ladder's
+    /// `scrub_fpga` is guaranteed to take its charged-time-only fast path:
+    /// the codebook self-check passes (rung 0 is a no-op), the port is
+    /// healthy with no latched SEFI faults to consume, the device is
+    /// programmed and its bitstream matches the codebook (`dirty` tracks
+    /// every config upset and FSM strike), and the
+    /// `consecutive_failures = 0` reset the fast path performs is
+    /// idempotent. Degraded devices are skipped by `scrub_board`
+    /// unconditionally. Every strategy's fast path mirrors this predicate.
+    fn device_needs_scrub<S: MitigationStrategy + ?Sized>(&self, di: usize, strategy: &S) -> bool {
         let (b, f) = self.positions[di];
         let fpga = self.payload.fpga(b, f);
         if fpga.health.degraded {
@@ -858,7 +802,7 @@ impl<'a> MissionKernel<'a> {
         // action can consume them: a readback strategy drains both fault
         // queues, a write-only strategy drains only write faults (reads
         // never happen, so read faults sit latched forever, harmlessly).
-        let pending_faults = if self.readback_in_loop {
+        let pending_faults = if strategy.uses_readback() {
             fpga.device.pending_port_faults() > 0
         } else {
             fpga.device.pending_write_faults() > 0
@@ -870,25 +814,31 @@ impl<'a> MissionKernel<'a> {
             || !fpga.device.is_programmed()
             || fpga.device.is_port_wedged()
             || pending_faults
-            || (self.codebook_in_loop && !fpga.manager.codebook.self_check())
+            || (strategy.uses_codebook() && !fpga.manager.codebook.self_check())
     }
 
+    /// Does any device have scrub work for the ladder?
+    ///
+    /// Public only because the benchmark's traced storm
+    /// (`perfbench/src/mission.rs`, `fly_traced`) calls it through
+    /// [`MissionKernel::next_active_round`]; [`fly_mission`] asks per
+    /// board, with its own strategy.
     pub fn any_device_needs_scrub(&self) -> bool {
-        (0..self.ndev).any(|di| self.device_needs_scrub(di))
+        (0..self.ndev).any(|di| self.device_needs_scrub(di, &LadderStrategy))
     }
 
-    /// Does any device on board `b` have scrub work?
-    pub fn board_needs_scrub(&self, b: usize) -> bool {
+    /// Does any device on board `b` have scrub work for `strategy`?
+    fn board_needs_scrub<S: MitigationStrategy + ?Sized>(&self, b: usize, strategy: &S) -> bool {
         let base = self.board_base[b];
         let nf = self.payload.boards[b].fpgas.len();
-        (base..base + nf).any(|di| self.device_needs_scrub(di))
+        (base..base + nf).any(|di| self.device_needs_scrub(di, strategy))
     }
 
     /// The round index ≥ `r` containing the next *environment* event —
     /// upset arrival, SEFI arrival, or a periodic full-reconfig deadline —
-    /// ignoring scrub work. Strategy drivers combine this with their own
-    /// scheduling to bound how far they may jump.
-    pub fn next_event_round(&self, r: u64, round_ns: u64) -> u64 {
+    /// ignoring scrub work. The loop combines this with the strategy's
+    /// scheduling to bound how far it may jump.
+    fn next_event_round(&self, r: u64, round_ns: u64) -> u64 {
         let mut next = self.next_upset.as_nanos() / round_ns;
         if let Some(t) = self.next_sefi {
             next = next.min(t.as_nanos() / round_ns);
@@ -909,10 +859,14 @@ impl<'a> MissionKernel<'a> {
         next.max(r)
     }
 
-    /// The next round index ≥ `r` at which anything observable can happen:
-    /// `r` itself while any device has scrub work, else the round
-    /// containing the next upset/SEFI arrival or the round whose *end*
-    /// crosses a periodic full-reconfig deadline.
+    /// The next round index ≥ `r` at which anything observable can happen
+    /// to a ladder mission: `r` itself while any device has scrub work,
+    /// else the round containing the next upset/SEFI arrival or the round
+    /// whose *end* crosses a periodic full-reconfig deadline.
+    ///
+    /// Public only because the benchmark's traced storm
+    /// (`perfbench/src/mission.rs`, `fly_traced`) calls it; [`fly_mission`]
+    /// makes the same decision with the strategy's own schedule.
     pub fn next_active_round(&self, r: u64, round_ns: u64) -> u64 {
         if self.any_device_needs_scrub() {
             return r;
@@ -1068,55 +1022,139 @@ impl<'a> MissionKernel<'a> {
     }
 }
 
-/// Run a mission with the event-driven kernel. `sensitivity` maps
-/// (board, fpga) to that design's sensitive-bit set from an SEU-simulator
-/// campaign; positions without a map treat every unmasked configuration
-/// upset as potentially sensitive (conservative).
+/// The one mission round loop: fly `strategy` over a fresh
+/// [`MissionKernel`], event-driven or every round (see the module docs).
+///
+/// Event-driven, it jumps to the next round where an environment event
+/// lands, a board that needs service is scheduled for it
+/// ([`MitigationStrategy::next_scrub_round`]), or a retune-window
+/// boundary falls, and the strategy charges the skipped rounds' bandwidth
+/// in bulk ([`MitigationStrategy::charge_idle_rounds`]). Every round, it
+/// visits each round in turn. Both modes produce bit-identical
+/// [`StrategyMissionStats`] for any strategy that keeps the skip-safety
+/// contract. Generic so that [`run_mission`] gets its own compiled copy
+/// of the ladder's loop, while the zoo flies `&mut dyn MitigationStrategy`.
+pub fn fly_mission<S: MitigationStrategy + ?Sized>(
+    payload: &mut Payload,
+    cfg: &MissionConfig,
+    sensitivity: &HashMap<(usize, usize), HashSet<usize>>,
+    strategy: &mut S,
+    event_driven: bool,
+) -> StrategyMissionStats {
+    let mut k = MissionKernel::new(payload, cfg, sensitivity);
+    strategy.prepare(k.payload);
+
+    let round_ns = k.round.as_nanos();
+    let total_rounds = k.end.as_nanos().div_ceil(round_ns);
+    let live = k.live_boards.clone();
+    let window = strategy.window_rounds();
+
+    let mut windows_done: u64 = 0;
+    let mut last_upsets = 0usize;
+    let mut last_soh = k.payload.soh.len();
+    let mut busy_ns = 0u64;
+    let mut board_dirty: Vec<bool> = Vec::new();
+
+    let mut r: u64 = 0;
+    while r < total_rounds {
+        // Retune-window boundaries at exactly `r` fire before any
+        // scheduling decision, so a retune takes effect from round `r`
+        // on — in both modes, at identical kernel state. Jumps below are
+        // clamped to the next boundary, so boundaries are always reached
+        // exactly and observed deltas cannot straddle a retune.
+        if let Some(w) = window {
+            while (windows_done + 1) * w <= r {
+                windows_done += 1;
+                let upsets = k.stats.upsets_total;
+                let soh = k.payload.soh.len();
+                let obs = WindowObservation {
+                    index: windows_done - 1,
+                    rounds: w,
+                    upsets: upsets - last_upsets,
+                    soh_events: soh - last_soh,
+                    round_ns,
+                };
+                last_upsets = upsets;
+                last_soh = soh;
+                strategy.on_window(&obs, &k.payload.telemetry);
+            }
+        }
+
+        if event_driven {
+            // Next round where anything observable can happen: an
+            // environment event, a needing board's scheduled service, or
+            // a window boundary.
+            let mut nr = k.next_event_round(r, round_ns);
+            for (slot, &b) in live.iter().enumerate() {
+                if k.board_needs_scrub(b, strategy) {
+                    nr = nr.min(strategy.next_scrub_round(slot, r));
+                }
+            }
+            if let Some(w) = window {
+                nr = nr.min((windows_done + 1) * w);
+            }
+            let nr = nr.max(r).min(total_rounds);
+            if nr > r {
+                busy_ns += strategy.charge_idle_rounds(k.payload, r, nr - r);
+                k.note_rounds_skipped(r, nr, round_ns);
+                r = nr;
+                continue;
+            }
+        }
+
+        let now = SimTime(r * round_ns);
+        let round_end = SimTime((r + 1) * round_ns);
+        k.land_upsets(round_end);
+        k.land_sefis(round_end);
+        // Boards scrub concurrently; the round already spans the longest.
+        for (slot, &b) in live.iter().enumerate() {
+            if strategy.next_scrub_round(slot, r) != r {
+                continue;
+            }
+            k.fill_board_dirty(b, &mut board_dirty);
+            let out = strategy.scrub_board(k.payload, b, slot, now, &board_dirty);
+            busy_ns += out.duration.as_nanos();
+            k.apply_board_outcome(b, &out, round_end);
+        }
+        k.settle_dirty();
+        k.periodic_refresh(round_end);
+        k.add_scrub_cycles(1);
+        r += 1;
+    }
+
+    StrategyMissionStats {
+        mission: k.finish(),
+        strategy: strategy.stats(),
+        scrub_busy_ns: busy_ns,
+    }
+}
+
+/// Run a mission: the [`LadderStrategy`] flown event-driven by
+/// [`fly_mission`]. `sensitivity` maps (board, fpga) to that design's
+/// sensitive-bit set from an SEU-simulator campaign; positions without a
+/// map treat every unmasked configuration upset as potentially sensitive
+/// (conservative).
 ///
 /// Produces [`MissionStats`] bit-identical to [`run_mission_reference`]
 /// for any seed and configuration, in time proportional to the number of
 /// *events* rather than the number of scan rounds — a quiet multi-month
 /// mission costs thousands of loop steps instead of hundreds of millions.
+/// Emits no `strategy.mission_begin` header.
 pub fn run_mission(
     payload: &mut Payload,
     cfg: &MissionConfig,
     sensitivity: &HashMap<(usize, usize), HashSet<usize>>,
 ) -> MissionStats {
-    let mut k = MissionKernel::new(payload, cfg, sensitivity);
-    let round_ns = k.round.as_nanos();
-    let total_rounds = k.end.as_nanos().div_ceil(round_ns);
-    let mut r: u64 = 0;
-    while r < total_rounds {
-        let nr = k.next_active_round(r, round_ns).min(total_rounds);
-        if nr > r {
-            // Rounds (r..nr) are observable-state no-ops: charge their
-            // scrub-cycle accounting and jump.
-            k.note_rounds_skipped(r, nr, round_ns);
-            r = nr;
-            continue;
-        }
-        let now = SimTime(r * round_ns);
-        let round_end = SimTime((r + 1) * round_ns);
-        k.run_round(now, round_end);
-        r += 1;
-    }
-    k.finish()
+    fly_mission(payload, cfg, sensitivity, &mut LadderStrategy, true).mission
 }
 
-/// Run a mission by ticking every scan round — the original fixed-round
-/// loop, kept as the ground truth the event-driven [`run_mission`] is
-/// differentially tested against.
+/// Run a mission by ticking every scan round: the [`LadderStrategy`]
+/// flown every round by [`fly_mission`], the ground truth the
+/// event-driven [`run_mission`] is differentially tested against.
 pub fn run_mission_reference(
     payload: &mut Payload,
     cfg: &MissionConfig,
     sensitivity: &HashMap<(usize, usize), HashSet<usize>>,
 ) -> MissionStats {
-    let mut k = MissionKernel::new(payload, cfg, sensitivity);
-    let mut now = SimTime::ZERO;
-    while now < k.end {
-        let round_end = now + k.round;
-        k.run_round(now, round_end);
-        now = round_end;
-    }
-    k.finish()
+    fly_mission(payload, cfg, sensitivity, &mut LadderStrategy, false).mission
 }

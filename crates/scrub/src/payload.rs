@@ -27,28 +27,14 @@ pub const BOARDS: usize = 3;
 /// FPGAs per board.
 pub const FPGAS_PER_BOARD: usize = 3;
 
-/// Robustness policy for the hardened scrub loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScrubPolicy {
-    /// Write-then-verify attempts per frame before escalating past frame
-    /// repair.
-    pub max_frame_attempts: u32,
-    /// Base retry backoff in simulated time; doubles each retry.
-    pub retry_backoff: SimDuration,
-    /// Consecutive failed scrub passes before a device is marked degraded
-    /// and taken out of the scrub rotation.
-    pub degrade_after: u32,
-}
-
-impl Default for ScrubPolicy {
-    fn default() -> Self {
-        ScrubPolicy {
-            max_frame_attempts: 3,
-            retry_backoff: SimDuration::from_millis(1),
-            degrade_after: 3,
-        }
-    }
-}
+/// Write-then-verify attempts per frame before escalating past frame
+/// repair.
+pub const MAX_FRAME_ATTEMPTS: u32 = 3;
+/// Base retry backoff in simulated time (1 ms); doubles each retry.
+pub const RETRY_BACKOFF: SimDuration = SimDuration(1_000_000);
+/// Consecutive failed scrub passes before a device is marked degraded and
+/// taken out of the scrub rotation.
+pub const DEGRADE_AFTER: u32 = 3;
 
 /// Per-device fault-management health, tracked across scrub passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,7 +141,6 @@ pub struct Payload {
     pub eeprom: Eeprom,
     pub soh: Vec<SohRecord>,
     pub ecc_stats: EccStats,
-    pub policy: ScrubPolicy,
     /// Flight-recorder sink; disabled by default, so an uninstrumented
     /// payload pays one branch per SOH push and allocates nothing.
     pub telemetry: Telemetry,
@@ -175,7 +160,6 @@ impl Payload {
             eeprom: Eeprom::default(),
             soh: Vec::new(),
             ecc_stats: EccStats::default(),
-            policy: ScrubPolicy::default(),
             telemetry: Telemetry::disabled(),
             correlation: CorrelationLedger::default(),
         }
@@ -203,7 +187,7 @@ impl Payload {
         );
         let slot = self
             .flash
-            .store(name, bitstream)
+            .store(bitstream)
             .expect("flash capacity for configuration");
         let masked = masked_frames_for(bitstream);
         let codebook = CrcCodebook::new(bitstream, &masked);
@@ -601,7 +585,8 @@ impl Payload {
     }
 
     /// Write `golden` to the frame, re-read it, and compare against the
-    /// codebook; retry with exponential backoff up to the policy bound.
+    /// codebook; retry with exponential backoff up to
+    /// [`MAX_FRAME_ATTEMPTS`].
     /// Public: mitigation strategies write their own repair bytes with
     /// it.
     #[allow(clippy::too_many_arguments)]
@@ -615,9 +600,8 @@ impl Payload {
         now: SimTime,
         out: &mut ScrubOutcome,
     ) -> bool {
-        let policy = self.policy;
         let dur_start = out.duration;
-        for attempt in 0..policy.max_frame_attempts {
+        for attempt in 0..MAX_FRAME_ATTEMPTS {
             if attempt > 0 {
                 out.ladder.repair_retries += 1;
                 self.push_soh(
@@ -630,8 +614,7 @@ impl Payload {
                     },
                 );
                 // Exponential backoff in simulated time before retrying.
-                out.duration +=
-                    SimDuration::from_nanos(policy.retry_backoff.as_nanos() << (attempt - 1));
+                out.duration += SimDuration::from_nanos(RETRY_BACKOFF.as_nanos() << (attempt - 1));
             }
 
             let (wres, wd) = self.boards[board].fpgas[fi]
@@ -805,8 +788,9 @@ impl Payload {
         }
     }
 
-    /// Count a pass that left the device faulty; degrade after the policy
-    /// bound so the mission cannot livelock on an unrecoverable device.
+    /// Count a pass that left the device faulty; degrade after
+    /// [`DEGRADE_AFTER`] so the mission cannot livelock on an
+    /// unrecoverable device.
     /// Public: strategies share the same degrade bookkeeping.
     pub fn note_failed_pass(
         &mut self,
@@ -815,10 +799,9 @@ impl Payload {
         now: SimTime,
         out: &mut ScrubOutcome,
     ) {
-        let degrade_after = self.policy.degrade_after;
         let h = &mut self.boards[board].fpgas[fi].health;
         h.consecutive_failures += 1;
-        if h.consecutive_failures >= degrade_after {
+        if h.consecutive_failures >= DEGRADE_AFTER {
             h.degraded = true;
             out.ladder.devices_degraded += 1;
             self.push_soh(board, fi, now + out.duration, SohEvent::DeviceDegraded);

@@ -8,6 +8,7 @@ use cibola_netlist::{gen, implement};
 use cibola_radiation::{OrbitRates, TargetMix};
 use cibola_scrub::{
     masked_frames_for, run_mission, CrcCodebook, FaultManager, MissionConfig, Payload, SohEvent,
+    DEGRADE_AFTER, MAX_FRAME_ATTEMPTS,
 };
 
 fn implemented(nl: &cibola_netlist::Netlist, geom: &Geometry) -> cibola_netlist::Implementation {
@@ -713,8 +714,8 @@ fn exhausted_frame_retries_escalate_to_full_reconfig() {
     let mut probe = payload.fpga(b, f).device.clone();
     let victim = probe.active_config_bits()[5];
     payload.fpga_mut(b, f).device.flip_config_bit(victim);
-    // Drop every bounded repair attempt (policy default: 3).
-    for _ in 0..payload.policy.max_frame_attempts {
+    // Drop every bounded repair attempt (3).
+    for _ in 0..MAX_FRAME_ATTEMPTS {
         payload
             .fpga_mut(b, f)
             .device
@@ -800,7 +801,7 @@ fn unreadable_golden_degrades_device_instead_of_livelocking() {
     payload.fpga_mut(b, f).device.upset_config_fsm();
 
     let mut degraded_at = None;
-    for pass in 0..payload.policy.degrade_after + 1 {
+    for pass in 0..DEGRADE_AFTER + 1 {
         let out = payload.scrub_board(b, SimTime::ZERO, &[true]);
         assert!(out.ladder.golden_uncorrectable > 0 || degraded_at.is_some());
         if out.ladder.devices_degraded > 0 {
@@ -809,7 +810,7 @@ fn unreadable_golden_degrades_device_instead_of_livelocking() {
     }
     assert_eq!(
         degraded_at,
-        Some(payload.policy.degrade_after - 1),
+        Some(DEGRADE_AFTER - 1),
         "degraded after exactly the policy bound"
     );
     assert!(payload.fpga(b, f).health.degraded);

@@ -50,5 +50,5 @@ pub use metrics::{
 };
 pub use port::PortFaultStats;
 pub use recorder::{FlightRecorder, PostMortem};
-pub use sink::{NullSink, Telemetry, TelemetryConfig, TelemetrySink};
+pub use sink::Telemetry;
 pub use soh::{soh_meta_for, SohEventMeta, SOH_EVENT_META};

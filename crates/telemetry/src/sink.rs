@@ -13,41 +13,6 @@ use crate::event::{Severity, Subsystem, TelemetryEvent};
 use crate::metrics::{MetricsRegistry, Snapshot};
 use crate::recorder::{FlightRecorder, PostMortem};
 
-/// Capacities for the recording core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Flight-recorder ring size per `(board, fpga)`.
-    pub per_device_capacity: usize,
-    /// Flight-recorder global ring size.
-    pub global_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            per_device_capacity: FlightRecorder::DEFAULT_PER_DEVICE,
-            global_capacity: FlightRecorder::DEFAULT_GLOBAL,
-        }
-    }
-}
-
-/// Anything events can be pushed into. [`NullSink`] is the zero-cost
-/// default; [`Telemetry`] is the real implementation.
-pub trait TelemetrySink {
-    /// False means callers may skip building events entirely.
-    fn enabled(&self) -> bool {
-        false
-    }
-    /// Record one event. Default: drop it.
-    fn record(&self, _event: TelemetryEvent) {}
-}
-
-/// The do-nothing sink: `enabled()` is false and `record` discards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {}
-
 #[derive(Debug)]
 struct TelemetryCore {
     /// Every event in emission order — the JSONL dump source.
@@ -68,19 +33,13 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// A recording handle with default ring capacities.
+    /// A recording handle with the flight recorder's default ring
+    /// capacities.
     pub fn recording() -> Self {
-        Telemetry::with_config(TelemetryConfig::default())
-    }
-
-    pub fn with_config(config: TelemetryConfig) -> Self {
         Telemetry {
             inner: Some(Arc::new(TelemetryCore {
                 log: Mutex::new(Vec::new()),
-                recorder: Mutex::new(FlightRecorder::new(
-                    config.per_device_capacity,
-                    config.global_capacity,
-                )),
+                recorder: Mutex::new(FlightRecorder::default()),
                 metrics: MetricsRegistry::new(),
             })),
         }
@@ -194,16 +153,6 @@ impl Telemetry {
         // `inner` is `{"counters":...}` — splice its body into this object.
         o.raw("metrics", &inner);
         o.finish()
-    }
-}
-
-impl TelemetrySink for Telemetry {
-    fn enabled(&self) -> bool {
-        self.is_enabled()
-    }
-
-    fn record(&self, event: TelemetryEvent) {
-        self.emit(event);
     }
 }
 
