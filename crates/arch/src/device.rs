@@ -9,6 +9,7 @@
 //! is the paper's core trick: "we can run the corrupted designs directly on
 //! the FPGA hardware".
 
+use crate::bits::{ff_init_offset, TILE_BITS_PER_FRAME};
 use crate::bitvec::BitVec;
 use crate::compile::{compile, Compiled};
 use crate::engine;
@@ -79,10 +80,10 @@ pub struct Device {
     pub(crate) port_faults: PortFaultStats,
     pub(crate) compiled: Option<Compiled>,
     /// Cache of the LUTs configured as RAM or SRL16 — the sites the
-    /// readback hazard corrupts. Derived from the mode bits alone, so it
-    /// is dropped wherever a mode bit can change ([`Device::invalidate`],
-    /// [`Device::flip_config_bit`]) and rebuilt on the next CLB readback
-    /// or purity query.
+    /// readback hazard corrupts. Built on the first CLB readback or skip
+    /// with the clock running; after that each column is checked against
+    /// the stamps of the frames holding its mode bits and derived again
+    /// only when one moved, so no configuration write has to drop it.
     pub(crate) dynamic_luts: Option<DynamicLuts>,
 }
 
@@ -330,23 +331,24 @@ impl Device {
     /// touched — only the full-configuration start-up sequence restores
     /// them.
     pub fn reset(&mut self) {
-        for ti in 0..self.geom.num_tiles() {
-            let tile = self.geom.tile_at(ti);
-            for slice in 0..2 {
-                for ff in 0..2 {
-                    let init = self.config.read_tile_field(
-                        tile,
-                        crate::bits::ff_init_offset(slice, ff),
-                        1,
-                    ) != 0;
-                    let idx = self.ff_index(tile, slice, ff);
-                    self.ff_state.set(idx, init);
-                }
+        for col in 0..self.geom.cols {
+            // Each init bit sits at one position of its column's frames,
+            // and row r's lies r tile slots past row 0's. A tile's four
+            // flip-flops are adjacent in `ff_state`, in (slice, ff) order.
+            let base = [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(slice, ff)| {
+                self.config
+                    .tile_bit_index(Tile::new(0, col), ff_init_offset(slice, ff))
+            });
+            for row in 0..self.geom.rows {
+                let at = row * TILE_BITS_PER_FRAME;
+                let inits = (0..4).fold(0, |v, k| {
+                    v | (self.config.get_bit(base[k] + at) as u64) << k
+                });
+                let first = self.ff_index(Tile::new(row, col), 0, 0);
+                self.ff_state.set_bits(first, 4, inits);
             }
         }
-        for r in self.bram_outreg.iter_mut() {
-            *r = 0;
-        }
+        self.bram_outreg.fill(0);
     }
 
     // ---- execution ----------------------------------------------------------
@@ -396,11 +398,10 @@ impl Device {
         }
     }
 
-    /// Invalidate the caches derived from configuration memory (it
-    /// changed): the compiled network and the dynamic-LUT sites.
+    /// Drop the compiled network (configuration memory changed). The
+    /// dynamic-LUT cache checks itself against frame stamps instead.
     pub(crate) fn invalidate(&mut self) {
         self.compiled = None;
-        self.dynamic_luts = None;
     }
 
     /// Statistics about the compiled network (for tests and reports).

@@ -13,6 +13,7 @@
 //!   *live*: the running design writes it, which is why scrubbing must
 //!   treat these frames specially (paper §II-C, §IV).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bits::{self, BitRole, FRAMES_PER_CLB_COL, TILE_BITS, TILE_BITS_PER_FRAME};
@@ -220,6 +221,17 @@ impl ConfigMemory {
         }
     }
 
+    /// The current stamps of the frames in `range` (dense order).
+    pub(crate) fn frame_stamps(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = FrameStamp> + '_ {
+        let memory = self.identity;
+        self.generations[range]
+            .iter()
+            .map(move |&generation| FrameStamp { memory, generation })
+    }
+
     /// Length in bits of a frame of the given block type.
     pub fn frame_bits(&self, block: BlockType) -> usize {
         match block {
@@ -299,6 +311,30 @@ impl ConfigMemory {
     /// Iterate over all frame addresses in dense order.
     pub fn frame_addrs(&self) -> impl Iterator<Item = FrameAddr> + '_ {
         (0..self.frame_count()).map(|i| self.frame_addr(i))
+    }
+
+    /// Each block type's dense frame-index range, in dense order, with the
+    /// number of frames per major address: frame `i` of a range has major
+    /// `(i - start) / per_major`.
+    pub(crate) fn block_ranges(&self) -> [(BlockType, Range<usize>, usize); 4] {
+        let iob = self.clb_frames;
+        let bram_if = iob + self.iob_frames;
+        let bram_content = bram_if + self.bram_if_frames;
+        let blocks_per_col = self.geom.bram_blocks_per_col();
+        [
+            (BlockType::Clb, 0..iob, FRAMES_PER_CLB_COL),
+            (BlockType::Iob, iob..bram_if, self.geom.rows),
+            (
+                BlockType::BramInterface,
+                bram_if..bram_content,
+                blocks_per_col,
+            ),
+            (
+                BlockType::BramContent,
+                bram_content..self.frame_count(),
+                blocks_per_col * BRAM_CONTENT_SUBFRAMES,
+            ),
+        ]
     }
 
     /// Global bit index of the first bit of `addr`.
@@ -613,6 +649,32 @@ mod tests {
         for i in 0..cm.frame_count() {
             let addr = cm.frame_addr(i);
             assert_eq!(cm.frame_index(addr), i, "frame {i} ↔ {addr:?}");
+        }
+    }
+
+    #[test]
+    fn block_ranges_cover_the_frames_major_by_major() {
+        for geom in [
+            Geometry::tiny(),
+            Geometry::small(),
+            Geometry::new("T0", 4, 3, 0),
+        ] {
+            let cm = ConfigMemory::new(geom);
+            let mut next = 0;
+            for (block, range, per_major) in cm.block_ranges() {
+                assert_eq!(range.start, next, "{block:?}");
+                for i in range.clone() {
+                    let addr = cm.frame_addr(i);
+                    assert_eq!(addr.block, block, "frame {i}");
+                    assert_eq!(
+                        addr.major as usize,
+                        (i - range.start) / per_major,
+                        "frame {i}"
+                    );
+                }
+                next = range.end;
+            }
+            assert_eq!(next, cm.frame_count());
         }
     }
 

@@ -19,7 +19,7 @@
 use crate::bits::{ff_init_offset, LutMode};
 use crate::bits::{lut_mode_offset, lut_table_offset, FRAMES_PER_CLB_COL, TILE_BITS_PER_FRAME};
 use crate::device::{Bitstream, Device};
-use crate::frames::{BlockType, FrameAddr, BRAM_CONTENT_SUBFRAMES};
+use crate::frames::{BlockType, ConfigMemory, FrameAddr, FrameStamp, BRAM_CONTENT_SUBFRAMES};
 use crate::geometry::Tile;
 use crate::time::SimDuration;
 
@@ -53,13 +53,97 @@ impl PortTiming {
 }
 
 /// The LUTs configured as RAM or SRL16 — the sites the CLB readback
-/// hazard corrupts (cached in [`Device`]).
+/// hazard corrupts (cached in [`Device`]). A column's sites derive from
+/// its LUT mode fields alone, which sit in one frame per slice, so each
+/// column keeps the [`FrameStamp`]s of those two frames and is derived
+/// again only when one of them moved.
 #[derive(Debug)]
 pub(crate) struct DynamicLuts {
     /// Entry `tile_index(tile)` holds bit `slice * 2 + lut` per dynamic LUT.
     sites: Vec<u8>,
-    /// Whether each CLB column holds a dynamic LUT.
-    columns: Vec<bool>,
+    /// Per CLB column, the state its sites were derived in.
+    columns: Vec<ModeColumn>,
+    /// Per slice, the minor of the CLB frame holding its LUT mode fields.
+    mode_minors: [usize; 2],
+}
+
+/// One CLB column of [`DynamicLuts`].
+#[derive(Debug)]
+struct ModeColumn {
+    /// Per slice, the stamp of the frame holding its mode fields.
+    stamps: [FrameStamp; 2],
+    /// Whether the column holds a dynamic LUT.
+    dynamic: bool,
+}
+
+impl DynamicLuts {
+    /// Every column derived from `config`.
+    #[cold]
+    fn new(config: &ConfigMemory) -> Self {
+        let geom = config.geometry();
+        let mode_minors = [0, 1].map(|slice| {
+            let minor = config.tile_pos(lut_mode_offset(slice, 0)) / TILE_BITS_PER_FRAME;
+            debug_assert!((0..4).all(|k| {
+                config.tile_pos(lut_mode_offset(slice, 0) + k) / TILE_BITS_PER_FRAME == minor
+            }));
+            minor
+        });
+        let mut luts = DynamicLuts {
+            sites: vec![0; geom.num_tiles()],
+            columns: Vec::with_capacity(geom.cols),
+            mode_minors,
+        };
+        for col in 0..geom.cols {
+            let column = luts.derive(config, col);
+            luts.columns.push(column);
+        }
+        luts
+    }
+
+    /// The current stamps of the frames holding column `col`'s mode fields.
+    #[inline]
+    fn stamps(&self, config: &ConfigMemory, col: usize) -> [FrameStamp; 2] {
+        self.mode_minors
+            .map(|minor| config.frame_stamp(col * FRAMES_PER_CLB_COL + minor))
+    }
+
+    /// Read column `col`'s mode fields into `sites`.
+    fn derive(&mut self, config: &ConfigMemory, col: usize) -> ModeColumn {
+        let geom = config.geometry();
+        // Each mode bit sits at one position of its column's frames, and
+        // row r's lies r tile slots past row 0's; site `slice * 2 + lut`.
+        let base = [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(slice, lut)| {
+            [0, 1]
+                .map(|k| config.tile_bit_index(Tile::new(0, col), lut_mode_offset(slice, lut) + k))
+        });
+        let mut dynamic = false;
+        for row in 0..geom.rows {
+            let at = row * TILE_BITS_PER_FRAME;
+            let mut sites = 0u8;
+            for (site, [b0, b1]) in base.iter().enumerate() {
+                let mode = config.get_bit(b0 + at) as u64 | (config.get_bit(b1 + at) as u64) << 1;
+                if LutMode::from_bits(mode).is_dynamic() {
+                    sites |= 1 << site;
+                }
+            }
+            self.sites[geom.tile_index(Tile::new(row, col))] = sites;
+            dynamic |= sites != 0;
+        }
+        ModeColumn {
+            stamps: self.stamps(config, col),
+            dynamic,
+        }
+    }
+
+    /// Whether column `col` holds a dynamic LUT, derived again first if a
+    /// frame holding its mode fields was written since.
+    #[inline]
+    fn column(&mut self, config: &ConfigMemory, col: usize) -> bool {
+        if self.columns[col].stamps != self.stamps(config, col) {
+            self.columns[col] = self.derive(config, col);
+        }
+        self.columns[col].dynamic
+    }
 }
 
 /// Options for a readback operation.
@@ -186,7 +270,7 @@ impl Device {
             return (data, dur);
         }
 
-        if self.readback_hazard(addr) {
+        if self.readback_hazard(addr.block, addr.major as usize) {
             if addr.block == BlockType::Clb {
                 // Dynamic LUT contents corrupt if their frame is read
                 // while the clock runs.
@@ -209,33 +293,72 @@ impl Device {
         (data, dur)
     }
 
-    /// Whether a readback of `addr` now would disturb the running design:
-    /// with the clock running, a CLB frame in a column holding a dynamic
-    /// LUT, or any BRAM content frame. [`Device::readback_frame`] applies
-    /// its two hazards exactly when this holds.
+    /// Whether a readback of a `block` frame at major address `major` now
+    /// would disturb the running design: with the clock running, a CLB
+    /// frame in a column holding a dynamic LUT, or any BRAM content frame.
+    /// [`Device::readback_frame`] applies its two hazards exactly when this
+    /// holds.
     #[inline]
-    fn readback_hazard(&mut self, addr: FrameAddr) -> bool {
+    fn readback_hazard(&mut self, block: BlockType, major: usize) -> bool {
         self.clock_running
-            && match addr.block {
-                BlockType::Clb => self.dynamic_luts().columns[addr.major as usize],
+            && match block {
+                BlockType::Clb => self
+                    .dynamic_luts
+                    .get_or_insert_with(|| DynamicLuts::new(&self.config))
+                    .column(&self.config, major),
                 BlockType::BramContent => true,
                 BlockType::Iob | BlockType::BramInterface => false,
             }
     }
 
-    /// Whether [`Device::try_readback_frame`] of `addr` now would do
-    /// nothing but copy the frame's bytes: the device is programmed, the
-    /// port is not wedged, no read fault is pending, and no readback
-    /// hazard applies. A pure readback returns exactly
-    /// `config().read_frame(addr)` and changes no state, so a fault
-    /// manager that already holds the frame's CRC for its current
-    /// [`crate::FrameStamp`] may skip it.
-    #[inline]
-    pub fn readback_is_pure(&mut self, addr: FrameAddr) -> bool {
-        self.programmed
-            && !self.port_wedged
-            && self.read_faults.is_empty()
-            && !self.readback_hazard(addr)
+    /// Skip, from dense frame index `from` on, every frame a scan need
+    /// not read back: the frames `masked` marks, and the frames whose
+    /// readback is pure and whose [`FrameStamp`] equals their entry in
+    /// `matched` (both hold one entry per frame, in dense order). A
+    /// readback is pure when the device is programmed, the port is not
+    /// wedged, no read fault is pending and no readback hazard applies:
+    /// [`Device::try_readback_frame`] would then return exactly
+    /// `config().read_frame(addr)` and change no state, so a fault manager
+    /// that holds the frame's CRC for its current stamp may skip it.
+    ///
+    /// Returns the first frame that needs a real read (`frame_count()`
+    /// when none does), the number and total bytes of the unmasked frames
+    /// skipped, and whether reading the returned frame now would be pure.
+    /// The walk changes no device state.
+    pub fn skip_clean_frames(
+        &mut self,
+        from: usize,
+        masked: &[bool],
+        matched: &[Option<FrameStamp>],
+    ) -> (usize, u64, u64, bool) {
+        let device_pure = self.programmed && !self.port_wedged && self.read_faults.is_empty();
+        let (mut frames, mut bytes) = (0u64, 0u64);
+        for (block, range, per_major) in self.config.block_ranges() {
+            let frame_bytes = self.config.frame_bytes(block) as u64;
+            let mut fi = from.max(range.start);
+            while fi < range.end {
+                // The hazard is decided once per major address.
+                let major = (fi - range.start) / per_major;
+                let end = range.start + (major + 1) * per_major;
+                let pure = device_pure && !self.readback_hazard(block, major);
+                let run = masked[fi..end]
+                    .iter()
+                    .zip(&matched[fi..end])
+                    .zip(self.config.frame_stamps(fi..end));
+                for (f, ((&masked, record), stamp)) in (fi..end).zip(run) {
+                    if masked {
+                        continue;
+                    }
+                    if !pure || *record != Some(stamp) {
+                        return (f, frames, bytes, pure);
+                    }
+                    frames += 1;
+                    bytes += frame_bytes;
+                }
+                fi = end;
+            }
+        }
+        (self.config.frame_count(), frames, bytes, false)
     }
 
     /// Flip one configuration bit directly (test/bench convenience; a real
@@ -253,9 +376,6 @@ impl Device {
         use crate::frames::BitLocus;
 
         let new_val = self.config.flip_bit(global);
-        // Any flip may be a LUT mode bit; drop the hazard cache before
-        // the early return below skips the per-role handling.
-        self.dynamic_luts = None;
         if self.compiled.is_none() {
             return;
         }
@@ -309,14 +429,12 @@ impl Device {
     /// Flip one table bit of each dynamic LUT in `addr`'s column with a
     /// table bit in that frame, visiting (slice, lut, row) in order.
     fn corrupt_dynamic_luts_in_frame(&mut self, addr: FrameAddr) {
-        let dynamic = self.dynamic_luts.take().expect("built by readback_hazard");
-        self.corrupt_column_luts(&dynamic.sites, addr.major as usize, addr.minor as usize);
-        // The hazard flips only table bits, so every mode — and with it
-        // the cache — stands.
-        self.dynamic_luts = Some(dynamic);
-    }
-
-    fn corrupt_column_luts(&mut self, dynamic: &[u8], col: usize, minor: usize) {
+        let (col, minor) = (addr.major as usize, addr.minor as usize);
+        let dynamic = &self
+            .dynamic_luts
+            .as_ref()
+            .expect("validated by readback_hazard")
+            .sites;
         let mut corrupted = false;
         for slice in 0..2 {
             for lut in 0..2 {
@@ -342,49 +460,6 @@ impl Device {
         if corrupted {
             self.invalidate();
         }
-    }
-
-    /// The dynamic-LUT cache, built from configuration memory if absent.
-    #[inline]
-    fn dynamic_luts(&mut self) -> &DynamicLuts {
-        if self.dynamic_luts.is_none() {
-            self.build_dynamic_luts();
-        }
-        self.dynamic_luts.as_ref().unwrap()
-    }
-
-    #[cold]
-    fn build_dynamic_luts(&mut self) {
-        let sites = self.dynamic_lut_sites();
-        let columns = (0..self.geom.cols)
-            .map(|col| {
-                (0..self.geom.rows).any(|row| sites[self.geom.tile_index(Tile::new(row, col))] != 0)
-            })
-            .collect();
-        self.dynamic_luts = Some(DynamicLuts { sites, columns });
-    }
-
-    /// Per-tile mask of dynamic-mode LUTs, read from configuration memory.
-    fn dynamic_lut_sites(&self) -> Vec<u8> {
-        (0..self.geom.num_tiles())
-            .map(|ti| {
-                let tile = self.geom.tile_at(ti);
-                let mut sites = 0u8;
-                for slice in 0..2 {
-                    for lut in 0..2 {
-                        let mode = LutMode::from_bits(self.config.read_tile_field(
-                            tile,
-                            lut_mode_offset(slice, lut),
-                            2,
-                        ));
-                        if mode.is_dynamic() {
-                            sites |= 1 << (slice * 2 + lut);
-                        }
-                    }
-                }
-                sites
-            })
-            .collect()
     }
 
     fn capture_ffs_into(&self, addr: FrameAddr, data: &mut [u8]) {

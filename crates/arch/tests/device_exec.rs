@@ -335,3 +335,48 @@ fn full_device_readback_cost_is_linear_in_frames() {
     let bytes: usize = frames.iter().map(|(_, d)| d.len()).sum();
     assert!(dur.as_nanos() >= bytes as u64 * dev.port_timing.ns_per_byte);
 }
+
+#[test]
+fn reset_loads_every_flip_flop_init_bit() {
+    for geom in [Geometry::tiny(), Geometry::tiny().with_virtex2_layout()] {
+        let mut dev = Device::new(geom.clone());
+        dev.configure_full(&ConfigMemory::new(geom.clone()));
+        let mut s = 0x1417_BEEF_u64;
+        let mut next = move |n: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % n as u64) as usize
+        };
+        let sites: Vec<(Tile, usize, usize)> = (0..geom.num_tiles())
+            .flat_map(|ti| (0..4).map(move |k| (ti, k / 2, k % 2)))
+            .map(|(ti, slice, ff)| (geom.tile_at(ti), slice, ff))
+            .collect();
+        for round in 0..8 {
+            // Flip a random set of init bits, and scramble the flip-flops
+            // so the reset has to write both values.
+            for _ in 0..sites.len() / 2 {
+                let (tile, slice, ff) = sites[next(sites.len())];
+                let bit = dev
+                    .config()
+                    .tile_bit_index(tile, bits::ff_init_offset(slice, ff));
+                dev.flip_config_bit(bit);
+            }
+            for &(tile, slice, ff) in &sites {
+                dev.set_ff(tile, slice, ff, next(2) == 1);
+            }
+            dev.reset();
+            for &(tile, slice, ff) in &sites {
+                let init = dev
+                    .config()
+                    .read_tile_field(tile, bits::ff_init_offset(slice, ff), 1);
+                assert_eq!(
+                    dev.ff(tile, slice, ff),
+                    init == 1,
+                    "{} round {round}: {tile:?} slice {slice} ff {ff}",
+                    geom.name
+                );
+            }
+        }
+    }
+}

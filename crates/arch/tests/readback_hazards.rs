@@ -4,10 +4,14 @@
 
 use cibola_arch::bits::{
     encode_wire, input_mux_offset, lut_mode_offset, lut_table_offset, out_sel_offset,
-    outmux_offset, pip_offset, LutMode, MuxPin, MUX_UNCONNECTED, TILE_BITS_PER_FRAME,
+    outmux_offset, pip_offset, LutMode, MuxPin, FRAMES_PER_CLB_COL, MUX_UNCONNECTED,
+    TILE_BITS_PER_FRAME,
 };
 use cibola_arch::frames::{BlockType, IobEntry, BRAM_CONTENT_SUBFRAMES};
-use cibola_arch::{ConfigMemory, Device, Dir, Edge, FrameAddr, Geometry, ReadbackOptions, Tile};
+use cibola_arch::{
+    ConfigMemory, Device, Dir, Edge, FrameAddr, FrameStamp, Geometry, ReadFault, ReadbackOptions,
+    Tile,
+};
 
 /// An SRL16 at (0,0) shifting a constant-1 stream, output to port 0.
 fn srl_config(geom: &Geometry) -> ConfigMemory {
@@ -202,7 +206,7 @@ fn capture_readback_roundtrip_costs_and_frame_sizes() {
 fn hazard_cache_follows_mode_flips_on_an_uncompiled_device() {
     // The device caches which LUTs are dynamic. `flip_config_bit` returns
     // early when no compiled network exists, and a mode-bit flip on that
-    // path must still drop the cache: the readback after it has to
+    // path must still reach the cache: the readback after it has to
     // corrupt exactly what a device with a cold cache corrupts.
     let geom = Geometry::tiny();
     let t = Tile::new(0, 0);
@@ -239,4 +243,120 @@ fn hazard_cache_follows_mode_flips_on_an_uncompiled_device() {
             "only a dynamic LUT is corrupted by readback"
         );
     }
+}
+
+#[test]
+fn hazard_cache_follows_mode_frame_writes() {
+    // The twin of the flip test above through the configuration port: a
+    // partial configuration that turns the LUT dynamic, then one that
+    // restores the golden frame and with it the mode bit, must each leave
+    // the warm device reading back exactly as a clone with a cold cache.
+    let geom = Geometry::tiny();
+    let t = Tile::new(0, 0);
+    let mut bs = srl_config(&geom);
+    bs.write_tile_field(t, lut_mode_offset(0, 0), 2, LutMode::Logic as u64);
+    bs.write_tile_field(t, lut_table_offset(0, 0, 0), 16, 0x5A3C);
+    let mut dev = Device::new(geom);
+    dev.configure_full(&bs);
+    dev.set_clock_running(true);
+    let minor = dev.config().tile_pos(lut_table_offset(0, 0, 0)) / TILE_BITS_PER_FRAME;
+    let addr = FrameAddr::clb(0, minor);
+    let table = |d: &Device| d.config().read_tile_field(t, lut_table_offset(0, 0, 0), 16);
+
+    // Warm the cache: the LUT is static, so this readback is clean.
+    let (clean, _) = dev.readback_frame(addr, ReadbackOptions::default());
+    assert_eq!(clean, bs.read_frame(addr));
+
+    // The frame holding the mode bit, with the LUT in RAM mode (0b10)
+    // and as configured (Logic, 0b00).
+    let mode_bit = bs.tile_bit_index(t, lut_mode_offset(0, 0) + 1);
+    let (mode_addr, _) = bs.locate(mode_bit);
+    assert_ne!(mode_addr, addr, "the mode bit lies outside the read frame");
+    let golden = bs.read_frame(mode_addr);
+    let mut ram = bs.clone();
+    ram.flip_bit(mode_bit);
+    let ram = ram.read_frame(mode_addr);
+    for (frame, becomes_dynamic) in [(&ram, true), (&golden, false)] {
+        dev.partial_configure_frame(mode_addr, frame);
+        let before = table(&dev);
+        let mut cold = dev.clone();
+        let (warm_data, _) = dev.readback_frame(addr, ReadbackOptions::default());
+        let (cold_data, _) = cold.readback_frame(addr, ReadbackOptions::default());
+        assert_eq!(warm_data, cold_data, "dynamic = {becomes_dynamic}");
+        assert!(dev.config() == cold.config(), "dynamic = {becomes_dynamic}");
+        assert_eq!(
+            table(&dev) != before,
+            becomes_dynamic,
+            "only a dynamic LUT is corrupted by readback"
+        );
+    }
+}
+
+#[test]
+fn skip_clean_frames_stops_where_a_read_is_needed() {
+    let geom = Geometry::tiny();
+    let bs = srl_config(&geom);
+    let mut dev = Device::new(geom);
+    dev.configure_full(&bs);
+    let n = bs.frame_count();
+    let bytes = |frames: std::ops::Range<usize>| -> u64 {
+        frames
+            .map(|f| bs.frame_bytes(bs.frame_addr(f).block) as u64)
+            .sum()
+    };
+    let mut masked = vec![false; n];
+    let mut matched: Vec<Option<FrameStamp>> =
+        (0..n).map(|f| Some(dev.config().frame_stamp(f))).collect();
+
+    // Clock stopped: every readback is pure and every record holds.
+    dev.set_clock_running(false);
+    assert_eq!(
+        dev.skip_clean_frames(0, &masked, &matched),
+        (n, n as u64, bytes(0..n), false)
+    );
+
+    // Clock running: column 0 holds the SRL16, so its first frame needs a
+    // read, and the read would disturb the design. Past column 0 the walk
+    // runs to the first BRAM content frame, whose read is hazardous too.
+    dev.set_clock_running(true);
+    assert_eq!(
+        dev.skip_clean_frames(0, &masked, &matched),
+        (0, 0, 0, false)
+    );
+    let content = bs.frame_index(FrameAddr {
+        block: BlockType::BramContent,
+        major: 0,
+        minor: 0,
+    });
+    let clb = FRAMES_PER_CLB_COL;
+    assert_eq!(
+        dev.skip_clean_frames(clb, &masked, &matched),
+        (content, (content - clb) as u64, bytes(clb..content), false)
+    );
+
+    // Past column 0, a stale record stops the walk at a frame whose read
+    // would be pure; a masked frame is passed over without being counted.
+    matched[100] = None;
+    assert_eq!(
+        dev.skip_clean_frames(clb, &masked, &matched),
+        (100, (100 - clb) as u64, bytes(clb..100), true)
+    );
+    masked[100] = true;
+    let after = dev.skip_clean_frames(clb, &masked, &matched);
+    assert_eq!(
+        after,
+        (
+            content,
+            (content - clb - 1) as u64,
+            bytes(clb..content) - bytes(100..101),
+            false
+        )
+    );
+
+    // A pending read fault makes every readback impure.
+    dev.inject_read_fault(ReadFault::Abort);
+    assert_eq!(
+        dev.skip_clean_frames(clb, &masked, &matched),
+        (clb, 0, 0, false)
+    );
 }

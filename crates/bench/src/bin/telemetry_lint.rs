@@ -29,6 +29,10 @@
 //!
 //! Usage: `telemetry_lint <dump.jsonl> [--max-t-ns N]`
 //!
+//! Blank lines, empty or whitespace only, are skipped, exactly the lines
+//! `cibola_forensics::parse_jsonl` skips, so the lint and
+//! `mission_report` accept the same dumps.
+//!
 //! Exits non-zero on the first malformed line, reporting its number. A
 //! malformed or missing `--max-t-ns` value prints `error: --max-t-ns
 //! <value>: <reason>` and exits 2, like every bench binary's arguments.
@@ -71,7 +75,7 @@ fn main() -> ExitCode {
 
     for (lineno, line) in dump.lines().enumerate() {
         let lineno = lineno + 1;
-        if line.is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
         if let Err(e) = validate_telemetry_line(line) {

@@ -274,8 +274,15 @@ impl MitigationStrategy for IntermodularScrub {
         dirty: &[bool],
     ) -> ScrubOutcome {
         // The board waited out the rest of the rotation since its last
-        // service; a dirty board spent that window with a latent fault.
-        if self.nlive > 1 && dirty.iter().any(|&d| d) {
+        // service; a board with a dirty device in service spent that
+        // window with a latent fault. A degraded device keeps its hint but
+        // is never scrubbed again, so it makes no board wait.
+        let fpgas = &payload.boards[board].fpgas;
+        let waited = dirty
+            .iter()
+            .zip(fpgas)
+            .any(|(&d, f)| d && !f.health.degraded);
+        if self.nlive > 1 && waited {
             let wait = (self.nlive - 1) as u64;
             self.stats.queue_wait_rounds += wait;
             payload.telemetry.emit_with(|| {

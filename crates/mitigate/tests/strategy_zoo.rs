@@ -7,9 +7,10 @@
 //!    equal (`PartialEq`, float for float) to the round-ticking
 //!    `run_strategy_mission_reference`, across fixed seeds and a proptest
 //!    sweep, under SEFI/port-fault chaos.
-//! 2. **Anchor** — driving `LadderStrategy` through the strategy seam is
-//!    bit-identical to the plain `run_mission` kernel, so the refactor
-//!    provably changed nothing for the paper's baseline; and an
+//! 2. **Anchor** — driving `LadderStrategy` through the strategy seam,
+//!    event-driven, is bit-identical to the plain every-round
+//!    `run_mission_reference` kernel, so the seam changes nothing for the
+//!    paper's baseline; and an
 //!    `AdaptiveScrub` whose clamp is pinned at k = 1 flies the ladder's
 //!    mission exactly, strategy counters included.
 //! 3. **Adaptive edge cases** — zero upsets (period climbs to the
@@ -29,8 +30,8 @@ use cibola_netlist::{gen, implement};
 use cibola_radiation::sefi::{SefiMix, SefiRates};
 use cibola_radiation::{OrbitRates, SefiConfig};
 use cibola_scrub::{
-    run_mission, LadderStats, MissionConfig, Payload, ScrubOutcome, SohEvent, Telemetry,
-    MAX_FRAME_ATTEMPTS,
+    run_mission, run_mission_reference, LadderStats, MissionConfig, Payload, ScrubOutcome,
+    SohEvent, Telemetry, MAX_FRAME_ATTEMPTS,
 };
 use proptest::prelude::*;
 
@@ -99,10 +100,19 @@ fn quiet_config(seed: u64) -> MissionConfig {
 /// Event-driven vs reference drivers for one named strategy and config —
 /// stats and SOH history must be bit-identical.
 fn assert_strategy_equivalence(name: &str, cfg: &MissionConfig) {
+    assert_strategy_equivalence_on(name, cfg, nine_fpga_payload);
+}
+
+/// [`assert_strategy_equivalence`] on payloads `payload` builds.
+fn assert_strategy_equivalence_on(
+    name: &str,
+    cfg: &MissionConfig,
+    payload: fn(&Geometry) -> Payload,
+) {
     let geom = Geometry::tiny();
     let sens = sparse_sensitivity();
-    let mut p_event = nine_fpga_payload(&geom);
-    let mut p_ref = nine_fpga_payload(&geom);
+    let mut p_event = payload(&geom);
+    let mut p_ref = payload(&geom);
     let mut s_event = make_strategy(name);
     let mut s_ref = make_strategy(name);
 
@@ -135,6 +145,24 @@ fn every_strategy_is_driver_equivalent_under_chaos() {
 fn every_strategy_is_driver_equivalent_when_quiet() {
     for name in STRATEGY_NAMES {
         assert_strategy_equivalence(name, &quiet_config(7));
+    }
+}
+
+/// The nine-FPGA payload with FPGA (1, 0) degraded before launch, so
+/// board 1's idle scan costs two devices and the others' three: a
+/// rotation that charges the wrong board shows.
+fn payload_with_a_degraded_fpga(geom: &Geometry) -> Payload {
+    let mut payload = nine_fpga_payload(geom);
+    payload.fpga_mut(1, 0).health.degraded = true;
+    payload
+}
+
+#[test]
+fn every_strategy_matches_every_round_with_a_degraded_fpga() {
+    for cfg in [quiet_config(7), chaos_config(1), chaos_config(42)] {
+        for name in STRATEGY_NAMES {
+            assert_strategy_equivalence_on(name, &cfg, payload_with_a_degraded_fpga);
+        }
     }
 }
 
@@ -178,14 +206,16 @@ fn ladder_strategy_matches_plain_mission_bit_identically() {
     let geom = Geometry::tiny();
     let sens = sparse_sensitivity();
     for cfg in [chaos_config(42), quiet_config(9), chaos_config(u64::MAX)] {
+        // `run_mission` flies the same event-driven loop as
+        // `run_strategy_mission`, so the anchor is the every-round loop.
         let mut p_plain = nine_fpga_payload(&geom);
         let mut p_strat = nine_fpga_payload(&geom);
-        let plain = run_mission(&mut p_plain, &cfg, &sens);
+        let plain = run_mission_reference(&mut p_plain, &cfg, &sens);
         let mut ladder = LadderStrategy;
         let strat = run_strategy_mission(&mut p_strat, &cfg, &sens, &mut ladder);
         assert_eq!(
             strat.mission, plain,
-            "ladder strategy diverged from run_mission (seed {})",
+            "ladder strategy diverged from run_mission_reference (seed {})",
             cfg.seed
         );
         assert_eq!(p_plain.soh.len(), p_strat.soh.len());

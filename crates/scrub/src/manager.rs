@@ -219,43 +219,43 @@ impl FaultManager {
     /// codebook. Readback happens while the design runs — no interruption
     /// of service.
     ///
-    /// A frame whose readback would be pure ([`Device::readback_is_pure`])
-    /// and which nothing has written since it last read back purely with
-    /// its stored CRC (its [`FrameStamp`] is unchanged) would match again:
-    /// it is charged the same time without the copy and the CRC, so the
-    /// report equals a cold scan's field for field.
+    /// A frame whose readback would be pure and which nothing has written
+    /// since it last read back purely with its stored CRC (its
+    /// [`FrameStamp`] is unchanged) would match again.
+    /// [`Device::skip_clean_frames`] passes over runs of such frames, and
+    /// of masked ones, and each skipped frame is charged the time its read
+    /// would take without the copy and the CRC, so the report equals a
+    /// cold scan's field for field.
     pub fn scan(&mut self, dev: &mut Device) -> ScanReport {
         let mut corrupt = Vec::new();
         let mut duration = SimDuration::ZERO;
         let mut scanned = 0usize;
         let mut aborted = 0usize;
         let mut wedged = false;
-        let t = dev.port_timing;
-        for fi in 0..dev.config().frame_count() {
-            if self.codebook.is_masked(fi) {
-                continue;
+        let book = &mut self.codebook;
+        let mut from = 0;
+        loop {
+            let (fi, frames, bytes, pure) =
+                dev.skip_clean_frames(from, &book.masked, &book.matched);
+            duration += read_time(dev, self.frame_overhead, frames, bytes);
+            scanned += frames as usize;
+            if fi == book.frame_count() {
+                break;
             }
+            from = fi + 1;
             let addr = dev.config().frame_addr(fi);
             let stamp = dev.config().frame_stamp(fi);
-            let pure = dev.readback_is_pure(addr);
-            if pure && self.codebook.matched[fi] == Some(stamp) {
-                let bytes = dev.config().frame_bytes(addr.block) as u64;
-                duration += SimDuration::from_nanos(t.op_overhead_ns + bytes * t.ns_per_byte)
-                    + self.frame_overhead;
-                scanned += 1;
-                continue;
-            }
             let (res, d) = dev.try_readback_frame(addr, ReadbackOptions::default());
             match res {
                 Ok(data) => {
                     duration += d + self.frame_overhead;
                     scanned += 1;
-                    if crc32(&data) == self.codebook.crc(fi) {
+                    if crc32(&data) == book.crc(fi) {
                         if pure {
-                            self.codebook.matched[fi] = Some(stamp);
+                            book.matched[fi] = Some(stamp);
                         }
                     } else {
-                        self.codebook.matched[fi] = None;
+                        book.matched[fi] = None;
                         corrupt.push(CorruptFrame {
                             frame_index: fi,
                             addr,
@@ -295,10 +295,12 @@ impl FaultManager {
     /// charges.
     pub fn scan_cost(&self, dev: &Device) -> SimDuration {
         debug_assert_eq!(dev.config().frame_count(), self.codebook.frame_count());
-        let t = dev.port_timing;
-        let per_frame = t.op_overhead_ns + self.frame_overhead.as_nanos();
-        SimDuration::from_nanos(
-            self.codebook.scanned_frames * per_frame + self.codebook.scanned_bytes * t.ns_per_byte,
+        let book = &self.codebook;
+        read_time(
+            dev,
+            self.frame_overhead,
+            book.scanned_frames,
+            book.scanned_bytes,
         )
     }
 
@@ -309,6 +311,16 @@ impl FaultManager {
         dev.reset();
         d
     }
+}
+
+/// Time to read `frames` frames of `bytes` bytes in all from `dev` and
+/// check them: port time plus the Actel's per-frame overhead. In integer
+/// nanoseconds this equals the sum of the frames' own read times.
+fn read_time(dev: &Device, frame_overhead: SimDuration, frames: u64, bytes: u64) -> SimDuration {
+    let t = dev.port_timing;
+    SimDuration::from_nanos(
+        frames * (t.op_overhead_ns + frame_overhead.as_nanos()) + bytes * t.ns_per_byte,
+    )
 }
 
 /// Bit-level mask of *live* (run-time-written) positions per frame:

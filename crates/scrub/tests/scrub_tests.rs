@@ -939,6 +939,16 @@ fn assert_same_device(a: &cibola_arch::Device, b: &cibola_arch::Device, what: &s
     assert_eq!(a.is_programmed(), b.is_programmed(), "{what}");
     assert_eq!(a.is_port_wedged(), b.is_port_wedged(), "{what}");
     let geom = a.geometry();
+    for ti in 0..geom.num_tiles() {
+        let tile = geom.tile_at(ti);
+        for (slice, ff) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            assert_eq!(
+                a.ff(tile, slice, ff),
+                b.ff(tile, slice, ff),
+                "{what}: flip-flop {tile:?} slice {slice} ff {ff}"
+            );
+        }
+    }
     for col in 0..geom.bram_cols {
         for block in 0..geom.bram_blocks_per_col() {
             assert_eq!(
@@ -951,13 +961,17 @@ fn assert_same_device(a: &cibola_arch::Device, b: &cibola_arch::Device, what: &s
 }
 
 /// The generation scan against a cold scan. Device A keeps one manager,
-/// and with it the per-frame match records, for the whole run; device B
-/// scans with a fresh manager every time (the same codebook upsets
-/// replayed), so it always reads every frame. The same seeded actions hit
-/// both — configuration flips (LUT mode bits among them, so static LUTs
-/// turn dynamic), codebook upsets, read faults, clock runs, repairs,
-/// port resets and reconfigurations — with the clock running, and every
-/// scan and clock run must agree exactly.
+/// and with it the per-frame match records, for the whole run, and keeps
+/// its own caches. Device B is replaced by a clone of itself (cold
+/// caches, a fresh memory identity) before every scan and every repair,
+/// and scans with a fresh manager every time (the same codebook upsets
+/// replayed), so it always reads every frame and derives its dynamic-LUT
+/// sites afresh: a cache on A that missed a write shows as a difference.
+/// The same seeded actions hit both — configuration flips (LUT mode bits
+/// among them, so static LUTs turn dynamic), codebook upsets, read
+/// faults, clock runs, repairs, design resets, port resets and
+/// reconfigurations — with the clock running, and every scan and clock
+/// run must agree exactly.
 #[test]
 fn generation_scan_matches_a_cold_scan() {
     use cibola_arch::bits::lut_mode_offset;
@@ -1032,6 +1046,7 @@ fn generation_scan_matches_a_cold_scan() {
                 }
                 for addr in last_corrupt.drain(..) {
                     let frame = golden.read_frame(addr);
+                    b = b.clone();
                     warm.repair(&mut a, addr, &frame);
                     warm.repair(&mut b, addr, &frame);
                 }
@@ -1050,11 +1065,16 @@ fn generation_scan_matches_a_cold_scan() {
                     b.configure_full(&golden);
                 }
             },
+            10 => {
+                a.reset();
+                b.reset();
+            }
             _ => {
                 let mut cold = FaultManager::new(CrcCodebook::new(&golden, &masked));
                 for &(entry, bit) in &book_upsets {
                     cold.codebook.upset(entry, bit);
                 }
+                b = b.clone();
                 let report = warm.scan(&mut a);
                 assert_eq!(report, cold.scan(&mut b), "{what}: scan reports");
                 assert_same_device(&a, &b, &what);
