@@ -2,11 +2,11 @@
 //!
 //! Every line must parse as a flat JSON object through the telemetry
 //! crate's own reader ([`cibola_forensics::RawEvent`] over
-//! `parse_flat_object`), and the stream must satisfy the emitter
-//! contract end to end:
+//! `FlatObject`), and the stream must satisfy the emitter contract end
+//! to end:
 //!
-//! - writer shape: fixed key order, `t_ns` leading
-//!   (`validate_telemetry_line`);
+//! - writer shape: one JSON object whose first top-level key is `t_ns`
+//!   and which has a top-level `name` key (`validate_telemetry_line`);
 //! - schema: any event in the known-schema table carries every required
 //!   field (`known_event_required_fields`);
 //! - horizon: no timestamp exceeds `--max-t-ns` when one is given;

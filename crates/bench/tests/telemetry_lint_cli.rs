@@ -1,35 +1,69 @@
 //! `telemetry_lint` run as a program, against `mission_report`'s parser.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 use cibola::prelude::*;
 use cibola_bench::conformance::{corpus_payload, mission_config, sparse_sensitivity};
 use cibola_forensics::MissionForensics;
 use cibola_scrub::Telemetry;
 
-#[test]
-fn lint_and_forensics_skip_the_same_blank_lines() {
-    // A short recorded storm mission, dumped the way `orbit_mission
-    // --telemetry` writes it, with a line of three spaces after line 3.
+/// A short recorded storm mission, dumped the way `orbit_mission
+/// --telemetry` writes it.
+fn recorded_dump() -> String {
     let telemetry = Telemetry::recording();
     let mut payload = corpus_payload(&Geometry::tiny()).with_telemetry(telemetry.clone());
     run_mission(&mut payload, &mission_config(1, 7).0, &sparse_sensitivity());
-    let dump = telemetry.dump_jsonl();
+    telemetry.dump_jsonl()
+}
+
+/// Write `text` to the file `name` and lint it.
+fn lint(name: &str, text: &str) -> Output {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).unwrap();
+    Command::new(env!("CARGO_BIN_EXE_telemetry_lint"))
+        .arg(&path)
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn lint_and_forensics_skip_the_same_blank_lines() {
+    // The dump with a line of three spaces after line 3.
+    let dump = recorded_dump();
     let mut lines: Vec<&str> = dump.lines().collect();
     assert!(lines.len() > 3, "{} lines", lines.len());
     lines.insert(3, "   ");
     let text = lines.join("\n") + "\n";
 
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("blank-line-dump.jsonl");
-    std::fs::write(&path, &text).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_telemetry_lint"))
-        .arg(&path)
-        .output()
-        .unwrap();
+    let out = lint("blank-line-dump.jsonl", &text);
     assert!(
         out.status.success(),
         "lint rejected the dump: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     MissionForensics::from_jsonl(&text).expect("forensics accepts the dump");
+}
+
+#[test]
+fn lint_rejects_a_line_whose_t_ns_is_not_first() {
+    // The dump with line 3's `t_ns` moved to the end of its object: still
+    // valid JSON, still carrying every key, but not the writer's shape.
+    let dump = recorded_dump();
+    let mut lines: Vec<String> = dump.lines().map(str::to_string).collect();
+    let body = lines[2]
+        .strip_prefix('{')
+        .and_then(|l| l.strip_suffix('}'))
+        .unwrap();
+    let (t_ns, rest) = body.split_once(',').unwrap();
+    assert!(t_ns.starts_with("\"t_ns\":"), "{t_ns}");
+    lines[2] = format!("{{{rest},{t_ns}}}");
+    let text = lines.join("\n") + "\n";
+
+    let out = lint("moved-t-ns-dump.jsonl", &text);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("moved-t-ns-dump.jsonl:3: first key must be \"t_ns\""),
+        "{stderr}"
+    );
 }

@@ -1,13 +1,15 @@
 //! The decoded-event layer: one JSONL line → one [`RawEvent`].
 //!
 //! Forensics never probes substrings. Every line goes through the
-//! telemetry crate's own [`parse_flat_object`] — the read side of the
+//! telemetry crate's own [`FlatObject`] — the read side of the
 //! `JsonObject` writer that produced it — so the two sides cannot drift,
-//! and an in-memory event vector serialized through `to_jsonl` decodes to
-//! exactly what a file round trip would (the `from_events` path pins
-//! that).
+//! and an in-memory event vector serialized through `write_jsonl` decodes
+//! to exactly what a file round trip would (the `from_events` path pins
+//! that). The reader scans each line once: the universal keys are matched
+//! borrowed from the line, `sev`, `sub` and `name` decode straight into
+//! their strings, and only the other keys and string values allocate.
 
-use cibola_telemetry::{parse_flat_object, JsonValue, TelemetryEvent};
+use cibola_telemetry::{FlatObject, JsonToken, JsonValue, TelemetryEvent};
 
 /// Why a dump failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,9 +47,10 @@ pub struct RawEvent {
 }
 
 impl RawEvent {
-    /// Decode one JSONL line.
+    /// Decode one JSONL line. A universal key that repeats takes its last
+    /// value, and one of the wrong type reads as absent.
     pub fn parse(line: &str) -> Result<RawEvent, String> {
-        let pairs = parse_flat_object(line).map_err(|e| e.to_string())?;
+        let mut object = FlatObject::new(line);
         let mut t_ns = None;
         let mut severity = None;
         let mut subsystem = None;
@@ -56,16 +59,16 @@ impl RawEvent {
         let mut fpga = None;
         let mut dur_ns = None;
         let mut fields = Vec::new();
-        for (k, v) in pairs {
-            match k.as_str() {
-                "t_ns" => t_ns = v.as_u64(),
-                "sev" => severity = v.as_str().map(str::to_string),
-                "sub" => subsystem = v.as_str().map(str::to_string),
-                "name" => name = v.as_str().map(str::to_string),
-                "board" => board = v.as_u64(),
-                "fpga" => fpga = v.as_u64(),
-                "dur_ns" => dur_ns = v.as_u64(),
-                _ => fields.push((k, v)),
+        while let Some((key, value)) = object.next_field().map_err(|e| e.to_string())? {
+            match &*key.decode() {
+                "t_ns" => t_ns = value.as_u64(),
+                "sev" => severity = owned_str(value),
+                "sub" => subsystem = owned_str(value),
+                "name" => name = owned_str(value),
+                "board" => board = value.as_u64(),
+                "fpga" => fpga = value.as_u64(),
+                "dur_ns" => dur_ns = value.as_u64(),
+                other => fields.push((other.to_string(), value.to_value())),
             }
         }
         let device = match (board, fpga) {
@@ -123,6 +126,15 @@ impl RawEvent {
     }
 }
 
+/// The decoded text of a string value, copied once out of the line;
+/// `None` for any other value.
+fn owned_str(value: JsonToken) -> Option<String> {
+    match value {
+        JsonToken::Str(s) => Some(s.decode().into_owned()),
+        _ => None,
+    }
+}
+
 /// Which correlation-id space an id lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IdSpace {
@@ -160,13 +172,19 @@ fn parse_line(text: &str, line: usize) -> Result<RawEvent, ForensicsError> {
 }
 
 /// Decode an in-memory event vector by serializing each event through
-/// its own `to_jsonl` — the identical path a file dump takes, so the two
-/// entry points can never disagree.
+/// its own `write_jsonl` — the identical path a file dump takes, so the
+/// two entry points can never disagree. One line buffer serves every
+/// event.
 pub fn from_events(events: &[TelemetryEvent]) -> Result<Vec<RawEvent>, ForensicsError> {
+    let mut text = String::new();
     events
         .iter()
         .enumerate()
-        .map(|(i, ev)| parse_line(&ev.to_jsonl(), i + 1))
+        .map(|(i, ev)| {
+            text.clear();
+            ev.write_jsonl(&mut text);
+            parse_line(&text, i + 1)
+        })
         .collect()
 }
 

@@ -130,6 +130,15 @@ pub struct MissionForensics {
     pub lifecycles: Vec<FaultLifecycle>,
 }
 
+/// `map[key]`, inserted as the default the first time the table sees
+/// `key`: a key is allocated once per table, not once per lookup.
+fn entry<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
+}
+
 impl MissionForensics {
     /// Build a report from a JSONL telemetry dump.
     pub fn from_jsonl(text: &str) -> Result<MissionForensics, ForensicsError> {
@@ -169,7 +178,7 @@ impl MissionForensics {
                 IdSpace::Upset => upsets += 1,
                 IdSpace::Sefi => sefis += 1,
             }
-            let c = causes.entry(lc.cause.clone()).or_default();
+            let c = entry(&mut causes, &lc.cause);
             c.injected += 1;
             c.symptoms += lc.symptom_count as u64;
             if lc.sensitive {
@@ -182,9 +191,9 @@ impl MissionForensics {
                 Outcome::Resolved {
                     latency_ns, via, ..
                 } => {
-                    *c.resolved.entry(via.clone()).or_default() += 1;
+                    *entry(&mut c.resolved, via) += 1;
                     c.repair.add(*latency_ns);
-                    vias.entry(via.clone()).or_default().add(*latency_ns);
+                    entry(&mut vias, via).add(*latency_ns);
                     if lc.sensitive {
                         c.unavailable_ns += latency_ns;
                         unavailable_ns += latency_ns;
@@ -214,7 +223,7 @@ impl MissionForensics {
         let mut unrung_events = 0u64;
         let mut soh_events = 0u64;
         for ev in events {
-            *event_counts.entry(ev.name.clone()).or_default() += 1;
+            *entry(&mut event_counts, &ev.name) += 1;
             if let Some(meta) = soh_meta_for(&ev.name) {
                 soh_events += 1;
                 match meta.rung {

@@ -53,11 +53,13 @@ fn sparse_sensitivity() -> HashMap<(usize, usize), HashSet<usize>> {
     m
 }
 
+/// The forensics suite's SEFI rates: about 14 SEFIs expected over a
+/// chaos mission, so every seed reaches the port-fault paths.
 fn sefi_config() -> SefiConfig {
     SefiConfig {
         rates: SefiRates {
-            quiet_per_hour: 6.7,
-            flare_per_hour: 53.0,
+            quiet_per_hour: 40.0,
+            flare_per_hour: 320.0,
             devices: 9,
         },
         mix: SefiMix::default(),
@@ -122,6 +124,12 @@ fn assert_strategy_equivalence_on(
     assert_eq!(
         event, reference,
         "strategy {name:?} seed {} diverged between drivers",
+        cfg.seed
+    );
+    // A chaos run without a SEFI would compare no port-fault path.
+    assert!(
+        cfg.sefi.is_none() || event.mission.sefis_injected > 0,
+        "strategy {name:?} seed {} landed no SEFI under chaos",
         cfg.seed
     );
     assert_eq!(

@@ -81,6 +81,20 @@ fn recording_sink_never_perturbs_mission_stats() {
     );
 }
 
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The chaos mission's dump, pinned across builds: its event count, byte
+/// length and FNV-1a 64 digest. A writer change that alters every run's
+/// bytes alike passes the flown-twice comparison but not these.
+const CHAOS_DUMP_EVENTS: usize = 1_765;
+const CHAOS_DUMP_BYTES: usize = 258_577;
+const CHAOS_DUMP_FNV1A: u64 = 0x5dd7_3fa0_8868_c399;
+
 #[test]
 fn fixed_seed_dump_is_byte_identical_and_lints() {
     let cfg = chaos_config();
@@ -90,6 +104,11 @@ fn fixed_seed_dump_is_byte_identical_and_lints() {
     let dump2 = t2.dump_jsonl();
     assert!(!dump1.is_empty());
     assert_eq!(dump1, dump2, "same seed, different flight record");
+    assert_eq!(
+        (dump1.lines().count(), dump1.len(), fnv1a(dump1.as_bytes())),
+        (CHAOS_DUMP_EVENTS, CHAOS_DUMP_BYTES, CHAOS_DUMP_FNV1A),
+        "the pinned chaos dump changed"
+    );
     for (i, line) in dump1.lines().enumerate() {
         validate_telemetry_line(line)
             .unwrap_or_else(|e| panic!("line {}: {} (at byte {})", i + 1, e.message, e.at));

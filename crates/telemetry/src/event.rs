@@ -199,10 +199,10 @@ impl TelemetryEvent {
         self
     }
 
-    /// Serialize as one JSONL line (no trailing newline). Key order is
-    /// fixed, so equal events serialize to equal bytes.
-    pub fn to_jsonl(&self) -> String {
-        let mut o = JsonObject::new();
+    /// Append this event's JSONL line (no trailing newline) to `out`. Key
+    /// order is fixed, so equal events serialize to equal bytes.
+    pub fn write_jsonl(&self, out: &mut String) {
+        let mut o = JsonObject::extending(std::mem::take(out));
         o.num_u64("t_ns", self.t_ns);
         o.str("sev", self.severity.name());
         o.str("sub", self.subsystem.name());
@@ -223,7 +223,14 @@ impl TelemetryEvent {
                 FieldValue::Str(x) => o.str(k, x),
             }
         }
-        o.finish()
+        *out = o.finish();
+    }
+
+    /// Serialize as one JSONL line (no trailing newline).
+    pub fn to_jsonl(&self) -> String {
+        let mut line = String::new();
+        self.write_jsonl(&mut line);
+        line
     }
 }
 
@@ -252,6 +259,9 @@ mod tests {
              \"wedged\":true,\"frame\":7}"
         );
         assert_eq!(line, ev.clone().to_jsonl(), "serialization is pure");
+        let mut appended = String::from("prefix\n");
+        ev.write_jsonl(&mut appended);
+        assert_eq!(appended, format!("prefix\n{line}"), "write_jsonl appends");
     }
 
     #[test]

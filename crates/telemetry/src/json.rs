@@ -2,42 +2,83 @@
 //!
 //! The build environment has no route to a crates registry, so there is no
 //! `serde`; the telemetry layer hand-rolls the tiny subset of JSON it
-//! needs. Two halves:
+//! needs. Three parts:
 //!
-//! * [`JsonObject`] — an ordered object writer (the JSONL emitters).
+//! * [`JsonObject`] — an ordered object writer (the JSONL emitters). It
+//!   appends to one buffer, so a whole dump is written without a
+//!   per-line or per-number allocation.
+//! * [`FlatObject`] — the one-pass reader of a flat object line: each
+//!   top-level key and value comes back borrowed from the line, so a
+//!   caller allocates only what it keeps.
 //! * [`validate_json_line`] — a strict single-value parser used by the
 //!   `telemetry-lint` binary and the determinism tests to prove every
 //!   emitted line is well-formed, standalone JSON.
 
-/// Append `s` JSON-escaped (quoted) to `out`.
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
+/// Append `s` JSON-escaped (quoted) to `out`. Each run of characters that
+/// needs no escape is copied in one push, so a plain name costs one copy.
 pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append the decimal digits of `v` to `out` without allocating.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// Append `v` as a JSON number, or `null` when it is not finite.
+fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        // `{:?}` round-trips f64 exactly and always includes a decimal
+        // point or exponent, so integers stay distinguishable from floats.
+        write!(out, "{v:?}").expect("writing to a String cannot fail");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Render an `f64` as a JSON number. JSON has no NaN/Inf; they are mapped
 /// to `null` (the lint flags them as values, never as parse errors).
 pub fn f64_to_json(v: f64) -> String {
-    if v.is_finite() {
-        // `{:?}` round-trips f64 exactly and always includes a decimal
-        // point or exponent, so integers stay distinguishable from floats.
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
+    let mut s = String::new();
+    push_f64(&mut s, v);
+    s
 }
 
 /// An insertion-ordered JSON object writer.
@@ -49,10 +90,14 @@ pub struct JsonObject {
 
 impl JsonObject {
     pub fn new() -> Self {
-        JsonObject {
-            buf: String::from("{"),
-            any: false,
-        }
+        Self::extending(String::new())
+    }
+
+    /// A writer that appends the object to `buf`; [`finish`](Self::finish)
+    /// hands the buffer back with the object closed.
+    pub fn extending(mut buf: String) -> Self {
+        buf.push('{');
+        JsonObject { buf, any: false }
     }
 
     fn key(&mut self, k: &str) {
@@ -71,17 +116,20 @@ impl JsonObject {
 
     pub fn num_u64(&mut self, k: &str, v: u64) {
         self.key(k);
-        self.buf.push_str(&v.to_string());
+        push_u64(&mut self.buf, v);
     }
 
     pub fn num_i64(&mut self, k: &str, v: i64) {
         self.key(k);
-        self.buf.push_str(&v.to_string());
+        if v < 0 {
+            self.buf.push('-');
+        }
+        push_u64(&mut self.buf, v.unsigned_abs());
     }
 
     pub fn num_f64(&mut self, k: &str, v: f64) {
         self.key(k);
-        self.buf.push_str(&f64_to_json(v));
+        push_f64(&mut self.buf, v);
     }
 
     pub fn bool(&mut self, k: &str, v: bool) {
@@ -108,7 +156,7 @@ pub fn f64_array(vals: &[f64]) -> String {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&f64_to_json(*v));
+        push_f64(&mut s, *v);
     }
     s.push(']');
     s
@@ -121,7 +169,7 @@ pub fn u64_array(vals: &[u64]) -> String {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&v.to_string());
+        push_u64(&mut s, *v);
     }
     s.push(']');
     s
@@ -145,12 +193,22 @@ impl std::fmt::Display for JsonError {
     }
 }
 
+#[derive(Debug)]
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(s: &'a str) -> Self {
+        Parser {
+            s,
+            b: s.as_bytes(),
+            i: 0,
+        }
+    }
+
     fn err<T>(&self, message: &str) -> Result<T, JsonError> {
         Err(JsonError {
             at: self.i,
@@ -182,11 +240,11 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
+            Some(b'"') => self.string().map(drop),
             Some(b't') => self.literal(b"true"),
             Some(b'f') => self.literal(b"false"),
             Some(b'n') => self.literal(b"null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(drop),
             Some(_) => self.err("expected a JSON value"),
             None => self.err("unexpected end of input"),
         }
@@ -247,16 +305,29 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<(), JsonError> {
+    /// Scan the string at the cursor and return its body, borrowed from
+    /// the line with escapes unresolved.
+    fn string(&mut self) -> Result<JsonStr<'a>, JsonError> {
         self.expect(b'"')?;
+        let start = self.i;
+        let mut escaped = false;
         loop {
+            // Skip the run of plain characters in one sweep.
+            self.i += self.b[self.i..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.b.len() - self.i);
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.i += 1;
-                    return Ok(());
+                    return Ok(JsonStr {
+                        raw: &self.s[start..self.i - 1],
+                        escaped,
+                    });
                 }
                 Some(b'\\') => {
+                    escaped = true;
                     self.i += 1;
                     match self.peek() {
                         Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => self.i += 1,
@@ -278,19 +349,28 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<(), JsonError> {
+    /// Scan the number at the cursor. Returns whether it is integral (no
+    /// fraction, no exponent) and its magnitude accumulated from the
+    /// integer digits as they are scanned (`None` past `u64::MAX`).
+    fn number(&mut self) -> Result<(bool, Option<u64>), JsonError> {
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
         let mut digits = 0;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let mut magnitude = Some(0u64);
+        while let Some(c @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude
+                .and_then(|m| m.checked_mul(10))
+                .and_then(|m| m.checked_add(u64::from(c - b'0')));
             self.i += 1;
             digits += 1;
         }
         if digits == 0 {
             return self.err("expected digits");
         }
+        let mut integral = true;
         if self.peek() == Some(b'.') {
+            integral = false;
             self.i += 1;
             let mut frac = 0;
             while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
@@ -302,6 +382,7 @@ impl<'a> Parser<'a> {
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            integral = false;
             self.i += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.i += 1;
@@ -315,7 +396,57 @@ impl<'a> Parser<'a> {
                 return self.err("expected exponent digits");
             }
         }
-        Ok(())
+        Ok((integral, magnitude))
+    }
+
+    /// Scan one value and return it borrowed from the line.
+    fn token(&mut self) -> Result<JsonToken<'a>, JsonError> {
+        self.skip_ws();
+        let start = self.i;
+        let at_start = |message: &str| JsonError {
+            at: start,
+            message: message.to_string(),
+        };
+        match self.peek() {
+            Some(b'"') => Ok(JsonToken::Str(self.string()?)),
+            Some(b't') => {
+                self.literal(b"true")?;
+                Ok(JsonToken::Bool(true))
+            }
+            Some(b'f') => {
+                self.literal(b"false")?;
+                Ok(JsonToken::Bool(false))
+            }
+            Some(b'n') => {
+                self.literal(b"null")?;
+                Ok(JsonToken::Null)
+            }
+            Some(b'{' | b'[') => {
+                self.value()?;
+                Ok(JsonToken::Raw(&self.s[start..self.i]))
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                let (integral, magnitude) = self.number()?;
+                if !integral {
+                    self.s[start..self.i]
+                        .parse::<f64>()
+                        .map(JsonToken::F64)
+                        .map_err(|_| at_start("unparseable float"))
+                } else if c == b'-' {
+                    // i64::MIN's magnitude is one past i64::MAX.
+                    match magnitude {
+                        Some(m) if m <= 1 << 63 => Ok(JsonToken::I64((m as i64).wrapping_neg())),
+                        _ => Err(at_start("integer out of i64 range")),
+                    }
+                } else {
+                    magnitude
+                        .map(JsonToken::U64)
+                        .ok_or_else(|| at_start("integer out of u64 range"))
+                }
+            }
+            Some(_) => self.err("expected a JSON value"),
+            None => self.err("unexpected end of input"),
+        }
     }
 }
 
@@ -324,7 +455,7 @@ impl<'a> Parser<'a> {
 /// Numbers keep their lexical class: an integral token without sign
 /// becomes `U64`, a signed integral token `I64`, anything with a decimal
 /// point or exponent `F64` — mirroring how [`JsonObject`] wrote it, so a
-/// round trip through [`parse_flat_object`] is type-faithful.
+/// round trip through [`FlatObject`] is type-faithful.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     U64(u64),
@@ -371,143 +502,176 @@ impl JsonValue {
     }
 }
 
-impl<'a> Parser<'a> {
-    /// Decode the string at the cursor (escapes resolved).
-    fn string_decoded(&mut self) -> Result<String, JsonError> {
-        let start = self.i;
-        self.string()?;
-        let raw = &self.b[start + 1..self.i - 1];
-        let text = std::str::from_utf8(raw).map_err(|_| JsonError {
-            at: start,
-            message: "invalid UTF-8 in string".to_string(),
-        })?;
-        if !text.contains('\\') {
-            return Ok(text.to_string());
+/// A JSON string borrowed from the line it was read from: the text
+/// between the quotes, escapes still unresolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JsonStr<'a> {
+    raw: &'a str,
+    escaped: bool,
+}
+
+impl<'a> JsonStr<'a> {
+    /// The decoded text, borrowed from the line unless it holds escapes.
+    /// A `\u` escape that names no scalar value (a lone surrogate)
+    /// decodes to U+FFFD.
+    pub fn decode(self) -> Cow<'a, str> {
+        let raw = self.raw;
+        if !self.escaped {
+            return Cow::Borrowed(raw);
         }
-        let mut out = String::with_capacity(text.len());
-        let mut chars = text.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
+        let b = raw.as_bytes();
+        let mut out = String::with_capacity(raw.len());
+        let mut run = 0;
+        let mut i = 0;
+        while i < b.len() {
+            if b[i] != b'\\' {
+                i += 1;
                 continue;
             }
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('b') => out.push('\u{0008}'),
-                Some('f') => out.push('\u{000c}'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).unwrap_or(0xFFFD);
-                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+            out.push_str(&raw[run..i]);
+            // The scanner admitted only well-formed escapes.
+            let (c, len) = match b[i + 1] {
+                b'b' => ('\u{0008}', 2),
+                b'f' => ('\u{000c}', 2),
+                b'n' => ('\n', 2),
+                b'r' => ('\r', 2),
+                b't' => ('\t', 2),
+                b'u' => {
+                    let code = u32::from_str_radix(&raw[i + 2..i + 6], 16).unwrap_or(0xFFFD);
+                    (char::from_u32(code).unwrap_or('\u{FFFD}'), 6)
                 }
-                _ => out.push('\u{FFFD}'),
-            }
+                other => (other as char, 2),
+            };
+            out.push(c);
+            i += len;
+            run = i;
         }
-        Ok(out)
+        out.push_str(&raw[run..]);
+        Cow::Owned(out)
+    }
+}
+
+/// One top-level value borrowed from the line it was read from. Numbers
+/// are already decoded, classed as [`JsonValue`] classes them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum JsonToken<'a> {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Bool(bool),
+    Str(JsonStr<'a>),
+    Null,
+    /// A nested array or object, as raw JSON text.
+    Raw(&'a str),
+}
+
+impl JsonToken<'_> {
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            JsonToken::U64(v) => Some(v),
+            _ => None,
+        }
     }
 
-    /// Parse one value, returning its decoded form.
-    fn value_decoded(&mut self) -> Result<JsonValue, JsonError> {
-        self.skip_ws();
-        let start = self.i;
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string_decoded()?)),
-            Some(b't') => {
-                self.literal(b"true")?;
-                Ok(JsonValue::Bool(true))
-            }
-            Some(b'f') => {
-                self.literal(b"false")?;
-                Ok(JsonValue::Bool(false))
-            }
-            Some(b'n') => {
-                self.literal(b"null")?;
-                Ok(JsonValue::Null)
-            }
-            Some(b'{') | Some(b'[') => {
-                self.value()?;
-                let raw = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| JsonError {
-                    at: start,
-                    message: "invalid UTF-8 in value".to_string(),
-                })?;
-                Ok(JsonValue::Raw(raw.to_string()))
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                self.number()?;
-                let tok = std::str::from_utf8(&self.b[start..self.i]).expect("number is ASCII");
-                if tok.contains(['.', 'e', 'E']) {
-                    tok.parse::<f64>()
-                        .map(JsonValue::F64)
-                        .map_err(|_| JsonError {
-                            at: start,
-                            message: "unparseable float".to_string(),
-                        })
-                } else if tok.starts_with('-') {
-                    tok.parse::<i64>()
-                        .map(JsonValue::I64)
-                        .map_err(|_| JsonError {
-                            at: start,
-                            message: "integer out of i64 range".to_string(),
-                        })
-                } else {
-                    tok.parse::<u64>()
-                        .map(JsonValue::U64)
-                        .map_err(|_| JsonError {
-                            at: start,
-                            message: "integer out of u64 range".to_string(),
-                        })
-                }
-            }
-            Some(_) => self.err("expected a JSON value"),
-            None => self.err("unexpected end of input"),
+    /// The owned value, allocating only for strings and nested text.
+    pub fn to_value(self) -> JsonValue {
+        match self {
+            JsonToken::U64(v) => JsonValue::U64(v),
+            JsonToken::I64(v) => JsonValue::I64(v),
+            JsonToken::F64(v) => JsonValue::F64(v),
+            JsonToken::Bool(v) => JsonValue::Bool(v),
+            JsonToken::Str(s) => JsonValue::Str(s.decode().into_owned()),
+            JsonToken::Null => JsonValue::Null,
+            JsonToken::Raw(r) => JsonValue::Raw(r.to_string()),
         }
     }
 }
 
-/// Parse one telemetry JSONL line into its top-level `(key, value)` pairs,
-/// in emission order. The line must be exactly one JSON object with no
-/// trailing garbage; nested values are preserved as [`JsonValue::Raw`].
-/// This is the read side of [`JsonObject`] — `telemetry_lint` and the
-/// forensics analyzer both decode dumps through it instead of probing
-/// substrings.
-pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, JsonError> {
-    let mut p = Parser {
-        b: line.as_bytes(),
-        i: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.i += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string_decoded()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            let value = p.value_decoded()?;
-            fields.push((key, value));
-            p.skip_ws();
-            match p.peek() {
-                Some(b',') => p.i += 1,
-                Some(b'}') => {
-                    p.i += 1;
-                    break;
-                }
-                _ => return p.err("expected ',' or '}'"),
-            }
+/// The one-pass reader of a flat telemetry object line — the read side
+/// of [`JsonObject`]. Each [`next_field`](Self::next_field) scans one
+/// top-level `key: value` pair and returns both borrowed from the line,
+/// so a caller allocates only what it keeps. The line must be exactly one
+/// JSON object with no trailing garbage; the call that reaches the
+/// closing brace checks that, so a caller that reads every field has
+/// validated the whole line.
+#[derive(Debug)]
+pub struct FlatObject<'a> {
+    p: Parser<'a>,
+    state: FlatState,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum FlatState {
+    /// Before the opening brace.
+    Open,
+    /// After the opening brace or a field.
+    Fields,
+    /// Past the closing brace.
+    Closed,
+}
+
+impl<'a> FlatObject<'a> {
+    pub fn new(line: &'a str) -> Self {
+        FlatObject {
+            p: Parser::new(line),
+            state: FlatState::Open,
         }
     }
-    p.skip_ws();
-    if p.i != line.len() {
-        return p.err("trailing characters after JSON object");
+
+    /// The next top-level field in emission order, or `None` once the
+    /// object has closed.
+    pub fn next_field(&mut self) -> Result<Option<(JsonStr<'a>, JsonToken<'a>)>, JsonError> {
+        let p = &mut self.p;
+        match self.state {
+            FlatState::Open => {
+                p.skip_ws();
+                p.expect(b'{')?;
+                p.skip_ws();
+                self.state = FlatState::Fields;
+                if p.peek() == Some(b'}') {
+                    p.i += 1;
+                    return self.close();
+                }
+            }
+            FlatState::Fields => {
+                p.skip_ws();
+                match p.peek() {
+                    Some(b',') => p.i += 1,
+                    Some(b'}') => {
+                        p.i += 1;
+                        return self.close();
+                    }
+                    _ => return p.err("expected ',' or '}'"),
+                }
+            }
+            FlatState::Closed => return Ok(None),
+        }
+        p.skip_ws();
+        let key = p.string()?;
+        p.skip_ws();
+        p.expect(b':')?;
+        let value = p.token()?;
+        Ok(Some((key, value)))
+    }
+
+    fn close<T>(&mut self) -> Result<Option<T>, JsonError> {
+        self.state = FlatState::Closed;
+        self.p.skip_ws();
+        if self.p.i != self.p.b.len() {
+            return self.p.err("trailing characters after JSON object");
+        }
+        Ok(None)
+    }
+}
+
+/// Parse one telemetry JSONL line into its top-level `(key, value)` pairs,
+/// in emission order: every field of a [`FlatObject`], owned. Nested
+/// values are preserved as [`JsonValue::Raw`].
+pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, JsonError> {
+    let mut object = FlatObject::new(line);
+    let mut fields = Vec::new();
+    while let Some((key, value)) = object.next_field()? {
+        fields.push((key.decode().into_owned(), value.to_value()));
     }
     Ok(fields)
 }
@@ -515,10 +679,7 @@ pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, JsonErr
 /// Validate that `line` is exactly one well-formed JSON value with no
 /// trailing garbage. Returns the byte length consumed.
 pub fn validate_json_line(line: &str) -> Result<usize, JsonError> {
-    let mut p = Parser {
-        b: line.as_bytes(),
-        i: 0,
-    };
+    let mut p = Parser::new(line);
     p.value()?;
     p.skip_ws();
     if p.i != line.len() {
@@ -527,8 +688,10 @@ pub fn validate_json_line(line: &str) -> Result<usize, JsonError> {
     Ok(p.i)
 }
 
-/// Validate a JSONL telemetry line: well-formed JSON *and* an object
-/// carrying the required `"t_ns"` and `"name"` keys.
+/// Validate a JSONL telemetry line: well-formed JSON, an object, and the
+/// writer's shape — `t_ns` is its first top-level key and `name` is one
+/// of its top-level keys. Keys are read decoded, so a key that merely
+/// appears inside a string value does not count.
 pub fn validate_telemetry_line(line: &str) -> Result<(), JsonError> {
     validate_json_line(line)?;
     if !line.trim_start().starts_with('{') {
@@ -537,15 +700,22 @@ pub fn validate_telemetry_line(line: &str) -> Result<(), JsonError> {
             message: "telemetry line must be a JSON object".to_string(),
         });
     }
-    for key in ["\"t_ns\":", "\"name\":"] {
-        if !line.contains(key) {
-            return Err(JsonError {
-                at: 0,
-                message: format!("missing required key {key}"),
-            });
+    let shape = |message: &str| JsonError {
+        at: 0,
+        message: message.to_string(),
+    };
+    let mut object = FlatObject::new(line);
+    match object.next_field()? {
+        Some((key, _)) if key.decode() == "t_ns" => {}
+        Some(_) => return Err(shape("first key must be \"t_ns\"")),
+        None => return Err(shape("missing required key \"t_ns\"")),
+    }
+    while let Some((key, _)) = object.next_field()? {
+        if key.decode() == "name" {
+            return Ok(());
         }
     }
-    Ok(())
+    Err(shape("missing required key \"name\""))
 }
 
 #[cfg(test)]
@@ -555,8 +725,8 @@ mod tests {
     #[test]
     fn object_writer_round_trips_through_validator() {
         let mut o = JsonObject::new();
-        o.str("name", "weird \"quoted\"\nname\t\\");
         o.num_u64("t_ns", u64::MAX);
+        o.str("name", "weird \"quoted\"\nname\t\\");
         o.num_i64("delta", -42);
         o.num_f64("ratio", 0.1);
         o.bool("ok", true);
@@ -605,6 +775,13 @@ mod tests {
         assert!(validate_telemetry_line("{\"t_ns\":1,\"name\":\"x\"}").is_ok());
         assert!(validate_telemetry_line("{\"t_ns\":1}").is_err());
         assert!(validate_telemetry_line("[1,2]").is_err());
+        // The keys are read, not searched for: `t_ns` must lead, and a
+        // nested object's key is no top-level key.
+        let moved = validate_telemetry_line("{\"name\":\"x\",\"t_ns\":1}").unwrap_err();
+        assert_eq!(moved.message, "first key must be \"t_ns\"");
+        assert!(validate_telemetry_line("{\"t_ns\":1,\"meta\":{\"name\":\"x\"}}").is_err());
+        assert!(validate_telemetry_line("{\"t_\\u006es\":1,\"name\":\"x\"}").is_ok());
+        assert!(validate_telemetry_line("{}").is_err());
     }
 
     #[test]

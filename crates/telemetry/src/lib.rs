@@ -14,8 +14,8 @@
 //! * [`sink`] — the cloneable [`Telemetry`] handle; disabled by default
 //!   (one branch, zero allocations) so uninstrumented runs stay
 //!   bit-identical.
-//! * [`recorder`] — bounded per-device ring buffers with post-mortem
-//!   capture on critical events.
+//! * [`recorder`] — the event log and the post-mortem timelines a
+//!   critical device event freezes out of it.
 //! * [`metrics`] — lock-free-ish counters/gauges/fixed-bucket histograms
 //!   with deterministic, JSON-serializable snapshots.
 //! * [`downlink`] — the budgeted SOH encoder that sheds by severity and
@@ -24,8 +24,8 @@
 //!   counter block used by scrub, mission and ensemble statistics.
 //! * [`port`] — `Copy`-able SelectMAP port-fault counters embeddable in
 //!   `Device`.
-//! * [`json`] — the hand-rolled writer/validator (no external JSON crate
-//!   in this environment).
+//! * [`json`] — the hand-rolled writer, one-pass reader and validator (no
+//!   external JSON crate in this environment).
 
 pub mod downlink;
 pub mod event;
@@ -40,8 +40,8 @@ pub mod soh;
 pub use downlink::{plan_downlink, DownlinkPlan, PassPlan, SohDownlinkPolicy};
 pub use event::{known_event_required_fields, FieldValue, Severity, Subsystem, TelemetryEvent};
 pub use json::{
-    parse_flat_object, validate_json_line, validate_telemetry_line, JsonError, JsonObject,
-    JsonValue,
+    parse_flat_object, validate_json_line, validate_telemetry_line, FlatObject, JsonError,
+    JsonObject, JsonStr, JsonToken, JsonValue,
 };
 pub use ladder::{EscalationRung, LadderStats};
 pub use metrics::{
@@ -49,6 +49,6 @@ pub use metrics::{
     RETRIES_BUCKETS, THROUGHPUT_BUCKETS,
 };
 pub use port::PortFaultStats;
-pub use recorder::{FlightRecorder, PostMortem};
+pub use recorder::PostMortem;
 pub use sink::Telemetry;
 pub use soh::{soh_meta_for, SohEventMeta, SOH_EVENT_META};

@@ -1,16 +1,17 @@
-//! The flight recorder: bounded ring buffers of recent events.
+//! The flight recorder: the event log and the post-mortems it freezes.
 //!
-//! A real payload cannot keep an unbounded log, so the recorder holds the
-//! last `per_device_capacity` events for each `(board, fpga)` plus a
-//! larger global ring. When a `Critical` event lands on a device the
-//! recorder freezes that device's ring into a [`PostMortem`] — the
+//! Every recorded event lands once, in emission order, in one log. When a
+//! `Critical` event lands on a device the recorder freezes that device's
+//! last [`POST_MORTEM_EVENTS`] events into a [`PostMortem`] — the
 //! timeline a ground crew would study to learn *why* the ladder climbed
-//! to degradation.
-
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+//! to degradation. The timeline is read back out of the log at capture,
+//! which happens at most once per degraded device, so recording an event
+//! copies nothing.
 
 use crate::event::{Severity, TelemetryEvent};
+
+/// Events a post-mortem timeline holds, its trigger included.
+pub const POST_MORTEM_EVENTS: usize = 64;
 
 /// A frozen copy of one device's recent history, captured at the moment a
 /// critical event hit it.
@@ -22,93 +23,44 @@ pub struct PostMortem {
     pub t_ns: u64,
     /// Name of the triggering critical event.
     pub trigger: &'static str,
-    /// The device's ring at capture time, oldest first — the triggering
-    /// event is the last entry.
+    /// The device's last [`POST_MORTEM_EVENTS`] events, oldest first —
+    /// the triggering event is the last entry.
     pub timeline: Vec<TelemetryEvent>,
 }
 
-/// Bounded per-device + global event rings with post-mortem capture.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    per_device_capacity: usize,
-    global_capacity: usize,
-    devices: BTreeMap<(u16, u16), VecDeque<TelemetryEvent>>,
-    global: VecDeque<TelemetryEvent>,
-    post_mortems: Vec<PostMortem>,
-    /// Events pushed out of the global ring (kept so truncation is never
-    /// silent).
-    evicted: u64,
+/// The event log and its post-mortems, kept under one lock by the
+/// [`Telemetry`](crate::Telemetry) handle.
+#[derive(Debug, Default)]
+pub(crate) struct FlightLog {
+    /// Every event in emission order — the JSONL dump source.
+    pub(crate) events: Vec<TelemetryEvent>,
+    pub(crate) post_mortems: Vec<PostMortem>,
 }
 
-impl FlightRecorder {
-    pub const DEFAULT_PER_DEVICE: usize = 64;
-    pub const DEFAULT_GLOBAL: usize = 4096;
-
-    pub fn new(per_device_capacity: usize, global_capacity: usize) -> Self {
-        FlightRecorder {
-            per_device_capacity: per_device_capacity.max(1),
-            global_capacity: global_capacity.max(1),
-            devices: BTreeMap::new(),
-            global: VecDeque::new(),
-            post_mortems: Vec::new(),
-            evicted: 0,
-        }
-    }
-
-    /// Record one event, capturing a post-mortem if it is critical and
+impl FlightLog {
+    /// Log one event, capturing a post-mortem if it is critical and
     /// device-scoped.
-    pub fn record(&mut self, event: &TelemetryEvent) {
-        if self.global.len() == self.global_capacity {
-            self.global.pop_front();
-            self.evicted += 1;
+    pub(crate) fn record(&mut self, event: TelemetryEvent) {
+        if let (Severity::Critical, Some((board, fpga))) = (event.severity, event.device) {
+            let mut timeline: Vec<TelemetryEvent> = self
+                .events
+                .iter()
+                .rev()
+                .filter(|e| e.device == event.device)
+                .take(POST_MORTEM_EVENTS - 1)
+                .cloned()
+                .collect();
+            timeline.reverse();
+            timeline.push(event.clone());
+            self.post_mortems.push(PostMortem {
+                board,
+                fpga,
+                t_ns: event.t_ns,
+                trigger: event.name,
+                timeline,
+            });
         }
-        self.global.push_back(event.clone());
-
-        if let Some((board, fpga)) = event.device {
-            let ring = self.devices.entry((board, fpga)).or_default();
-            if ring.len() == self.per_device_capacity {
-                ring.pop_front();
-            }
-            ring.push_back(event.clone());
-            if event.severity == Severity::Critical {
-                self.post_mortems.push(PostMortem {
-                    board,
-                    fpga,
-                    t_ns: event.t_ns,
-                    trigger: event.name,
-                    timeline: ring.iter().cloned().collect(),
-                });
-            }
-        }
-    }
-
-    /// Post-mortems captured so far, in capture order.
-    pub fn post_mortems(&self) -> &[PostMortem] {
-        &self.post_mortems
-    }
-
-    /// The global ring, oldest first.
-    pub fn recent(&self) -> impl Iterator<Item = &TelemetryEvent> {
-        self.global.iter()
-    }
-
-    /// One device's ring, oldest first (empty if the device never logged).
-    pub fn device_timeline(&self, board: u16, fpga: u16) -> Vec<TelemetryEvent> {
-        self.devices
-            .get(&(board, fpga))
-            .map(|r| r.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Events dropped off the front of the global ring.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new(Self::DEFAULT_PER_DEVICE, Self::DEFAULT_GLOBAL)
+        self.events.push(event);
     }
 }
 
@@ -116,6 +68,7 @@ impl Default for FlightRecorder {
 mod tests {
     use super::*;
     use crate::event::Subsystem;
+    use crate::Telemetry;
 
     fn ev(
         t: u64,
@@ -131,38 +84,58 @@ mod tests {
     }
 
     #[test]
-    fn rings_are_bounded_and_count_evictions() {
-        let mut r = FlightRecorder::new(2, 3);
-        for t in 0..5 {
-            r.record(&ev(t, "tick", Severity::Info, Some((0, 0))));
+    fn post_mortem_holds_the_last_64_device_events() {
+        let t = Telemetry::recording();
+        for i in 0..70 {
+            t.emit(ev(i, "scrub.frame_corrupt", Severity::Info, Some((0, 1))));
+            // Other devices' traffic, and device-less events, interleave.
+            t.emit(ev(i, "scrub.frame_corrupt", Severity::Info, Some((1, 0))));
+            if i % 7 == 0 {
+                t.point(Subsystem::Mission, Severity::Info, "mission.round", i);
+            }
         }
-        assert_eq!(r.recent().count(), 3);
-        assert_eq!(r.evicted(), 2);
-        let tl = r.device_timeline(0, 0);
-        assert_eq!(tl.len(), 2);
-        assert_eq!(tl[0].t_ns, 3);
-        assert_eq!(tl[1].t_ns, 4);
+        let trigger = ev(
+            70,
+            "scrub.device_degraded",
+            Severity::Critical,
+            Some((0, 1)),
+        );
+        t.emit(trigger.clone());
+        let pms = t.post_mortems();
+        assert_eq!(pms.len(), 1);
+        let pm = &pms[0];
+        assert_eq!((pm.board, pm.fpga, pm.t_ns), (0, 1, 70));
+        assert_eq!(pm.timeline.len(), POST_MORTEM_EVENTS);
+        let times: Vec<u64> = pm.timeline.iter().map(|e| e.t_ns).collect();
+        assert_eq!(times, (7..=70).collect::<Vec<_>>(), "oldest first");
+        assert!(pm.timeline.iter().all(|e| e.device == Some((0, 1))));
+        assert_eq!(pm.timeline.last(), Some(&trigger));
+        assert_eq!(
+            t.events().len(),
+            70 * 2 + 10 + 1,
+            "the log keeps every event"
+        );
     }
 
     #[test]
     fn critical_device_event_freezes_a_post_mortem() {
-        let mut r = FlightRecorder::new(8, 64);
-        r.record(&ev(1, "scrub.frame_corrupt", Severity::Info, Some((1, 2))));
-        r.record(&ev(
+        let t = Telemetry::recording();
+        t.emit(ev(1, "scrub.frame_corrupt", Severity::Info, Some((1, 2))));
+        t.emit(ev(
             2,
             "scrub.verify_failed",
             Severity::Warning,
             Some((1, 2)),
         ));
         // Unrelated device traffic must not pollute the timeline.
-        r.record(&ev(3, "scrub.frame_corrupt", Severity::Info, Some((0, 0))));
-        r.record(&ev(
+        t.emit(ev(3, "scrub.frame_corrupt", Severity::Info, Some((0, 0))));
+        t.emit(ev(
             4,
             "scrub.device_degraded",
             Severity::Critical,
             Some((1, 2)),
         ));
-        let pms = r.post_mortems();
+        let pms = t.post_mortems();
         assert_eq!(pms.len(), 1);
         let pm = &pms[0];
         assert_eq!((pm.board, pm.fpga), (1, 2));
@@ -181,8 +154,10 @@ mod tests {
 
     #[test]
     fn critical_without_device_is_not_a_post_mortem() {
-        let mut r = FlightRecorder::default();
-        r.record(&ev(1, "mission.abort", Severity::Critical, None));
-        assert!(r.post_mortems().is_empty());
+        let t = Telemetry::recording();
+        t.emit(ev(1, "scrub.frame_corrupt", Severity::Info, Some((0, 0))));
+        t.emit(ev(2, "mission.abort", Severity::Critical, None));
+        assert!(t.post_mortems().is_empty());
+        assert_eq!(t.events().len(), 2);
     }
 }

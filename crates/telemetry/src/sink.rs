@@ -2,23 +2,30 @@
 //!
 //! A handle is either *disabled* (the default: one `Option` branch per
 //! call, no allocation, no locking — mission results are bit-identical to
-//! an uninstrumented build) or *recording* (shared core with the full
-//! event log, flight-recorder rings and the metrics registry). Handles
-//! are cheap clones of the same core, so a payload, its mission kernel
-//! and an ensemble member can all feed one recorder.
+//! an uninstrumented build) or *recording* (shared core with the flight
+//! log, its post-mortems and the metrics registry). Handles are cheap
+//! clones of the same core, so a payload, its mission kernel and an
+//! ensemble member can all feed one recorder. Recording an event takes
+//! one lock and moves the event into the log.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::{Severity, Subsystem, TelemetryEvent};
 use crate::metrics::{MetricsRegistry, Snapshot};
-use crate::recorder::{FlightRecorder, PostMortem};
+use crate::recorder::{FlightLog, PostMortem};
 
 #[derive(Debug)]
 struct TelemetryCore {
-    /// Every event in emission order — the JSONL dump source.
-    log: Mutex<Vec<TelemetryEvent>>,
-    recorder: Mutex<FlightRecorder>,
+    log: Mutex<FlightLog>,
     metrics: MetricsRegistry,
+}
+
+impl TelemetryCore {
+    fn log(&self) -> MutexGuard<'_, FlightLog> {
+        self.log
+            .lock()
+            .expect("no thread panics while it holds the flight log")
+    }
 }
 
 /// The cloneable telemetry handle. `Default` is disabled.
@@ -33,13 +40,11 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// A recording handle with the flight recorder's default ring
-    /// capacities.
+    /// A recording handle with an empty log.
     pub fn recording() -> Self {
         Telemetry {
             inner: Some(Arc::new(TelemetryCore {
-                log: Mutex::new(Vec::new()),
-                recorder: Mutex::new(FlightRecorder::default()),
+                log: Mutex::new(FlightLog::default()),
                 metrics: MetricsRegistry::new(),
             })),
         }
@@ -52,8 +57,7 @@ impl Telemetry {
     /// Record a fully-built event.
     pub fn emit(&self, event: TelemetryEvent) {
         if let Some(core) = &self.inner {
-            core.recorder.lock().unwrap().record(&event);
-            core.log.lock().unwrap().push(event);
+            core.log().record(event);
         }
     }
 
@@ -99,23 +103,15 @@ impl Telemetry {
     /// Copy of the full event log (empty when disabled).
     pub fn events(&self) -> Vec<TelemetryEvent> {
         match &self.inner {
-            Some(core) => core.log.lock().unwrap().clone(),
+            Some(core) => core.log().events.clone(),
             None => Vec::new(),
         }
     }
 
-    /// Post-mortems captured by the flight recorder.
+    /// Post-mortems captured by the flight recorder, in capture order.
     pub fn post_mortems(&self) -> Vec<PostMortem> {
         match &self.inner {
-            Some(core) => core.recorder.lock().unwrap().post_mortems().to_vec(),
-            None => Vec::new(),
-        }
-    }
-
-    /// One device's flight-recorder ring, oldest first.
-    pub fn device_timeline(&self, board: u16, fpga: u16) -> Vec<TelemetryEvent> {
-        match &self.inner {
-            Some(core) => core.recorder.lock().unwrap().device_timeline(board, fpga),
+            Some(core) => core.log().post_mortems.clone(),
             None => Vec::new(),
         }
     }
@@ -129,12 +125,15 @@ impl Telemetry {
     }
 
     /// Serialize every logged event as JSONL, one event per line, in
-    /// emission order. Deterministic for deterministic missions.
+    /// emission order. Deterministic for deterministic missions. The
+    /// lines are written straight from the log into one buffer.
     pub fn dump_jsonl(&self) -> String {
         let mut out = String::new();
-        for ev in self.events() {
-            out.push_str(&ev.to_jsonl());
-            out.push('\n');
+        if let Some(core) = &self.inner {
+            for ev in &core.log().events {
+                ev.write_jsonl(&mut out);
+                out.push('\n');
+            }
         }
         out
     }
