@@ -142,11 +142,41 @@ impl BitVec {
         }
     }
 
-    /// Indices of bits that differ between `self` and `other` within a range.
-    pub fn diff_range(&self, other: &BitVec, start: usize, n: usize) -> Vec<usize> {
-        (start..start + n)
-            .filter(|&i| self.get(i) != other.get(i))
-            .collect()
+    /// Indices of the bits that differ between `self` and `other`, in
+    /// ascending order. Both must have the same length.
+    pub fn diff(&self, other: &BitVec) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut from = 0;
+        while let Some(i) = self.next_diff(other, from) {
+            out.push(i);
+            from = i + 1;
+        }
+        out
+    }
+
+    /// The first bit at or past `from` where `self` and `other` differ,
+    /// found a word at a time. Both must have the same length; bits past
+    /// the end are zero in every vector, so they never differ.
+    pub(crate) fn next_diff(&self, other: &BitVec, from: usize) -> Option<usize> {
+        assert_eq!(self.len, other.len, "bit vectors differ in length");
+        let w = from / 64;
+        let first = (self.words.get(w)? ^ other.words[w]) & (u64::MAX << (from % 64));
+        if first != 0 {
+            return Some(w * 64 + first.trailing_zeros() as usize);
+        }
+        let w = w
+            + 1
+            + self.words[w + 1..]
+                .iter()
+                .zip(&other.words[w + 1..])
+                .position(|(a, b)| a != b)?;
+        Some(w * 64 + (self.words[w] ^ other.words[w]).trailing_zeros() as usize)
+    }
+
+    /// Overwrite every bit with `other`'s. Both must have the same length.
+    pub(crate) fn copy_from(&mut self, other: &BitVec) {
+        assert_eq!(self.len, other.len, "bit vectors differ in length");
+        self.words.copy_from_slice(&other.words);
     }
 }
 
@@ -200,13 +230,14 @@ mod tests {
     }
 
     #[test]
-    fn diff_range_finds_flips() {
+    fn diff_finds_flips() {
         let mut a = BitVec::zeros(64);
         let b = a.clone();
+        assert_eq!(a.diff(&b), Vec::<usize>::new());
         a.flip(5);
         a.flip(63);
-        assert_eq!(a.diff_range(&b, 0, 64), vec![5, 63]);
-        assert_eq!(a.diff_range(&b, 6, 50), Vec::<usize>::new());
+        assert_eq!(a.diff(&b), vec![5, 63]);
+        assert_eq!(b.diff(&a), vec![5, 63]);
     }
 
     #[test]
@@ -311,6 +342,30 @@ mod tests {
                 set_bits_ref(&mut slow, i, n, v);
                 assert_eq!(fast, slow, "set_bits({i}, {n})");
             }
+        }
+    }
+
+    #[test]
+    fn diff_matches_bitwise_reference() {
+        let mut s = 0xD1FF_5EED_u64;
+        for len in [1, 63, 65, 127, 130, LEN, 1000] {
+            let a = random_bits(len, xorshift(&mut s));
+            // Sparse, dense and total disagreement, and none at all.
+            for flips in [0, 1, 3, len / 5, len] {
+                let mut b = a.clone();
+                for _ in 0..flips {
+                    b.flip(xorshift(&mut s) as usize % len);
+                }
+                let want: Vec<usize> = (0..len).filter(|&i| a.get(i) != b.get(i)).collect();
+                assert_eq!(a.diff(&b), want, "len {len}, {flips} flips");
+                assert_eq!(b.diff(&a), want, "len {len}, {flips} flips");
+                let mut copy = a.clone();
+                copy.copy_from(&b);
+                assert_eq!(copy, b, "len {len}, {flips} flips");
+            }
+            let b = random_bits(len, xorshift(&mut s));
+            let want: Vec<usize> = (0..len).filter(|&i| a.get(i) != b.get(i)).collect();
+            assert_eq!(a.diff(&b), want, "len {len}, unrelated");
         }
     }
 

@@ -324,6 +324,12 @@ impl Device {
         self.bram_outreg[col * self.geom.bram_blocks_per_col() + block]
     }
 
+    /// Cycles for which a content readback still owns the block's port
+    /// (zero when the design has it).
+    pub fn bram_lock_cycles(&self, col: usize, block: usize) -> u8 {
+        self.bram_locked[col * self.geom.bram_blocks_per_col() + block]
+    }
+
     // ---- reset -------------------------------------------------------------
 
     /// Pulse the global reset: every flip-flop loads its configured init

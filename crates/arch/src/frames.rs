@@ -136,6 +136,9 @@ pub enum BitLocus {
 /// of a frame mean equal contents — every writer of [`ConfigMemory`]
 /// counts its frames, and a memory takes a fresh identity when it is
 /// built and every time it is cloned, so a stamp never matches a copy.
+/// Loading a whole image into a memory (a full configuration) keeps the
+/// memory's identity and counts a write only in the frames whose bits
+/// change, so the stamps of the frames it leaves as they were still hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameStamp {
     memory: u64,
@@ -611,7 +614,33 @@ impl ConfigMemory {
     /// the test suite). Both memories must share a geometry.
     pub fn diff(&self, other: &ConfigMemory) -> Vec<usize> {
         assert_eq!(self.total_bits, other.total_bits);
-        self.bits.diff_range(&other.bits, 0, self.total_bits)
+        self.bits.diff(&other.bits)
+    }
+
+    /// Overwrite this memory with `image`'s contents in place. Only the
+    /// frames whose bits change take a write: the memory keeps its
+    /// identity, so every other frame keeps its [`FrameStamp`], and a
+    /// stamp that still matches still means the same contents. Both
+    /// memories must share a geometry.
+    pub(crate) fn copy_from(&mut self, image: &ConfigMemory) {
+        assert!(self.geom == image.geom, "image geometry does not match");
+        // Frames lie back to back in dense order, so one pass walks them
+        // beside the next differing bit: a frame that holds it moves, and
+        // the search resumes past that frame.
+        let mut next = self.bits.next_diff(&image.bits, 0);
+        let mut end = 0;
+        for (block, range, _) in self.block_ranges() {
+            let bits = self.frame_bits(block);
+            for frame in range {
+                let Some(bit) = next else { break };
+                end += bits;
+                if bit < end {
+                    self.generations[frame] += 1;
+                    next = self.bits.next_diff(&image.bits, end);
+                }
+            }
+        }
+        self.bits.copy_from(&image.bits);
     }
 }
 
@@ -855,6 +884,56 @@ mod tests {
         let copy = cm.clone();
         assert_eq!(copy, cm);
         assert!((0..cm.frame_count()).all(|i| copy.frame_stamp(i) != cm.frame_stamp(i)));
+    }
+
+    #[test]
+    fn copy_from_moves_the_stamps_of_exactly_the_frames_that_change() {
+        let mut s = 0xC0B1_F00D_u64;
+        let mut next = move |n: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s as usize % n
+        };
+        // Two rows make 60-bit CLB frames, so one word can span three.
+        for geom in [
+            Geometry::tiny(),
+            Geometry::small(),
+            Geometry::new("T2", 2, 3, 0),
+        ] {
+            let mut cm = ConfigMemory::new(geom.clone());
+            let identity = cm.frame_stamp(0).memory;
+            // Random flips, then the first bit of every frame, then the
+            // last bit of every frame.
+            for case in ["0", "1", "2", "40", "5000", "first", "last"] {
+                let mut image = cm.clone();
+                for _ in 0..case.parse().unwrap_or(0) {
+                    image.flip_bit(next(image.total_bits()));
+                }
+                for addr in cm.frame_addrs() {
+                    let (base, bits) = (cm.frame_base(addr), cm.frame_bits(addr.block));
+                    match case {
+                        "first" => image.flip_bit(base),
+                        "last" => image.flip_bit(base + bits - 1),
+                        _ => false,
+                    };
+                }
+                let want: Vec<usize> = cm
+                    .frame_addrs()
+                    .enumerate()
+                    .filter(|&(_, addr)| cm.read_frame(addr) != image.read_frame(addr))
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(
+                    stamps_moved(&mut cm, |cm| cm.copy_from(&image)),
+                    want,
+                    "{}, case {case}",
+                    geom.name
+                );
+                assert_eq!(cm, image);
+                assert_eq!(cm.frame_stamp(0).memory, identity);
+            }
+        }
     }
 
     #[test]

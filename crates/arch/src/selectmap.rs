@@ -52,6 +52,14 @@ impl PortTiming {
     }
 }
 
+/// The BRAM content readback hazard on one block (paper §IV-A): the
+/// read corrupts the block's output register and the configuration logic
+/// owns its address lines for the next two cycles.
+fn disturb_bram(outreg: &mut u16, locked: &mut u8) {
+    *outreg ^= 0xA5A5;
+    *locked = 2;
+}
+
 /// The LUTs configured as RAM or SRL16 — the sites the CLB readback
 /// hazard corrupts (cached in [`Device`]). A column's sites derive from
 /// its LUT mode fields alone, which sit in one frame per slice, so each
@@ -204,26 +212,31 @@ impl std::error::Error for PortError {}
 impl Device {
     /// Full configuration: load every frame and run the start-up sequence.
     /// This is the only operation that re-initialises half-latches.
+    ///
+    /// The image is copied into the device's own configuration memory,
+    /// and only the frames whose bits change take a write: every other
+    /// frame keeps its [`FrameStamp`], so a fault manager's match record
+    /// for it, and the dynamic-LUT sites derived from it, still hold.
+    /// The whole image is charged as moved over the port all the same.
     pub fn configure_full(&mut self, bs: &Bitstream) -> SimDuration {
         assert_eq!(
             bs.geometry(),
             &self.geom,
             "bitstream geometry does not match device"
         );
-        self.config = bs.clone();
+        self.config.copy_from(bs);
         self.invalidate();
         self.half_latches.startup_init();
         self.programmed = true;
         self.cycles = 0;
         self.design_wrote_config = false;
-        for l in self.bram_locked.iter_mut() {
-            *l = 0;
-        }
+        self.bram_locked.fill(0);
         self.reset();
         let total_bytes: usize = self
             .config
-            .frame_addrs()
-            .map(|a| self.config.frame_bytes(a.block))
+            .block_ranges()
+            .into_iter()
+            .map(|(block, range, _)| range.len() * self.config.frame_bytes(block))
             .sum();
         SimDuration::from_nanos(
             self.port_timing.op_overhead_ns
@@ -270,19 +283,19 @@ impl Device {
             return (data, dur);
         }
 
-        if self.readback_hazard(addr.block, addr.major as usize) {
-            if addr.block == BlockType::Clb {
+        if self.clock_running {
+            match addr.block {
                 // Dynamic LUT contents corrupt if their frame is read
                 // while the clock runs.
-                self.corrupt_dynamic_luts_in_frame(addr);
-            } else {
-                // BRAM content readback corrupts the output register and
-                // locks the block's port.
-                let col = addr.major as usize;
-                let block = addr.minor as usize / BRAM_CONTENT_SUBFRAMES;
-                let reg = col * self.geom.bram_blocks_per_col() + block;
-                self.bram_outreg[reg] ^= 0xA5A5;
-                self.bram_locked[reg] = 2;
+                BlockType::Clb if self.dynamic_column(addr.major as usize) => {
+                    self.corrupt_dynamic_luts_in_frame(addr)
+                }
+                BlockType::BramContent => {
+                    let block = addr.minor as usize / BRAM_CONTENT_SUBFRAMES;
+                    let reg = addr.major as usize * self.geom.bram_blocks_per_col() + block;
+                    disturb_bram(&mut self.bram_outreg[reg], &mut self.bram_locked[reg]);
+                }
+                _ => {}
             }
         }
 
@@ -293,54 +306,59 @@ impl Device {
         (data, dur)
     }
 
-    /// Whether a readback of a `block` frame at major address `major` now
-    /// would disturb the running design: with the clock running, a CLB
-    /// frame in a column holding a dynamic LUT, or any BRAM content frame.
-    /// [`Device::readback_frame`] applies its two hazards exactly when this
-    /// holds.
+    /// Whether CLB column `col` holds a LUT used as RAM or SRL16, whose
+    /// frames a readback with the clock running rewrites before copying.
     #[inline]
-    fn readback_hazard(&mut self, block: BlockType, major: usize) -> bool {
-        self.clock_running
-            && match block {
-                BlockType::Clb => self
-                    .dynamic_luts
-                    .get_or_insert_with(|| DynamicLuts::new(&self.config))
-                    .column(&self.config, major),
-                BlockType::BramContent => true,
-                BlockType::Iob | BlockType::BramInterface => false,
-            }
+    fn dynamic_column(&mut self, col: usize) -> bool {
+        self.dynamic_luts
+            .get_or_insert_with(|| DynamicLuts::new(&self.config))
+            .column(&self.config, col)
     }
 
     /// Skip, from dense frame index `from` on, every frame a scan need
     /// not read back: the frames `masked` marks, and the frames whose
-    /// readback is pure and whose [`FrameStamp`] equals their entry in
+    /// readback is exact and whose [`FrameStamp`] equals their entry in
     /// `matched` (both hold one entry per frame, in dense order). A
-    /// readback is pure when the device is programmed, the port is not
-    /// wedged, no read fault is pending and no readback hazard applies:
+    /// readback is exact when the device is programmed, the port is not
+    /// wedged, no read fault is pending and, for a CLB frame, the clock
+    /// is stopped or its column holds no dynamic LUT:
     /// [`Device::try_readback_frame`] would then return exactly
-    /// `config().read_frame(addr)` and change no state, so a fault manager
-    /// that holds the frame's CRC for its current stamp may skip it.
+    /// `config().read_frame(addr)` and leave configuration memory as it
+    /// was, so a fault manager that holds the frame's CRC for its current
+    /// stamp may skip it.
+    ///
+    /// With the clock running, reading a BRAM content frame disturbs its
+    /// block's output register and port but not the frame, so the read
+    /// stays exact. The walk therefore
+    /// skips such a frame like any other and applies, frame by frame in
+    /// scan order, the output-register corruption and port lock the read
+    /// would: a device that walked past a frame and one that read it hold
+    /// the same state. Besides the derived dynamic-LUT cache, that is the
+    /// only device state the walk changes.
     ///
     /// Returns the first frame that needs a real read (`frame_count()`
     /// when none does), the number and total bytes of the unmasked frames
-    /// skipped, and whether reading the returned frame now would be pure.
-    /// The walk changes no device state.
+    /// skipped, and whether reading the returned frame now would be exact.
     pub fn skip_clean_frames(
         &mut self,
         from: usize,
         masked: &[bool],
         matched: &[Option<FrameStamp>],
     ) -> (usize, u64, u64, bool) {
-        let device_pure = self.programmed && !self.port_wedged && self.read_faults.is_empty();
+        let device_exact = self.programmed && !self.port_wedged && self.read_faults.is_empty();
         let (mut frames, mut bytes) = (0u64, 0u64);
         for (block, range, per_major) in self.config.block_ranges() {
             let frame_bytes = self.config.frame_bytes(block) as u64;
+            let disturbs_bram = self.clock_running && block == BlockType::BramContent;
             let mut fi = from.max(range.start);
             while fi < range.end {
-                // The hazard is decided once per major address.
+                // Exactness is decided once per major address.
                 let major = (fi - range.start) / per_major;
                 let end = range.start + (major + 1) * per_major;
-                let pure = device_pure && !self.readback_hazard(block, major);
+                let exact = device_exact
+                    && !(block == BlockType::Clb
+                        && self.clock_running
+                        && self.dynamic_column(major));
                 let run = masked[fi..end]
                     .iter()
                     .zip(&matched[fi..end])
@@ -349,8 +367,14 @@ impl Device {
                     if masked {
                         continue;
                     }
-                    if !pure || *record != Some(stamp) {
-                        return (f, frames, bytes, pure);
+                    if !exact || *record != Some(stamp) {
+                        return (f, frames, bytes, exact);
+                    }
+                    if disturbs_bram {
+                        // Content frames of a block are consecutive, and
+                        // blocks lie in output-register order.
+                        let reg = (f - range.start) / BRAM_CONTENT_SUBFRAMES;
+                        disturb_bram(&mut self.bram_outreg[reg], &mut self.bram_locked[reg]);
                     }
                     frames += 1;
                     bytes += frame_bytes;
@@ -433,7 +457,7 @@ impl Device {
         let dynamic = &self
             .dynamic_luts
             .as_ref()
-            .expect("validated by readback_hazard")
+            .expect("validated by dynamic_column")
             .sites;
         let mut corrupted = false;
         for slice in 0..2 {

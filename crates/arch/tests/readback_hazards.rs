@@ -292,6 +292,20 @@ fn hazard_cache_follows_mode_frame_writes() {
     }
 }
 
+/// Every BRAM block's output register and port lock, column by column.
+fn bram_state(dev: &Device) -> Vec<(u16, u8)> {
+    let geom = dev.geometry();
+    (0..geom.bram_cols)
+        .flat_map(|col| (0..geom.bram_blocks_per_col()).map(move |block| (col, block)))
+        .map(|(col, block)| {
+            (
+                dev.bram_outreg(col, block),
+                dev.bram_lock_cycles(col, block),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn skip_clean_frames_stops_where_a_read_is_needed() {
     let geom = Geometry::tiny();
@@ -316,8 +330,11 @@ fn skip_clean_frames_stops_where_a_read_is_needed() {
     );
 
     // Clock running: column 0 holds the SRL16, so its first frame needs a
-    // read, and the read would disturb the design. Past column 0 the walk
-    // runs to the first BRAM content frame, whose read is hazardous too.
+    // read, and the read would rewrite the frame. Past column 0 the walk
+    // runs to the end: a BRAM content frame's read disturbs its block but
+    // returns the frame exactly, so the walk passes it too and disturbs
+    // the block as the read would — exactly as a device that read every
+    // content frame it passed.
     dev.set_clock_running(true);
     assert_eq!(
         dev.skip_clean_frames(0, &masked, &matched),
@@ -329,13 +346,34 @@ fn skip_clean_frames_stops_where_a_read_is_needed() {
         minor: 0,
     });
     let clb = FRAMES_PER_CLB_COL;
+    let mut reader = dev.clone();
     assert_eq!(
         dev.skip_clean_frames(clb, &masked, &matched),
-        (content, (content - clb) as u64, bytes(clb..content), false)
+        (n, (n - clb) as u64, bytes(clb..n), false)
     );
+    for f in content..n {
+        reader.readback_frame(bs.frame_addr(f), ReadbackOptions::default());
+    }
+    assert_eq!(bram_state(&dev), bram_state(&reader));
+    assert!(bram_state(&dev).iter().all(|&(_, lock)| lock == 2));
+
+    // A stale record on block 0's second content frame stops the walk
+    // there, with the read exact: only the first content frame was passed.
+    dev.configure_full(&bs);
+    let mut reader = dev.clone();
+    let stale = content + 1;
+    matched[stale] = None;
+    assert_eq!(
+        dev.skip_clean_frames(clb, &masked, &matched),
+        (stale, (stale - clb) as u64, bytes(clb..stale), true)
+    );
+    reader.readback_frame(bs.frame_addr(content), ReadbackOptions::default());
+    assert_eq!(bram_state(&dev), bram_state(&reader));
+    assert_eq!(bram_state(&dev)[0], (0xA5A5, 2));
+    matched[stale] = Some(dev.config().frame_stamp(stale));
 
     // Past column 0, a stale record stops the walk at a frame whose read
-    // would be pure; a masked frame is passed over without being counted.
+    // would be exact; a masked frame is passed over without being counted.
     matched[100] = None;
     assert_eq!(
         dev.skip_clean_frames(clb, &masked, &matched),
@@ -346,14 +384,14 @@ fn skip_clean_frames_stops_where_a_read_is_needed() {
     assert_eq!(
         after,
         (
-            content,
-            (content - clb - 1) as u64,
-            bytes(clb..content) - bytes(100..101),
+            n,
+            (n - clb - 1) as u64,
+            bytes(clb..n) - bytes(100..101),
             false
         )
     );
 
-    // A pending read fault makes every readback impure.
+    // A pending read fault makes every readback inexact.
     dev.inject_read_fault(ReadFault::Abort);
     assert_eq!(
         dev.skip_clean_frames(clb, &masked, &matched),

@@ -6,7 +6,9 @@
 //! to end:
 //!
 //! - writer shape: one JSON object whose first top-level key is `t_ns`
-//!   and which has a top-level `name` key (`validate_telemetry_line`);
+//!   and which has a top-level `name` key (`validate_telemetry_line`,
+//!   which reads the line once through `FlatObject`, so a malformed line
+//!   is cited at the same first error `mission_report` meets);
 //! - schema: any event in the known-schema table carries every required
 //!   field (`known_event_required_fields`);
 //! - horizon: no timestamp exceeds `--max-t-ns` when one is given;

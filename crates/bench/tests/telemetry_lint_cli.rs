@@ -67,3 +67,27 @@ fn lint_rejects_a_line_whose_t_ns_is_not_first() {
         "{stderr}"
     );
 }
+
+#[test]
+fn lint_and_forensics_cite_the_same_first_error() {
+    // Line 3 with its `t_ns` out of u64 range and its closing brace
+    // removed: the range error at byte 8 comes first in byte order, and
+    // both tools must cite it.
+    let dump = recorded_dump();
+    let mut lines: Vec<String> = dump.lines().map(str::to_string).collect();
+    let (t_ns, rest) = lines[2].split_once(',').unwrap();
+    assert!(t_ns.starts_with("{\"t_ns\":"), "{t_ns}");
+    let rest = rest.strip_suffix('}').unwrap();
+    lines[2] = format!("{{\"t_ns\":99999999999999999999,{rest}");
+    let text = lines.join("\n") + "\n";
+
+    let out = lint("overflow-dump.jsonl", &text);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("overflow-dump.jsonl:3: integer out of u64 range (at byte 8)"),
+        "{stderr}"
+    );
+    let err = MissionForensics::from_jsonl(&text).unwrap_err();
+    assert_eq!(err.to_string(), "line 3: byte 8: integer out of u64 range");
+}

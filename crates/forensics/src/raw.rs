@@ -225,4 +225,19 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.line, 2);
     }
+
+    #[test]
+    fn cites_the_first_error_in_byte_order_as_the_lint_does() {
+        // An out-of-range `t_ns`, then a missing closing brace.
+        let line =
+            "{\"t_ns\":99999999999999999999,\"sev\":\"info\",\"sub\":\"scrub\",\"name\":\"x\"";
+        let dump = format!("{{\"t_ns\":1,\"sev\":\"a\",\"sub\":\"b\",\"name\":\"c\"}}\n{line}\n");
+        let err = parse_jsonl(&dump).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (2, "byte 8: integer out of u64 range")
+        );
+        let lint = cibola_telemetry::validate_telemetry_line(line).unwrap_err();
+        assert_eq!(lint.to_string(), err.message);
+    }
 }

@@ -402,10 +402,11 @@ impl BlindScrub {
 
         // Real rewrite: fetch the golden image once, write every
         // unmasked frame through the fault-aware port.
-        let f = &p.boards[b].fpgas[fi];
+        let slot = p.fpga(b, fi).flash_slot;
         let mut stats = EccStats::default();
-        let image = match p.flash.read_bitstream(f.flash_slot, &f.golden, &mut stats) {
+        let image = match p.flash.read_bitstream(slot, &mut stats) {
             Ok((image, fetch)) => {
+                let image = image.clone();
                 p.merge_ecc(b, fi, now + out.duration, &stats);
                 out.duration += fetch;
                 image

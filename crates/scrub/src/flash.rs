@@ -5,7 +5,7 @@
 //!   occur while the memory is being accessed";
 //! * a 1 MB EEPROM for the operating system and application code.
 
-use cibola_arch::{Bitstream, FrameAddr, SimDuration};
+use cibola_arch::{Bitstream, SimDuration};
 
 use crate::ecc::{decode, encode, CodeWord, EccOutcome};
 
@@ -25,6 +25,15 @@ struct Slot {
     frame_lens: Vec<usize>,
     words: Vec<CodeWord>,
     bytes_len: usize,
+    /// The image as the last whole-image read decoded it (as stored, at
+    /// first), and the buffer the next decoding read fills.
+    image: Bitstream,
+    /// Whether decoding `words` would now return `image` with nothing to
+    /// correct. Set when the slot is stored and by every whole-image read
+    /// that completes (it writes every correction back, so the store is
+    /// clean after it); cleared by an upset to a stored word. No other
+    /// code changes the stored words.
+    clean: bool,
 }
 
 /// The FLASH configuration store.
@@ -124,6 +133,8 @@ impl Flash {
             frame_lens,
             words,
             bytes_len: need,
+            image: bs.clone(),
+            clean: true,
         });
         Ok(self.slots.len() - 1)
     }
@@ -142,75 +153,121 @@ impl Flash {
             .slots
             .get_mut(slot)
             .ok_or(FlashError::NoSuchSlot(slot))?;
-        let off = *s
-            .frame_offsets
-            .get(frame_index)
-            .ok_or(FlashError::NoSuchFrame {
+        if frame_index >= s.frame_offsets.len() {
+            return Err(FlashError::NoSuchFrame {
                 slot,
                 frame: frame_index,
-            })?;
-        let len = s.frame_lens[frame_index];
-        let w0 = off / 8;
-        let w1 = (off + len).div_ceil(8);
-        let mut buf = Vec::with_capacity((w1 - w0) * 8);
-        for wi in w0..w1 {
-            let (data, outcome) = decode(s.words[wi]);
-            stats.words_read += 1;
-            match outcome {
-                EccOutcome::Clean => {}
-                EccOutcome::Corrected => {
-                    stats.corrected += 1;
-                    // Write back the corrected word (scrubbing the store).
-                    s.words[wi] = encode(data);
-                }
-                EccOutcome::Uncorrectable => {
-                    stats.uncorrectable += 1;
-                    return Err(FlashError::Uncorrectable { slot, word: wi });
-                }
-            }
-            buf.extend_from_slice(&data.to_le_bytes());
+            });
         }
-        let start = off - w0 * 8;
-        let out = buf[start..start + len].to_vec();
-        let dur = SimDuration::from_micros((len as u64).div_ceil(bytes_per_us));
+        let mut out = Vec::new();
+        s.decode_frame(slot, frame_index, stats, &mut out)?;
+        let dur = frame_read_time(out.len(), bytes_per_us);
         Ok((out, dur))
     }
 
-    /// Reassemble a whole bitstream image from a slot (for full
-    /// reconfiguration), applying ECC correction throughout.
+    /// The whole image stored in a slot (for full reconfiguration), with
+    /// ECC correction throughout. Reports the words read, the
+    /// corrections and the duration of decoding every frame in turn. A
+    /// slot with nothing to correct (freshly stored, or read whole since
+    /// its last upset) hands back the image it holds without decoding
+    /// again: the same image, words read and duration, at the current
+    /// `bytes_per_us`.
     pub fn read_bitstream(
         &mut self,
         slot: usize,
-        template: &Bitstream,
         stats: &mut EccStats,
-    ) -> Result<(Bitstream, SimDuration), FlashError> {
-        let mut bs = template.clone();
+    ) -> Result<(&Bitstream, SimDuration), FlashError> {
+        let bytes_per_us = self.bytes_per_us;
+        let s = self
+            .slots
+            .get_mut(slot)
+            .ok_or(FlashError::NoSuchSlot(slot))?;
         let mut total = SimDuration::ZERO;
-        let addrs: Vec<FrameAddr> = bs.frame_addrs().collect();
-        for (fi, addr) in addrs.into_iter().enumerate() {
-            let (bytes, d) = self.read_frame(slot, fi, stats)?;
-            bs.write_frame(addr, &bytes);
-            total += d;
+        if s.clean {
+            // What decoding every frame in turn would count and charge.
+            for (&off, &len) in s.frame_offsets.iter().zip(&s.frame_lens) {
+                stats.words_read += (off + len).div_ceil(8) - off / 8;
+                total += frame_read_time(len, bytes_per_us);
+            }
+            return Ok((&s.image, total));
         }
-        Ok((bs, total))
+        let mut bytes = Vec::new();
+        for fi in 0..s.frame_offsets.len() {
+            bytes.clear();
+            s.decode_frame(slot, fi, stats, &mut bytes)?;
+            let addr = s.image.frame_addr(fi);
+            s.image.write_frame(addr, &bytes);
+            total += frame_read_time(bytes.len(), bytes_per_us);
+        }
+        s.clean = true;
+        Ok((&s.image, total))
     }
 
     /// Flip a raw stored bit (an SEU in the FLASH array) — data bits only.
     pub fn upset_data_bit(&mut self, slot: usize, word: usize, bit: usize) {
         let s = &mut self.slots[slot];
         s.words[word].data ^= 1 << (bit % 64);
+        s.clean = false;
     }
 
     /// Flip a stored ECC check bit.
     pub fn upset_check_bit(&mut self, slot: usize, word: usize, bit: usize) {
         let s = &mut self.slots[slot];
         s.words[word].check ^= 1 << (bit % 8);
+        s.clean = false;
     }
 
     /// Number of ECC words in a slot.
     pub fn slot_words(&self, slot: usize) -> usize {
         self.slots[slot].words.len()
     }
+}
+
+impl Slot {
+    /// Decode frame `frame_index` onto the end of `out`, writing every
+    /// corrected word back to the store. `slot` names this slot in an
+    /// error.
+    fn decode_frame(
+        &mut self,
+        slot: usize,
+        frame_index: usize,
+        stats: &mut EccStats,
+        out: &mut Vec<u8>,
+    ) -> Result<(), FlashError> {
+        let (off, len) = (
+            self.frame_offsets[frame_index],
+            self.frame_lens[frame_index],
+        );
+        let end = off + len;
+        out.reserve(len);
+        for wi in off / 8..end.div_ceil(8) {
+            let (data, outcome) = decode(self.words[wi]);
+            stats.words_read += 1;
+            match outcome {
+                EccOutcome::Clean => {}
+                EccOutcome::Corrected => {
+                    stats.corrected += 1;
+                    // Write back the corrected word (scrubbing the store).
+                    self.words[wi] = encode(data);
+                }
+                EccOutcome::Uncorrectable => {
+                    stats.uncorrectable += 1;
+                    return Err(FlashError::Uncorrectable { slot, word: wi });
+                }
+            }
+            // The frame's bytes of this word.
+            let base = wi * 8;
+            out.extend_from_slice(
+                &data.to_le_bytes()[off.max(base) - base..end.min(base + 8) - base],
+            );
+        }
+        Ok(())
+    }
+}
+
+/// Time to read `len` bytes of one frame at `bytes_per_us`.
+fn frame_read_time(len: usize, bytes_per_us: u64) -> SimDuration {
+    SimDuration::from_micros((len as u64).div_ceil(bytes_per_us))
 }
 
 /// The 1 MB EEPROM holding OS and application code.
@@ -279,13 +336,69 @@ mod tests {
             flash.upset_data_bit(slot, w, (w * 13) % 64);
         }
         let mut stats = EccStats::default();
-        let (restored, _) = flash.read_bitstream(slot, &bs, &mut stats).unwrap();
+        let (restored, _) = flash.read_bitstream(slot, &mut stats).unwrap();
         assert!(restored.diff(&bs).is_empty(), "image fully restored");
         assert!(stats.corrected > 0, "corrections happened");
         // Read-back also scrubbed the store: a second read is clean.
         let mut stats2 = EccStats::default();
-        flash.read_bitstream(slot, &bs, &mut stats2).unwrap();
+        flash.read_bitstream(slot, &mut stats2).unwrap();
         assert_eq!(stats2.corrected, 0);
+    }
+
+    /// A whole-image read: the image, what it counted and what it took.
+    fn read_whole(flash: &mut Flash, slot: usize) -> (Bitstream, EccStats, SimDuration) {
+        let mut stats = EccStats::default();
+        let (image, dur) = flash.read_bitstream(slot, &mut stats).unwrap();
+        (image.clone(), stats, dur)
+    }
+
+    #[test]
+    fn a_clean_slot_reads_like_a_decoding_one() {
+        let bs = image();
+        let mut flash = Flash::default();
+        let slot = flash.store(&bs).unwrap();
+        for bytes_per_us in [10, 3, 7, 1000] {
+            flash.bytes_per_us = bytes_per_us;
+            // The same upset twice leaves the words as stored but the
+            // slot unvouched for, so this read decodes every word.
+            flash.upset_data_bit(slot, 5, 17);
+            flash.upset_data_bit(slot, 5, 17);
+            let decoded = read_whole(&mut flash, slot);
+            assert_eq!(decoded.0, bs);
+            assert_eq!(decoded.1.corrected, 0);
+            // Frame by frame through the decoding path: the same bytes,
+            // words and time, words shared by two frames counted twice.
+            let mut stats = EccStats::default();
+            let mut dur = SimDuration::ZERO;
+            for (fi, addr) in bs.frame_addrs().enumerate() {
+                let (bytes, d) = flash.read_frame(slot, fi, &mut stats).unwrap();
+                assert_eq!(bytes, bs.read_frame(addr), "frame {fi}");
+                dur += d;
+            }
+            assert_eq!((stats, dur), (decoded.1, decoded.2));
+            assert!(stats.words_read > flash.slot_words(slot));
+            // The read after it hands back the image it kept.
+            assert_eq!(read_whole(&mut flash, slot), decoded);
+            // So does the first read of a freshly stored image.
+            let mut fresh = Flash {
+                bytes_per_us,
+                ..Flash::default()
+            };
+            let fresh_slot = fresh.store(&bs).unwrap();
+            assert_eq!(read_whole(&mut fresh, fresh_slot), decoded);
+        }
+        // An upset is corrected by the next read, and the read after it
+        // is clean again.
+        flash.bytes_per_us = 10;
+        let clean = read_whole(&mut flash, slot);
+        for upset in [Flash::upset_data_bit, Flash::upset_check_bit] {
+            upset(&mut flash, slot, 9, 3);
+            let (restored, stats, dur) = read_whole(&mut flash, slot);
+            assert_eq!(restored, bs);
+            assert_eq!(stats.corrected, 1);
+            assert_eq!((stats.words_read, dur), (clean.1.words_read, clean.2));
+            assert_eq!(read_whole(&mut flash, slot), clean);
+        }
     }
 
     #[test]
@@ -296,7 +409,7 @@ mod tests {
         flash.upset_data_bit(slot, 3, 5);
         flash.upset_data_bit(slot, 3, 9);
         let mut stats = EccStats::default();
-        let err = flash.read_bitstream(slot, &bs, &mut stats);
+        let err = flash.read_bitstream(slot, &mut stats);
         assert!(matches!(err, Err(FlashError::Uncorrectable { .. })));
     }
 
@@ -329,7 +442,7 @@ mod tests {
         let slot = flash.store(&bs).unwrap();
         flash.upset_check_bit(slot, 7, 3);
         let mut stats = EccStats::default();
-        let (restored, _) = flash.read_bitstream(slot, &bs, &mut stats).unwrap();
+        let (restored, _) = flash.read_bitstream(slot, &mut stats).unwrap();
         assert!(restored.diff(&bs).is_empty());
         assert_eq!(stats.corrected, 1);
     }

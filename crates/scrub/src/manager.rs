@@ -38,7 +38,7 @@ pub struct CrcCodebook {
     /// the port, fixed by the golden image and the mask.
     scanned_frames: u64,
     scanned_bytes: u64,
-    /// Per frame, the stamp at which it last read back purely with its
+    /// Per frame, the stamp at which it last read back exactly with its
     /// stored CRC (see [`FaultManager::scan`]). Dropped by
     /// [`CrcCodebook::upset`] and by a mismatch; a new book has none.
     matched: Vec<Option<FrameStamp>>,
@@ -113,6 +113,12 @@ impl CrcCodebook {
 
     pub fn crc(&self, frame_index: usize) -> u32 {
         self.crcs[frame_index]
+    }
+
+    /// Per frame in dense order, the stamp at which it last read back
+    /// exactly with its stored CRC, if it has since kept it.
+    pub fn matched(&self) -> &[Option<FrameStamp>] {
+        &self.matched
     }
 }
 
@@ -219,13 +225,14 @@ impl FaultManager {
     /// codebook. Readback happens while the design runs — no interruption
     /// of service.
     ///
-    /// A frame whose readback would be pure and which nothing has written
-    /// since it last read back purely with its stored CRC (its
+    /// A frame whose readback would be exact and which nothing has
+    /// written since it last read back exactly with its stored CRC (its
     /// [`FrameStamp`] is unchanged) would match again.
     /// [`Device::skip_clean_frames`] passes over runs of such frames, and
-    /// of masked ones, and each skipped frame is charged the time its read
-    /// would take without the copy and the CRC, so the report equals a
-    /// cold scan's field for field.
+    /// of masked ones, applying the BRAM disturbance a content frame's
+    /// read would, and each skipped frame is charged the time its read
+    /// would take without the copy and the CRC, so the report and the
+    /// device equal a cold scan's field for field.
     pub fn scan(&mut self, dev: &mut Device) -> ScanReport {
         let mut corrupt = Vec::new();
         let mut duration = SimDuration::ZERO;
@@ -235,7 +242,7 @@ impl FaultManager {
         let book = &mut self.codebook;
         let mut from = 0;
         loop {
-            let (fi, frames, bytes, pure) =
+            let (fi, frames, bytes, exact) =
                 dev.skip_clean_frames(from, &book.masked, &book.matched);
             duration += read_time(dev, self.frame_overhead, frames, bytes);
             scanned += frames as usize;
@@ -251,7 +258,7 @@ impl FaultManager {
                     duration += d + self.frame_overhead;
                     scanned += 1;
                     if crc32(&data) == book.crc(fi) {
-                        if pure {
+                        if exact {
                             book.matched[fi] = Some(stamp);
                         }
                     } else {

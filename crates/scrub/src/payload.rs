@@ -694,16 +694,14 @@ impl Payload {
         now: SimTime,
         out: &mut ScrubOutcome,
     ) -> bool {
-        let f = &self.boards[board].fpgas[fi];
+        let f = &mut self.boards[board].fpgas[fi];
         let mut stats = EccStats::default();
-        match self
-            .flash
-            .read_bitstream(f.flash_slot, &f.golden, &mut stats)
-        {
+        let at = now + out.duration;
+        match self.flash.read_bitstream(f.flash_slot, &mut stats) {
             Ok((image, fetch)) => {
-                self.merge_ecc(board, fi, now + out.duration, &stats);
-                let masked = masked_frames_for(&image);
-                self.boards[board].fpgas[fi].manager.codebook = CrcCodebook::new(&image, &masked);
+                let masked = masked_frames_for(image);
+                f.manager.codebook = CrcCodebook::new(image, &masked);
+                self.merge_ecc(board, fi, at, &stats);
                 out.duration += fetch;
                 out.ladder.codebook_rebuilds += 1;
                 self.observe_rung_latency(EscalationRung::CodebookRebuild, fetch);
@@ -757,16 +755,13 @@ impl Payload {
         if self.boards[board].fpgas[fi].device.is_port_wedged() {
             self.reset_port(board, fi, now, out);
         }
-        let f = &self.boards[board].fpgas[fi];
+        let f = &mut self.boards[board].fpgas[fi];
         let mut stats = EccStats::default();
-        match self
-            .flash
-            .read_bitstream(f.flash_slot, &f.golden, &mut stats)
-        {
+        let at = now + out.duration;
+        match self.flash.read_bitstream(f.flash_slot, &mut stats) {
             Ok((image, fetch)) => {
-                self.merge_ecc(board, fi, now + out.duration, &stats);
-                let f = &mut self.boards[board].fpgas[fi];
-                let d = fetch + f.device.configure_full(&image);
+                let d = fetch + f.device.configure_full(image);
+                self.merge_ecc(board, fi, at, &stats);
                 out.duration += d;
                 out.full_reconfigs += 1;
                 self.observe_rung_latency(EscalationRung::FullReconfig, d);

@@ -929,6 +929,43 @@ fn dynamic_mix() -> cibola_netlist::Netlist {
     b.finish()
 }
 
+/// A full reconfiguration with the golden image rewrites only the frames
+/// that differ from it, so every other frame keeps the match record a
+/// scan gave it: the next scan reads back just the frame an upset hit.
+#[test]
+fn full_reconfiguration_keeps_the_match_records_it_can() {
+    use cibola_arch::Device;
+
+    let geom = Geometry::tiny();
+    let golden = implemented(&dynamic_mix(), &geom).bitstream;
+    let masked = masked_frames_for(&golden);
+    let mut mgr = FaultManager::new(CrcCodebook::new(&golden, &masked));
+    let n = golden.frame_count();
+    let mask: Vec<bool> = (0..n).map(|f| mgr.codebook.is_masked(f)).collect();
+    assert!(mask.iter().any(|&m| m), "the design masks some frames");
+    let mut dev = Device::new(geom);
+    dev.configure_full(&golden);
+    // With the clock stopped every readback is exact, so one scan leaves
+    // every unmasked frame with a record the walk passes.
+    dev.set_clock_running(false);
+    assert!(mgr.scan(&mut dev).corrupt.is_empty());
+    let walk = |dev: &mut Device, mgr: &FaultManager, from: usize| {
+        dev.skip_clean_frames(from, &mask, mgr.codebook.matched()).0
+    };
+    assert_eq!(walk(&mut dev, &mgr, 0), n);
+
+    let frame = (100..n).find(|&f| !mask[f]).unwrap();
+    let bit = golden.frame_base(golden.frame_addr(frame)) + 7;
+    dev.flip_config_bit(bit);
+    dev.configure_full(&golden);
+    assert!(dev.config().diff(&golden).is_empty());
+    assert_eq!(walk(&mut dev, &mgr, 0), frame);
+    assert_eq!(walk(&mut dev, &mgr, frame + 1), n);
+
+    assert!(mgr.scan(&mut dev).corrupt.is_empty());
+    assert_eq!(walk(&mut dev, &mgr, 0), n);
+}
+
 /// Everything a scan can change on a device, compared between the two.
 fn assert_same_device(a: &cibola_arch::Device, b: &cibola_arch::Device, what: &str) {
     let diff = a.config().diff(b.config());
@@ -955,6 +992,11 @@ fn assert_same_device(a: &cibola_arch::Device, b: &cibola_arch::Device, what: &s
                 a.bram_outreg(col, block),
                 b.bram_outreg(col, block),
                 "{what}: BRAM ({col}, {block}) output register"
+            );
+            assert_eq!(
+                a.bram_lock_cycles(col, block),
+                b.bram_lock_cycles(col, block),
+                "{what}: BRAM ({col}, {block}) port lock"
             );
         }
     }

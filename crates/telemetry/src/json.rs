@@ -688,34 +688,34 @@ pub fn validate_json_line(line: &str) -> Result<usize, JsonError> {
     Ok(p.i)
 }
 
-/// Validate a JSONL telemetry line: well-formed JSON, an object, and the
-/// writer's shape — `t_ns` is its first top-level key and `name` is one
-/// of its top-level keys. Keys are read decoded, so a key that merely
-/// appears inside a string value does not count.
+/// Validate a JSONL telemetry line: one well-formed JSON object, every
+/// top-level value decodable, and the writer's shape — `t_ns` is its
+/// first top-level key and `name` is one of its top-level keys. The line
+/// is read once through [`FlatObject`], the decoder every reader of a
+/// dump uses, so a malformed line fails with the error a reader meets
+/// first, in byte order; the shape is checked only on a line that reads
+/// whole. Keys are read decoded, so a key that merely appears inside a
+/// string value does not count.
 pub fn validate_telemetry_line(line: &str) -> Result<(), JsonError> {
-    validate_json_line(line)?;
-    if !line.trim_start().starts_with('{') {
-        return Err(JsonError {
-            at: 0,
-            message: "telemetry line must be a JSON object".to_string(),
-        });
-    }
-    let shape = |message: &str| JsonError {
-        at: 0,
-        message: message.to_string(),
-    };
     let mut object = FlatObject::new(line);
-    match object.next_field()? {
-        Some((key, _)) if key.decode() == "t_ns" => {}
-        Some(_) => return Err(shape("first key must be \"t_ns\"")),
-        None => return Err(shape("missing required key \"t_ns\"")),
-    }
+    let (mut first_is_t_ns, mut named) = (None, false);
     while let Some((key, _)) = object.next_field()? {
-        if key.decode() == "name" {
-            return Ok(());
-        }
+        let key = key.decode();
+        first_is_t_ns.get_or_insert(key == "t_ns");
+        named |= key == "name";
     }
-    Err(shape("missing required key \"name\""))
+    let shape = |message: &str| {
+        Err(JsonError {
+            at: 0,
+            message: message.to_string(),
+        })
+    };
+    match (first_is_t_ns, named) {
+        (None, _) => shape("missing required key \"t_ns\""),
+        (Some(false), _) => shape("first key must be \"t_ns\""),
+        (Some(true), false) => shape("missing required key \"name\""),
+        (Some(true), true) => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -782,6 +782,24 @@ mod tests {
         assert!(validate_telemetry_line("{\"t_ns\":1,\"meta\":{\"name\":\"x\"}}").is_err());
         assert!(validate_telemetry_line("{\"t_\\u006es\":1,\"name\":\"x\"}").is_ok());
         assert!(validate_telemetry_line("{}").is_err());
+    }
+
+    #[test]
+    fn telemetry_line_fails_where_the_decoder_fails_first() {
+        let at = |line: &str| {
+            let e = validate_telemetry_line(line).unwrap_err();
+            (e.at, e.message)
+        };
+        // An integer too large for its class comes before the missing
+        // brace, and the decoder meets it first.
+        let line = "{\"t_ns\":99999999999999999999,\"name\":\"x\"";
+        let decoded = parse_flat_object(line).unwrap_err();
+        assert_eq!(at(line), (8, "integer out of u64 range".to_string()));
+        assert_eq!(at(line), (decoded.at, decoded.message));
+        // A syntax error outranks the shape of a line that does not read
+        // whole; a line that does not open an object fails at its start.
+        assert_eq!(at("{\"name\":\"x\",\"t_ns\":1,}").0, 21);
+        assert_eq!(at(" [1,2]"), (1, "expected '{'".to_string()));
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! 2. **Truncation and mutation** — on every prefix of a writer line and
 //!    on single-byte edits of it, the decoder never panics and rejects
 //!    wherever [`validate_json_line`] rejects, at the same byte.
+//! 3. **Two edits** — a digit inserted anywhere (inside a 20-digit number
+//!    it overflows the number's class) and one more edit: the decoder
+//!    rejects wherever the validator rejects, at the same byte or earlier
+//!    at such an integer, and [`validate_telemetry_line`] fails with the
+//!    decoder's own first error.
 
 use cibola_telemetry::{
     parse_flat_object, validate_json_line, validate_telemetry_line, FieldValue, FlatObject,
@@ -190,6 +195,27 @@ fn assert_decoder_agrees(line: &str) {
     }
 }
 
+/// [`assert_decoder_agrees`], except that the decoder may fail first, at
+/// an integer its class cannot hold before the validator's error — the
+/// pair two edits can make.
+fn assert_decoder_fails_first(line: &str) {
+    match (decode(line), validate_json_line(line)) {
+        (Err(d), Err(v)) if d.at < v.at && d.message.starts_with("integer out of") => {}
+        _ => assert_decoder_agrees(line),
+    }
+}
+
+/// The telemetry lint fails with the decoder's first error, at the same
+/// byte; on a line the decoder reads whole it can fail only on shape.
+fn assert_lint_agrees(line: &str) {
+    match (validate_telemetry_line(line), decode(line)) {
+        (Err(lint), Err(decoded)) => assert_eq!(lint, decoded, "{line:?}"),
+        (Ok(()), Err(decoded)) => panic!("lint accepts what fails with {decoded}: {line:?}"),
+        (Err(lint), Ok(_)) => assert_eq!(lint.at, 0, "{lint} on {line:?}"),
+        (Ok(()), Ok(_)) => {}
+    }
+}
+
 /// `line` with one ASCII edit at the `pos`-th candidate position: `op`
 /// 0 replaces the byte there with `byte`, 1 deletes it, 2 inserts `byte`
 /// before it. Only ASCII bytes are replaced or deleted, so the result
@@ -259,6 +285,22 @@ proptest! {
         let line = event(head, device, (0, false), &rest.0, &rest.1).to_jsonl();
         for (pos, byte, op) in edits {
             assert_decoder_agrees(&mutate(&line, pos, byte, op));
+        }
+    }
+
+    #[test]
+    fn twice_mutated_lines_fail_where_the_decoder_fails(
+        head in (any::<u64>(), any::<u8>(), any::<u8>()),
+        device in (any::<u16>(), any::<u16>(), any::<bool>()),
+        rest in (vec(0usize..64, 0..8), vec((0u8..5, any::<u8>(), any::<u64>(), vec(0usize..64, 0..8)), 0..4)),
+        edits in vec(((any::<usize>(), 0u8..10), (any::<usize>(), 0u8..128, 0u8..3)), 1..24),
+    ) {
+        let line = event(head, device, (0, false), &rest.0, &rest.1).to_jsonl();
+        for ((at, digit), (pos, byte, op)) in edits {
+            let once = mutate(&line, at, b'0' + digit, 2);
+            let twice = mutate(&once, pos, byte, op);
+            assert_decoder_fails_first(&twice);
+            assert_lint_agrees(&twice);
         }
     }
 }
