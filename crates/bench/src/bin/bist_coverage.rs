@@ -5,16 +5,19 @@
 //! randomly injected stuck-at faults.
 //!
 //! Usage: `cargo run --release -p cibola-bench --bin bist_coverage --
-//!          [--faults 24]`
+//!          [--faults 24] [--geometry tiny]`
+//!
+//! Every flag overrides `BistParams::paper()`, whose values are shown.
 
 use cibola_bench::experiments::bist::{self, BistParams};
 use cibola_bench::Args;
 
 fn main() {
     let args = Args::parse();
+    let p = BistParams::paper();
     let params = BistParams {
-        geometry: args.geometry("tiny"),
-        faults: args.usize("--faults", 24),
+        geometry: args.geometry(p.geometry),
+        faults: args.usize("--faults", p.faults),
     };
     print!("{}", bist::run(&params).report);
 }

@@ -6,16 +6,19 @@
 //! predicted — the paper's 97.6 % result and its hidden-state shortfall.
 //!
 //! Usage: `cargo run --release -p cibola-bench --bin fig12_validation --
-//!          [--observations 4000]`
+//!          [--observations 2500] [--geometry tiny]`
+//!
+//! Every flag overrides `Fig12Params::paper()`, whose values are shown.
 
 use cibola_bench::experiments::fig12::{self, Fig12Params};
 use cibola_bench::Args;
 
 fn main() {
     let args = Args::parse();
+    let p = Fig12Params::paper();
     let params = Fig12Params {
-        geometry: args.geometry("tiny"),
-        observations: args.usize("--observations", 4000),
+        geometry: args.geometry(p.geometry),
+        observations: args.usize("--observations", p.observations),
     };
     print!("{}", fig12::run(&params).report);
 }

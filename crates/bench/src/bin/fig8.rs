@@ -18,7 +18,7 @@ use cibola_bench::Args;
 
 fn main() {
     let args = Args::parse();
-    let geom = args.geometry("tiny");
+    let geom = args.geometry(Geometry::tiny());
 
     print!("{}", fig8::run().report);
 
@@ -33,7 +33,7 @@ fn main() {
         let nl = d.netlist();
         let imp = implement(&nl, &geom).unwrap();
         let tb = Testbed::new(&imp, 5, 96);
-        let r = run_campaign(
+        let r = run_campaign_wide(
             &tb,
             &CampaignConfig {
                 observe_cycles: 64,

@@ -6,16 +6,20 @@
 //! to failure than unmitigated designs."
 //!
 //! Usage: `cargo run --release -p cibola-bench --bin halflatch_mitigation --
-//!          [--observations 6000]`
+//!          [--observations 12000] [--geometry tiny]`
+//!
+//! Every flag overrides `HalflatchParams::paper()`, whose values are
+//! shown.
 
 use cibola_bench::experiments::halflatch::{self, HalflatchParams};
 use cibola_bench::Args;
 
 fn main() {
     let args = Args::parse();
+    let p = HalflatchParams::paper();
     let params = HalflatchParams {
-        geometry: args.geometry("small"),
-        observations: args.usize("--observations", 12_000),
+        geometry: args.geometry(p.geometry),
+        observations: args.usize("--observations", p.observations),
     };
     print!("{}", halflatch::run(&params).report);
 }

@@ -7,19 +7,22 @@
 //! * multiplier-family normalized sensitivity is ≈3× the LFSR family's.
 //!
 //! Usage: `cargo run --release -p cibola-bench --bin table1 --
-//!           [--scale 0.25] [--fraction 0.25] [--geometry small]`
+//!           [--scale 0.25] [--fraction 0.2] [--geometry small] [--cycles 96]`
+//!
+//! Every flag overrides `Table1Params::paper()`, whose values are shown.
 
 use cibola_bench::experiments::table1::{self, Table1Params};
 use cibola_bench::Args;
 
 fn main() {
     let args = Args::parse();
+    let p = Table1Params::paper();
     let params = Table1Params {
-        geometry: args.geometry("small"),
-        scale: args.f64("--scale", 0.25),
-        fraction: args.f64("--fraction", 0.25),
-        cycles: args.usize("--cycles", 96),
-        ladder: None,
+        geometry: args.geometry(p.geometry),
+        scale: args.f64("--scale", p.scale),
+        fraction: args.f64("--fraction", p.fraction),
+        cycles: args.usize("--cycles", p.cycles),
+        ladder: p.ladder,
     };
     print!("{}", table1::run(&params).report);
 }

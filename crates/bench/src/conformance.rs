@@ -232,7 +232,7 @@ pub fn all_cases() -> Vec<CorpusCase> {
             });
         }
     }
-    for (si, sname) in cibola_mitigate::STRATEGY_NAMES.iter().enumerate() {
+    for (si, sname) in cibola_scrub::STRATEGY_NAMES.iter().enumerate() {
         for (ci, cname) in STRATEGY_CONFIGS.iter().enumerate() {
             for rep in 0..STRATEGY_REPS {
                 cases.push(CorpusCase {
@@ -603,7 +603,7 @@ pub fn strategy_config(config: usize, seed: u64) -> MissionConfig {
 /// Event-driven vs reference strategy drivers, digested on the combined
 /// `StrategyMissionStats::summary_fields` plus the SOH history length.
 fn run_strategy_case(strategy: usize, config: usize, rep: usize) -> CaseOutcome {
-    use cibola::mitigate::{
+    use cibola::scrub::{
         make_strategy, run_strategy_mission, run_strategy_mission_reference, STRATEGY_NAMES,
     };
 

@@ -85,7 +85,7 @@ pub fn run(p: &Fig4Params) -> Fig4Result {
     let nl = PaperDesign::CounterAdder { width: 6 }.netlist();
     let imp = implement(&nl, geom).unwrap();
     let tb = Testbed::new(&imp, 11, 64);
-    let campaign = run_campaign(
+    let campaign = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 32,

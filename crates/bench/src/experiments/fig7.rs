@@ -57,7 +57,7 @@ pub fn run(p: &Fig7Params) -> Fig7Result {
     let tb = Testbed::new(&imp, 0xF167, 700);
 
     // Find persistent bits with a quick campaign.
-    let campaign = run_campaign(
+    let campaign = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 48,

@@ -21,11 +21,10 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use cibola::designs::PaperDesign;
-use cibola::mitigate::{make_strategy, run_strategy_mission, STRATEGY_NAMES};
 use cibola::prelude::*;
 use cibola::radiation::sefi::{SefiMix, SefiRates};
 use cibola::radiation::SefiConfig;
-use cibola::scrub::run_mission_reference;
+use cibola::scrub::{make_strategy, run_mission_reference, run_strategy_mission, STRATEGY_NAMES};
 use cibola_forensics::MissionForensics;
 use cibola_scrub::{MissionStats, Telemetry};
 

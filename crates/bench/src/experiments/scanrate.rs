@@ -84,7 +84,7 @@ pub fn run(p: &ScanrateParams) -> ScanrateResult {
     let nl = PaperDesign::CounterAdder { width: 6 }.netlist();
     let imp = implement(&nl, geom).unwrap();
     let tb = Testbed::new(&imp, 0xAB1A, 64);
-    let campaign = run_campaign(
+    let campaign = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 32,

@@ -11,14 +11,14 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use cibola::designs::PaperDesign;
-use cibola::mitigate::{
+use cibola::prelude::*;
+use cibola::radiation::sefi::{SefiMix, SefiRates};
+use cibola::radiation::SefiConfig;
+use cibola::scrub::{
     make_strategy, run_strategy_mission, run_strategy_mission_reference, AdaptiveConfig,
     AdaptiveScrub, LadderStrategy, MitigationStrategy, StrategyMissionStats, VotedRedundancy,
     STRATEGY_NAMES,
 };
-use cibola::prelude::*;
-use cibola::radiation::sefi::{SefiMix, SefiRates};
-use cibola::radiation::SefiConfig;
 
 use super::Tier;
 

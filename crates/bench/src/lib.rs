@@ -81,14 +81,17 @@ impl Args {
     /// for the Virtex-II frame layout), resolved through
     /// [`Geometry::by_name`], the same registry the oracle and the
     /// conformance corpus use; `default` when the flag is absent.
-    fn try_geometry(&self, default: &str) -> Result<Geometry, String> {
-        let name = self.value("--geometry", default.to_string())?;
+    fn try_geometry(&self, default: Geometry) -> Result<Geometry, String> {
+        if !self.flag("--geometry") {
+            return Ok(default);
+        }
+        let name: String = self.value("--geometry", String::new())?;
         Geometry::by_name(&name).ok_or_else(|| {
             format!("--geometry {name}: unknown geometry (tiny, small, quarter or xqvr1000, optionally with -v2)")
         })
     }
 
-    pub fn geometry(&self, default: &str) -> Geometry {
+    pub fn geometry(&self, default: Geometry) -> Geometry {
         self.try_geometry(default)
             .unwrap_or_else(|e| exit_usage(&e))
     }
@@ -141,9 +144,9 @@ mod tests {
         let t = args(&["dump.jsonl", "--max-t-ns", "7260000000000"]);
         assert_eq!(t.value("--max-t-ns", u64::MAX), Ok(7_260_000_000_000));
         assert_eq!(a.value("--stride", 1usize), Ok(1), "absent flag");
-        assert_eq!(a.try_geometry("tiny").unwrap().name, "CIB-T");
+        assert_eq!(a.try_geometry(Geometry::tiny()).unwrap().name, "CIB-T");
         let g = args(&["--geometry", "small-v2"])
-            .try_geometry("tiny")
+            .try_geometry(Geometry::tiny())
             .unwrap();
         assert_eq!(g, Geometry::small().with_virtex2_layout());
     }
@@ -167,7 +170,7 @@ mod tests {
             Err("--max-t-ns abc: invalid digit found in string".to_string())
         );
         let e = args(&["--geometry", "huge"])
-            .try_geometry("tiny")
+            .try_geometry(Geometry::tiny())
             .unwrap_err();
         assert!(e.starts_with("--geometry huge: unknown geometry"), "{e}");
     }
@@ -182,7 +185,9 @@ mod tests {
             args(&["dump.jsonl", "--max-t-ns"]).value("--max-t-ns", u64::MAX),
             Err("--max-t-ns: missing value".to_string())
         );
-        let e = args(&["--geometry"]).try_geometry("tiny").unwrap_err();
+        let e = args(&["--geometry"])
+            .try_geometry(Geometry::tiny())
+            .unwrap_err();
         assert_eq!(e, "--geometry: missing value");
     }
 }

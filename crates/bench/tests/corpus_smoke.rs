@@ -78,7 +78,7 @@ fn stride_subset_replays_bit_identical() {
 #[test]
 fn corpus_covers_every_strategy() {
     let cases = all_cases();
-    for name in cibola_mitigate::STRATEGY_NAMES {
+    for name in cibola_scrub::STRATEGY_NAMES {
         assert!(
             cases
                 .iter()

@@ -17,16 +17,16 @@
 
 use std::path::PathBuf;
 
-use cibola::mitigate::{make_strategy, run_strategy_mission, run_strategy_mission_reference};
 use cibola::prelude::*;
-use cibola::scrub::run_mission_reference;
+use cibola::scrub::{
+    make_strategy, run_mission_reference, run_strategy_mission, run_strategy_mission_reference,
+};
 use cibola_bench::conformance::{
     all_cases, corpus_payload, damage_for_degradation, mission_config, mission_seed,
     sparse_sensitivity, CaseParams, Digest,
 };
 use cibola_forensics::MissionForensics;
-use cibola_mitigate::STRATEGY_NAMES;
-use cibola_scrub::{MissionStats, Telemetry};
+use cibola_scrub::{MissionStats, Telemetry, STRATEGY_NAMES};
 use proptest::prelude::*;
 
 /// The fixed-seed anchor mission: corpus regime 2 (SEFI chaos), with the

@@ -13,7 +13,7 @@
 //! | Virtex-class FPGA model (frames, SelectMAP, half-latches) | [`arch`] | §II–IV |
 //! | Netlist IR, test designs, mini CAD flow | [`netlist`] | §III-A |
 //! | LEO orbit + proton-beam environments | [`radiation`] | §I, §III-B |
-//! | CRC scrubbing, ECC FLASH, 9-FPGA payload, missions | [`scrub`] | §II |
+//! | CRC scrubbing, ECC FLASH, 9-FPGA payload, missions, strategy zoo | [`scrub`] | §II |
 //! | The SEU simulator: campaigns, persistence, validation | [`inject`] | §III |
 //! | BIST for permanent faults | [`bist`] | §II-B |
 //! | RadDRC half-latch removal, (selective) TMR | [`mitigate`] | §III |
@@ -33,7 +33,7 @@
 //!     classify_persistence: false,
 //!     ..Default::default()
 //! };
-//! let result = run_campaign(&tb, &cfg);
+//! let result = run_campaign_wide(&tb, &cfg);
 //! assert!(result.sensitivity() > 0.0);
 //! ```
 

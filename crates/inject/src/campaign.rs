@@ -390,7 +390,11 @@ fn run_scalar(tb: &Testbed, cfg: &CampaignConfig, bits: &[usize]) -> Vec<Sensiti
     }
 }
 
-/// Run a full campaign.
+/// Run a full campaign on the scalar engine, one flip and one
+/// simulation per bit: the oracle that `differential_wide`, the
+/// conformance corpus and the benchmark's spot check compare
+/// [`run_campaign_wide`] against. Production campaigns call
+/// [`run_campaign_wide`], which gives identical results.
 pub fn run_campaign(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
     let total_bits = tb.total_bits();
     let (bits, inert_bits, exhaustive, closure_size) = select_bits(tb, cfg);

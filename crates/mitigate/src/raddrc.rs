@@ -8,7 +8,7 @@
 //! Mitigated designs were found to be 100X \[more\] resistant to failure
 //! than unmitigated designs."
 
-use cibola_netlist::ir::{Cell, Ctrl, NetId, Netlist};
+use cibola_netlist::ir::{Cell, Ctrl, LutMode, NetId, Netlist};
 
 /// Where the replacement constants come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +81,7 @@ pub fn remove_half_latches(
                     out: net,
                     table: 0xffff,
                     ins: [None; 4],
-                    mode: cibola_arch::bits::LutMode::Rom,
+                    mode: LutMode::Rom,
                     wdata: None,
                     wen: Ctrl::Zero,
                 }));
@@ -117,7 +117,7 @@ pub fn remove_half_latches(
                     out: net,
                     table: 0x0000,
                     ins: [None; 4],
-                    mode: cibola_arch::bits::LutMode::Rom,
+                    mode: LutMode::Rom,
                     wdata: None,
                     wen: Ctrl::Zero,
                 }));
@@ -138,7 +138,7 @@ pub fn remove_half_latches(
                     out: net,
                     table,
                     ins: [Some(src), None, None, None],
-                    mode: cibola_arch::bits::LutMode::Logic,
+                    mode: LutMode::Logic,
                     wdata: None,
                     wen: Ctrl::Zero,
                 }));

@@ -10,7 +10,7 @@
 
 use std::collections::HashSet;
 
-use cibola_netlist::ir::{BramCell, Cell, Ctrl, FfCell, LutCell, NetId, Netlist};
+use cibola_netlist::ir::{BramCell, Cell, Ctrl, FfCell, LutCell, LutMode, NetId, Netlist};
 
 /// TMR transformation statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -165,7 +165,7 @@ pub fn selective_tmr(nl: &Netlist, protect: &HashSet<usize>) -> (Netlist, TmrRep
                     out: voted,
                     table: majority_table(),
                     ins: [q[0], q[1], q[2], None],
-                    mode: cibola_arch::bits::LutMode::Logic,
+                    mode: LutMode::Logic,
                     wdata: None,
                     wen: Ctrl::Zero,
                 }));
@@ -185,7 +185,7 @@ pub fn selective_tmr(nl: &Netlist, protect: &HashSet<usize>) -> (Netlist, TmrRep
                     out: voted,
                     table: majority_table(),
                     ins: [Some(a), Some(b), Some(c), None],
-                    mode: cibola_arch::bits::LutMode::Logic,
+                    mode: LutMode::Logic,
                     wdata: None,
                     wen: Ctrl::Zero,
                 }));

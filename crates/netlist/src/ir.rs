@@ -5,7 +5,7 @@
 //! exactly the construct the Xilinx tools implement with a *half-latch*
 //! (paper §III-C), and the construct `cibola-mitigate`'s RadDRC rewrites.
 
-use cibola_arch::bits::LutMode;
+pub use cibola_arch::bits::LutMode;
 
 /// A net (single driver, any number of sinks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -8,9 +8,8 @@
 //! device, *which* live fault owns each observable symptom surface —
 //! a corrupt configuration frame, a whole-device fault (unprogrammed
 //! FSM), a lying or wedged port, a poisoned CRC codebook — so that when
-//! the scrub pipeline later reports a symptom through
-//! [`Payload::push_soh`](crate::payload::Payload::push_soh), the emitted
-//! telemetry event carries the id of the fault that caused it.
+//! the scrub pipeline later logs a symptom as a state-of-health event,
+//! its telemetry mirror carries the id of the fault that caused it.
 //!
 //! The ledger is pure observability: it is only maintained while a
 //! telemetry sink is attached, it never feeds back into mission

@@ -1,9 +1,7 @@
-//! The payload's non-volatile stores (paper §II):
-//!
-//! * a 16 MB FLASH module holding "more than twenty configuration bit
-//!   streams… Error control coding is used to mitigate SEUs that might
-//!   occur while the memory is being accessed";
-//! * a 1 MB EEPROM for the operating system and application code.
+//! The payload's configuration store (paper §II): a 16 MB FLASH module
+//! holding "more than twenty configuration bit streams… Error control
+//! coding is used to mitigate SEUs that might occur while the memory is
+//! being accessed".
 
 use cibola_arch::{Bitstream, SimDuration};
 
@@ -270,34 +268,6 @@ fn frame_read_time(len: usize, bytes_per_us: u64) -> SimDuration {
     SimDuration::from_micros((len as u64).div_ceil(bytes_per_us))
 }
 
-/// The 1 MB EEPROM holding OS and application code.
-#[derive(Debug, Clone)]
-pub struct Eeprom {
-    data: Vec<u8>,
-}
-
-impl Default for Eeprom {
-    fn default() -> Self {
-        Eeprom {
-            data: vec![0xFF; 1024 * 1024],
-        }
-    }
-}
-
-impl Eeprom {
-    pub fn capacity(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn write(&mut self, offset: usize, bytes: &[u8]) {
-        self.data[offset..offset + bytes.len()].copy_from_slice(bytes);
-    }
-
-    pub fn read(&self, offset: usize, len: usize) -> &[u8] {
-        &self.data[offset..offset + len]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,13 +436,5 @@ mod tests {
             Err(FlashError::NoSuchSlot(slot + 1))
         );
         assert_eq!(stats, EccStats::default(), "nothing was read");
-    }
-
-    #[test]
-    fn eeprom_roundtrip() {
-        let mut e = Eeprom::default();
-        assert_eq!(e.capacity(), 1024 * 1024);
-        e.write(1000, b"RAD6000 OS image");
-        assert_eq!(e.read(1000, 16), b"RAD6000 OS image");
     }
 }

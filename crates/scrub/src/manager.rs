@@ -12,8 +12,7 @@ use std::collections::HashSet;
 
 use cibola_arch::bits::{lut_mode_offset, lut_table_offset, LutMode};
 use cibola_arch::{
-    Bitstream, BlockType, Device, FrameAddr, FrameStamp, PortError, ReadbackOptions, SimDuration,
-    Tile,
+    Bitstream, Device, FrameAddr, FrameStamp, PortError, ReadbackOptions, SimDuration, Tile,
 };
 
 use crate::crc::{crc32, Crc32};
@@ -36,11 +35,12 @@ pub struct CrcCodebook {
     intact: bool,
     /// Unmasked frames and their total bytes: what one scan moves over
     /// the port, fixed by the golden image and the mask.
-    scanned_frames: u64,
-    scanned_bytes: u64,
+    pub(crate) scanned_frames: u64,
+    pub(crate) scanned_bytes: u64,
     /// Per frame, the stamp at which it last read back exactly with its
-    /// stored CRC (see [`FaultManager::scan`]). Dropped by
-    /// [`CrcCodebook::upset`] and by a mismatch; a new book has none.
+    /// stored CRC, in a scan or a verify-after-write (see
+    /// [`FaultManager::scan`]). Dropped by [`CrcCodebook::upset`] and by a
+    /// mismatch; a new book has none.
     matched: Vec<Option<FrameStamp>>,
 }
 
@@ -122,53 +122,13 @@ impl CrcCodebook {
     }
 }
 
-/// Frames that must be masked for a design: CLB frames holding the truth
-/// tables of LUTs used as RAM/SRL16, and every BRAM content frame when the
-/// design uses BRAM (paper §II-C: these cannot be reliably read back while
-/// the design runs, and their contents legitimately change).
+/// Frames that must be masked for a design: the frames that hold a live
+/// bit of [`dynamic_bits_for`], that is the truth tables of LUTs used as
+/// RAM/SRL16 and the contents of every enabled BRAM block (paper §II-C:
+/// these cannot be reliably read back while the design runs, and their
+/// contents legitimately change).
 pub fn masked_frames_for(golden: &Bitstream) -> HashSet<usize> {
-    let geom = golden.geometry().clone();
-    let mut masked = HashSet::new();
-
-    for col in 0..geom.cols {
-        for row in 0..geom.rows {
-            let tile = Tile::new(row, col);
-            for slice in 0..2 {
-                for lut in 0..2 {
-                    let mode = LutMode::from_bits(golden.read_tile_field(
-                        tile,
-                        lut_mode_offset(slice, lut),
-                        2,
-                    ));
-                    if mode.is_dynamic() {
-                        let t0 = lut_table_offset(slice, lut, 0);
-                        for bit in 0..16 {
-                            let global = golden.tile_bit_index(tile, t0 + bit);
-                            let (addr, _) = golden.locate(global);
-                            masked.insert(golden.frame_index(addr));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // BRAM interface frames tell us which blocks are live.
-    for bc in 0..geom.bram_cols {
-        for block in 0..geom.bram_blocks_per_col() {
-            let en = golden.read_bram_if_field(bc, block, cibola_arch::frames::BRAM_IF_EN_OFF, 8);
-            if en != 0 {
-                for sub in 0..cibola_arch::frames::BRAM_CONTENT_SUBFRAMES {
-                    masked.insert(golden.frame_index(FrameAddr {
-                        block: BlockType::BramContent,
-                        major: bc as u32,
-                        minor: (block * cibola_arch::frames::BRAM_CONTENT_SUBFRAMES + sub) as u32,
-                    }));
-                }
-            }
-        }
-    }
-    masked
+    dynamic_bits_for(golden).by_frame.into_keys().collect()
 }
 
 /// One scan finding.
@@ -239,9 +199,9 @@ impl FaultManager {
         let mut scanned = 0usize;
         let mut aborted = 0usize;
         let mut wedged = false;
-        let book = &mut self.codebook;
         let mut from = 0;
         loop {
+            let book = &self.codebook;
             let (fi, frames, bytes, exact) =
                 dev.skip_clean_frames(from, &book.masked, &book.matched);
             duration += read_time(dev, self.frame_overhead, frames, bytes);
@@ -251,18 +211,12 @@ impl FaultManager {
             }
             from = fi + 1;
             let addr = dev.config().frame_addr(fi);
-            let stamp = dev.config().frame_stamp(fi);
-            let (res, d) = dev.try_readback_frame(addr, ReadbackOptions::default());
+            let (res, d) = self.check_frame(dev, fi, addr, exact);
             match res {
-                Ok(data) => {
+                Ok(matches) => {
                     duration += d + self.frame_overhead;
                     scanned += 1;
-                    if crc32(&data) == book.crc(fi) {
-                        if exact {
-                            book.matched[fi] = Some(stamp);
-                        }
-                    } else {
-                        book.matched[fi] = None;
+                    if !matches {
                         corrupt.push(CorruptFrame {
                             frame_index: fi,
                             addr,
@@ -292,6 +246,47 @@ impl FaultManager {
             aborted_frames: aborted,
             wedged,
         }
+    }
+
+    /// Read frame `fi` (at `addr`) back from `dev` and check it against
+    /// its stored CRC: `Ok(true)` when it matches. The match is recorded,
+    /// at the frame's stamp, only when `exact` says the read returns
+    /// configuration memory as it stands (see
+    /// [`Device::skip_clean_frames`]); a mismatch drops the record.
+    pub(crate) fn check_frame(
+        &mut self,
+        dev: &mut Device,
+        fi: usize,
+        addr: FrameAddr,
+        exact: bool,
+    ) -> (Result<bool, PortError>, SimDuration) {
+        let stamp = dev.config().frame_stamp(fi);
+        let (res, d) = dev.try_readback_frame(addr, ReadbackOptions::default());
+        let res = res.map(|data| {
+            let matches = crc32(&data) == self.codebook.crc(fi);
+            if !matches {
+                self.codebook.matched[fi] = None;
+            } else if exact {
+                self.codebook.matched[fi] = Some(stamp);
+            }
+            matches
+        });
+        (res, d)
+    }
+
+    /// Verify-after-write: [`check_frame`](Self::check_frame) on frame
+    /// `fi`, just written. The write moved the frame's stamp, so a skip
+    /// walk from `fi` stops there at once and says whether the read is
+    /// exact; any other stop counts as not exact.
+    pub(crate) fn verify_frame(
+        &mut self,
+        dev: &mut Device,
+        fi: usize,
+        addr: FrameAddr,
+    ) -> (Result<bool, PortError>, SimDuration) {
+        let book = &self.codebook;
+        let (at, _, _, exact) = dev.skip_clean_frames(fi, &book.masked, &book.matched);
+        self.check_frame(dev, fi, addr, at == fi && exact)
     }
 
     /// Scan cost without performing readback (used by mission simulation

@@ -10,8 +10,8 @@
 //! faults, judged against per-design sensitivity maps from the SEU
 //! simulator.
 //!
-//! One round loop, [`fly_mission`], flies every mission over one
-//! [`MissionKernel`], in one of two modes:
+//! One round loop flies every mission over one [`MissionKernel`], in one
+//! of two modes:
 //!
 //! * event-driven: it advances directly between the rounds where
 //!   observable state can change (upset arrivals, SEFI arrivals, rounds
@@ -26,8 +26,9 @@
 //! [`MitigationStrategy`]), so both modes produce bit-identical
 //! [`MissionStats`] for any seed. [`run_mission`] is the
 //! [`LadderStrategy`] flown event-driven and [`run_mission_reference`]
-//! the same strategy flown every round; `cibola-mitigate` flies the rest
-//! of the strategy zoo through the same loop.
+//! the same strategy flown every round; the rest of the strategy zoo
+//! flies through the same loop
+//! ([`run_strategy_mission`](crate::run_strategy_mission)).
 
 use std::collections::{HashMap, HashSet};
 
@@ -229,7 +230,7 @@ struct Outstanding {
 /// methods (`land_upsets`, `land_sefis`, `apply_board_outcome`,
 /// `periodic_refresh`, `finish`): upset and SEFI landing, the
 /// outstanding-fault ledger, availability integration and the mission-end
-/// roll-up. [`fly_mission`] composes them with a strategy's per-board
+/// roll-up. The round loop composes them with a strategy's per-board
 /// repair action, so the event-driven and every-round modes differ *only*
 /// in which rounds they visit.
 ///
@@ -821,7 +822,7 @@ impl<'a> MissionKernel<'a> {
     ///
     /// Public only because the benchmark's traced storm
     /// (`perfbench/src/mission.rs`, `fly_traced`) calls it through
-    /// [`MissionKernel::next_active_round`]; [`fly_mission`] asks per
+    /// [`MissionKernel::next_active_round`]; the round loop asks per
     /// board, with its own strategy.
     pub fn any_device_needs_scrub(&self) -> bool {
         (0..self.ndev).any(|di| self.device_needs_scrub(di, &LadderStrategy))
@@ -865,7 +866,7 @@ impl<'a> MissionKernel<'a> {
     /// whose *end* crosses a periodic full-reconfig deadline.
     ///
     /// Public only because the benchmark's traced storm
-    /// (`perfbench/src/mission.rs`, `fly_traced`) calls it; [`fly_mission`]
+    /// (`perfbench/src/mission.rs`, `fly_traced`) calls it; the round loop
     /// makes the same decision with the strategy's own schedule.
     pub fn next_active_round(&self, r: u64, round_ns: u64) -> u64 {
         if self.any_device_needs_scrub() {
@@ -1034,7 +1035,7 @@ impl<'a> MissionKernel<'a> {
 /// [`StrategyMissionStats`] for any strategy that keeps the skip-safety
 /// contract. Generic so that [`run_mission`] gets its own compiled copy
 /// of the ladder's loop, while the zoo flies `&mut dyn MitigationStrategy`.
-pub fn fly_mission<S: MitigationStrategy + ?Sized>(
+pub(crate) fn fly_mission<S: MitigationStrategy + ?Sized>(
     payload: &mut Payload,
     cfg: &MissionConfig,
     sensitivity: &HashMap<(usize, usize), HashSet<usize>>,
@@ -1129,8 +1130,8 @@ pub fn fly_mission<S: MitigationStrategy + ?Sized>(
     }
 }
 
-/// Run a mission: the [`LadderStrategy`] flown event-driven by
-/// [`fly_mission`]. `sensitivity` maps (board, fpga) to that design's
+/// Run a mission: the [`LadderStrategy`] flown event-driven by the one
+/// mission round loop. `sensitivity` maps (board, fpga) to that design's
 /// sensitive-bit set from an SEU-simulator campaign; positions without a
 /// map treat every unmasked configuration upset as potentially sensitive
 /// (conservative).
@@ -1149,7 +1150,7 @@ pub fn run_mission(
 }
 
 /// Run a mission by ticking every scan round: the [`LadderStrategy`]
-/// flown every round by [`fly_mission`], the ground truth the
+/// flown every round by the one mission round loop, the ground truth the
 /// event-driven [`run_mission`] is differentially tested against.
 pub fn run_mission_reference(
     payload: &mut Payload,

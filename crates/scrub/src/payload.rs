@@ -1,6 +1,6 @@
 //! The SEM-E payload assembly (paper §II, Figs. 1–3): three RCC boards of
-//! three Virtex FPGAs each, a RAD6000-class supervisor, FLASH/EEPROM
-//! storage, and one Actel-class fault manager per board.
+//! three Virtex FPGAs each, a RAD6000-class supervisor, FLASH storage,
+//! and one Actel-class fault manager per board.
 //!
 //! The scrub loop here is *fault-tolerant against its own machinery*: the
 //! SelectMAP port can wedge or lie (SEFIs), the SRAM-resident CRC codebook
@@ -11,15 +11,14 @@
 //! → device marked degraded — so the mission degrades gracefully instead
 //! of wedging.
 
-use cibola_arch::{Bitstream, Device, Geometry, PortError, ReadbackOptions, SimDuration, SimTime};
+use cibola_arch::{Bitstream, Device, Geometry, PortError, SimDuration, SimTime};
 use cibola_telemetry::{
     EscalationRung, LadderStats, Severity, Subsystem, Telemetry, TelemetryEvent,
     LATENCY_MS_BUCKETS, RETRIES_BUCKETS, SOH_EVENT_META,
 };
 
 use crate::correlate::CorrelationLedger;
-use crate::crc::crc32;
-use crate::flash::{EccStats, Eeprom, Flash, FlashError};
+use crate::flash::{EccStats, Flash, FlashError};
 use crate::manager::{masked_frames_for, CorruptFrame, CrcCodebook, FaultManager};
 
 /// Boards in the flight payload.
@@ -110,6 +109,10 @@ pub enum SohEvent {
     VotedRepair { frame_index: usize },
 }
 
+/// Encoded size of one SOH record on the wire: time + location + event +
+/// payload, framed.
+pub const SOH_RECORD_BYTES: usize = 16;
+
 /// A timestamped SOH record.
 #[derive(Debug, Clone, Copy)]
 pub struct SohRecord {
@@ -138,7 +141,6 @@ pub struct ScrubOutcome {
 pub struct Payload {
     pub boards: Vec<RccBoard>,
     pub flash: Flash,
-    pub eeprom: Eeprom,
     pub soh: Vec<SohRecord>,
     pub ecc_stats: EccStats,
     /// Flight-recorder sink; disabled by default, so an uninstrumented
@@ -157,7 +159,6 @@ impl Payload {
         Payload {
             boards: (0..BOARDS).map(|_| RccBoard::default()).collect(),
             flash: Flash::default(),
-            eeprom: Eeprom::default(),
             soh: Vec::new(),
             ecc_stats: EccStats::default(),
             telemetry: Telemetry::disabled(),
@@ -222,9 +223,7 @@ impl Payload {
     }
 
     /// Record one state-of-health event (and its telemetry mirror).
-    /// Public so mitigation strategies outside this crate write the same
-    /// flight log the built-in ladder does.
-    pub fn push_soh(&mut self, board: usize, fpga: usize, at: SimTime, event: SohEvent) {
+    pub(crate) fn push_soh(&mut self, board: usize, fpga: usize, at: SimTime, event: SohEvent) {
         let correlation = &self.correlation;
         self.telemetry.emit_with(|| {
             let (name, severity, rung) = soh_event_meta(&event);
@@ -320,27 +319,25 @@ impl Payload {
             .sum()
     }
 
-    /// Scrub one board once at simulated time `now`, repairing corrupt
-    /// frames from FLASH: [`scrub_board_with`](Self::scrub_board_with)
-    /// with [`repair_from_golden`](Self::repair_from_golden) as rung 1.
+    /// Scrub one board once at simulated time `now`: self-check the
+    /// codebook, scan each FPGA, repair each corrupt frame from FLASH with
+    /// verify-after-write, and climb the escalation ladder when repairs
+    /// do not stick. `dirty` hints which FPGAs might have bitstream
+    /// changes — clean devices are charged scan time without a simulated
+    /// readback (their scan provably finds nothing).
     pub fn scrub_board(&mut self, board: usize, now: SimTime, dirty: &[bool]) -> ScrubOutcome {
         self.scrub_board_with(board, now, dirty, |p, b, fi, frame, now, out| {
             p.repair_from_golden(b, fi, frame, now, out).is_some()
         })
     }
 
-    /// Scrub one board once at simulated time `now`: self-check the
-    /// codebook, scan each FPGA, hand each corrupt frame to `repair`, and
-    /// climb the escalation ladder when repairs do not stick. `dirty`
-    /// hints which FPGAs might have bitstream changes — clean devices are
-    /// charged scan time without a simulated readback (their scan
-    /// provably finds nothing).
+    /// [`scrub_board`](Self::scrub_board) with `repair` as rung 1.
     ///
-    /// `repair(payload, board, fpga, frame, now, out)` is rung 1, the
-    /// ladder's only parameter: it rewrites one corrupt frame, accounts
-    /// for it in `out` and the SOH log, and returns whether the frame now
-    /// matches the codebook.
-    pub fn scrub_board_with<F>(
+    /// `repair(payload, board, fpga, frame, now, out)` is the ladder's only
+    /// parameter: it rewrites one corrupt frame, accounts for it in `out`
+    /// and the SOH log, and returns whether the frame now matches the
+    /// codebook.
+    pub(crate) fn scrub_board_with<F>(
         &mut self,
         board: usize,
         now: SimTime,
@@ -532,9 +529,8 @@ impl Payload {
     /// them with verify-after-write. An uncorrectable golden frame is
     /// reported and skipped, never written; a write that never verifies
     /// escalates the frame. Returns the bytes written when the repair
-    /// verified. Public: mitigation strategies use it as their fallback
-    /// repair.
-    pub fn repair_from_golden(
+    /// verified.
+    pub(crate) fn repair_from_golden(
         &mut self,
         board: usize,
         fi: usize,
@@ -584,13 +580,11 @@ impl Payload {
         Some(golden)
     }
 
-    /// Write `golden` to the frame, re-read it, and compare against the
-    /// codebook; retry with exponential backoff up to
-    /// [`MAX_FRAME_ATTEMPTS`].
-    /// Public: mitigation strategies write their own repair bytes with
-    /// it.
+    /// Write `golden` to the frame and verify it with
+    /// `FaultManager::verify_frame`, which records an exact match; retry
+    /// with exponential backoff up to [`MAX_FRAME_ATTEMPTS`].
     #[allow(clippy::too_many_arguments)]
-    pub fn repair_frame_verified(
+    pub(crate) fn repair_frame_verified(
         &mut self,
         board: usize,
         fi: usize,
@@ -636,18 +630,13 @@ impl Payload {
 
             // Verify-after-write: the frame must read back with the
             // codebook's CRC before the repair counts.
-            let (vres, vd) = self.boards[board].fpgas[fi]
-                .device
-                .try_readback_frame(addr, ReadbackOptions::default());
+            let (vres, vd) = {
+                let f = &mut self.boards[board].fpgas[fi];
+                f.manager.verify_frame(&mut f.device, frame_index, addr)
+            };
             out.duration += vd;
             match vres {
-                Ok(data)
-                    if crc32(&data)
-                        == self.boards[board].fpgas[fi]
-                            .manager
-                            .codebook
-                            .crc(frame_index) =>
-                {
+                Ok(true) => {
                     if self.telemetry.is_enabled() {
                         let ms = (out.duration.as_nanos() - dur_start.as_nanos()) as f64 / 1e6;
                         self.telemetry
@@ -660,7 +649,7 @@ impl Payload {
                     }
                     return true;
                 }
-                Ok(_) | Err(PortError::Aborted) => {
+                Ok(false) | Err(PortError::Aborted) => {
                     out.ladder.verify_failures += 1;
                     self.push_soh(
                         board,
@@ -724,7 +713,13 @@ impl Payload {
     }
 
     /// Power-cycle one device's configuration port and log it.
-    pub fn reset_port(&mut self, board: usize, fi: usize, now: SimTime, out: &mut ScrubOutcome) {
+    pub(crate) fn reset_port(
+        &mut self,
+        board: usize,
+        fi: usize,
+        now: SimTime,
+        out: &mut ScrubOutcome,
+    ) {
         let d = self.boards[board].fpgas[fi].device.port_reset();
         out.duration += d;
         out.ladder.port_resets += 1;
@@ -743,9 +738,8 @@ impl Payload {
     }
 
     /// Full reconfiguration with wedge and FLASH-ECC handling. Returns
-    /// true when the device came back programmed. Public: strategies
-    /// outside the crate reuse it as their rung-3 action.
-    pub fn try_full_reconfig(
+    /// true when the device came back programmed.
+    pub(crate) fn try_full_reconfig(
         &mut self,
         board: usize,
         fi: usize,
@@ -786,8 +780,7 @@ impl Payload {
     /// Count a pass that left the device faulty; degrade after
     /// [`DEGRADE_AFTER`] so the mission cannot livelock on an
     /// unrecoverable device.
-    /// Public: strategies share the same degrade bookkeeping.
-    pub fn note_failed_pass(
+    pub(crate) fn note_failed_pass(
         &mut self,
         board: usize,
         fi: usize,
@@ -820,9 +813,7 @@ impl Payload {
     /// Fold a FLASH access's ECC statistics into the payload log, with
     /// any correction stamped at `at`: the fetch's place in the pass,
     /// `now + out.duration`, like every other rung event.
-    /// Public: strategies performing their own golden fetches must charge
-    /// the same wear and SOH accounting.
-    pub fn merge_ecc(&mut self, board: usize, fpga: usize, at: SimTime, stats: &EccStats) {
+    pub(crate) fn merge_ecc(&mut self, board: usize, fpga: usize, at: SimTime, stats: &EccStats) {
         self.ecc_stats.words_read += stats.words_read;
         self.ecc_stats.corrected += stats.corrected;
         self.ecc_stats.uncorrectable += stats.uncorrectable;

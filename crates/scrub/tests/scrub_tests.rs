@@ -1131,3 +1131,64 @@ fn generation_scan_matches_a_cold_scan() {
         "{scans} scans, {corrupt_seen} finds"
     );
 }
+
+/// Verify-after-write records the match it reads: after a pass that
+/// repairs frame `f`, the codebook holds `f`'s current stamp whenever the
+/// verify read was exact, so the next scan need not read `f` again, and
+/// that scan still equals a cold scan of a clone. With the clock running,
+/// a frame in a column holding a dynamic LUT reads back inexactly and
+/// keeps no record.
+#[test]
+fn verify_after_write_records_an_exact_match() {
+    use cibola_arch::Device;
+
+    let geom = Geometry::tiny();
+    for (nl, expect_inexact) in [(gen::counter_adder(4), false), (dynamic_mix(), true)] {
+        let golden = implemented(&nl, &geom).bitstream;
+        let masked = masked_frames_for(&golden);
+        let n = golden.frame_count();
+        let mut payload = Payload::new();
+        payload.load_design(0, &nl.name, &geom, &golden);
+        let (mut recorded, mut inexact) = (0, 0);
+        let frames = (0..n).filter(|f| !masked.contains(f)).step_by(23);
+        for (i, f) in frames.enumerate() {
+            let what = format!("{} frame {f}", nl.name);
+            let bit = golden.frame_base(golden.frame_addr(f)) + 7;
+            payload.fpga_mut(0, 0).device.flip_config_bit(bit);
+            let out = payload.scrub_board(0, SimTime::from_secs(i as u64), &[true]);
+            assert_eq!(out.frames_repaired, 1, "{what}");
+            let fpga = payload.fpga(0, 0);
+            assert!(fpga.device.config().diff(&golden).is_empty(), "{what}");
+
+            // The verify read was exact iff a read of `f` would be now.
+            let exact = fpga
+                .device
+                .clone()
+                .skip_clean_frames(f, &vec![false; n], &vec![None; n])
+                .3;
+            let stamp = fpga.device.config().frame_stamp(f);
+            let want = exact.then_some(stamp);
+            assert_eq!(fpga.manager.codebook.matched()[f], want, "{what}");
+            if exact {
+                recorded += 1;
+            } else {
+                inexact += 1;
+            }
+
+            let mut cold_dev: Device = fpga.device.clone();
+            let mut cold = FaultManager::new(CrcCodebook::new(&golden, &masked));
+            let fpga = payload.fpga_mut(0, 0);
+            let report = fpga.manager.scan(&mut fpga.device);
+            assert!(report.corrupt.is_empty(), "{what}");
+            assert_eq!(report, cold.scan(&mut cold_dev), "{what}: scan reports");
+            assert_same_device(&fpga.device, &cold_dev, &what);
+        }
+        assert!(recorded > 0, "{}: no verify was exact", nl.name);
+        assert_eq!(
+            inexact > 0,
+            expect_inexact,
+            "{}: {inexact} inexact",
+            nl.name
+        );
+    }
+}

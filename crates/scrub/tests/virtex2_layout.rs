@@ -55,22 +55,30 @@ fn virtex2_layout_is_behaviourally_identical() {
     }
 }
 
+/// Frames masked per design on the tiny and small devices, each under
+/// the Virtex and the Virtex-II layout. An SRL16's table spans 16 frames
+/// of its column under Virtex and 2 under Virtex-II ("most of the
+/// bitstream data for that column of CLBs can be read back"); an enabled
+/// BRAM block masks its 4 content frames under either; a design with no
+/// dynamic state masks none.
 #[test]
 fn virtex2_masks_fewer_frames_for_dynamic_designs() {
-    let nl = srl_heavy_design(4);
-    let v1 = Geometry::tiny();
-    let v2 = Geometry::tiny().with_virtex2_layout();
-    let imp1 = implement(&nl, &v1).unwrap();
-    let imp2 = implement(&nl, &v2).unwrap();
-
-    let m1 = masked_frames_for(&imp1.bitstream).len();
-    let m2 = masked_frames_for(&imp2.bitstream).len();
-    assert!(m1 > 0 && m2 > 0);
-    assert!(
-        m2 < m1,
-        "Virtex-II should mask fewer frames: {m2} vs {m1} — \
-         \"most of the bitstream data for that column of CLBs can be read back\""
-    );
+    let designs = [
+        (srl_heavy_design(4), [32, 5, 16, 3]),
+        (srl16_delay_line(), [16, 2, 16, 2]),
+        (bram_rom(), [4, 4, 4, 4]),
+        (cibola_netlist::gen::counter_adder(4), [0, 0, 0, 0]),
+    ];
+    let layouts = [Geometry::tiny(), Geometry::small()]
+        .into_iter()
+        .flat_map(|g| [g.clone(), g.with_virtex2_layout()]);
+    for (i, geom) in layouts.enumerate() {
+        for (nl, want) in &designs {
+            let imp = implement(nl, &geom).unwrap();
+            let masked = masked_frames_for(&imp.bitstream).len();
+            assert_eq!(masked, want[i], "{} on {} (layout {i})", nl.name, geom.name);
+        }
+    }
 }
 
 #[test]
@@ -92,4 +100,44 @@ fn virtex2_roundtrips_frames_and_describe() {
         cm2.write_frame(addr, &data);
         assert!(cm2.diff(cm).is_empty());
     }
+}
+
+/// The SRL16 delay line of the CAD-flow suite: one dynamic LUT.
+fn srl16_delay_line() -> cibola_netlist::Netlist {
+    let mut b = NetlistBuilder::new("srl-delay");
+    let x = b.input();
+    let one = b.const_net(true);
+    let tap = b.srl16(&[one, one], x, cibola_netlist::Ctrl::One, 0);
+    let q = b.ff(tap, false);
+    b.output(q);
+    b.finish()
+}
+
+/// The BRAM ROM of the CAD-flow suite: one enabled block addressed by a
+/// 4-bit counter.
+fn bram_rom() -> cibola_netlist::Netlist {
+    let mut b = NetlistBuilder::new("bram-rom");
+    let init: Vec<u16> = (0..256).map(|a| (a as u16) * 0x0101).collect();
+    let ctr = {
+        let d: Vec<_> = (0..4).map(|_| b.forward()).collect();
+        let q: Vec<_> = d.iter().map(|&dn| b.ff_from_forward(dn, false)).collect();
+        b.lut_into(d[0], &[q[0]], |x| x & 1 == 0);
+        let mut carry = q[0];
+        for i in 1..4 {
+            b.lut_into(d[i], &[q[i], carry], |x| ((x & 1) ^ ((x >> 1) & 1)) == 1);
+            if i + 1 < 4 {
+                carry = b.and2(q[i], carry);
+            }
+        }
+        q
+    };
+    let dout = b.bram(
+        &ctr,
+        &[],
+        cibola_netlist::Ctrl::Zero,
+        cibola_netlist::Ctrl::One,
+        init,
+    );
+    b.outputs(&dout[..8]);
+    b.finish()
 }

@@ -51,7 +51,7 @@ fn main() {
             // Characterise the design's sensitive bits with the SEU
             // simulator first — mission availability accounting uses it.
             let tb = Testbed::new(&imp, 7, 48);
-            let campaign = run_campaign(
+            let campaign = run_campaign_wide(
                 &tb,
                 &CampaignConfig {
                     observe_cycles: 24,

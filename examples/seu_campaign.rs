@@ -32,7 +32,7 @@ fn main() {
         let nl = d.netlist();
         let imp = implement(&nl, &geom).unwrap();
         let tb = Testbed::new(&imp, 0xC1B07A, 160);
-        let result = run_campaign(
+        let result = run_campaign_wide(
             &tb,
             &CampaignConfig {
                 observe_cycles: 64,
@@ -62,7 +62,7 @@ fn main() {
     let nl = cibola::designs::PaperDesign::CounterAdder { width: 8 }.netlist();
     let imp = implement(&nl, &geom).unwrap();
     let tb = Testbed::new(&imp, 0xC1B07A, 700);
-    let campaign = run_campaign(
+    let campaign = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 48,
