@@ -614,6 +614,42 @@ impl DeltaMap {
         }
     }
 
+    /// Where lane `u` strikes, as a sort key: the settle position of the
+    /// earliest node it touches, with the flip-flops counted after every LUT
+    /// and the BRAM blocks after every flip-flop (`u32::MAX` for a lane
+    /// that rebinds output ports only). Lanes that strike the same node
+    /// share their forward cone, so batching a campaign's lanes in this
+    /// order shrinks the cone each batch evaluates.
+    pub fn lane_key(&self, u: &LaneUpset) -> u32 {
+        let (luts, ffs) = (self.net.luts.len() as u32, self.net.ffs.len() as u32);
+        let lut = |i: u32| self.pos[i as usize];
+        let node = |root| match root {
+            Root::LutPin { lut: i, .. } | Root::LutData { lut: i } | Root::LutWe { lut: i } => {
+                Some(lut(i))
+            }
+            Root::FfD { ff } | Root::FfCe { ff } | Root::FfSr { ff } => Some(luts + ff),
+            Root::BramAddr { bram, .. }
+            | Root::BramDin { bram, .. }
+            | Root::BramWe { bram }
+            | Root::BramEn { bram } => Some(luts + ffs + bram),
+            Root::OutEntry { .. } => None,
+        };
+        match &u.0 {
+            UpsetKind::State(WideTarget::LutTable { lut: i, .. }) => lut(*i),
+            UpsetKind::State(WideTarget::FfInit { ff }) => luts + ff,
+            UpsetKind::State(WideTarget::BramBit { mem, .. }) => luts + ffs + mem,
+            UpsetKind::Reroute { ops, .. } => ops
+                .iter()
+                .filter_map(|op| match *op {
+                    DeltaOp::Rebind(root, _) => node(root),
+                    DeltaOp::WriteMode { lut: i, .. } => Some(lut(i)),
+                    DeltaOp::Outputs { .. } => None,
+                })
+                .min()
+                .unwrap_or(u32::MAX),
+        }
+    }
+
     /// Compiled id of the golden-cone node at `site`, if there is one.
     fn golden_node(&self, dev: &Device, site: Site) -> Option<u32> {
         let golden = match site {

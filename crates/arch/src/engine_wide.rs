@@ -45,6 +45,25 @@
 //! to slots when a batch loads: a half-latch override folds to a constant
 //! by the build device's latches, and an input port only an override
 //! names gets a slot pair past the layout.
+//!
+//! A batch evaluates only the forward *cone* of its upsets once
+//! [`WideEngine::record_golden`] has recorded lane 0's value of every
+//! golden LUT and flip-flop on each cycle of the campaign's stimulus. The
+//! cone closes under fan-out (LUT pins, data and write enable; FF D, CE
+//! and SR; BRAM ports) the nodes a lane can make differ from lane 0: the
+//! node of each state overlay, each node with a lane override, each LUT
+//! whose write mode a lane changes, each golden node some reroute lane
+//! does not hold (it freezes in that lane) and each augmented node (past
+//! the golden cone) some lane holds. A node outside the cone reads only
+//! golden values and holds golden state in every lane, and repair
+//! returns every lane to golden edges, which the closure already
+//! followed, so that holds for the whole batch. The batch settles, clocks
+//! and writes only the cone; each step first fills the golden LUT and FF
+//! slots outside it that a scheduled operand, a lane override or an
+//! output reads from the trace. BRAM ports run on every step, since a
+//! register latched earlier in a step reaches later ports and the trace
+//! keeps one value per cycle. Without a trace the cone is every golden
+//! node.
 
 use crate::bits::LutMode;
 use crate::compile::{const_slot, Compiled, NodeCounts, Root, Src, ONE_SLOT};
@@ -161,11 +180,76 @@ struct BramOv {
     en: Vec<Ov>,
 }
 
-/// One lane's replacement output vector: (lane, corrupted outputs as
-/// (slot, invert), reachability seeds — the sources of every enabled east
-/// entry in the lane's corrupted configuration, shadowed bindings
-/// included).
-type OutOverride = (u8, Vec<(u32, bool)>, Vec<Src>);
+/// One lane's replacement output vector: (lane, the golden ports it
+/// binds differently as (port, slot, invert), reachability seeds — the
+/// sources of every enabled east entry in the lane's corrupted
+/// configuration, shadowed bindings included).
+type OutOverride = (u8, Vec<(u32, u32, bool)>, Vec<Src>);
+
+/// Lane 0's value of every golden LUT and flip-flop on each cycle of one
+/// stimulus, bit-packed per cycle: the LUTs by id, then the flip-flops
+/// (their value as the cycle starts).
+#[derive(Debug, Clone)]
+struct GoldenTrace {
+    /// The stimulus it was recorded under, one vector per cycle.
+    inputs: Vec<Vec<bool>>,
+    /// Words per cycle.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+/// Node ids shared by the fan-out index and the cone: the LUTs, then the
+/// flip-flops, then the BRAM blocks, each by compiled id. The node whose
+/// value `slot` holds (a LUT output, an FF value or a BRAM register bit),
+/// if it holds one.
+fn slot_node(net: &Compiled, slot: u32) -> Option<u32> {
+    let l = net.layout;
+    let (luts, ffs) = (net.luts.len() as u32, net.ffs.len() as u32);
+    match slot {
+        s if s < l.luts || s >= l.len => None,
+        s if s < l.ffs => Some(s - l.luts),
+        s if s < l.brams => Some(luts + s - l.ffs),
+        s => Some(luts + ffs + (s - l.brams) / 16),
+    }
+}
+
+/// Call `f` with the slot of every operand of node `n`.
+fn operands(net: &Compiled, n: usize, f: impl FnMut(u32)) {
+    let (luts, ffs) = (net.luts.len(), net.ffs.len());
+    if n < luts {
+        let pins = net.lut_pins[n].into_iter();
+        pins.chain([net.lut_data[n], net.lut_we[n]]).for_each(f);
+    } else if n < luts + ffs {
+        let s = net.ff_slots[n - luts];
+        [s.d, s.ce, s.sr].into_iter().for_each(f);
+    } else {
+        let s = &net.bram_slots[n - luts - ffs];
+        let ports = s.addr.iter().chain(&s.din).copied();
+        ports.chain([s.we, s.en]).for_each(f);
+    }
+}
+
+/// Per node, the nodes one of whose operands reads it, as
+/// `readers[fanout[n]..fanout[n + 1]]`.
+fn fanout_index(net: &Compiled) -> (Vec<u32>, Vec<u32>) {
+    let n = net.luts.len() + net.ffs.len() + net.brams.len();
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for reader in 0..n {
+        operands(net, reader, |s| {
+            edges.extend(slot_node(net, s).map(|src| (src, reader as u32)));
+        });
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    let mut fanout = vec![0u32; n + 1];
+    for &(src, _) in &edges {
+        fanout[src as usize + 1] += 1;
+    }
+    for i in 0..n {
+        fanout[i + 1] += fanout[i];
+    }
+    (fanout, edges.into_iter().map(|(_, r)| r).collect())
+}
 
 /// The word-parallel engine: a network snapshot plus lane-packed dynamic
 /// state for one batch of up to [`LANES`]` - 1` experiments.
@@ -175,8 +259,11 @@ pub struct WideEngine {
     /// Golden node counts: ids at or past them are out-of-cone nodes of
     /// an augmented network.
     golden: NodeCounts,
-    /// Settle order of the golden cone.
-    golden_order: Vec<u32>,
+    /// Per node, the nodes that read it: `readers[fanout[n]..fanout[n + 1]]`.
+    fanout: Vec<u32>,
+    readers: Vec<u32>,
+    /// The golden trace batches read outside their cone, once recorded.
+    trace: Option<GoldenTrace>,
     /// The build device's upset half-latches, sorted: a half-latch
     /// override folds to a constant by it.
     upset_latches: Vec<HlSite>,
@@ -193,17 +280,25 @@ pub struct WideEngine {
     golden_writers: Vec<(u32, u64)>,
 
     // ---- the current batch's schedule ------------------------------------
-    /// LUTs to settle, in order: the golden cone plus the out-of-cone LUTs
-    /// some lane reaches.
+    /// Per node: the batch evaluates it (see the module doc).
+    cone: Vec<bool>,
+    /// LUTs to settle, in order: the cone's.
     order: Vec<u32>,
-    /// Flip-flops and BRAM blocks to clock, on the same rule.
+    /// Flip-flops to clock: the cone's.
     ffs: Vec<u32>,
+    /// BRAM blocks to clock: every golden one, and the out-of-cone ones
+    /// some lane reaches.
     brams: Vec<u32>,
-    /// The LUTs whose tables the batch writes, each with the lanes that
-    /// write it by shifting (SRL16; the others write as RAM): the
-    /// network's dynamic LUTs, then any LUT a lane re-modes to RAM or
+    /// The LUTs of the cone whose tables the batch writes, each with the
+    /// lanes that write it by shifting (SRL16; the others write as RAM):
+    /// the network's dynamic LUTs, then any LUT a lane re-modes to RAM or
     /// SRL16.
     writers: Vec<(u32, u64)>,
+    /// (slot, trace bit) of each golden LUT and FF outside the cone that
+    /// the batch reads, filled from the golden trace as each step starts.
+    boundary: Vec<(u32, u32)>,
+    /// Steps since the batch loaded: the trace row the next step reads.
+    cycle: usize,
     /// Some lane's edges run against `order`: settle repeats to a fixpoint.
     resweep: bool,
     /// A batch clocked out-of-cone state, so the next load resets it.
@@ -308,12 +403,7 @@ impl WideEngine {
             .iter()
             .map(|&li| (li, splat(net.luts[li as usize].mode == LutMode::Shift)))
             .collect();
-        let golden_order: Vec<u32> = net
-            .order
-            .iter()
-            .copied()
-            .filter(|&i| (i as usize) < golden.luts)
-            .collect();
+        let (fanout, readers) = fanout_index(&net);
 
         let n_luts = net.luts.len();
         let n_ffs = net.ffs.len();
@@ -342,10 +432,15 @@ impl WideEngine {
             golden_mem,
             writers: golden_writers.clone(),
             golden_writers,
-            order: golden_order.clone(),
-            golden_order,
-            ffs: (0..golden.ffs as u32).collect(),
-            brams: (0..golden.brams as u32).collect(),
+            fanout,
+            readers,
+            trace: None,
+            cone: vec![false; n_luts + n_ffs + n_brams],
+            order: Vec::new(),
+            ffs: Vec::new(),
+            brams: Vec::new(),
+            boundary: Vec::new(),
+            cycle: 0,
             resweep: false,
             ext_dirty: true,
             tab: vec![[0u64; 16]; n_luts],
@@ -381,6 +476,48 @@ impl WideEngine {
     /// Experiments one batch can carry (lane 0 is the golden reference).
     pub fn batch_capacity(&self) -> usize {
         LANES - 1
+    }
+
+    /// Record lane 0's value of every golden LUT and flip-flop on each
+    /// cycle of `stimulus`, from one pass of an empty batch over the whole
+    /// network. From then on every batch evaluates only the forward cone
+    /// of its upsets and reads the rest of the network from this trace,
+    /// so it must replay `stimulus` from its first cycle: stepping past
+    /// the trace's end panics, and debug builds check the inputs.
+    pub fn record_golden(&mut self, stimulus: &[Vec<bool>]) {
+        self.trace = None;
+        self.load_batch_upsets(&[]);
+        let (g, l) = (self.golden, self.net.layout);
+        let words = (g.luts + g.ffs).div_ceil(64).max(1);
+        let mut bits = vec![0u64; words * stimulus.len()];
+        let mut out = Vec::new();
+        for (iv, row) in stimulus.iter().zip(bits.chunks_mut(words)) {
+            let mut put = |bit: usize, v: u64| row[bit / 64] |= (v & 1) << (bit % 64);
+            for (i, &v) in self.vals[l.ffs as usize..][..g.ffs].iter().enumerate() {
+                put(g.luts + i, v);
+            }
+            self.step(iv, &mut out);
+            for (i, &v) in self.vals[l.luts as usize..][..g.luts].iter().enumerate() {
+                put(i, v);
+            }
+        }
+        let inputs = stimulus.to_vec();
+        self.trace = Some(GoldenTrace {
+            inputs,
+            words,
+            bits,
+        });
+    }
+
+    /// Golden LUTs and flip-flops the loaded batch evaluates, and how many
+    /// the golden network has: all of them without a golden trace, the
+    /// batch's forward cone with one.
+    pub fn cone_size(&self) -> (usize, usize) {
+        let (g, luts) = (self.golden, self.net.luts.len());
+        let golden = self.cone[..g.luts]
+            .iter()
+            .chain(&self.cone[luts..][..g.ffs]);
+        (golden.filter(|&&c| c).count(), g.luts + g.ffs)
     }
 
     /// Reset all lanes to the golden power-on state (FFs at init, BRAM
@@ -422,25 +559,27 @@ impl WideEngine {
         }
         self.clear_reroutes();
         self.state_targets.clear();
+        let mut reroutes = 0u64;
         for (i, u) in upsets.iter().enumerate() {
             let lane = (i + 1) as u8;
             match &u.0 {
                 UpsetKind::State(t) => self.state_targets.push((lane, *t)),
                 UpsetKind::Reroute { ops, resweep, .. } => {
                     self.install_ops(lane, ops);
-                    self.has_reroute = true;
+                    reroutes |= 1 << lane;
                     self.resweep |= resweep;
                 }
             }
         }
+        self.has_reroute = reroutes != 0;
         self.apply_state_overlays();
         if self.has_reroute {
-            let reroutes = upsets.iter().enumerate().fold(0u64, |m, (i, u)| {
-                m | (u64::from(matches!(u.0, UpsetKind::Reroute { .. })) << (i + 1))
-            });
             self.apply_reachability(reroutes);
-            self.schedule_reached();
         }
+        self.mark_cone();
+        self.schedule();
+        self.mark_boundary();
+        self.cycle = 0;
         self.repaired = false;
     }
 
@@ -455,16 +594,23 @@ impl WideEngine {
     /// nodes hold, and every table a re-moded LUT wrote) carried over.
     /// Dynamic state is deliberately kept in both cases, so the
     /// persistence window continues from the post-upset state exactly like
-    /// the scalar path.
+    /// the scalar path. The batch keeps its cone, less the augmented nodes,
+    /// which no lane holds any longer.
     pub fn repair(&mut self) {
         if !self.repaired {
             self.apply_state_overlays();
             self.clear_reroutes();
+            let (g, luts, ffs) = (self.golden, self.net.luts.len(), self.net.ffs.len());
+            self.cone[g.luts..luts].fill(false);
+            self.cone[luts + g.ffs..luts + ffs].fill(false);
+            self.cone[luts + ffs + g.brams..].fill(false);
+            self.schedule();
             self.repaired = true;
         }
     }
 
     fn clear_reroutes(&mut self) {
+        self.writers.clone_from(&self.golden_writers);
         if self.has_reroute {
             let g = self.golden;
             self.lut_ov.fill(u32::MAX);
@@ -482,16 +628,138 @@ impl WideEngine {
                 masks[..g].fill(!0);
                 masks[g..].fill(0);
             }
-            if self.order.len() != self.golden_order.len() {
-                self.order.clone_from(&self.golden_order);
-            }
-            self.ffs.truncate(g.ffs);
-            self.brams.truncate(g.brams);
-            self.writers.clone_from(&self.golden_writers);
             self.valid_out.fill(!0);
             self.len_diff = 0;
             self.resweep = false;
             self.has_reroute = false;
+        }
+    }
+
+    /// True if node `n` is a golden one.
+    fn is_golden(&self, n: usize) -> bool {
+        let (g, luts, ffs) = (self.golden, self.net.luts.len(), self.net.ffs.len());
+        if n < luts {
+            n < g.luts
+        } else if n < luts + ffs {
+            n - luts < g.ffs
+        } else {
+            n - luts - ffs < g.brams
+        }
+    }
+
+    /// Mark the batch's cone: the closure under fan-out of every node a
+    /// lane can make differ from lane 0 (see the module doc), or of every
+    /// golden node when there is no golden trace to read the rest from.
+    /// An augmented node joins it only where some lane holds it.
+    fn mark_cone(&mut self) {
+        let (luts, ffs) = (self.net.luts.len(), self.net.ffs.len());
+        let traced = self.trace.is_some();
+        let active = self.lut_active.iter().chain(&self.ff_active);
+        let overridden = self.lut_ov.iter().chain(&self.ff_ov).chain(&self.bram_ov);
+        let mut work: Vec<u32> = Vec::new();
+        for (n, (&held, &ov)) in active.chain(&self.bram_active).zip(overridden).enumerate() {
+            let seed = if self.is_golden(n) {
+                !traced || held != !0 || ov != u32::MAX
+            } else {
+                held != 0
+            };
+            if seed {
+                work.push(n as u32);
+            }
+        }
+        work.extend(self.state_targets.iter().map(|&(_, t)| match t {
+            WideTarget::LutTable { lut, .. } => lut,
+            WideTarget::FfInit { ff } => (luts as u32) + ff,
+            WideTarget::BramBit { mem, .. } => (luts + ffs) as u32 + mem,
+        }));
+        let remoded = self.writers.iter().enumerate();
+        work.extend(
+            remoded.filter_map(|(k, w)| (self.golden_writers.get(k) != Some(w)).then_some(w.0)),
+        );
+        self.cone.fill(false);
+        while let Some(n) = work.pop() {
+            let n = n as usize;
+            if std::mem::replace(&mut self.cone[n], true) {
+                continue;
+            }
+            let readers = &self.readers[self.fanout[n] as usize..self.fanout[n + 1] as usize];
+            for &r in readers {
+                if !self.cone[r as usize] && self.is_golden(r as usize) {
+                    work.push(r);
+                }
+            }
+        }
+    }
+
+    /// Schedule the cone: the LUTs it settles, the flip-flops it clocks
+    /// and the table writers among its LUTs. Every golden BRAM port runs
+    /// regardless, as do the augmented ones in the cone.
+    fn schedule(&mut self) {
+        let (g, luts, ffs) = (self.golden, self.net.luts.len(), self.net.ffs.len());
+        let cone = &self.cone;
+        self.order.clear();
+        let order = self.net.order.iter().copied();
+        self.order.extend(order.filter(|&i| cone[i as usize]));
+        self.ffs.clear();
+        self.ffs
+            .extend((0..ffs as u32).filter(|&i| cone[luts + i as usize]));
+        self.brams.clear();
+        let brams = 0..self.net.brams.len() as u32;
+        self.brams
+            .extend(brams.filter(|&i| (i as usize) < g.brams || cone[luts + ffs + i as usize]));
+        self.writers.retain(|&(li, _)| cone[li as usize]);
+        let any = |c: &[bool]| c.iter().any(|&c| c);
+        self.ext_dirty |= any(&cone[g.luts..luts])
+            || any(&cone[luts + g.ffs..luts + ffs])
+            || self.brams.len() > g.brams;
+    }
+
+    /// List the golden LUT and FF slots outside the cone that the batch
+    /// reads: an operand of a scheduled node, a lane override's source or
+    /// an output, golden or a lane's replacement. The list covers the
+    /// batch after repair too, which schedules and overrides less.
+    fn mark_boundary(&mut self) {
+        let (net, g, cone) = (&self.net, self.golden, &self.cone);
+        let (luts, ffs) = (net.luts.len(), net.ffs.len());
+        let mut listed = vec![false; cone.len()];
+        let boundary = &mut self.boundary;
+        boundary.clear();
+        let mut read = |s: u32| {
+            let Some(n) = slot_node(net, s).map(|n| n as usize) else {
+                return;
+            };
+            let bit = if n < g.luts {
+                n
+            } else if (luts..luts + g.ffs).contains(&n) {
+                g.luts + n - luts
+            } else {
+                return;
+            };
+            if !cone[n] && !std::mem::replace(&mut listed[n], true) {
+                boundary.push((s, bit as u32));
+            }
+        };
+        let scheduled = self.order.iter().map(|&i| i as usize);
+        let scheduled = scheduled.chain(self.ffs.iter().map(|&i| luts + i as usize));
+        let brams = self.brams.iter().map(|&i| luts + ffs + i as usize);
+        for n in scheduled.chain(brams) {
+            operands(net, n, &mut read);
+        }
+        for ov in &self.lut_ovs {
+            let lists = ov.pins.iter().chain([&ov.data, &ov.we]);
+            lists.flatten().for_each(|&(_, _, s)| read(s));
+        }
+        for ov in &self.ff_ovs {
+            let lists = [&ov.d, &ov.ce, &ov.sr].into_iter();
+            lists.flatten().for_each(|&(_, _, s)| read(s));
+        }
+        for ov in &self.bram_ovs {
+            let lists = ov.addr.iter().chain(&ov.din).chain([&ov.we, &ov.en]);
+            lists.flatten().for_each(|&(_, _, s)| read(s));
+        }
+        net.out_slots.iter().for_each(|&(s, _)| read(s));
+        for (_, ports, _) in &self.out_ovs {
+            ports.iter().for_each(|&(_, s, _)| read(s));
         }
     }
 
@@ -599,11 +867,16 @@ impl WideEngine {
                     for valid in self.valid_out.iter_mut().skip(outs.len().min(gl)) {
                         *valid &= !m;
                     }
-                    let outs = outs
+                    // Only the ports bound differently: the rest read
+                    // the golden word already.
+                    let outs: Vec<(u32, bool)> = outs
                         .iter()
                         .map(|&(s, inv)| (self.ov_slot(s), inv))
                         .collect();
-                    self.out_ovs.push((lane, outs, seeds.clone()));
+                    let ports = outs.into_iter().zip(&self.net.out_slots).enumerate();
+                    let changed = ports.filter(|(_, (o, g))| o != *g);
+                    let changed = changed.map(|(port, ((s, inv), _))| (port as u32, s, inv));
+                    self.out_ovs.push((lane, changed.collect(), seeds.clone()));
                 }
                 &DeltaOp::WriteMode { lut, shift } => {
                     let at = match self.writers.iter().position(|&(l, _)| l == lut) {
@@ -658,27 +931,6 @@ impl WideEngine {
                 *a = (*a & !reroutes) | (h & reroutes);
             }
         }
-    }
-
-    /// Add the out-of-cone nodes some lane reaches to the batch schedule.
-    fn schedule_reached(&mut self) {
-        let g = self.golden;
-        let ffs = (g.ffs..self.ff_active.len()).filter(|&i| self.ff_active[i] != 0);
-        self.ffs.extend(ffs.map(|i| i as u32));
-        let brams = (g.brams..self.bram_active.len()).filter(|&i| self.bram_active[i] != 0);
-        self.brams.extend(brams.map(|i| i as u32));
-        if self.lut_active[g.luts..].iter().any(|&m| m != 0) {
-            let active = &self.lut_active;
-            self.order = self
-                .net
-                .order
-                .iter()
-                .copied()
-                .filter(|&i| (i as usize) < g.luts || active[i as usize] != 0)
-                .collect();
-        }
-        self.ext_dirty |=
-            self.order.len() > g.luts || self.ffs.len() > g.ffs || self.brams.len() > g.brams;
     }
 
     /// Per golden output port, the lanes whose comparison against the
@@ -768,8 +1020,22 @@ impl WideEngine {
 
     /// One full clock edge for all lanes; outputs land in `out` (cleared
     /// first) as one lane word per output port. Mirrors
-    /// `engine::eval_cycle_into` phase for phase.
+    /// `engine::eval_cycle_into` phase for phase, over the batch's cone.
     pub fn step(&mut self, inputs: &[bool], out: &mut Vec<u64>) {
+        if let Some(t) = &self.trace {
+            let (c, len) = (self.cycle, t.inputs.len());
+            assert!(c < len, "cycle {c} is past the {len}-cycle golden trace");
+            debug_assert_eq!(
+                inputs,
+                &t.inputs[c][..],
+                "cycle {c} leaves the traced stimulus"
+            );
+            let row = &t.bits[c * t.words..][..t.words];
+            for &(slot, bit) in &self.boundary {
+                self.vals[slot as usize] = splat((row[bit as usize / 64] >> (bit % 64)) & 1 == 1);
+            }
+        }
+        self.cycle += 1;
         for &(port, at) in &self.input_slots {
             let v = splat(inputs.get(port as usize).copied().unwrap_or(false));
             self.vals[at as usize] = v;
@@ -782,10 +1048,11 @@ impl WideEngine {
         let word = |(s, inv): (u32, bool)| self.vals[s as usize] ^ splat(inv);
         out.clear();
         out.extend(self.net.out_slots.iter().map(|&o| word(o)));
-        for (lane, ovec, _) in &self.out_ovs {
+        for (lane, ports, _) in &self.out_ovs {
             let m = 1u64 << lane;
-            for (slot, &o) in out.iter_mut().zip(ovec.iter()) {
-                *slot = (*slot & !m) | (word(o) & m);
+            for &(port, s, inv) in ports {
+                let o = &mut out[port as usize];
+                *o = (*o & !m) | (word((s, inv)) & m);
             }
         }
 
@@ -854,10 +1121,9 @@ impl WideEngine {
             self.vals[out_at..out_at + 16].copy_from_slice(&new_out);
         }
 
-        // Run-time LUT writes (distributed RAM and SRL16). Lanes whose
-        // network does not hold the LUT don't advance; that includes
-        // every lane for an out-of-cone LUT this batch does not schedule.
-        // A lane holding the LUT static reads its write enable as 0.
+        // Run-time LUT writes (distributed RAM and SRL16) in the cone.
+        // Lanes whose network does not hold the LUT don't advance; a
+        // lane holding the LUT static reads its write enable as 0.
         for k in 0..self.writers.len() {
             let (li, shift) = self.writers[k];
             let li = li as usize;
@@ -892,16 +1158,11 @@ impl WideEngine {
 
         // Commit flip-flops; lanes whose network does not hold an FF keep
         // its value (the scalar corrupted compile dropped it).
-        if self.has_reroute {
-            for k in 0..self.ffs.len() {
-                let i = self.ffs[k] as usize;
-                let act = self.ff_active[i];
-                let ff = &mut self.vals[ff_base + i];
-                *ff = (*ff & !act) | (self.ff_next[i] & act);
-            }
-        } else {
-            let g = self.golden.ffs;
-            self.vals[ff_base..ff_base + g].copy_from_slice(&self.ff_next[..g]);
+        for k in 0..self.ffs.len() {
+            let i = self.ffs[k] as usize;
+            let act = self.ff_active[i];
+            let ff = &mut self.vals[ff_base + i];
+            *ff = (*ff & !act) | (self.ff_next[i] & act);
         }
     }
 }
@@ -1009,16 +1270,26 @@ mod tests {
         }
     }
 
-    /// Run `upset` in lane 1 against a scalar device with `bit` flipped,
-    /// through corruption, repair and a persistence window; lane 0 must
-    /// track an uncorrupted device throughout. Returns the cycles on
-    /// which lane 1 diverged from lane 0.
+    /// The 48 cycles `lane_matches_scalar` drives: 32 of corruption, 16
+    /// after repair.
+    fn stimulus() -> Vec<Vec<bool>> {
+        let corrupt = (0..32).map(|c| vec![c % 3 == 0]);
+        corrupt.chain((0..16).map(|c| vec![c % 2 == 0])).collect()
+    }
+
+    /// Run `upset` alone in lane 1, over the golden trace of the driven
+    /// stimulus, against a scalar device with `bit` flipped, through
+    /// corruption, repair and a persistence window; lane 0 must track an
+    /// uncorrupted device throughout. Returns the cycles on which lane 1
+    /// diverged from lane 0.
     fn lane_matches_scalar(
         wide: &mut WideEngine,
         dev: &Device,
         bit: usize,
         upset: LaneUpset,
     ) -> usize {
+        let stimulus = stimulus();
+        wide.record_golden(&stimulus);
         let mut golden = dev.clone();
         let mut scalar = dev.clone();
         scalar.flip_config_bit(bit);
@@ -1035,21 +1306,52 @@ mod tests {
             }
             diverged += usize::from(sout != gout);
         };
-        for c in 0..32 {
-            check(wide, &mut scalar, &[c % 3 == 0], &format!("cycle {c}"));
+        for (c, iv) in stimulus[..32].iter().enumerate() {
+            check(wide, &mut scalar, iv, &format!("cycle {c}"));
         }
         // Repair mid-stream and verify both converge.
         scalar.flip_config_bit(bit);
         wide.repair();
-        for c in 0..16 {
-            check(
-                wide,
-                &mut scalar,
-                &[c % 2 == 0],
-                &format!("post-repair cycle {c}"),
-            );
+        for (c, iv) in stimulus[32..].iter().enumerate() {
+            check(wide, &mut scalar, iv, &format!("post-repair cycle {c}"));
         }
         diverged
+    }
+
+    /// With a golden trace, an empty batch has an empty cone: it settles
+    /// no LUT, clocks no flip-flop and writes no table, yet every lane
+    /// reads the golden outputs from the trace, a registered one and a
+    /// LUT-RAM's among them.
+    #[test]
+    fn empty_traced_batch_reads_golden_outputs_from_the_trace() {
+        let mut dev = configure(&remode_config(LutMode::Ram));
+        let mut wide = WideEngine::new(&mut dev).expect("wide engine");
+        let stimulus = stimulus();
+        wide.record_golden(&stimulus);
+        wide.load_batch_upsets(&[]);
+        assert!(wide.order.is_empty() && wide.ffs.is_empty() && wide.writers.is_empty());
+        assert_eq!(wide.cone_size().0, 0);
+        let mut out = Vec::new();
+        for (c, iv) in stimulus.iter().enumerate() {
+            let golden: Vec<u64> = dev.step(iv).into_iter().map(splat).collect();
+            wide.step(iv, &mut out);
+            assert_eq!(out, golden, "cycle {c}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle 4 is past the 4-cycle golden trace")]
+    fn stepping_past_the_golden_trace_panics() {
+        let mut dev = tiny_design();
+        let mut wide = WideEngine::new(&mut dev).expect("wide engine");
+        let stimulus = vec![vec![true]; 4];
+        wide.record_golden(&stimulus);
+        wide.load_batch_upsets(&[]);
+        let mut out = Vec::new();
+        for iv in &stimulus {
+            wide.step(iv, &mut out);
+        }
+        wide.step(&[true], &mut out);
     }
 
     #[test]
@@ -1147,15 +1449,22 @@ mod tests {
         let mut wide = WideEngine::with_map(&mut dev, &map).expect("wide engine");
         assert!(lane_matches_scalar(&mut wide, &dev, bit, upset.clone()) > 0);
         let g = map.golden;
+        let outside = |ids: &[u32], golden: usize| ids.iter().any(|&i| i as usize >= golden);
         wide.load_batch_upsets(&[upset]);
-        assert_eq!(wide.ffs.len(), g.ffs + 1, "lane reaches the out-of-cone FF");
-        assert_eq!(
-            wide.brams.len(),
-            g.brams + 1,
+        assert!(outside(&wide.ffs, g.ffs), "lane reaches the out-of-cone FF");
+        assert!(
+            outside(&wide.brams, g.brams),
             "lane reaches the out-of-cone BRAM"
         );
         wide.repair();
-        assert_eq!(wide.ffs.len(), g.ffs, "repair drops the out-of-cone FF");
+        assert!(
+            !outside(&wide.ffs, g.ffs),
+            "repair drops the out-of-cone FF"
+        );
+        assert!(
+            !outside(&wide.brams, g.brams),
+            "repair drops the out-of-cone BRAM"
+        );
     }
 
     /// A PIP chain from tile `from` through `steps` tiles in direction

@@ -441,28 +441,30 @@ fn splat64(b: bool) -> u64 {
     }
 }
 
-/// Run one batch of lane-expressible experiments through the wide engine.
-/// `chunk` pairs each global bit index with its lane upset (state overlay
-/// or reroute); lane `i + 1` carries `chunk[i]` and lane 0 stays golden.
-/// Semantics mirror [`observe_and_classify`] exactly: observe window,
-/// repair (overlay removed / reroute dropped, dynamic state kept),
-/// persistence tail classification. Reroute lanes whose output vector
-/// changed shape diverge every observe cycle and compare only the ports
-/// they still drive, matching the scalar comparator's zip.
+/// Run one batch of lane-expressible experiments through the wide engine:
+/// lane `i + 1` carries `upsets[i]` (a state overlay or a reroute) of
+/// global bit `bits[i]`, and lane 0 stays golden. Semantics mirror
+/// [`inject_one_with`] exactly: observe window, repair (overlay removed /
+/// reroute dropped, dynamic state kept), persistence tail
+/// classification. Reroute lanes whose output vector changed shape
+/// diverge every observe cycle and compare only the ports they still
+/// drive, matching the scalar comparator's zip. Also returns the golden
+/// LUTs and flip-flops the batch evaluated.
 fn run_wide_batch(
     w: &mut WideEngine,
     out: &mut Vec<u64>,
     tb: &Testbed,
     cfg: &CampaignConfig,
-    chunk: &[(usize, LaneUpset)],
-) -> Vec<SensitiveBit> {
+    bits: &[usize],
+    upsets: &[LaneUpset],
+) -> (Vec<SensitiveBit>, usize) {
     use cibola_arch::LANES;
 
     let observe = cfg.observe_cycles.min(tb.trace_len());
     let persist_end = (cfg.observe_cycles + cfg.persist_cycles).min(tb.trace_len());
 
-    let upsets: Vec<LaneUpset> = chunk.iter().map(|(_, u)| u.clone()).collect();
-    w.load_batch_upsets(&upsets);
+    w.load_batch_upsets(upsets);
+    let cone = w.cone_size().0;
     let len_diff = w.len_diff_mask();
     let valid: Vec<u64> = w.out_valid_masks().to_vec();
 
@@ -525,13 +527,13 @@ fn run_wide_batch(
         rem &= rem - 1;
         let persistent = last[lane] != usize::MAX && last[lane] + cfg.persist_tail >= persist_end;
         results.push(SensitiveBit {
-            bit: chunk[lane - 1].0,
+            bit: bits[lane - 1],
             first_error_cycle: first[lane],
             output_mask: mask[lane],
             persistent,
         });
     }
-    results
+    (results, cone)
 }
 
 /// Run a full campaign on the word-parallel engine: identical results to
@@ -562,9 +564,11 @@ pub fn run_campaign_wide(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
     let (bits, inert_bits, exhaustive, closure_size) = select_bits(tb, cfg);
     let mut probe = tb.base.clone();
     let delta = DeltaMap::build_for(&mut probe, &bits);
-    let Some(wide) = WideEngine::with_map(&mut probe, &delta) else {
+    let Some(mut wide) = WideEngine::with_map(&mut probe, &delta) else {
         return run_campaign(tb, cfg);
     };
+    let persist_end = (cfg.observe_cycles + cfg.persist_cycles).min(tb.trace_len());
+    wide.record_golden(&tb.stimulus[..persist_end]);
 
     let start = Instant::now();
 
@@ -586,20 +590,33 @@ pub fn run_campaign_wide(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
     };
     // Lanes that reach past the golden cone or settle by repeated sweeps
     // batch apart, so every other batch keeps the golden network's single
-    // sweep; lanes are independent, so the grouping cannot change a
-    // verdict.
-    let mut lane_bits: Vec<(usize, LaneUpset)> = Vec::new();
-    let mut augmented: Vec<(usize, LaneUpset)> = Vec::new();
+    // sweep. Within each group, lanes that strike the same node sit side
+    // by side, so a batch's cone stays small. Lanes are independent and
+    // results are sorted by bit, so neither order can change a verdict.
+    let mut groups: [Vec<(u32, usize, LaneUpset)>; 2] = Default::default();
     let mut structural: Vec<usize> = Vec::new();
     for (&b, class) in bits.iter().zip(classes) {
         match class {
-            DeltaClass::Lane(u) if u.is_augmented() => augmented.push((b, u)),
-            DeltaClass::Lane(u) => lane_bits.push((b, u)),
+            DeltaClass::Lane(u) => {
+                groups[usize::from(u.is_augmented())].push((delta.lane_key(&u), b, u))
+            }
             DeltaClass::Benign => {}
             DeltaClass::Structural => structural.push(b),
         }
     }
-    let lanes = lane_bits.len() + augmented.len();
+    let cap = wide.batch_capacity();
+    let (mut lane_bits, mut upsets, mut batches) = (Vec::new(), Vec::new(), Vec::new());
+    for mut group in groups {
+        group.sort_unstable_by_key(|&(key, bit, _)| (key, bit));
+        let first = lane_bits.len();
+        for (_, b, u) in group {
+            lane_bits.push(b);
+            upsets.push(u);
+        }
+        let end = lane_bits.len();
+        batches.extend((first..end).step_by(cap).map(|at| at..end.min(at + cap)));
+    }
+    let lanes = lane_bits.len();
     if cfg.telemetry.is_enabled() {
         let benign = bits.len() - lanes - structural.len();
         cfg.telemetry.inc("inject.lane_bits", lanes as u64);
@@ -615,36 +632,37 @@ pub fn run_campaign_wide(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
     // amortise it — small designs produce only a handful of batches, and
     // one engine clone per batch-sized split is where the old near-flat
     // parallel scaling went.
-    let cap = wide.batch_capacity();
-    let batches: Vec<&[(usize, LaneUpset)]> =
-        lane_bits.chunks(cap).chain(augmented.chunks(cap)).collect();
-    if cfg.telemetry.is_enabled() && !batches.is_empty() {
-        // Fraction of wide-engine lane slots carrying a live experiment:
-        // < 1.0 only on the final ragged batch of each group.
-        let slots = (batches.len() * cap) as f64;
-        cfg.telemetry
-            .gauge("inject.lane_utilization", lanes as f64 / slots);
-    }
-    let lane_sensitive: Vec<SensitiveBit> = if cfg.parallel {
+    let batch = |w: &mut WideEngine, out: &mut Vec<u64>, r: &std::ops::Range<usize>| {
+        run_wide_batch(w, out, tb, cfg, &lane_bits[r.clone()], &upsets[r.clone()])
+    };
+    let golden_nodes = wide.cone_size().1;
+    let lane_results: Vec<(Vec<SensitiveBit>, usize)> = if cfg.parallel {
         batches
             .par_iter()
             .with_min_len(4)
-            .map_with((wide.clone(), Vec::new()), |(w, out), chunk| {
-                run_wide_batch(w, out, tb, cfg, chunk)
-            })
-            .flatten()
+            .map_with((wide.clone(), Vec::new()), |(w, out), r| batch(w, out, r))
             .collect()
     } else {
-        let mut w = wide.clone();
-        let mut out = Vec::new();
-        batches
-            .iter()
-            .flat_map(|chunk| run_wide_batch(&mut w, &mut out, tb, cfg, chunk))
-            .collect()
+        let (mut w, mut out) = (wide, Vec::new());
+        batches.iter().map(|r| batch(&mut w, &mut out, r)).collect()
     };
+    let mut cone = 0;
+    for (s, n) in lane_results {
+        sensitive.extend(s);
+        cone += n;
+    }
+    if cfg.telemetry.is_enabled() && !batches.is_empty() {
+        // Fraction of wide-engine lane slots carrying a live experiment
+        // (< 1.0 only on the final ragged batch of each group), and of
+        // the golden LUTs and flip-flops the batches evaluated.
+        let slots = (batches.len() * cap) as f64;
+        cfg.telemetry
+            .gauge("inject.lane_utilization", lanes as f64 / slots);
+        let golden = (batches.len() * golden_nodes).max(1) as f64;
+        cfg.telemetry
+            .gauge("inject.lane_cone_share", cone as f64 / golden);
+    }
     let host_seconds = start.elapsed().as_secs_f64();
-
-    sensitive.extend(lane_sensitive);
     sensitive.sort_by_key(|s| s.bit);
 
     let sim_time = campaign_sim_time(cfg, bits.len() + inert_bits, sensitive.len());

@@ -2,11 +2,13 @@
 //! optimisation, and the emergent sensitivity/persistence behaviour the
 //! paper's Tables I–II report.
 
-use cibola_arch::Geometry;
+use cibola_arch::{DeltaClass, DeltaMap, Geometry, LANES};
 use cibola_inject::{
-    capture_trace, inject_one, run_campaign, BitSelection, CampaignConfig, Testbed, TraceSchedule,
+    capture_trace, inject_one, run_campaign, run_campaign_wide, BitSelection, CampaignConfig,
+    Testbed, TraceSchedule,
 };
 use cibola_netlist::{gen, implement};
+use cibola_telemetry::Telemetry;
 
 fn testbed_for(nl: &cibola_netlist::Netlist, geom: &Geometry, cycles: usize) -> Testbed {
     let imp = implement(nl, geom).unwrap();
@@ -243,4 +245,50 @@ fn sim_time_model_matches_paper_constants() {
     let floor = 214e-6 * tb.total_bits() as f64;
     assert!(r.sim_time.as_secs_f64() >= floor * 0.999);
     assert!(r.host_seconds > 0.0);
+}
+
+/// The wide campaign's two lane gauges on 16 Counter/Adder. Lanes fill
+/// every batch but the last of each group (plain, then augmented), and
+/// batching lanes by the node they strike keeps the golden LUTs and
+/// flip-flops a batch evaluates under half the network.
+#[test]
+fn wide_campaign_gauges_lane_utilization_and_cone_share() {
+    let tb = testbed_for(&gen::counter_adder(16), &Geometry::small(), 96);
+    let telemetry = Telemetry::recording();
+    let cfg = CampaignConfig {
+        observe_cycles: 64,
+        persist_cycles: 64,
+        persist_tail: 16,
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    };
+    run_campaign_wide(&tb, &cfg);
+    let metrics = telemetry.snapshot();
+    let gauge = |name: &str| {
+        let found = metrics.gauges.iter().find(|(n, _)| n == name);
+        found.unwrap_or_else(|| panic!("no gauge {name}")).1
+    };
+
+    let mut probe = tb.base.clone();
+    let closure = probe.active_config_bits();
+    let map = DeltaMap::build_for(&mut probe, &closure);
+    let augmented: Vec<bool> = closure
+        .iter()
+        .filter_map(|&b| match map.classify(&mut probe, b) {
+            DeltaClass::Lane(u) => Some(u.is_augmented()),
+            _ => None,
+        })
+        .collect();
+    let lanes = augmented.len();
+    let augmented = augmented.iter().filter(|&&a| a).count();
+    let plain = lanes - augmented;
+    let cap = LANES - 1;
+    let batches = plain.div_ceil(cap) + augmented.div_ceil(cap);
+    assert!(batches > 1, "one batch cannot show the ragged tail");
+    assert_eq!(
+        gauge("inject.lane_utilization"),
+        lanes as f64 / (batches * cap) as f64
+    );
+    let share = gauge("inject.lane_cone_share");
+    assert!(share > 0.0 && share < 0.5, "cone share {share}");
 }

@@ -364,6 +364,41 @@ fn wide_matches_scalar_routing_bits() {
     routing_bits_match(&Geometry::tiny());
 }
 
+/// Every rewiring bit again, each as a one-bit list, so its lane sits
+/// alone in its batch and the batch's cone holds only what that lane
+/// seeds. Grouped with other lanes, a lane can ride on a seed another
+/// lane plants on the same node: a RAM↔SRL16 re-mode shares its batch
+/// with the table bits of its LUT.
+#[test]
+fn wide_matches_scalar_one_lane_per_batch() {
+    for nl in structural_designs() {
+        let imp = implement(&nl, &Geometry::tiny()).unwrap();
+        let tb = Testbed::new(&imp, 0x5EED, 96);
+        let mut sensitive = 0;
+        for bit in routing_bits(&tb) {
+            let cfg = CampaignConfig {
+                observe_cycles: 32,
+                persist_cycles: 24,
+                persist_tail: 8,
+                classify_persistence: true,
+                selection: BitSelection::List(vec![bit]),
+                parallel: false,
+                ..Default::default()
+            };
+            let scalar = run_campaign(&tb, &cfg);
+            let wide = run_campaign_wide(&tb, &cfg);
+            sensitive += wide.sensitive.len();
+            assert_eq!(
+                scalar.equivalence_key(),
+                wide.equivalence_key(),
+                "{}: bit {bit} alone",
+                nl.name
+            );
+        }
+        assert!(sensitive > 0, "{}: vacuous", nl.name);
+    }
+}
+
 #[test]
 fn wide_matches_scalar_routing_bits_virtex2_layout() {
     routing_bits_match(&Geometry::tiny().with_virtex2_layout());
