@@ -1,50 +1,28 @@
-//! Lint a telemetry JSONL dump.
+//! Lint a telemetry JSONL dump against the emitter contract.
 //!
-//! Every line must parse as a flat JSON object through the telemetry
-//! crate's own reader ([`cibola_forensics::RawEvent`] over
-//! `FlatObject`), and the stream must satisfy the emitter contract end
-//! to end:
-//!
-//! - writer shape: one JSON object whose first top-level key is `t_ns`
-//!   and which has a top-level `name` key (`validate_telemetry_line`,
-//!   which reads the line once through `FlatObject`, so a malformed line
-//!   is cited at the same first error `mission_report` meets);
-//! - schema: any event in the known-schema table carries every required
-//!   field (`known_event_required_fields`);
-//! - horizon: no timestamp exceeds `--max-t-ns` when one is given;
-//! - ordering: per `(device, subsystem)` stream, *point* events carry
-//!   monotonically non-decreasing timestamps (spans like `mission.end`
-//!   cover the whole mission and are exempt);
-//! - causality: the forensics engine's own lifecycle reconstruction
-//!   ([`cibola_forensics::reconstruct`]) accepts the stream — every
-//!   `upset_id`/`sefi_id` reference resolves to a `mission.upset`/
-//!   `mission.sefi` origin on an **earlier** line, no origin repeats and
-//!   no lifecycle closes twice;
-//! - severity: SOH events carry exactly the severity the shared
-//!   [`SOH_EVENT_META`](cibola_telemetry::SOH_EVENT_META) table assigns
-//!   them, so the downlink planner, the lint and forensics can never
-//!   disagree about what is critical.
-//!
-//! CI runs this over the dump `orbit_mission --telemetry` produces, so a
-//! regression in any instrumented crate fails the build rather than
-//! silently shipping an unreadable flight record.
+//! A thin caller of cibola-forensics: the dump streams through its one
+//! reader ([`cibola_forensics::read_jsonl`]), which decodes each line once
+//! and checks the writer's shape, the known-schema required fields and
+//! the SOH severities, and its one fold
+//! ([`cibola_forensics::ForensicsFold`]), which checks per-`(device,
+//! subsystem)` chronology of point events and lifecycle causality — the
+//! pass `mission_report` makes, so the two accept the same dumps and cite
+//! the same first error. The lint adds a time horizon (`--max-t-ns`) and
+//! rejects a dump with no event. CI runs it over the dump
+//! `orbit_mission --telemetry` produces.
 //!
 //! Usage: `telemetry_lint <dump.jsonl> [--max-t-ns N]`
 //!
-//! Blank lines, empty or whitespace only, are skipped, exactly the lines
-//! `cibola_forensics::parse_jsonl` skips, so the lint and
-//! `mission_report` accept the same dumps.
-//!
-//! Exits non-zero on the first malformed line, reporting its number. A
-//! malformed or missing `--max-t-ns` value prints `error: --max-t-ns
-//! <value>: <reason>` and exits 2, like every bench binary's arguments.
+//! Exits 1 on the first error, printed as `<dump>:<line>: <message>`
+//! (`<dump>: <message>` for a whole-stream error). A malformed or missing
+//! `--max-t-ns` value prints `error: --max-t-ns <value>: <reason>` and
+//! exits 2, like every bench binary's arguments.
 
-use std::collections::HashMap;
+use std::io::BufReader;
 use std::process::ExitCode;
 
 use cibola_bench::Args;
-use cibola_forensics::{reconstruct, RawEvent};
-use cibola_telemetry::{known_event_required_fields, soh_meta_for, validate_telemetry_line};
+use cibola_forensics::{read_jsonl, ForensicsError, ForensicsFold};
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -62,102 +40,40 @@ fn main() -> ExitCode {
         rest.next();
     }
 
-    let dump = match std::fs::read_to_string(path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
+    let result = std::fs::File::open(path)
+        .map_err(|e| ForensicsError {
+            line: 0,
+            message: e.to_string(),
+        })
+        .and_then(|file| lint(BufReader::new(file), horizon));
+    match result {
+        Ok(0) => eprintln!("{path}: no telemetry lines — instrumentation produced nothing"),
+        Ok(lines) => {
+            println!("{path}: {lines} line(s) OK");
+            return ExitCode::SUCCESS;
         }
-    };
+        Err(ForensicsError { line: 0, message }) => eprintln!("{path}: {message}"),
+        Err(ForensicsError { line, message }) => eprintln!("{path}:{line}: {message}"),
+    }
+    ExitCode::FAILURE
+}
 
-    // Per-(device, subsystem) last point timestamp; None device groups
-    // the global (mission-wide) stream of that subsystem.
-    let mut last_point: HashMap<(Option<(u16, u16)>, String), u64> = HashMap::new();
-    let mut events = Vec::new();
-
-    for (lineno, line) in dump.lines().enumerate() {
-        let lineno = lineno + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Err(e) = validate_telemetry_line(line) {
-            eprintln!("{path}:{lineno}: {} (at byte {})", e.message, e.at);
-            return ExitCode::FAILURE;
-        }
-        let ev = match RawEvent::parse(line) {
-            Ok(ev) => RawEvent { line: lineno, ..ev },
-            Err(e) => {
-                eprintln!("{path}:{lineno}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-
-        if let Some(required) = known_event_required_fields(&ev.name) {
-            for field in required {
-                if !ev.fields.iter().any(|(k, _)| k == field) {
-                    eprintln!(
-                        "{path}:{lineno}: event {:?} is missing required field {field:?}",
-                        ev.name
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-
+/// Stream the dump through the reader, the horizon check and the fold;
+/// the number of events, or the first error.
+fn lint(dump: impl std::io::BufRead, horizon: u64) -> Result<usize, ForensicsError> {
+    let mut fold = ForensicsFold::default();
+    let mut events = 0;
+    for ev in read_jsonl(dump) {
+        let ev = ev?;
         if ev.t_ns > horizon {
-            eprintln!(
-                "{path}:{lineno}: t_ns {} exceeds horizon {horizon}",
-                ev.t_ns
-            );
-            return ExitCode::FAILURE;
+            return Err(ForensicsError {
+                line: ev.line,
+                message: format!("t_ns {} exceeds horizon {horizon}", ev.t_ns),
+            });
         }
-
-        // Ordering: each device's per-subsystem point stream must be
-        // chronological. Spans (dur_ns present) describe intervals —
-        // `mission.end` spans the whole mission from t=0 — and are
-        // exempt by design.
-        if ev.dur_ns.is_none() {
-            let key = (ev.device, ev.subsystem.clone());
-            let last = last_point.entry(key).or_insert(0);
-            if ev.t_ns < *last {
-                eprintln!(
-                    "{path}:{lineno}: {} t_ns {} goes backwards (stream was at {})",
-                    ev.name, ev.t_ns, *last
-                );
-                return ExitCode::FAILURE;
-            }
-            *last = ev.t_ns;
-        }
-
-        // Severity must come from the shared SOH table.
-        if let Some(meta) = soh_meta_for(&ev.name) {
-            if ev.severity != meta.severity.name() {
-                eprintln!(
-                    "{path}:{lineno}: {} severity {:?} != SOH table {:?}",
-                    ev.name,
-                    ev.severity,
-                    meta.severity.name()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-
-        events.push(ev);
+        fold.push(&ev)?;
+        events += 1;
     }
-
-    if events.is_empty() {
-        eprintln!("{path}: no telemetry lines — instrumentation produced nothing");
-        return ExitCode::FAILURE;
-    }
-    // Causality: the stream must reconstruct. Line 0 is a whole-stream
-    // error (an upset left open despite `mission.end`).
-    if let Err(e) = reconstruct(&events) {
-        match e.line {
-            0 => eprintln!("{path}: {}", e.message),
-            line => eprintln!("{path}:{line}: {}", e.message),
-        }
-        return ExitCode::FAILURE;
-    }
-    println!("{path}: {} line(s) OK", events.len());
-    ExitCode::SUCCESS
+    fold.finish()?;
+    Ok(events)
 }

@@ -123,7 +123,7 @@ pub fn run(p: &TmrParams) -> TmrResult {
         let (variant, label) = if fraction >= 1.0 {
             (tmr(&nl).0, "full TMR".to_string())
         } else {
-            let protect = selective_protect_set(&base, &imp, &nl, fraction);
+            let protect = selective_protect_set(&base, &imp, fraction);
             (
                 selective_tmr(&nl, &protect).0,
                 format!("selective TMR {:.0}%", fraction * 100.0),

@@ -14,8 +14,16 @@
 //!    corpus missions digests the report JSON under both kernels, and
 //!    the `miss-sefi-chaos-r0` case's text report is pinned as a golden
 //!    snapshot (re-bless with `CIBOLA_BLESS=1`).
+//! 5. **One-line edits** — the chaos dump with one line deleted,
+//!    duplicated, swapped with its neighbour, truncated or changed in one
+//!    byte never panics the streamed reader and fold, and every error
+//!    cites a line at or past the edit (or line 0, a whole-stream
+//!    error). Deleting an upset's origin, moving a point event before its
+//!    stream's past and changing an SOH event's severity each fail at the
+//!    line that breaks the contract.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use cibola::prelude::*;
 use cibola::scrub::{
@@ -25,8 +33,9 @@ use cibola_bench::conformance::{
     all_cases, corpus_payload, damage_for_degradation, mission_config, mission_seed,
     sparse_sensitivity, CaseParams, Digest,
 };
-use cibola_forensics::MissionForensics;
+use cibola_forensics::{parse_jsonl, ForensicsError, IdSpace, MissionForensics, RawEvent};
 use cibola_scrub::{MissionStats, Telemetry, STRATEGY_NAMES};
+use cibola_telemetry::soh_meta_for;
 use proptest::prelude::*;
 
 /// The fixed-seed anchor mission: corpus regime 2 (SEFI chaos), with the
@@ -235,6 +244,165 @@ fn corpus_stride_reports_are_kernel_invariant() {
         checked += 1;
     }
     assert!(checked >= 6, "stride sampled only {checked} cases");
+}
+
+// ---------------------------------------------------------------------
+// The streamed reader and fold under one-line edits of the chaos dump
+// ---------------------------------------------------------------------
+
+/// The built-in `chaos(42)` mission's dump, one entry per line.
+fn chaos_dump() -> &'static [Vec<u8>] {
+    static LINES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    LINES.get_or_init(|| {
+        let telemetry = Telemetry::recording();
+        let mut payload = corpus_payload(&Geometry::tiny()).with_telemetry(telemetry.clone());
+        run_mission(&mut payload, &chaos(42), &sparse_sensitivity());
+        let dump = telemetry.dump_jsonl();
+        dump.lines().map(|l| l.as_bytes().to_vec()).collect()
+    })
+}
+
+/// The chaos dump decoded, one event per line.
+fn chaos_events() -> Vec<RawEvent> {
+    let lines = chaos_dump();
+    let events = parse_jsonl(&String::from_utf8(lines.join(&b'\n')).unwrap()).unwrap();
+    assert_eq!(events.len(), lines.len(), "a dump has no blank lines");
+    events
+}
+
+/// Read `lines` as one dump through the streamed reader and fold; the
+/// dump's line count and the result.
+fn fold(lines: &[Vec<u8>]) -> (usize, Result<MissionForensics, ForensicsError>) {
+    let dump = lines.join(&b'\n');
+    let count = dump.split(|&b| b == b'\n').count();
+    (count, MissionForensics::from_reader(&dump[..]))
+}
+
+/// `lines` with line `k` (0-based) deleted, duplicated, swapped with its
+/// neighbour, truncated at `at`, or with byte `at` set to `byte`; and
+/// the first line (0-based) the edit changed.
+fn edit(lines: &[Vec<u8>], k: usize, op: u8, at: usize, byte: u8) -> (Vec<Vec<u8>>, usize) {
+    let mut out = lines.to_vec();
+    let k = k % lines.len();
+    match op % 5 {
+        0 => {
+            out.remove(k);
+        }
+        1 => out.insert(k, lines[k].clone()),
+        2 => {
+            let k = k.min(lines.len() - 2);
+            out.swap(k, k + 1);
+            return (out, k);
+        }
+        3 => out[k].truncate(at % (lines[k].len() + 1)),
+        _ => out[k][at % lines[k].len()] = byte,
+    }
+    (out, k)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn prop_one_line_edits_fail_at_or_past_the_edit(
+        k in any::<usize>(),
+        op in 0u8..5,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let (lines, first) = edit(chaos_dump(), k, op, at, byte);
+        if let (count, Err(e)) = fold(&lines) {
+            prop_assert!(
+                e.line == 0 || (first + 1..=count).contains(&e.line),
+                "edit {op} of line {}: {e} outside {}..={count}", first + 1, first + 1
+            );
+        }
+    }
+}
+
+#[test]
+fn deleting_an_upset_origin_fails_at_its_first_reference() {
+    let (lines, events) = (chaos_dump(), chaos_events());
+    let origin = events
+        .iter()
+        .position(|ev| ev.name == "mission.upset")
+        .unwrap();
+    let id = events[origin].correlation().unwrap();
+    assert_eq!(id.0, IdSpace::Upset);
+    let reference = events[origin + 1..]
+        .iter()
+        .find(|ev| ev.correlation() == Some(id))
+        .expect("every upset closes by mission end");
+
+    let (edited, _) = edit(lines, origin, 0, 0, 0);
+    let err = fold(&edited).1.unwrap_err();
+    // The reference moved up one line with the origin gone.
+    assert_eq!(err.line, reference.line - 1, "{err}");
+    assert!(
+        err.message.contains(&format!("unknown id {}", id.1))
+            || err.message.contains(&format!("unknown upset id {}", id.1)),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_point_event_moved_before_its_stream_fails_where_the_stream_steps_back() {
+    let (lines, events) = (chaos_dump(), chaos_events());
+    // A point event with no correlation id (it can move anywhere without
+    // breaking causality) and an earlier, strictly older event of its
+    // (device, subsystem) stream.
+    let (older, moved) = events
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.dur_ns.is_none() && e.correlation().is_none())
+        .find_map(|(j, e)| {
+            events[..j]
+                .iter()
+                .rposition(|p| {
+                    p.dur_ns.is_none()
+                        && (p.device, &p.subsystem) == (e.device, &e.subsystem)
+                        && p.t_ns < e.t_ns
+                })
+                .map(|i| (i, j))
+        })
+        .expect("a point stream that advances");
+
+    let mut edited = lines.to_vec();
+    let line = edited.remove(moved);
+    edited.insert(older, line);
+    let err = fold(&edited).1.unwrap_err();
+    // The older event now sits one line lower, after the moved one.
+    assert_eq!(err.line, older + 2, "{err}");
+    assert!(err.message.contains("goes backwards"), "{err}");
+}
+
+#[test]
+fn an_soh_event_with_another_severity_fails_at_its_line() {
+    let (lines, events) = (chaos_dump(), chaos_events());
+    let soh = events
+        .iter()
+        .position(|ev| soh_meta_for(&ev.name).is_some())
+        .unwrap();
+    let sev = &events[soh].severity;
+    let other = if sev == "critical" {
+        "debug"
+    } else {
+        "critical"
+    };
+    let text = String::from_utf8(lines[soh].clone()).unwrap();
+    let mut edited = lines.to_vec();
+    edited[soh] = text
+        .replacen(
+            &format!("\"sev\":\"{sev}\""),
+            &format!("\"sev\":\"{other}\""),
+            1,
+        )
+        .into_bytes();
+    assert_ne!(edited[soh], lines[soh]);
+
+    let err = fold(&edited).1.unwrap_err();
+    assert_eq!(err.line, soh + 1, "{err}");
+    assert!(err.message.contains("!= SOH table"), "{err}");
 }
 
 // ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ fn recorded_dump() -> String {
 }
 
 /// Write `text` to the file `name` and lint it.
-fn lint(name: &str, text: &str) -> Output {
+fn lint(name: &str, text: impl AsRef<[u8]>) -> Output {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::write(&path, text).unwrap();
     Command::new(env!("CARGO_BIN_EXE_telemetry_lint"))
@@ -85,9 +85,51 @@ fn lint_and_forensics_cite_the_same_first_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(
-        stderr.contains("overflow-dump.jsonl:3: integer out of u64 range (at byte 8)"),
+        stderr.contains("overflow-dump.jsonl:3: byte 8: integer out of u64 range"),
         "{stderr}"
     );
     let err = MissionForensics::from_jsonl(&text).unwrap_err();
     assert_eq!(err.to_string(), "line 3: byte 8: integer out of u64 range");
+}
+
+#[test]
+fn lint_cites_the_line_of_an_undecodable_byte() {
+    // A 0xFF byte inside line 5: no UTF-8 text holds it.
+    let dump = recorded_dump();
+    let line5: usize = dump.lines().take(4).map(|l| l.len() + 1).sum();
+    let mid = dump.lines().nth(4).unwrap().len() / 2;
+    let mut bytes = dump.into_bytes();
+    bytes.insert(line5 + mid, 0xFF);
+
+    let out = lint("undecodable-dump.jsonl", &bytes);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "undecodable-dump.jsonl:5: byte {mid}: invalid UTF-8"
+        )),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn lint_accepts_a_line_ending_in_crlf() {
+    let dump = recorded_dump();
+    let mut lines: Vec<&str> = dump.lines().collect();
+    let line3 = format!("{}\r", lines[2]);
+    lines[2] = &line3;
+    let text = lines.join("\n") + "\n";
+
+    let out = lint("crlf-dump.jsonl", &text);
+    assert!(
+        out.status.success(),
+        "lint rejected the dump: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines = dump.lines().count();
+    assert!(
+        stdout.ends_with(&format!(": {lines} line(s) OK\n")),
+        "{stdout}"
+    );
 }

@@ -4,6 +4,9 @@
 //! mission_report <dump.jsonl> [--json] [--strict]
 //! ```
 //!
+//! The file streams through the crate's one reader and fold
+//! ([`MissionForensics::from_reader`]), as `telemetry_lint`'s does.
+//!
 //! Text mode prints the human report; `--json` prints the machine
 //! report as one JSON object. `--strict` exits non-zero when the
 //! roll-up fails exact reconciliation — the CI posture. Anomalies are
@@ -40,14 +43,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mission_report: {path}: {e}");
-            return ExitCode::FAILURE;
+    let report = match std::fs::File::open(&path) {
+        Ok(file) => {
+            MissionForensics::from_reader(std::io::BufReader::new(file)).map_err(|e| e.to_string())
         }
+        Err(e) => Err(e.to_string()),
     };
-    let report = match MissionForensics::from_jsonl(&text) {
+    let report = match report {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mission_report: {path}: {e}");

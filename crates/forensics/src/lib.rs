@@ -13,14 +13,18 @@
 //!
 //! The analyzer is strict: dangling correlation ids, duplicate origins,
 //! and upsets left open past the mission-end roll-up are decode errors,
-//! because the emitter contract guarantees none of them can happen.
+//! because the emitter contract guarantees none of them can happen. Every
+//! consumer checks that contract in one streaming pass: [`read_jsonl`]
+//! decodes a line at a time and [`ForensicsFold`] folds the events.
 
 pub mod anomaly;
+pub mod fold;
 pub mod lifecycle;
 pub mod raw;
 pub mod report;
 
-pub use anomaly::{detect_anomalies, Anomaly};
-pub use lifecycle::{reconstruct, FaultLifecycle, Outcome, Reconstruction};
-pub use raw::{from_events, parse_jsonl, ForensicsError, IdSpace, RawEvent};
+pub use anomaly::Anomaly;
+pub use fold::ForensicsFold;
+pub use lifecycle::{FaultLifecycle, Outcome};
+pub use raw::{from_events, parse_jsonl, read_jsonl, ForensicsError, IdSpace, RawEvent};
 pub use report::{CauseStats, LatencyDist, MissionForensics};

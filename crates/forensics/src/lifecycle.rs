@@ -1,6 +1,6 @@
 //! Per-fault lifecycle reconstruction.
 //!
-//! Walks a decoded event stream once, in emission order, and rebuilds
+//! Fed a decoded stream one event at a time, in emission order, rebuilds
 //! every injected fault's story: origin (`mission.upset` /
 //! `mission.sefi`), the scrub-pipeline symptoms that referenced its
 //! correlation id, and the close — a resolution (`*_resolved`, with the
@@ -67,25 +67,19 @@ impl FaultLifecycle {
     }
 }
 
-/// The reconstructed stream: every lifecycle in origin order plus the
-/// singleton records the analyzer anchors against.
+/// The reconstructed stream so far: every lifecycle in origin order plus
+/// the singleton records the analyzer anchors against.
 #[derive(Debug, Clone, Default)]
-pub struct Reconstruction {
+pub(crate) struct Reconstruction {
     pub lifecycles: Vec<FaultLifecycle>,
     /// `(space, id)` → index into `lifecycles`.
-    pub index: HashMap<(IdSpace, u64), usize>,
+    index: HashMap<(IdSpace, u64), usize>,
     /// From `strategy.mission_begin`; absent for built-in missions.
     pub strategy: Option<String>,
     /// The `mission.end` roll-up event, when the stream carries one.
     pub mission_end: Option<RawEvent>,
     /// The `downlink.plan` summary, when SOH downlink was budgeted.
     pub downlink_plan: Option<RawEvent>,
-}
-
-impl Reconstruction {
-    pub fn lifecycle(&self, space: IdSpace, id: u64) -> Option<&FaultLifecycle> {
-        self.index.get(&(space, id)).map(|&i| &self.lifecycles[i])
-    }
 }
 
 fn origin_space(name: &str) -> Option<IdSpace> {
@@ -106,32 +100,29 @@ fn close_space(name: &str) -> Option<(IdSpace, bool)> {
     }
 }
 
-/// Rebuild every fault lifecycle from a decoded stream.
-pub fn reconstruct(events: &[RawEvent]) -> Result<Reconstruction, ForensicsError> {
-    let mut r = Reconstruction::default();
-    let err = |line: usize, message: String| ForensicsError { line, message };
+impl Reconstruction {
+    /// Take the next event of the stream: open, advance or close the
+    /// lifecycle it names. Errors cite the event's line.
+    pub fn push(&mut self, ev: &RawEvent) -> Result<(), ForensicsError> {
+        let err = |message: String| ForensicsError {
+            line: ev.line,
+            message,
+        };
+        let missing = |what: &str| err(format!("{} without {what}", ev.name));
 
-    for ev in events {
-        let line = ev.line;
         if let Some(space) = origin_space(&ev.name) {
-            let id_key = match space {
-                IdSpace::Upset => "upset_id",
-                IdSpace::Sefi => "sefi_id",
-            };
             let id = ev
-                .u64_field(id_key)
-                .ok_or_else(|| err(line, format!("{} without {}", ev.name, id_key)))?;
-            let device = ev
-                .device
-                .ok_or_else(|| err(line, format!("{} without a device", ev.name)))?;
-            if r.index.contains_key(&(space, id)) {
-                return Err(err(line, format!("duplicate {} id {}", space.name(), id)));
+                .u64_field(space.key())
+                .ok_or_else(|| missing(space.key()))?;
+            let device = ev.device.ok_or_else(|| missing("a device"))?;
+            if self.index.contains_key(&(space, id)) {
+                return Err(err(format!("duplicate {} id {}", space.name(), id)));
             }
             let cause = match space {
                 IdSpace::Upset => ev.str_field("cause"),
                 IdSpace::Sefi => ev.str_field("kind"),
             }
-            .ok_or_else(|| err(line, format!("{} without a cause/kind", ev.name)))?
+            .ok_or_else(|| missing("a cause/kind"))?
             .to_string();
             // The SEFI origin event is lean; the unprogram class is the
             // one that creates an outstanding (sensitive, repairable)
@@ -139,17 +130,17 @@ pub fn reconstruct(events: &[RawEvent]) -> Result<Reconstruction, ForensicsError
             let (sensitive, repairable) = match space {
                 IdSpace::Upset => (
                     ev.bool_field("sensitive")
-                        .ok_or_else(|| err(line, "mission.upset without sensitive".into()))?,
+                        .ok_or_else(|| missing("sensitive"))?,
                     ev.bool_field("repairable")
-                        .ok_or_else(|| err(line, "mission.upset without repairable".into()))?,
+                        .ok_or_else(|| missing("repairable"))?,
                 ),
                 IdSpace::Sefi => {
                     let unprogram = cause == "unprogram";
                     (unprogram, unprogram)
                 }
             };
-            r.index.insert((space, id), r.lifecycles.len());
-            r.lifecycles.push(FaultLifecycle {
+            self.index.insert((space, id), self.lifecycles.len());
+            self.lifecycles.push(FaultLifecycle {
                 space,
                 id,
                 device,
@@ -161,68 +152,64 @@ pub fn reconstruct(events: &[RawEvent]) -> Result<Reconstruction, ForensicsError
                 symptom_count: 0,
                 outcome: Outcome::Open,
             });
-            continue;
+            return Ok(());
         }
 
         if let Some((space, leaked)) = close_space(&ev.name) {
-            let id_key = match space {
-                IdSpace::Upset => "upset_id",
-                IdSpace::Sefi => "sefi_id",
-            };
             let id = ev
-                .u64_field(id_key)
-                .ok_or_else(|| err(line, format!("{} without {}", ev.name, id_key)))?;
-            let &idx = r
+                .u64_field(space.key())
+                .ok_or_else(|| missing(space.key()))?;
+            let &idx = self
                 .index
                 .get(&(space, id))
-                .ok_or_else(|| err(line, format!("{} for unknown id {}", ev.name, id)))?;
-            let lc = &mut r.lifecycles[idx];
+                .ok_or_else(|| err(format!("{} for unknown id {}", ev.name, id)))?;
+            let lc = &mut self.lifecycles[idx];
             if lc.outcome != Outcome::Open {
-                return Err(err(line, format!("{} id {} closed twice", ev.name, id)));
+                return Err(err(format!("{} id {} closed twice", ev.name, id)));
             }
             lc.outcome = if leaked {
                 Outcome::Leaked {
-                    age_ns: ev
-                        .u64_field("age_ns")
-                        .ok_or_else(|| err(line, format!("{} without age_ns", ev.name)))?,
+                    age_ns: ev.u64_field("age_ns").ok_or_else(|| missing("age_ns"))?,
                 }
             } else {
                 Outcome::Resolved {
                     at_ns: ev.t_ns,
                     latency_ns: ev
                         .u64_field("latency_ns")
-                        .ok_or_else(|| err(line, format!("{} without latency_ns", ev.name)))?,
+                        .ok_or_else(|| missing("latency_ns"))?,
                     via: ev
                         .str_field("via")
-                        .ok_or_else(|| err(line, format!("{} without via", ev.name)))?
+                        .ok_or_else(|| missing("via"))?
                         .to_string(),
                 }
             };
-            continue;
+            return Ok(());
         }
 
         match ev.name.as_str() {
             "strategy.mission_begin" => {
-                r.strategy = ev.str_field("strategy").map(str::to_string);
+                self.strategy = ev.str_field("strategy").map(str::to_string);
             }
             "mission.end" => {
-                r.mission_end = Some(ev.clone());
+                self.mission_end = Some(ev.clone());
             }
             "downlink.plan" => {
-                r.downlink_plan = Some(ev.clone());
+                self.downlink_plan = Some(ev.clone());
             }
             _ => {
                 // Anything else carrying a correlation id is a symptom
                 // of that fault. A reference without an origin is stream
                 // corruption.
                 if let Some((space, id)) = ev.correlation() {
-                    let &idx = r.index.get(&(space, id)).ok_or_else(|| {
-                        err(
-                            line,
-                            format!("{} references unknown {} id {}", ev.name, space.name(), id),
-                        )
+                    let &idx = self.index.get(&(space, id)).ok_or_else(|| {
+                        err(format!(
+                            "{} references unknown {} id {}",
+                            ev.name,
+                            space.name(),
+                            id
+                        ))
                     })?;
-                    let lc = &mut r.lifecycles[idx];
+                    let lc = &mut self.lifecycles[idx];
                     lc.symptom_count += 1;
                     if lc.first_symptom_ns.is_none() {
                         lc.first_symptom_ns = Some(ev.t_ns);
@@ -230,27 +217,29 @@ pub fn reconstruct(events: &[RawEvent]) -> Result<Reconstruction, ForensicsError
                 }
             }
         }
+        Ok(())
     }
 
-    // Completeness: once the mission-end roll-up exists, every upset and
-    // every whole-device (unprogram) SEFI must have closed its lifecycle.
-    if r.mission_end.is_some() {
-        for lc in &r.lifecycles {
+    /// Once a stream carrying the mission-end roll-up has ended, every
+    /// upset and unprogram SEFI must have closed (a line-0 error if not).
+    pub fn check_complete(&self) -> Result<(), ForensicsError> {
+        let open = self.lifecycles.iter().find(|lc| {
             let must_close = lc.space == IdSpace::Upset || lc.cause == "unprogram";
-            if must_close && lc.outcome == Outcome::Open {
-                return Err(ForensicsError {
-                    line: 0,
-                    message: format!(
-                        "{} id {} ({}) never resolved or leaked despite mission.end",
-                        lc.space.name(),
-                        lc.id,
-                        lc.cause
-                    ),
-                });
-            }
+            must_close && lc.outcome == Outcome::Open
+        });
+        match open {
+            Some(lc) if self.mission_end.is_some() => Err(ForensicsError {
+                line: 0,
+                message: format!(
+                    "{} id {} ({}) never resolved or leaked despite mission.end",
+                    lc.space.name(),
+                    lc.id,
+                    lc.cause
+                ),
+            }),
+            _ => Ok(()),
         }
     }
-    Ok(r)
 }
 
 #[cfg(test)]
@@ -264,7 +253,16 @@ mod tests {
 
     fn stream(lines: &[&str]) -> Result<Reconstruction, ForensicsError> {
         let text: String = lines.iter().map(|l| ev(l) + "\n").collect();
-        reconstruct(&parse_jsonl(&text).unwrap())
+        let mut r = Reconstruction::default();
+        for ev in parse_jsonl(&text).unwrap() {
+            r.push(&ev)?;
+        }
+        r.check_complete()?;
+        Ok(r)
+    }
+
+    fn lifecycle(r: &Reconstruction, space: IdSpace, id: u64) -> &FaultLifecycle {
+        &r.lifecycles[r.index[&(space, id)]]
     }
 
     const UPSET: &str = "{\"t_ns\":10,\"sev\":\"info\",\"sub\":\"mission\",\"name\":\"mission.upset\",\"board\":0,\"fpga\":1,\"upset_id\":1,\"cause\":\"config\",\"sensitive\":true,\"repairable\":true}";
@@ -277,7 +275,7 @@ mod tests {
             "{\"t_ns\":180,\"sev\":\"info\",\"sub\":\"mission\",\"name\":\"mission.upset_resolved\",\"board\":0,\"fpga\":1,\"upset_id\":1,\"cause\":\"config\",\"latency_ns\":170,\"sensitive\":true,\"via\":\"scrub\"}",
         ])
         .unwrap();
-        let lc = r.lifecycle(IdSpace::Upset, 1).unwrap();
+        let lc = lifecycle(&r, IdSpace::Upset, 1);
         assert_eq!(lc.symptom_count, 1);
         assert_eq!(lc.first_symptom_ns, Some(50));
         assert_eq!(lc.detect_latency_ns(), Some(40));
@@ -327,11 +325,8 @@ mod tests {
             "{\"t_ns\":0,\"sev\":\"info\",\"sub\":\"mission\",\"name\":\"mission.end\",\"dur_ns\":200,\"upsets_total\":0,\"detected\":0,\"unavailable_ns\":173,\"availability\":0.9}",
         ])
         .unwrap();
-        assert_eq!(
-            r.lifecycle(IdSpace::Sefi, 1).unwrap().outcome,
-            Outcome::Open
-        );
-        let unprog = r.lifecycle(IdSpace::Sefi, 2).unwrap();
+        assert_eq!(lifecycle(&r, IdSpace::Sefi, 1).outcome, Outcome::Open);
+        let unprog = lifecycle(&r, IdSpace::Sefi, 2);
         assert!(unprog.sensitive && unprog.repairable);
     }
 }

@@ -1,6 +1,6 @@
-//! The decoded-event layer: one JSONL line → one [`RawEvent`].
-//!
-//! Forensics never probes substrings. Every line goes through the
+//! The decoded-event layer and the one reader of a telemetry dump:
+//! [`read_jsonl`] decodes each non-blank line of any `BufRead` into a
+//! [`RawEvent`] that carries its line number. Every line goes through the
 //! telemetry crate's own [`FlatObject`] — the read side of the
 //! `JsonObject` writer that produced it — so the two sides cannot drift,
 //! and an in-memory event vector serialized through `write_jsonl` decodes
@@ -9,7 +9,11 @@
 //! borrowed from the line, `sev`, `sub` and `name` decode straight into
 //! their strings, and only the other keys and string values allocate.
 
-use cibola_telemetry::{FlatObject, JsonToken, JsonValue, TelemetryEvent};
+use std::io::BufRead;
+
+use cibola_telemetry::{
+    known_event_required_fields, soh_meta_for, FlatObject, JsonToken, JsonValue, TelemetryEvent,
+};
 
 /// Why a dump failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,10 +51,16 @@ pub struct RawEvent {
 }
 
 impl RawEvent {
-    /// Decode one JSONL line. A universal key that repeats takes its last
-    /// value, and one of the wrong type reads as absent.
+    /// Decode one JSONL line, then check the per-line half of the emitter
+    /// contract: `t_ns` is the first key; `t_ns`, `sev`, `sub` and `name`
+    /// are present; a known event carries every field
+    /// `known_event_required_fields` lists; an SOH event carries the
+    /// severity `SOH_EVENT_META` assigns it. A malformed line fails with
+    /// its first error in byte order. A universal key that repeats takes
+    /// its last value, and one of the wrong type reads as absent.
     pub fn parse(line: &str) -> Result<RawEvent, String> {
         let mut object = FlatObject::new(line);
+        let mut first_is_t_ns = None;
         let mut t_ns = None;
         let mut severity = None;
         let mut subsystem = None;
@@ -60,7 +70,9 @@ impl RawEvent {
         let mut dur_ns = None;
         let mut fields = Vec::new();
         while let Some((key, value)) = object.next_field().map_err(|e| e.to_string())? {
-            match &*key.decode() {
+            let key = key.decode();
+            first_is_t_ns.get_or_insert(key == "t_ns");
+            match &*key {
                 "t_ns" => t_ns = value.as_u64(),
                 "sev" => severity = owned_str(value),
                 "sub" => subsystem = owned_str(value),
@@ -71,12 +83,18 @@ impl RawEvent {
                 other => fields.push((other.to_string(), value.to_value())),
             }
         }
+        if first_is_t_ns == Some(false) {
+            return Err("first key must be \"t_ns\"".to_string());
+        }
         let device = match (board, fpga) {
-            (Some(b), Some(f)) => Some((b as u16, f as u16)),
+            (Some(b), Some(f)) => Some((
+                u16::try_from(b).map_err(|_| "board out of u16 range")?,
+                u16::try_from(f).map_err(|_| "fpga out of u16 range")?,
+            )),
             (None, None) => None,
             _ => return Err("board/fpga must appear together".to_string()),
         };
-        Ok(RawEvent {
+        let ev = RawEvent {
             line: 0,
             t_ns: t_ns.ok_or("missing t_ns")?,
             severity: severity.ok_or("missing sev")?,
@@ -85,44 +103,54 @@ impl RawEvent {
             device,
             dur_ns,
             fields,
-        })
+        };
+        let required = known_event_required_fields(&ev.name).unwrap_or_default();
+        if let Some(field) = required.iter().find(|&&f| ev.field(f).is_none()) {
+            return Err(format!(
+                "event {:?} is missing required field {field:?}",
+                ev.name
+            ));
+        }
+        if let Some(meta) = soh_meta_for(&ev.name) {
+            if ev.severity != meta.severity.name() {
+                return Err(format!(
+                    "{} severity {:?} != SOH table {:?}",
+                    ev.name,
+                    ev.severity,
+                    meta.severity.name()
+                ));
+            }
+        }
+        Ok(ev)
+    }
+
+    /// The value of the first field named `key`.
+    fn field(&self, key: &str) -> Option<&JsonValue> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     pub fn u64_field(&self, key: &str) -> Option<u64> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_u64())
+        self.field(key)?.as_u64()
     }
 
     pub fn f64_field(&self, key: &str) -> Option<f64> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_f64())
+        self.field(key)?.as_f64()
     }
 
     pub fn str_field(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_str())
+        self.field(key)?.as_str()
     }
 
     pub fn bool_field(&self, key: &str) -> Option<bool> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_bool())
+        self.field(key)?.as_bool()
     }
 
     /// The correlation id the event carries, if any, with its id space
     /// keyed by field name.
     pub fn correlation(&self) -> Option<(IdSpace, u64)> {
-        if let Some(id) = self.u64_field("upset_id") {
-            return Some((IdSpace::Upset, id));
-        }
-        self.u64_field("sefi_id").map(|id| (IdSpace::Sefi, id))
+        [IdSpace::Upset, IdSpace::Sefi]
+            .into_iter()
+            .find_map(|space| Some((space, self.u64_field(space.key())?)))
     }
 }
 
@@ -149,19 +177,55 @@ impl IdSpace {
             IdSpace::Sefi => "sefi",
         }
     }
+
+    /// The field that carries an id of this space.
+    pub(crate) fn key(self) -> &'static str {
+        match self {
+            IdSpace::Upset => "upset_id",
+            IdSpace::Sefi => "sefi_id",
+        }
+    }
 }
 
-/// Decode a whole JSONL dump, skipping blank lines. Each event, and any
-/// error, carries its 1-based line number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<RawEvent>, ForensicsError> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+/// Decode a JSONL dump line by line through one reused buffer: one event
+/// per non-blank line, each carrying its 1-based line, as is any error.
+/// Lines split as `str::lines` splits them (`\n` or `\r\n` ends a line,
+/// the last needs no ending), and whitespace-only lines are skipped. A
+/// byte that is not UTF-8 fails at its line; an I/O error fails at the
+/// line being read and ends the stream.
+pub fn read_jsonl(
+    mut reader: impl BufRead,
+) -> impl Iterator<Item = Result<RawEvent, ForensicsError>> {
+    let (mut buf, mut line, mut done) = (Vec::new(), 0, false);
+    std::iter::from_fn(move || {
+        while !done {
+            buf.clear();
+            line += 1;
+            let message = match reader.read_until(b'\n', &mut buf) {
+                Ok(0) => break,
+                Ok(_) => {
+                    let text = buf.strip_suffix(b"\n");
+                    let text = text.map_or(&buf[..], |l| l.strip_suffix(b"\r").unwrap_or(l));
+                    match std::str::from_utf8(text) {
+                        Ok(text) if text.trim().is_empty() => continue,
+                        Ok(text) => return Some(parse_line(text, line)),
+                        Err(e) => format!("byte {}: invalid UTF-8", e.valid_up_to()),
+                    }
+                }
+                Err(e) => {
+                    done = true;
+                    e.to_string()
+                }
+            };
+            return Some(Err(ForensicsError { line, message }));
         }
-        out.push(parse_line(line, i + 1)?);
-    }
-    Ok(out)
+        None
+    })
+}
+
+/// [`read_jsonl`] over a dump held in memory, collected.
+pub fn parse_jsonl(text: &str) -> Result<Vec<RawEvent>, ForensicsError> {
+    read_jsonl(text.as_bytes()).collect()
 }
 
 /// Decode line `line` of a dump.
@@ -171,27 +235,26 @@ fn parse_line(text: &str, line: usize) -> Result<RawEvent, ForensicsError> {
         .map_err(|message| ForensicsError { line, message })
 }
 
-/// Decode an in-memory event vector by serializing each event through
-/// its own `write_jsonl` — the identical path a file dump takes, so the
-/// two entry points can never disagree. One line buffer serves every
-/// event.
-pub fn from_events(events: &[TelemetryEvent]) -> Result<Vec<RawEvent>, ForensicsError> {
+/// Decode an in-memory event vector one event at a time, through each
+/// event's own `write_jsonl` — the path a file dump takes — and one line
+/// buffer; event `i` reads as line `i + 1`.
+pub fn from_events(
+    events: &[TelemetryEvent],
+) -> impl Iterator<Item = Result<RawEvent, ForensicsError>> + '_ {
     let mut text = String::new();
-    events
-        .iter()
-        .enumerate()
-        .map(|(i, ev)| {
-            text.clear();
-            ev.write_jsonl(&mut text);
-            parse_line(&text, i + 1)
-        })
-        .collect()
+    events.iter().enumerate().map(move |(i, ev)| {
+        text.clear();
+        ev.write_jsonl(&mut text);
+        parse_line(&text, i + 1)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cibola_telemetry::{Severity, Subsystem};
+    use cibola_telemetry::{parse_flat_object, Severity, Subsystem};
+
+    const LINE: &str = "{\"t_ns\":1,\"sev\":\"a\",\"sub\":\"b\",\"name\":\"c\"}";
 
     #[test]
     fn round_trips_an_event_through_jsonl() {
@@ -199,7 +262,8 @@ mod tests {
             .with_device(1, 2)
             .with_u64("upset_id", 7)
             .with_str("cause", "config")
-            .with_bool("sensitive", true);
+            .with_bool("sensitive", true)
+            .with_bool("repairable", true);
         let raw = RawEvent::parse(&ev.to_jsonl()).unwrap();
         assert_eq!(raw.t_ns, 42);
         assert_eq!(raw.name, "mission.upset");
@@ -221,8 +285,11 @@ mod tests {
             .is_err(),
             "board without fpga"
         );
-        let err = parse_jsonl("{\"t_ns\":1,\"sev\":\"a\",\"sub\":\"b\",\"name\":\"c\"}\nbroken")
-            .unwrap_err();
+        // A device index the writer's u16 cannot hold is not truncated.
+        let far =
+            "{\"t_ns\":1,\"sev\":\"a\",\"sub\":\"b\",\"name\":\"c\",\"board\":65537,\"fpga\":0}";
+        assert_eq!(RawEvent::parse(far).unwrap_err(), "board out of u16 range");
+        let err = parse_jsonl(&format!("{LINE}\nbroken")).unwrap_err();
         assert_eq!(err.line, 2);
     }
 
@@ -231,13 +298,115 @@ mod tests {
         // An out-of-range `t_ns`, then a missing closing brace.
         let line =
             "{\"t_ns\":99999999999999999999,\"sev\":\"info\",\"sub\":\"scrub\",\"name\":\"x\"";
-        let dump = format!("{{\"t_ns\":1,\"sev\":\"a\",\"sub\":\"b\",\"name\":\"c\"}}\n{line}\n");
-        let err = parse_jsonl(&dump).unwrap_err();
+        let err = parse_jsonl(&format!("{LINE}\n{line}\n")).unwrap_err();
         assert_eq!(
             (err.line, err.message.as_str()),
             (2, "byte 8: integer out of u64 range")
         );
-        let lint = cibola_telemetry::validate_telemetry_line(line).unwrap_err();
-        assert_eq!(lint.to_string(), err.message);
+        let decoded = parse_flat_object(line).unwrap_err();
+        assert_eq!(decoded.to_string(), err.message);
+    }
+
+    #[test]
+    fn telemetry_line_requires_keys() {
+        let shape = |line: &str| RawEvent::parse(line).map(|_| ());
+        assert_eq!(shape(LINE), Ok(()));
+        assert_eq!(shape("{}"), Err("missing t_ns".to_string()));
+        assert_eq!(shape("[1,2]"), Err("byte 0: expected '{'".to_string()));
+        // The keys are read, not searched for: `t_ns` must lead, and a
+        // nested object's key is no top-level key.
+        assert_eq!(
+            shape("{\"name\":\"c\",\"t_ns\":1,\"sev\":\"a\",\"sub\":\"b\"}"),
+            Err("first key must be \"t_ns\"".to_string())
+        );
+        assert_eq!(
+            shape("{\"t_ns\":1,\"sev\":\"a\",\"sub\":\"b\",\"meta\":{\"name\":\"c\"}}"),
+            Err("missing name".to_string())
+        );
+        assert_eq!(
+            shape("{\"t_\\u006es\":1,\"sev\":\"a\",\"sub\":\"b\",\"name\":\"c\"}"),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn telemetry_line_fails_where_the_decoder_fails_first() {
+        let at = |line: &str| RawEvent::parse(line).unwrap_err();
+        // An integer too large for its class comes before the missing
+        // brace, and the decoder meets it first.
+        let line = "{\"t_ns\":99999999999999999999,\"name\":\"x\"";
+        let decoded = parse_flat_object(line).unwrap_err();
+        assert_eq!(at(line), "byte 8: integer out of u64 range");
+        assert_eq!(at(line), decoded.to_string());
+        // A syntax error outranks the shape of a line that does not read
+        // whole; a line that does not open an object fails at its start.
+        assert_eq!(at("{\"name\":\"x\",\"t_ns\":1,}"), "byte 21: expected '\"'");
+        assert_eq!(at(" [1,2]"), "byte 1: expected '{'");
+    }
+
+    #[test]
+    fn checks_required_fields_and_soh_severity() {
+        let line = |sev: &str, name: &str, rest: &str| {
+            format!("{{\"t_ns\":1,\"sev\":\"{sev}\",\"sub\":\"scrub\",\"name\":\"{name}\"{rest}}}")
+        };
+        assert_eq!(
+            RawEvent::parse(&line("info", "strategy.queue_wait", "")).unwrap_err(),
+            "event \"strategy.queue_wait\" is missing required field \"rounds\""
+        );
+        assert!(RawEvent::parse(&line("info", "strategy.queue_wait", ",\"rounds\":2")).is_ok());
+        assert_eq!(
+            RawEvent::parse(&line("info", "scrub.port_reset", "")).unwrap_err(),
+            "scrub.port_reset severity \"info\" != SOH table \"warning\""
+        );
+        assert!(RawEvent::parse(&line("warning", "scrub.port_reset", "")).is_ok());
+    }
+
+    #[test]
+    fn reader_splits_lines_as_str_lines_does() {
+        let dump = format!("{LINE}\r\n\n \t\r\n{LINE}\n\r\n{LINE}");
+        let lines: Vec<usize> = read_jsonl(dump.as_bytes())
+            .map(|ev| ev.unwrap().line)
+            .collect();
+        assert_eq!(lines, [1, 4, 6]);
+        let expected: Vec<usize> = dump
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty())
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(lines, expected);
+        // A bare `\r` ends no line; JSON reads it as trailing whitespace.
+        assert_eq!(read_jsonl(format!("{LINE}\r").as_bytes()).count(), 1);
+    }
+
+    #[test]
+    fn reader_cites_the_line_of_an_undecodable_byte() {
+        let mut dump = format!("{LINE}\n\n{LINE}\n").into_bytes();
+        dump.extend_from_slice(b"{\"t_ns\":1,\"n\xFF");
+        let mut events = read_jsonl(&dump[..]);
+        assert_eq!(events.next().unwrap().unwrap().line, 1);
+        assert_eq!(events.next().unwrap().unwrap().line, 3);
+        let err = events.next().unwrap().unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (4, "byte 12: invalid UTF-8")
+        );
+    }
+
+    #[test]
+    fn reader_cites_an_io_error_at_its_line_and_stops() {
+        struct Lost;
+        impl std::io::Read for Lost {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("link lost"))
+            }
+        }
+        let dump = format!("{LINE}\n");
+        let reader = std::io::BufReader::new(std::io::Read::chain(dump.as_bytes(), Lost));
+        let events: Vec<_> = read_jsonl(reader).collect();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].as_ref().unwrap().line, 1);
+        let err = events[1].as_ref().unwrap_err();
+        assert_eq!((err.line, err.message.as_str()), (2, "link lost"));
     }
 }

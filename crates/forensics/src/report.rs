@@ -13,12 +13,14 @@
 //! `mission.end` roll-up rather than within an epsilon.
 
 use std::collections::BTreeMap;
+use std::io::BufRead;
 
-use cibola_telemetry::{soh_meta_for, EscalationRung, JsonObject};
+use cibola_telemetry::{EscalationRung, JsonObject};
 
-use crate::anomaly::{detect_anomalies, Anomaly};
-use crate::lifecycle::{reconstruct, FaultLifecycle, Outcome, Reconstruction};
-use crate::raw::{from_events, parse_jsonl, ForensicsError, IdSpace, RawEvent};
+use crate::anomaly::Anomaly;
+use crate::fold::ForensicsFold;
+use crate::lifecycle::FaultLifecycle;
+use crate::raw::{from_events, read_jsonl, ForensicsError, IdSpace, RawEvent};
 
 /// A latency distribution over exact nanosecond samples. Integer sums
 /// keep the aggregate order-independent; only the two replicated kernel
@@ -41,7 +43,8 @@ impl LatencyDist {
             self.max_ns = self.max_ns.max(ns);
         }
         self.count += 1;
-        self.sum_ns += ns;
+        // A corrupt stream's latencies may not fit; saturate, never panic.
+        self.sum_ns = self.sum_ns.saturating_add(ns);
     }
 
     pub fn mean_ms(&self) -> f64 {
@@ -130,158 +133,28 @@ pub struct MissionForensics {
     pub lifecycles: Vec<FaultLifecycle>,
 }
 
-/// `map[key]`, inserted as the default the first time the table sees
-/// `key`: a key is allocated once per table, not once per lookup.
-fn entry<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
-    if !map.contains_key(key) {
-        map.insert(key.to_string(), V::default());
-    }
-    map.get_mut(key).expect("inserted above")
-}
-
 impl MissionForensics {
-    /// Build a report from a JSONL telemetry dump.
+    /// Build a report from a JSONL telemetry dump held in memory.
     pub fn from_jsonl(text: &str) -> Result<MissionForensics, ForensicsError> {
-        Self::from_raw(&parse_jsonl(text)?)
+        Self::from_reader(text.as_bytes())
+    }
+
+    /// Build a report from a JSONL telemetry dump read line by line:
+    /// only the fold's state is held, never the dump or its events.
+    pub fn from_reader(reader: impl BufRead) -> Result<MissionForensics, ForensicsError> {
+        ForensicsFold::fold(read_jsonl(reader))
     }
 
     /// Build a report from an in-memory recorded event vector.
     pub fn from_events(
         events: &[cibola_telemetry::TelemetryEvent],
     ) -> Result<MissionForensics, ForensicsError> {
-        Self::from_raw(&from_events(events)?)
+        ForensicsFold::fold(from_events(events))
     }
 
     /// Build a report from already-decoded events.
     pub fn from_raw(events: &[RawEvent]) -> Result<MissionForensics, ForensicsError> {
-        let recon = reconstruct(events)?;
-        Ok(Self::aggregate(events, recon))
-    }
-
-    fn aggregate(events: &[RawEvent], recon: Reconstruction) -> MissionForensics {
-        let Reconstruction {
-            lifecycles,
-            index,
-            strategy,
-            mission_end,
-            downlink_plan,
-        } = recon;
-        let _ = index;
-
-        let mut causes: BTreeMap<String, CauseStats> = BTreeMap::new();
-        let mut vias: BTreeMap<String, LatencyDist> = BTreeMap::new();
-        let mut upsets = 0u64;
-        let mut sefis = 0u64;
-        let mut unavailable_ns = 0u64;
-        for lc in &lifecycles {
-            match lc.space {
-                IdSpace::Upset => upsets += 1,
-                IdSpace::Sefi => sefis += 1,
-            }
-            let c = entry(&mut causes, &lc.cause);
-            c.injected += 1;
-            c.symptoms += lc.symptom_count as u64;
-            if lc.sensitive {
-                c.sensitive += 1;
-            }
-            if let Some(d) = lc.detect_latency_ns() {
-                c.detect.add(d);
-            }
-            match &lc.outcome {
-                Outcome::Resolved {
-                    latency_ns, via, ..
-                } => {
-                    *entry(&mut c.resolved, via) += 1;
-                    c.repair.add(*latency_ns);
-                    entry(&mut vias, via).add(*latency_ns);
-                    if lc.sensitive {
-                        c.unavailable_ns += latency_ns;
-                        unavailable_ns += latency_ns;
-                    }
-                }
-                Outcome::Leaked { age_ns } => {
-                    c.leaked += 1;
-                    if lc.sensitive {
-                        c.unavailable_ns += age_ns;
-                        unavailable_ns += age_ns;
-                    }
-                }
-                Outcome::Open => c.open += 1,
-            }
-        }
-
-        // Kernel-float replication: the kernel pushes one detect latency
-        // per scrub resolution, in resolution order, then computes
-        // mean = Σ(as_millis_f64) / n and max by f64::max fold. The
-        // resolution events are emitted in exactly the push order, so
-        // walking the stream reproduces the identical float sequence.
-        let mut mttr_sum_ms = 0.0f64;
-        let mut mttr_n = 0u64;
-        let mut mttr_max_ms = 0.0f64;
-        let mut event_counts: BTreeMap<String, u64> = BTreeMap::new();
-        let mut rung_events = [0u64; 6];
-        let mut unrung_events = 0u64;
-        let mut soh_events = 0u64;
-        for ev in events {
-            *entry(&mut event_counts, &ev.name) += 1;
-            if let Some(meta) = soh_meta_for(&ev.name) {
-                soh_events += 1;
-                match meta.rung {
-                    Some(r) => rung_events[r.index() as usize] += 1,
-                    None => unrung_events += 1,
-                }
-            }
-            if (ev.name == "mission.upset_resolved" || ev.name == "mission.sefi_resolved")
-                && ev.str_field("via") == Some("scrub")
-            {
-                let ms = ev.u64_field("latency_ns").unwrap_or(0) as f64 / 1e6;
-                mttr_sum_ms += ms;
-                mttr_n += 1;
-                mttr_max_ms = mttr_max_ms.max(ms);
-            }
-        }
-        let scrub_mttr_mean_ms = if mttr_n == 0 {
-            0.0
-        } else {
-            mttr_sum_ms / mttr_n as f64
-        };
-
-        let duration_ns = mission_end.as_ref().and_then(|e| e.dur_ns).unwrap_or(0);
-        let devices = mission_end
-            .as_ref()
-            .and_then(|e| e.u64_field("devices"))
-            .unwrap_or(0);
-        // The kernel's formula, on the re-derived outage: exact-equal
-        // inputs make this bit-identical to the roll-up's float.
-        let availability = if duration_ns > 0 && devices > 0 {
-            1.0 - (unavailable_ns as f64 / 1e9) / ((duration_ns as f64 / 1e9) * devices as f64)
-        } else {
-            1.0
-        };
-
-        let mut report = MissionForensics {
-            strategy: strategy.unwrap_or_else(|| "builtin".to_string()),
-            duration_ns,
-            devices,
-            upsets,
-            sefis,
-            causes,
-            vias,
-            rung_events,
-            unrung_events,
-            event_counts,
-            soh_events,
-            unavailable_ns,
-            scrub_mttr_mean_ms,
-            scrub_mttr_max_ms: mttr_max_ms,
-            availability,
-            rollup: mission_end,
-            downlink: downlink_plan,
-            anomalies: Vec::new(),
-            lifecycles,
-        };
-        report.anomalies = detect_anomalies(events, &report);
-        report
+        ForensicsFold::fold(events.iter().map(Ok))
     }
 
     /// Cross-check every re-derivable roll-up field against the stream.

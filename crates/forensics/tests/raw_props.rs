@@ -129,7 +129,8 @@ proptest! {
             prop_assert_eq!(raw.line, i + 1);
             assert_decodes_as_written(raw, ev);
         }
-        prop_assert_eq!(from_events(&evs).unwrap(), parsed);
+        let decoded: Result<Vec<_>, _> = from_events(&evs).collect();
+        prop_assert_eq!(decoded.unwrap(), parsed);
     }
 
     #[test]

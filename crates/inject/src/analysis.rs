@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use cibola_arch::bits::BitRole;
 use cibola_arch::{BitLocus, Bitstream};
 use cibola_netlist::place::CellSite;
-use cibola_netlist::{Implementation, Netlist};
+use cibola_netlist::Implementation;
 
 use crate::campaign::CampaignResult;
 
@@ -107,12 +107,12 @@ pub fn sensitivity_by_cell(result: &CampaignResult, imp: &Implementation) -> Vec
 }
 
 /// The protect-set for selective TMR: cell indices covering `fraction` of
-/// the attributed sensitive bits (most-sensitive first). Flip-flops whose
-/// paired LUT is selected are pulled in too, keeping pairs intact.
+/// the attributed sensitive bits (most-sensitive first). Each chosen
+/// cell's placement partner (the flip-flop or LUT sharing its slot) is
+/// pulled in too, keeping pairs intact.
 pub fn selective_protect_set(
     result: &CampaignResult,
     imp: &Implementation,
-    nl: &Netlist,
     fraction: f64,
 ) -> std::collections::HashSet<usize> {
     let ranked = sensitivity_by_cell(result, imp);
@@ -130,29 +130,22 @@ pub fn selective_protect_set(
         }
         covered += n;
     }
-    // Keep FF/LUT pairs intact even when only one side ranked.
-    let extra: Vec<usize> = chosen
-        .iter()
-        .filter_map(|&ci| imp.placement.partner.get(ci).copied().flatten())
-        .collect();
-    chosen.extend(extra);
-    let _ = nl;
     chosen
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, BitSelection, CampaignConfig};
+    use crate::campaign::{run_campaign_wide, BitSelection, CampaignConfig};
     use crate::testbed::Testbed;
     use cibola_arch::Geometry;
     use cibola_netlist::{gen, implement};
 
-    fn campaign() -> (CampaignResult, Implementation, Netlist) {
+    fn campaign() -> (CampaignResult, Implementation) {
         let nl = gen::counter_adder(6);
         let imp = implement(&nl, &Geometry::tiny()).unwrap();
         let tb = Testbed::new(&imp, 1, 128);
-        let r = run_campaign(
+        let r = run_campaign_wide(
             &tb,
             &CampaignConfig {
                 observe_cycles: 48,
@@ -161,12 +154,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        (r, imp, nl)
+        (r, imp)
     }
 
     #[test]
     fn routing_dominates_the_sensitive_cross_section() {
-        let (r, imp, _) = campaign();
+        let (r, imp) = campaign();
         let roles = role_breakdown(&r, &imp.bitstream);
         let routing: usize = roles
             .by_role
@@ -189,9 +182,9 @@ mod tests {
 
     #[test]
     fn protect_set_grows_with_fraction_and_keeps_pairs() {
-        let (r, imp, nl) = campaign();
-        let small = selective_protect_set(&r, &imp, &nl, 0.3);
-        let large = selective_protect_set(&r, &imp, &nl, 0.9);
+        let (r, imp) = campaign();
+        let small = selective_protect_set(&r, &imp, 0.3);
+        let large = selective_protect_set(&r, &imp, 0.9);
         assert!(!small.is_empty());
         assert!(large.len() >= small.len());
         for &ci in &large {

@@ -4,8 +4,8 @@
 
 use cibola_arch::{DeltaClass, DeltaMap, Geometry, LANES};
 use cibola_inject::{
-    capture_trace, inject_one, run_campaign, run_campaign_wide, BitSelection, CampaignConfig,
-    Testbed, TraceSchedule,
+    capture_trace, inject_one, run_campaign_wide, BitSelection, CampaignConfig, Testbed,
+    TraceSchedule,
 };
 use cibola_netlist::{gen, implement};
 use cibola_telemetry::Telemetry;
@@ -32,10 +32,10 @@ fn active_closure_equals_exhaustive() {
         parallel: true,
         ..Default::default()
     };
-    let fast = run_campaign(&tb, &cfg);
+    let fast = run_campaign_wide(&tb, &cfg);
 
     cfg.selection = BitSelection::All;
-    let slow = run_campaign(&tb, &cfg);
+    let slow = run_campaign_wide(&tb, &cfg);
 
     let fast_bits: Vec<usize> = fast.sensitive.iter().map(|s| s.bit).collect();
     let slow_bits: Vec<usize> = slow.sensitive.iter().map(|s| s.bit).collect();
@@ -58,9 +58,9 @@ fn campaign_is_deterministic_and_parallel_agnostic() {
         ..Default::default()
     };
     cfg.parallel = true;
-    let a = run_campaign(&tb, &cfg);
+    let a = run_campaign_wide(&tb, &cfg);
     cfg.parallel = false;
-    let b = run_campaign(&tb, &cfg);
+    let b = run_campaign_wide(&tb, &cfg);
     assert_eq!(
         a.sensitive
             .iter()
@@ -88,7 +88,7 @@ fn feedback_designs_are_persistent_feedforward_are_not() {
         persist_tail: 16,
         ..Default::default()
     };
-    let r_lfsr = run_campaign(&tb_lfsr, &cfg);
+    let r_lfsr = run_campaign_wide(&tb_lfsr, &cfg);
     assert!(
         r_lfsr.sensitive.len() > 20,
         "LFSR should have many sensitive bits, got {}",
@@ -98,7 +98,7 @@ fn feedback_designs_are_persistent_feedforward_are_not() {
 
     let mult = gen::pipelined_multiplier(4);
     let tb_mult = testbed_for(&mult, &geom, 160);
-    let r_mult = run_campaign(&tb_mult, &cfg);
+    let r_mult = run_campaign_wide(&tb_mult, &cfg);
     assert!(r_mult.sensitive.len() > 20);
     let p_mult = r_mult.persistence_ratio();
 
@@ -127,11 +127,11 @@ fn sensitivity_scales_with_design_size_but_normalized_does_not() {
 
     let small = gen::pipelined_multiplier(4);
     let tb_s = testbed_for(&small, &geom, 64);
-    let r_s = run_campaign(&tb_s, &cfg);
+    let r_s = run_campaign_wide(&tb_s, &cfg);
 
     let large = gen::pipelined_multiplier(8);
     let tb_l = testbed_for(&large, &geom, 64);
-    let r_l = run_campaign(&tb_l, &cfg);
+    let r_l = run_campaign_wide(&tb_l, &cfg);
 
     assert!(
         r_l.sensitivity() > 2.0 * r_s.sensitivity(),
@@ -156,7 +156,7 @@ fn sampled_campaign_estimates_exhaustive_sensitivity() {
         classify_persistence: false,
         ..Default::default()
     };
-    let full = run_campaign(&tb, &cfg_full);
+    let full = run_campaign_wide(&tb, &cfg_full);
 
     let cfg_sample = CampaignConfig {
         selection: BitSelection::Sample {
@@ -165,7 +165,7 @@ fn sampled_campaign_estimates_exhaustive_sensitivity() {
         },
         ..cfg_full
     };
-    let est = run_campaign(&tb, &cfg_sample);
+    let est = run_campaign_wide(&tb, &cfg_sample);
     let (s_full, s_est) = (full.sensitivity(), est.sensitivity());
     assert!(
         (s_est - s_full).abs() < 0.6 * s_full + 1e-4,
@@ -210,7 +210,7 @@ fn fig7_trace_shows_persistence_until_reset() {
         persist_tail: 16,
         ..Default::default()
     };
-    let result = run_campaign(&tb, &cfg);
+    let result = run_campaign_wide(&tb, &cfg);
     let persistent = result.persistent_bits();
     assert!(
         !persistent.is_empty(),
@@ -240,7 +240,7 @@ fn sim_time_model_matches_paper_constants() {
         selection: BitSelection::ActiveClosure,
         ..Default::default()
     };
-    let r = run_campaign(&tb, &cfg);
+    let r = run_campaign_wide(&tb, &cfg);
     // Every bit of the bitstream is accounted at ≥214 µs.
     let floor = 214e-6 * tb.total_bits() as f64;
     assert!(r.sim_time.as_secs_f64() >= floor * 0.999);

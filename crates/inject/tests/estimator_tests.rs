@@ -2,7 +2,7 @@
 
 use cibola_arch::Geometry;
 use cibola_inject::{
-    role_breakdown, run_campaign, sensitivity_by_cell, BitSelection, CampaignConfig, Testbed,
+    role_breakdown, run_campaign_wide, sensitivity_by_cell, BitSelection, CampaignConfig, Testbed,
 };
 use cibola_netlist::{gen, implement};
 
@@ -25,10 +25,10 @@ fn sample_closure_estimates_exhaustive_sensitivity() {
         classify_persistence: false,
         ..Default::default()
     };
-    let full = run_campaign(&tb, &base_cfg);
+    let full = run_campaign_wide(&tb, &base_cfg);
 
     for fraction in [0.25, 0.5] {
-        let est = run_campaign(
+        let est = run_campaign_wide(
             &tb,
             &CampaignConfig {
                 selection: BitSelection::SampleClosure {
@@ -62,7 +62,7 @@ fn sample_closure_failures_extrapolate() {
         },
         ..Default::default()
     };
-    let est = run_campaign(&tb, &cfg);
+    let est = run_campaign_wide(&tb, &cfg);
     // failures() scales the hit rate back to the whole bitstream.
     let expect = (est.sensitivity() * est.total_bits as f64).round() as usize;
     assert_eq!(est.failures(), expect);
@@ -75,7 +75,7 @@ fn sample_closure_failures_extrapolate() {
 #[test]
 fn role_breakdown_totals_match_sensitive_count() {
     let (tb, imp, _) = testbed();
-    let r = run_campaign(
+    let r = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 48,
@@ -96,7 +96,7 @@ fn role_breakdown_totals_match_sensitive_count() {
 #[test]
 fn cell_attribution_ranks_real_cells() {
     let (tb, imp, nl) = testbed();
-    let r = run_campaign(
+    let r = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 48,
@@ -121,7 +121,7 @@ fn list_selection_runs_exactly_the_requested_bits() {
     let (tb, _, _) = testbed();
     let mut probe = tb.base.clone();
     let some_bits: Vec<usize> = probe.active_config_bits().into_iter().take(50).collect();
-    let r = run_campaign(
+    let r = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 32,

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 
 use cibola_arch::{Geometry, SimDuration, SimTime};
+use cibola_forensics::{parse_jsonl, MissionForensics};
 use cibola_netlist::{gen, implement};
 use cibola_radiation::sefi::{SefiMix, SefiRates};
 use cibola_radiation::{OrbitRates, SefiConfig, TargetMix};
@@ -19,7 +20,6 @@ use cibola_scrub::{
     run_mission, MissionConfig, MissionStats, Payload, SohDownlinkPolicy, Telemetry,
     SOH_RECORD_BYTES,
 };
-use cibola_telemetry::validate_telemetry_line;
 
 fn nine_fpga_payload(geom: &Geometry) -> Payload {
     let imp = implement(&gen::counter_adder(4), geom).expect("implementation fits tiny geometry");
@@ -109,12 +109,11 @@ fn fixed_seed_dump_is_byte_identical_and_lints() {
         (CHAOS_DUMP_EVENTS, CHAOS_DUMP_BYTES, CHAOS_DUMP_FNV1A),
         "the pinned chaos dump changed"
     );
-    for (i, line) in dump1.lines().enumerate() {
-        validate_telemetry_line(line)
-            .unwrap_or_else(|e| panic!("line {}: {} (at byte {})", i + 1, e.message, e.at));
-    }
+    // Every line reads through the one dump reader, and the stream meets
+    // the whole emitter contract.
+    MissionForensics::from_jsonl(&dump1).unwrap_or_else(|e| panic!("{e}"));
     // The metrics snapshot rides the same schema.
-    validate_telemetry_line(&t1.snapshot_jsonl(cfg.duration.as_nanos())).unwrap();
+    parse_jsonl(&t1.snapshot_jsonl(cfg.duration.as_nanos())).unwrap();
     assert_eq!(t1.snapshot(), t2.snapshot(), "metrics diverged across runs");
 }
 

@@ -10,9 +10,9 @@
 //! * [`FlatObject`] — the one-pass reader of a flat object line: each
 //!   top-level key and value comes back borrowed from the line, so a
 //!   caller allocates only what it keeps.
-//! * [`validate_json_line`] — a strict single-value parser used by the
-//!   `telemetry-lint` binary and the determinism tests to prove every
-//!   emitted line is well-formed, standalone JSON.
+//! * [`validate_json_line`] — a strict single-value parser the tests use
+//!   to prove every emitted line is well-formed, standalone JSON, and the
+//!   oracle the reader's property tests hold [`FlatObject`] to.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -688,36 +688,6 @@ pub fn validate_json_line(line: &str) -> Result<usize, JsonError> {
     Ok(p.i)
 }
 
-/// Validate a JSONL telemetry line: one well-formed JSON object, every
-/// top-level value decodable, and the writer's shape — `t_ns` is its
-/// first top-level key and `name` is one of its top-level keys. The line
-/// is read once through [`FlatObject`], the decoder every reader of a
-/// dump uses, so a malformed line fails with the error a reader meets
-/// first, in byte order; the shape is checked only on a line that reads
-/// whole. Keys are read decoded, so a key that merely appears inside a
-/// string value does not count.
-pub fn validate_telemetry_line(line: &str) -> Result<(), JsonError> {
-    let mut object = FlatObject::new(line);
-    let (mut first_is_t_ns, mut named) = (None, false);
-    while let Some((key, _)) = object.next_field()? {
-        let key = key.decode();
-        first_is_t_ns.get_or_insert(key == "t_ns");
-        named |= key == "name";
-    }
-    let shape = |message: &str| {
-        Err(JsonError {
-            at: 0,
-            message: message.to_string(),
-        })
-    };
-    match (first_is_t_ns, named) {
-        (None, _) => shape("missing required key \"t_ns\""),
-        (Some(false), _) => shape("first key must be \"t_ns\""),
-        (Some(true), false) => shape("missing required key \"name\""),
-        (Some(true), true) => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,7 +704,8 @@ mod tests {
         o.raw("fs", &f64_array(&[0.5, 2.0]));
         let line = o.finish();
         validate_json_line(&line).expect("writer output must parse");
-        validate_telemetry_line(&line).expect("has required keys");
+        let fields = parse_flat_object(&line).expect("writer output decodes");
+        assert_eq!(fields[0].0, "t_ns", "the writer's first key");
     }
 
     #[test]
@@ -768,38 +739,6 @@ mod tests {
         ] {
             validate_json_line(good).unwrap_or_else(|e| panic!("rejected {good:?}: {e}"));
         }
-    }
-
-    #[test]
-    fn telemetry_line_requires_keys() {
-        assert!(validate_telemetry_line("{\"t_ns\":1,\"name\":\"x\"}").is_ok());
-        assert!(validate_telemetry_line("{\"t_ns\":1}").is_err());
-        assert!(validate_telemetry_line("[1,2]").is_err());
-        // The keys are read, not searched for: `t_ns` must lead, and a
-        // nested object's key is no top-level key.
-        let moved = validate_telemetry_line("{\"name\":\"x\",\"t_ns\":1}").unwrap_err();
-        assert_eq!(moved.message, "first key must be \"t_ns\"");
-        assert!(validate_telemetry_line("{\"t_ns\":1,\"meta\":{\"name\":\"x\"}}").is_err());
-        assert!(validate_telemetry_line("{\"t_\\u006es\":1,\"name\":\"x\"}").is_ok());
-        assert!(validate_telemetry_line("{}").is_err());
-    }
-
-    #[test]
-    fn telemetry_line_fails_where_the_decoder_fails_first() {
-        let at = |line: &str| {
-            let e = validate_telemetry_line(line).unwrap_err();
-            (e.at, e.message)
-        };
-        // An integer too large for its class comes before the missing
-        // brace, and the decoder meets it first.
-        let line = "{\"t_ns\":99999999999999999999,\"name\":\"x\"";
-        let decoded = parse_flat_object(line).unwrap_err();
-        assert_eq!(at(line), (8, "integer out of u64 range".to_string()));
-        assert_eq!(at(line), (decoded.at, decoded.message));
-        // A syntax error outranks the shape of a line that does not read
-        // whole; a line that does not open an object fails at its start.
-        assert_eq!(at("{\"name\":\"x\",\"t_ns\":1,}").0, 21);
-        assert_eq!(at(" [1,2]"), (1, "expected '{'".to_string()));
     }
 
     #[test]

@@ -11,7 +11,7 @@ fn campaign_map(
     cycles: usize,
 ) -> (Testbed, std::collections::HashSet<usize>) {
     let tb = Testbed::new(imp, 0xBEA3, cycles);
-    let result = run_campaign(
+    let result = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 64,

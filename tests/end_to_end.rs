@@ -14,7 +14,7 @@ fn characterise_then_fly() {
 
     // 1. SEU-simulator characterisation.
     let tb = Testbed::new(&imp, 3, 128);
-    let campaign = run_campaign(
+    let campaign = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 48,
@@ -81,12 +81,12 @@ fn selective_tmr_guided_by_campaign_reduces_sensitivity() {
         classify_persistence: false,
         ..Default::default()
     };
-    let before = run_campaign(&tb, &cfg);
+    let before = run_campaign_wide(&tb, &cfg);
 
     let (protected, _) = tmr(&nl);
     let imp_t = implement(&protected, &geom).unwrap();
     let tb_t = Testbed::new(&imp_t, 5, 96);
-    let after = run_campaign(&tb_t, &cfg);
+    let after = run_campaign_wide(&tb_t, &cfg);
 
     // TMR triples area, so compare *normalized* sensitivity: failures per
     // occupied slice must drop decisively.
@@ -144,7 +144,7 @@ fn injection_campaign_timing_reproduces_paper_numbers() {
     let nl = cibola::designs::PaperDesign::CounterAdder { width: 4 }.netlist();
     let imp = implement(&nl, &geom).unwrap();
     let tb = Testbed::new(&imp, 2, 32);
-    let r = run_campaign(
+    let r = run_campaign_wide(
         &tb,
         &CampaignConfig {
             observe_cycles: 16,
