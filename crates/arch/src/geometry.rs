@@ -146,8 +146,8 @@ impl Geometry {
         Geometry::new("XQVR1000", 64, 96, 8)
     }
 
-    /// A quarter-scale device used by the experiment binaries so exhaustive
-    /// sweeps stay tractable on a workstation.
+    /// A quarter-scale device, where exhaustive sweeps of the larger test
+    /// designs stay tractable on a workstation.
     pub fn quarter() -> Self {
         Geometry::new("CIB-Q", 32, 48, 4)
     }
@@ -160,25 +160,6 @@ impl Geometry {
     /// A tiny device for unit tests.
     pub fn tiny() -> Self {
         Geometry::new("CIB-T", 8, 8, 1)
-    }
-
-    /// Look up a standard geometry by its CLI name (`tiny`, `small`,
-    /// `quarter`, `xqvr1000`, optionally suffixed `-v2` for the Virtex-II
-    /// frame layout). The single registry the experiment binaries, the
-    /// oracle runner, and the conformance corpus all resolve through.
-    pub fn by_name(name: &str) -> Option<Self> {
-        let (base, v2) = match name.strip_suffix("-v2") {
-            Some(b) => (b, true),
-            None => (name, false),
-        };
-        let geom = match base {
-            "tiny" => Geometry::tiny(),
-            "small" => Geometry::small(),
-            "quarter" => Geometry::quarter(),
-            "xqvr1000" => Geometry::xqvr1000(),
-            _ => return None,
-        };
-        Some(if v2 { geom.with_virtex2_layout() } else { geom })
     }
 
     /// Number of CLB tiles.

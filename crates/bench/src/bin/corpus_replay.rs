@@ -20,6 +20,10 @@ use cibola_bench::Args;
 
 fn main() {
     let args = Args::parse();
+    args.reject_unknown(
+        &["--manifest", "--case", "--stride", "--limit"],
+        &["--bless"],
+    );
     let manifest_path = args.get("--manifest").unwrap_or(MANIFEST_PATH).to_string();
     let bless = args.flag("--bless");
     let case_filter = args.get("--case").map(str::to_string);

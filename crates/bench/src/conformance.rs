@@ -500,16 +500,12 @@ pub fn mission_config(regime: usize, seed: u64) -> (MissionConfig, bool) {
     }
 }
 
+/// Counter/Adder 4 on all nine positions: the payload the corpus
+/// missions, E12 and E13 fly.
 pub fn corpus_payload(geom: &Geometry) -> Payload {
     let imp = implement(&PaperDesign::CounterAdder { width: 4 }.netlist(), geom)
         .expect("counter fits tiny geometry");
-    let mut payload = Payload::new();
-    for board in 0..3 {
-        for _ in 0..3 {
-            payload.load_design(board, "ctr", geom, &imp.bitstream);
-        }
-    }
-    payload
+    crate::nine_fpga_payload(geom, &imp, "ctr")
 }
 
 /// Knock one device's golden image uncorrectable and unprogram it, so the

@@ -16,8 +16,7 @@ pub struct Fig7Params {
 }
 
 impl Fig7Params {
-    /// The `run_experiments.sh` configuration behind `results/fig7.txt`
-    /// (the binary's defaults).
+    /// The `run_experiments.sh` configuration behind `results/fig7.txt`.
     pub fn paper() -> Self {
         Fig7Params {
             geometry: Geometry::tiny(),

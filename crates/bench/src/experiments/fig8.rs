@@ -1,9 +1,9 @@
 //! E5 — **Fig. 8** and §III-A timing: the SEU-injection loop cost model
 //! (214 µs per bit; 5.8 Mbit exhaustive in ≈20 minutes).
 //!
-//! Only the deterministic cost model lives here; the `fig8` binary
-//! appends its host-side-throughput section itself, because wall-clock
-//! rates are machine-dependent and must stay out of snapshots and claims.
+//! The report is the deterministic cost model alone. Host throughput is
+//! wall-clock, machine-dependent output; the benchmark's `campaign`
+//! workload measures it, with spread.
 
 use std::fmt::Write as _;
 

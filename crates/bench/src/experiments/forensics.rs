@@ -17,10 +17,8 @@
 //!    `sent + shed` must account for every SOH record and the shed-storm
 //!    detector must fire.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-use cibola::designs::PaperDesign;
 use cibola::prelude::*;
 use cibola::radiation::sefi::{SefiMix, SefiRates};
 use cibola::radiation::SefiConfig;
@@ -29,7 +27,7 @@ use cibola_forensics::MissionForensics;
 use cibola_scrub::{MissionStats, Telemetry};
 
 use super::Tier;
-use crate::conformance::Digest;
+use crate::conformance::{corpus_payload, sparse_sensitivity, Digest};
 
 #[derive(Debug, Clone)]
 pub struct ForensicsParams {
@@ -86,24 +84,6 @@ pub struct ForensicsResult {
     pub report: String,
 }
 
-fn nine_fpga_payload(
-    geom: &Geometry,
-    telemetry: Telemetry,
-) -> (Payload, HashMap<(usize, usize), HashSet<usize>>) {
-    let imp = implement(&PaperDesign::CounterAdder { width: 4 }.netlist(), geom)
-        .expect("counter fits tiny geometry");
-    let mut payload = Payload::new().with_telemetry(telemetry);
-    for board in 0..3 {
-        for _ in 0..3 {
-            payload.load_design(board, "ctr", geom, &imp.bitstream);
-        }
-    }
-    let mut sens = HashMap::new();
-    sens.insert((0, 0), (0..64usize).collect::<HashSet<_>>());
-    sens.insert((1, 2), HashSet::new());
-    (payload, sens)
-}
-
 /// The E12 chaos scenario with the determinism suite's hot SEFI rates,
 /// so port lies, unprograms and codebook strikes appear in the record.
 fn chaos_config(p: &ForensicsParams) -> MissionConfig {
@@ -141,18 +121,19 @@ fn json_digest(report: &MissionForensics) -> u64 {
 pub fn run(p: &ForensicsParams) -> ForensicsResult {
     let geom = &p.geometry;
     let chaos = chaos_config(p);
+    let sens = sparse_sensitivity();
 
     // 1. Chaos anchor under both kernels.
     let tele_e = Telemetry::recording();
-    let (mut payload, sens) = nine_fpga_payload(geom, tele_e.clone());
+    let mut payload = corpus_payload(geom).with_telemetry(tele_e.clone());
     let builtin_stats = run_mission(&mut payload, &chaos, &sens);
     let builtin =
         MissionForensics::from_events(&tele_e.events()).expect("chaos stream reconstructs");
     let event_json_digest = json_digest(&builtin);
 
     let tele_r = Telemetry::recording();
-    let (mut payload_r, sens_r) = nine_fpga_payload(geom, tele_r.clone());
-    run_mission_reference(&mut payload_r, &chaos, &sens_r);
+    let mut payload_r = corpus_payload(geom).with_telemetry(tele_r.clone());
+    run_mission_reference(&mut payload_r, &chaos, &sens);
     let reference = MissionForensics::from_events(&tele_r.events())
         .expect("reference chaos stream reconstructs");
     let reference_json_digest = json_digest(&reference);
@@ -181,7 +162,7 @@ pub fn run(p: &ForensicsParams) -> ForensicsResult {
     let mut strategy_mismatches = Vec::new();
     for name in STRATEGY_NAMES {
         let tele = Telemetry::recording();
-        let (mut payload, sens) = nine_fpga_payload(geom, tele.clone());
+        let mut payload = corpus_payload(geom).with_telemetry(tele.clone());
         let mut strategy = make_strategy(name);
         run_strategy_mission(&mut payload, &chaos, &sens, strategy.as_mut());
         let report =
@@ -196,8 +177,8 @@ pub fn run(p: &ForensicsParams) -> ForensicsResult {
         ..chaos.clone()
     };
     let tele_l = Telemetry::recording();
-    let (mut payload_l, sens_l) = nine_fpga_payload(geom, tele_l.clone());
-    run_mission(&mut payload_l, &leak_cfg, &sens_l);
+    let mut payload_l = corpus_payload(geom).with_telemetry(tele_l.clone());
+    run_mission(&mut payload_l, &leak_cfg, &sens);
     let leak_report =
         MissionForensics::from_events(&tele_l.events()).expect("leak stream reconstructs");
     let leaked_lifecycles = leak_report
@@ -223,8 +204,8 @@ pub fn run(p: &ForensicsParams) -> ForensicsResult {
         ..chaos.clone()
     };
     let tele_s = Telemetry::recording();
-    let (mut payload_s, sens_s) = nine_fpga_payload(geom, tele_s.clone());
-    run_mission(&mut payload_s, &shed_cfg, &sens_s);
+    let mut payload_s = corpus_payload(geom).with_telemetry(tele_s.clone());
+    run_mission(&mut payload_s, &shed_cfg, &sens);
     let shed_report =
         MissionForensics::from_events(&tele_s.events()).expect("shed stream reconstructs");
     let shed_storm_fired = shed_report

@@ -2,18 +2,17 @@
 //!
 //! Each experiment is a function from a parameter struct to a measurement
 //! struct that carries both the numbers the claim evaluators need and the
-//! rendered text report the table/figure binary prints. One
-//! implementation serves three consumers:
+//! rendered text report. One implementation serves two consumers:
 //!
-//! * the `table1`/`fig7`/… binaries (paper-scale defaults, overridable
-//!   flags) — what regenerates `results/*.txt`;
-//! * the `verify_experiments` oracle, which runs each experiment at
+//! * the `verify_experiments` runner, which runs each experiment at
 //!   `--tier smoke` (fast, CI-sized) or `--tier paper` (the EXPERIMENTS.md
-//!   scales) and evaluates the shape claims;
+//!   scales), evaluates the shape claims and, with `--reports`, writes
+//!   the reports — `run_experiments.sh` regenerates `results/*.txt` that
+//!   way;
 //! * the golden-snapshot tests, which pin the smoke-tier report text.
 //!
 //! Every parameter struct has `smoke()` and `paper()` constructors; the
-//! paper constructors are exactly the scales `run_experiments.sh` passes.
+//! paper constructors are the scales behind `results/*.txt`.
 
 pub mod bist;
 pub mod fig12;

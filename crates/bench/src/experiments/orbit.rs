@@ -17,7 +17,7 @@ pub struct OrbitParams {
 
 impl OrbitParams {
     /// The `run_experiments.sh` configuration behind
-    /// `results/orbit_rates.txt` (the binary's constants).
+    /// `results/orbit_rates.txt`.
     pub fn paper() -> Self {
         OrbitParams { samples: 50_000 }
     }

@@ -7,10 +7,8 @@
 //! flown every round for four of the five members, and once more by a
 //! voter whose shadow-chaos hook forces the FLASH fallback.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-use cibola::designs::PaperDesign;
 use cibola::prelude::*;
 use cibola::radiation::sefi::{SefiMix, SefiRates};
 use cibola::radiation::SefiConfig;
@@ -21,6 +19,7 @@ use cibola::scrub::{
 };
 
 use super::Tier;
+use crate::conformance::{corpus_payload, sparse_sensitivity};
 
 #[derive(Debug, Clone)]
 pub struct StrategiesParams {
@@ -106,21 +105,6 @@ impl StrategiesResult {
     }
 }
 
-fn nine_fpga_payload(geom: &Geometry) -> (Payload, HashMap<(usize, usize), HashSet<usize>>) {
-    let imp = implement(&PaperDesign::CounterAdder { width: 4 }.netlist(), geom)
-        .expect("counter fits tiny geometry");
-    let mut payload = Payload::new();
-    for board in 0..3 {
-        for _ in 0..3 {
-            payload.load_design(board, "ctr", geom, &imp.bitstream);
-        }
-    }
-    let mut sens = HashMap::new();
-    sens.insert((0, 0), (0..64usize).collect::<HashSet<_>>());
-    sens.insert((1, 2), HashSet::new());
-    (payload, sens)
-}
-
 fn chaos_config(p: &StrategiesParams) -> MissionConfig {
     MissionConfig {
         duration: SimDuration::from_secs(p.chaos_s),
@@ -155,8 +139,8 @@ fn fly_chaos(
     strategy: &mut dyn MitigationStrategy,
     event_driven: bool,
 ) -> (StrategyRow, usize) {
-    let (mut payload, sens) = nine_fpga_payload(&p.geometry);
-    let chaos = chaos_config(p);
+    let mut payload = corpus_payload(&p.geometry);
+    let (chaos, sens) = (chaos_config(p), sparse_sensitivity());
     let stats = if event_driven {
         run_strategy_mission(&mut payload, &chaos, &sens, strategy)
     } else {
@@ -198,10 +182,11 @@ pub fn run(p: &StrategiesParams) -> StrategiesResult {
     // Quiet contrast: fixed-rate ladder vs the adaptive controller.
     let quiet = quiet_config(p);
     let quiet_ceiling = 16u64;
-    let (mut p_fixed, sens_q) = nine_fpga_payload(geom);
+    let sens_q = sparse_sensitivity();
+    let mut p_fixed = corpus_payload(geom);
     let mut fixed = LadderStrategy;
     let quiet_fixed = run_strategy_mission(&mut p_fixed, &quiet, &sens_q, &mut fixed);
-    let (mut p_adapt, sens_q) = nine_fpga_payload(geom);
+    let mut p_adapt = corpus_payload(geom);
     let mut adaptive = AdaptiveScrub::new(
         LadderStrategy,
         AdaptiveConfig {

@@ -1,12 +1,11 @@
-//! Shared helpers for the cibola experiment binaries (one per paper table
-//! and figure — see DESIGN.md §3 and EXPERIMENTS.md for the index), plus
-//! the experiment-oracle layer:
+//! The cibola experiment layer: the one runner behind every paper table
+//! and figure (`verify_experiments`; DESIGN.md §3 and EXPERIMENTS.md hold
+//! the index), its shape claims, and the cross-engine corpus:
 //!
 //! * [`experiments`] — tiered runners for every EXPERIMENTS.md entry
-//!   (E1–E11, A1–A3). Each returns a measurement struct *and* the
-//!   rendered text report, so the table/figure binaries, the golden
-//!   snapshots, and the `verify_experiments` oracle share one
-//!   implementation.
+//!   (E1–E13, A1–A3). Each returns a measurement struct *and* the
+//!   rendered text report, so `results/*.txt`, the golden snapshots and
+//!   the claims come from one implementation.
 //! * [`claims`] — machine-checked shape claims with stable IDs
 //!   (`E1-MULT-LFSR-RATIO`, …) evaluated by `verify_experiments` and
 //!   written to `results/verify_summary.json`.
@@ -21,9 +20,10 @@ pub mod conformance;
 pub mod experiments;
 
 /// Parse `--key value` style arguments with defaults. A typed value that
-/// does not parse, a flag with no value, or an unknown geometry is an
-/// error: the binary prints `error: <flag> <value>: <reason>` and exits
-/// with status 2 rather than run with a default the user did not ask for.
+/// does not parse, a flag with no value or an argument the binary does not
+/// know is an error: the binary prints `error: <flag> <value>: <reason>`
+/// and exits with status 2 rather than run with a default the user did
+/// not ask for.
 pub struct Args {
     raw: Vec<String>,
 }
@@ -61,10 +61,6 @@ impl Args {
         v.parse().map_err(|e| format!("{key} {v}: {e}"))
     }
 
-    pub fn f64(&self, key: &str, default: f64) -> f64 {
-        self.value(key, default).unwrap_or_else(|e| exit_usage(&e))
-    }
-
     pub fn usize(&self, key: &str, default: usize) -> usize {
         self.value(key, default).unwrap_or_else(|e| exit_usage(&e))
     }
@@ -77,23 +73,32 @@ impl Args {
         self.raw.iter().any(|a| a == key)
     }
 
-    /// `--geometry` by name: tiny | small | quarter | xqvr1000 (add `-v2`
-    /// for the Virtex-II frame layout), resolved through
-    /// [`Geometry::by_name`], the same registry the oracle and the
-    /// conformance corpus use; `default` when the flag is absent.
-    fn try_geometry(&self, default: Geometry) -> Result<Geometry, String> {
-        if !self.flag("--geometry") {
-            return Ok(default);
+    /// Exit 2 on an argument that is neither one of `flags` with its
+    /// value nor one of `switches`, or on one of `flags` with no value, so
+    /// a mistyped or retired flag cannot run with defaults the user did
+    /// not ask for.
+    pub fn reject_unknown(&self, flags: &[&str], switches: &[&str]) {
+        if let Err(e) = self.check_known(flags, switches) {
+            exit_usage(&e);
         }
-        let name: String = self.value("--geometry", String::new())?;
-        Geometry::by_name(&name).ok_or_else(|| {
-            format!("--geometry {name}: unknown geometry (tiny, small, quarter or xqvr1000, optionally with -v2)")
-        })
     }
 
-    pub fn geometry(&self, default: Geometry) -> Geometry {
-        self.try_geometry(default)
-            .unwrap_or_else(|e| exit_usage(&e))
+    fn check_known(&self, flags: &[&str], switches: &[&str]) -> Result<(), String> {
+        let mut rest = self.raw.iter();
+        while let Some(arg) = rest.next() {
+            if flags.contains(&arg.as_str()) {
+                if rest.next().is_none() {
+                    return Err(format!("{arg}: missing value"));
+                }
+            } else if !switches.contains(&arg.as_str()) {
+                let known: Vec<&str> = flags.iter().chain(switches).copied().collect();
+                return Err(format!(
+                    "{arg}: unknown argument (expected {})",
+                    known.join(", ")
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -109,15 +114,15 @@ pub fn pct(x: f64) -> String {
 }
 
 /// A horizontal rule of `n` dashes (the table separators every report
-/// binary prints).
+/// prints).
 pub fn rule(n: usize) -> String {
     "-".repeat(n)
 }
 
 /// The standard nine-FPGA payload (three boards of three devices), every
 /// position loaded with the same implementation — the configuration the
-/// paper flew and the shape `fig4_scrub`, `ablation_scanrate`, the
-/// benchmark's storm workload and the conformance corpus all build.
+/// paper flew, and the payload the conformance corpus and the benchmark's
+/// storm workload build.
 pub fn nine_fpga_payload(geom: &Geometry, imp: &Implementation, label: &str) -> Payload {
     let mut payload = Payload::new();
     for board in 0..3 {
@@ -138,17 +143,12 @@ mod tests {
 
     #[test]
     fn typed_values_parse_or_default() {
-        let a = args(&["--hours", "6", "--accel", "1.5"]);
+        let a = args(&["--hours", "6", "--stride", "3"]);
         assert_eq!(a.value("--hours", 12usize), Ok(6));
-        assert_eq!(a.value("--accel", 200.0), Ok(1.5));
+        assert_eq!(a.value("--stride", 1usize), Ok(3));
         let t = args(&["dump.jsonl", "--max-t-ns", "7260000000000"]);
         assert_eq!(t.value("--max-t-ns", u64::MAX), Ok(7_260_000_000_000));
-        assert_eq!(a.value("--stride", 1usize), Ok(1), "absent flag");
-        assert_eq!(a.try_geometry(Geometry::tiny()).unwrap().name, "CIB-T");
-        let g = args(&["--geometry", "small-v2"])
-            .try_geometry(Geometry::tiny())
-            .unwrap();
-        assert_eq!(g, Geometry::small().with_virtex2_layout());
+        assert_eq!(a.value("--limit", 40usize), Ok(40), "absent flag");
     }
 
     #[test]
@@ -162,17 +162,9 @@ mod tests {
             Err("--stride x: invalid digit found in string".to_string())
         );
         assert_eq!(
-            args(&["--accel", "fast"]).value("--accel", 200.0),
-            Err("--accel fast: invalid float literal".to_string())
-        );
-        assert_eq!(
             args(&["--max-t-ns", "abc"]).value("--max-t-ns", u64::MAX),
             Err("--max-t-ns abc: invalid digit found in string".to_string())
         );
-        let e = args(&["--geometry", "huge"])
-            .try_geometry(Geometry::tiny())
-            .unwrap_err();
-        assert!(e.starts_with("--geometry huge: unknown geometry"), "{e}");
     }
 
     #[test]
@@ -185,9 +177,29 @@ mod tests {
             args(&["dump.jsonl", "--max-t-ns"]).value("--max-t-ns", u64::MAX),
             Err("--max-t-ns: missing value".to_string())
         );
-        let e = args(&["--geometry"])
-            .try_geometry(Geometry::tiny())
-            .unwrap_err();
-        assert_eq!(e, "--geometry: missing value");
+        assert_eq!(
+            args(&["--tier", "paper", "--reports"]).check_known(&["--tier", "--reports"], &[]),
+            Err("--reports: missing value".to_string())
+        );
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors() {
+        let known = |raw: &[&str]| args(raw).check_known(&["--case", "--stride"], &["--bless"]);
+        assert_eq!(
+            known(&["--bless", "--case", "--bless", "--stride", "8"]),
+            Ok(())
+        );
+        assert_eq!(
+            known(&["--case", "x", "--print-reports"]),
+            Err(
+                "--print-reports: unknown argument (expected --case, --stride, --bless)"
+                    .to_string()
+            )
+        );
+        assert_eq!(
+            known(&["x"]),
+            Err("x: unknown argument (expected --case, --stride, --bless)".to_string())
+        );
     }
 }

@@ -1,10 +1,9 @@
 //! Golden-snapshot tests for the deterministic experiment reports.
 //!
 //! Each test renders a smoke-tier experiment report through the same
-//! library code the binaries and the `verify_experiments` oracle use, and
-//! compares it byte-for-byte against `tests/golden/<name>.txt`. Reports
-//! containing host wall-clock are excluded by construction (the fig8
-//! binary appends its host-throughput section outside the library).
+//! library code `verify_experiments` runs and writes to `results/`, and
+//! compares it byte-for-byte against `tests/golden/<name>.txt`. No report
+//! holds host wall-clock time, so every one is deterministic.
 //!
 //! To accept an intentional output change:
 //!

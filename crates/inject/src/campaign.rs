@@ -54,7 +54,6 @@ pub struct CampaignConfig {
     /// Classify persistence of each sensitive bit (Table II).
     pub classify_persistence: bool,
     pub selection: BitSelection,
-    pub timing: InjectTiming,
     /// Fan out over rayon.
     pub parallel: bool,
     /// Campaign-progress sink (summary events are keyed on *simulated*
@@ -71,7 +70,6 @@ impl Default for CampaignConfig {
             persist_tail: 16,
             classify_persistence: true,
             selection: BitSelection::ActiveClosure,
-            timing: InjectTiming::default(),
             parallel: true,
             telemetry: Telemetry::disabled(),
         }
@@ -290,9 +288,18 @@ pub fn inject_one_with(
     result
 }
 
-/// Resolve `cfg.selection` into the concrete experiment list:
-/// `(bits to simulate, bits proven inert, exhaustive?, closure size)`.
-fn select_bits(tb: &Testbed, cfg: &CampaignConfig) -> (Vec<usize>, usize, bool, usize) {
+/// `cfg.selection` resolved into the concrete experiment list.
+struct Selected {
+    /// Bits to simulate.
+    bits: Vec<usize>,
+    /// Bits proven inert without simulation.
+    inert_bits: usize,
+    exhaustive: bool,
+    /// The closure a sampled-closure campaign drew from (0 otherwise).
+    closure_size: usize,
+}
+
+fn select_bits(tb: &Testbed, cfg: &CampaignConfig) -> Selected {
     let total_bits = tb.total_bits();
     let mut closure_size = 0usize;
     let (bits, inert_bits, exhaustive): (Vec<usize>, usize, bool) = match &cfg.selection {
@@ -323,7 +330,12 @@ fn select_bits(tb: &Testbed, cfg: &CampaignConfig) -> (Vec<usize>, usize, bool, 
         }
         BitSelection::List(v) => (v.clone(), 0, false),
     };
-    (bits, inert_bits, exhaustive, closure_size)
+    Selected {
+        bits,
+        inert_bits,
+        exhaustive,
+        closure_size,
+    }
 }
 
 /// Simulated campaign time for `tested` Fig. 8 loops of which
@@ -331,45 +343,66 @@ fn select_bits(tb: &Testbed, cfg: &CampaignConfig) -> (Vec<usize>, usize, bool, 
 /// Inert bits were still "tested" on the real testbed, so they count too;
 /// this is what reproduces the paper's 20-minute exhaustive figure.
 fn campaign_sim_time(cfg: &CampaignConfig, tested: usize, sensitive: usize) -> SimDuration {
-    let mut sim_time = cfg.timing.per_bit() * tested as u64
-        + cfg.timing.cycles(cfg.observe_cycles) * tested as u64;
+    let timing = InjectTiming::default();
+    let mut sim_time =
+        timing.per_bit() * tested as u64 + timing.cycles(cfg.observe_cycles) * tested as u64;
     if cfg.classify_persistence {
-        sim_time += cfg.timing.cycles(cfg.persist_cycles) * sensitive as u64;
+        sim_time += timing.cycles(cfg.persist_cycles) * sensitive as u64;
     }
     sim_time
 }
 
-/// Campaign summary instrumentation. The span is keyed on the *simulated*
-/// testbed time the campaign represents; host-derived throughput goes
-/// only to the metrics registry, never the deterministic event stream.
-fn emit_campaign_summary(
+/// The end both campaign paths share: stop the host clock, put the
+/// sensitive bits in bit order, charge the simulated testbed time, emit
+/// the summary and assemble the result. The summary span is keyed on the
+/// *simulated* testbed time the campaign represents; host-derived
+/// throughput goes only to the metrics registry, never the deterministic
+/// event stream.
+fn finish_campaign(
+    tb: &Testbed,
     cfg: &CampaignConfig,
-    injections: usize,
-    inert_bits: usize,
-    sensitive: usize,
-    sim_ns: u64,
-    host_seconds: f64,
-) {
-    if !cfg.telemetry.is_enabled() {
-        return;
-    }
-    cfg.telemetry.inc("inject.injections", injections as u64);
-    cfg.telemetry.inc("inject.inert_bits", inert_bits as u64);
-    cfg.telemetry.inc("inject.sensitive", sensitive as u64);
-    if host_seconds > 0.0 {
-        cfg.telemetry.observe(
-            "inject.classify_bits_per_sec",
-            THROUGHPUT_BUCKETS,
-            injections as f64 / host_seconds,
+    selected: &Selected,
+    mut sensitive: Vec<SensitiveBit>,
+    start: Instant,
+) -> CampaignResult {
+    let host_seconds = start.elapsed().as_secs_f64();
+    sensitive.sort_by_key(|s| s.bit);
+
+    let (injections, inert_bits) = (selected.bits.len(), selected.inert_bits);
+    let sim_time = campaign_sim_time(cfg, injections + inert_bits, sensitive.len());
+    let telemetry = &cfg.telemetry;
+    if telemetry.is_enabled() {
+        telemetry.inc("inject.injections", injections as u64);
+        telemetry.inc("inject.inert_bits", inert_bits as u64);
+        telemetry.inc("inject.sensitive", sensitive.len() as u64);
+        if host_seconds > 0.0 {
+            telemetry.observe(
+                "inject.classify_bits_per_sec",
+                THROUGHPUT_BUCKETS,
+                injections as f64 / host_seconds,
+            );
+        }
+        telemetry.emit(
+            TelemetryEvent::span(Subsystem::Inject, "inject.campaign", 0, sim_time.as_nanos())
+                .with_severity(Severity::Info)
+                .with_u64("injections", injections as u64)
+                .with_u64("inert", inert_bits as u64)
+                .with_u64("sensitive", sensitive.len() as u64),
         );
     }
-    cfg.telemetry.emit(
-        TelemetryEvent::span(Subsystem::Inject, "inject.campaign", 0, sim_ns)
-            .with_severity(Severity::Info)
-            .with_u64("injections", injections as u64)
-            .with_u64("inert", inert_bits as u64)
-            .with_u64("sensitive", sensitive as u64),
-    );
+
+    CampaignResult {
+        design: tb.report.name.clone(),
+        closure_size: selected.closure_size,
+        total_bits: tb.total_bits(),
+        injections,
+        inert_bits,
+        slice_fraction: tb.report.slice_fraction(),
+        sensitive,
+        exhaustive: selected.exhaustive,
+        sim_time,
+        host_seconds,
+    }
 }
 
 /// Run one scalar experiment per bit of `bits`; the sensitive ones, in
@@ -396,36 +429,10 @@ fn run_scalar(tb: &Testbed, cfg: &CampaignConfig, bits: &[usize]) -> Vec<Sensiti
 /// [`run_campaign_wide`] against. Production campaigns call
 /// [`run_campaign_wide`], which gives identical results.
 pub fn run_campaign(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
-    let total_bits = tb.total_bits();
-    let (bits, inert_bits, exhaustive, closure_size) = select_bits(tb, cfg);
-
+    let selected = select_bits(tb, cfg);
     let start = Instant::now();
-    let mut sensitive = run_scalar(tb, cfg, &bits);
-    let host_seconds = start.elapsed().as_secs_f64();
-    sensitive.sort_by_key(|s| s.bit);
-
-    let sim_time = campaign_sim_time(cfg, bits.len() + inert_bits, sensitive.len());
-    emit_campaign_summary(
-        cfg,
-        bits.len(),
-        inert_bits,
-        sensitive.len(),
-        sim_time.as_nanos(),
-        host_seconds,
-    );
-
-    CampaignResult {
-        design: tb.report.name.clone(),
-        closure_size,
-        total_bits,
-        injections: bits.len(),
-        inert_bits,
-        slice_fraction: tb.report.slice_fraction(),
-        sensitive,
-        exhaustive,
-        sim_time,
-        host_seconds,
-    }
+    let sensitive = run_scalar(tb, cfg, &selected.bits);
+    finish_campaign(tb, cfg, &selected, sensitive, start)
 }
 
 // ---------------------------------------------------------------------------
@@ -560,10 +567,10 @@ fn run_wide_batch(
 /// the wide engine's domain (combinational cycles, locked BRAM,
 /// unprogrammed device).
 pub fn run_campaign_wide(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
-    let total_bits = tb.total_bits();
-    let (bits, inert_bits, exhaustive, closure_size) = select_bits(tb, cfg);
+    let selected = select_bits(tb, cfg);
+    let bits = &selected.bits;
     let mut probe = tb.base.clone();
-    let delta = DeltaMap::build_for(&mut probe, &bits);
+    let delta = DeltaMap::build_for(&mut probe, bits);
     let Some(mut wide) = WideEngine::with_map(&mut probe, &delta) else {
         return run_campaign(tb, cfg);
     };
@@ -662,29 +669,5 @@ pub fn run_campaign_wide(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
         cfg.telemetry
             .gauge("inject.lane_cone_share", cone as f64 / golden);
     }
-    let host_seconds = start.elapsed().as_secs_f64();
-    sensitive.sort_by_key(|s| s.bit);
-
-    let sim_time = campaign_sim_time(cfg, bits.len() + inert_bits, sensitive.len());
-    emit_campaign_summary(
-        cfg,
-        bits.len(),
-        inert_bits,
-        sensitive.len(),
-        sim_time.as_nanos(),
-        host_seconds,
-    );
-
-    CampaignResult {
-        design: tb.report.name.clone(),
-        closure_size,
-        total_bits,
-        injections: bits.len(),
-        inert_bits,
-        slice_fraction: tb.report.slice_fraction(),
-        sensitive,
-        exhaustive,
-        sim_time,
-        host_seconds,
-    }
+    finish_campaign(tb, cfg, &selected, sensitive, start)
 }

@@ -664,18 +664,6 @@ impl<'a> FlatObject<'a> {
     }
 }
 
-/// Parse one telemetry JSONL line into its top-level `(key, value)` pairs,
-/// in emission order: every field of a [`FlatObject`], owned. Nested
-/// values are preserved as [`JsonValue::Raw`].
-pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, JsonError> {
-    let mut object = FlatObject::new(line);
-    let mut fields = Vec::new();
-    while let Some((key, value)) = object.next_field()? {
-        fields.push((key.decode().into_owned(), value.to_value()));
-    }
-    Ok(fields)
-}
-
 /// Validate that `line` is exactly one well-formed JSON value with no
 /// trailing garbage. Returns the byte length consumed.
 pub fn validate_json_line(line: &str) -> Result<usize, JsonError> {
@@ -692,6 +680,17 @@ pub fn validate_json_line(line: &str) -> Result<usize, JsonError> {
 mod tests {
     use super::*;
 
+    /// Every top-level field of `line` in emission order, owned; nested
+    /// values as [`JsonValue::Raw`].
+    fn flat_fields(line: &str) -> Result<Vec<(String, JsonValue)>, JsonError> {
+        let mut object = FlatObject::new(line);
+        let mut fields = Vec::new();
+        while let Some((key, value)) = object.next_field()? {
+            fields.push((key.decode().into_owned(), value.to_value()));
+        }
+        Ok(fields)
+    }
+
     #[test]
     fn object_writer_round_trips_through_validator() {
         let mut o = JsonObject::new();
@@ -704,7 +703,7 @@ mod tests {
         o.raw("fs", &f64_array(&[0.5, 2.0]));
         let line = o.finish();
         validate_json_line(&line).expect("writer output must parse");
-        let fields = parse_flat_object(&line).expect("writer output decodes");
+        let fields = flat_fields(&line).expect("writer output decodes");
         assert_eq!(fields[0].0, "t_ns", "the writer's first key");
     }
 
@@ -751,7 +750,7 @@ mod tests {
         o.bool("wedged", true);
         o.raw("xs", &u64_array(&[1, 2]));
         let line = o.finish();
-        let fields = parse_flat_object(&line).expect("writer output parses");
+        let fields = flat_fields(&line).expect("writer output parses");
         assert_eq!(fields[0], ("t_ns".to_string(), JsonValue::U64(42)));
         assert_eq!(
             fields[1],
@@ -771,15 +770,15 @@ mod tests {
 
     #[test]
     fn flat_parser_rejects_non_objects_and_garbage() {
-        assert!(parse_flat_object("[1,2]").is_err());
-        assert!(parse_flat_object("{\"a\":1} x").is_err());
-        assert!(parse_flat_object("{\"a\":}").is_err());
-        assert!(parse_flat_object("{}").unwrap().is_empty());
+        assert!(flat_fields("[1,2]").is_err());
+        assert!(flat_fields("{\"a\":1} x").is_err());
+        assert!(flat_fields("{\"a\":}").is_err());
+        assert!(flat_fields("{}").unwrap().is_empty());
     }
 
     #[test]
     fn flat_parser_decodes_escapes_and_classes() {
-        let fields = parse_flat_object(
+        let fields = flat_fields(
             "{\"s\":\"a\\u00e9\\tb\",\"big\":18446744073709551615,\"neg\":-1,\"e\":1e3,\"n\":null}",
         )
         .unwrap();

@@ -40,8 +40,7 @@ pub mod soh;
 pub use downlink::{plan_downlink, DownlinkPlan, PassPlan, SohDownlinkPolicy};
 pub use event::{known_event_required_fields, FieldValue, Severity, Subsystem, TelemetryEvent};
 pub use json::{
-    parse_flat_object, validate_json_line, FlatObject, JsonError, JsonObject, JsonStr, JsonToken,
-    JsonValue,
+    validate_json_line, FlatObject, JsonError, JsonObject, JsonStr, JsonToken, JsonValue,
 };
 pub use ladder::{EscalationRung, LadderStats};
 pub use metrics::{

@@ -158,18 +158,21 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse_flat_object, validate_json_line};
+    use crate::json::{validate_json_line, FlatObject};
 
     /// The writer's shape, read through `FlatObject`: `t_ns` is the first
     /// key and `name` is one of the keys.
     fn assert_event_shaped(line: &str) {
-        let fields = parse_flat_object(line).unwrap_or_else(|e| panic!("{e} on {line:?}"));
-        assert_eq!(
-            fields.first().map(|(k, _)| k.as_str()),
-            Some("t_ns"),
-            "{line:?}"
-        );
-        assert!(fields.iter().any(|(k, _)| k == "name"), "{line:?}");
+        let mut object = FlatObject::new(line);
+        let mut keys = Vec::new();
+        while let Some((key, _)) = object
+            .next_field()
+            .unwrap_or_else(|e| panic!("{e} on {line:?}"))
+        {
+            keys.push(key.decode().into_owned());
+        }
+        assert_eq!(keys.first().map(String::as_str), Some("t_ns"), "{line:?}");
+        assert!(keys.iter().any(|k| k == "name"), "{line:?}");
     }
 
     #[test]
