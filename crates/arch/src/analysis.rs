@@ -9,13 +9,12 @@
 //! which is what makes full-bitstream sweeps fast — the software analogue
 //! of the paper's hardware-speed advantage.
 
-use std::collections::BTreeSet;
-
 use crate::bits::{
     ff_dmux_offset, ff_init_offset, input_mux_offset, lut_mode_offset, lut_table_offset,
     out_sel_offset, outmux_offset, pip_offset, MuxPin, MUX_FIELD_BITS, OUTMUX_BITS_PER_WIRE,
     PIP_BITS_PER_WIRE,
 };
+use crate::bitvec::BitVec;
 use crate::device::Device;
 use crate::frames::{BRAM_IF_BITS, IOB_ENTRY_BITS};
 use crate::geometry::{Tile, BRAM_BITS, OUTMUX_WIRES_PER_DIR, WIRES_PER_DIR};
@@ -26,25 +25,24 @@ impl Device {
     pub fn active_config_bits(&mut self) -> Vec<usize> {
         self.ensure_compiled();
         let c = self.compiled.as_ref().expect("compiled");
-        let mut bits: BTreeSet<usize> = BTreeSet::new();
+        let mut bits = BitVec::zeros(self.config.total_bits());
 
-        let add_field = |set: &mut BTreeSet<usize>, tile: Tile, off: usize, n: usize| {
+        let add_field = |set: &mut BitVec, tile: Tile, off: usize, n: usize| {
             for k in 0..n {
-                set.insert(self.config.tile_bit_index(tile, off + k));
+                set.set(self.config.tile_bit_index(tile, off + k), true);
             }
         };
 
         // Slice-slot fields of every compiled LUT and FF. For each slot we
         // take the full complement of fields that the compiler *would* read
         // for that slot — mux selects, table, mode, FF control — because a
-        // flip in any of them changes what compiles.
-        let mut slots: BTreeSet<(Tile, u8, u8)> = BTreeSet::new();
-        for l in &c.luts {
-            slots.insert((l.tile, l.slice, l.lut));
-        }
-        for f in &c.ffs {
-            slots.insert(self.ff_site(f.state_idx));
-        }
+        // flip in any of them changes what compiles. A LUT and the FF of
+        // its slot mark the same bits.
+        let slots = c
+            .luts
+            .iter()
+            .map(|l| (l.tile, l.slice, l.lut))
+            .chain(c.ffs.iter().map(|f| self.ff_site(f.state_idx)));
         for (tile, slice, idx) in slots {
             let (s, i) = (slice as usize, idx as usize);
             add_field(&mut bits, tile, lut_table_offset(s, i, 0), 16);
@@ -90,10 +88,10 @@ impl Device {
         for b in &c.brams {
             let (col, block) = (b.col as usize, b.block as usize);
             for off in 0..BRAM_IF_BITS {
-                bits.insert(self.config.bram_if_index(col, block, off));
+                bits.set(self.config.bram_if_index(col, block, off), true);
             }
             for bit in 0..BRAM_BITS {
-                bits.insert(self.config.bram_content_index(col, block, bit));
+                bits.set(self.config.bram_content_index(col, block, bit), true);
             }
         }
 
@@ -102,13 +100,13 @@ impl Device {
             for row in 0..self.geom.rows {
                 for wire in 0..WIRES_PER_DIR {
                     for bit in 0..IOB_ENTRY_BITS {
-                        bits.insert(self.config.iob_bit_index(edge, row, wire, bit));
+                        bits.set(self.config.iob_bit_index(edge, row, wire, bit), true);
                     }
                 }
             }
         }
 
-        bits.into_iter().collect()
+        bits.ones()
     }
 
     /// The half-latch sites the active logic reads (critical *and*

@@ -312,8 +312,9 @@ pub const V1_TABLE_FRAMES: usize = 16;
 const V1_FREE_PER_TABLE_FRAME: usize = TILE_BITS_PER_FRAME - 4;
 const V1_FRONT_NONTABLE: usize = V1_TABLE_FRAMES * V1_FREE_PER_TABLE_FRAME; // 416
 
-/// Virtex frame position of tile offset `off`.
-pub fn v1_pos_of_off(off: usize) -> usize {
+/// Virtex frame position of tile offset `off`. Compile-time tables in
+/// [`crate::frames`] are built from it and serve every reader.
+pub const fn v1_pos_of_off(off: usize) -> usize {
     if off < OUTMUX_BASE && (off % SLICE_BITS) < 32 {
         // Table bit: scatter by bit index.
         let s = off / SLICE_BITS;
@@ -337,35 +338,11 @@ pub fn v1_pos_of_off(off: usize) -> usize {
     }
 }
 
-/// Inverse of [`v1_pos_of_off`].
-pub fn v1_off_of_pos(pos: usize) -> usize {
-    let r = if pos < V1_TABLE_FRAMES * TILE_BITS_PER_FRAME {
-        let frame = pos / TILE_BITS_PER_FRAME;
-        let slot = pos % TILE_BITS_PER_FRAME;
-        if slot < 4 {
-            // Table bit.
-            let s = slot / 2;
-            let l = slot % 2;
-            return s * SLICE_BITS + l * 16 + frame;
-        }
-        frame * V1_FREE_PER_TABLE_FRAME + (slot - 4)
-    } else {
-        V1_FRONT_NONTABLE + (pos - V1_TABLE_FRAMES * TILE_BITS_PER_FRAME)
-    };
-    if r < SLICE_BITS - 32 {
-        32 + r
-    } else if r < 2 * (SLICE_BITS - 32) {
-        SLICE_BITS + 32 + (r - (SLICE_BITS - 32))
-    } else {
-        OUTMUX_BASE + (r - 2 * (SLICE_BITS - 32))
-    }
-}
-
 /// Virtex-II-style frame position of tile offset `off`: all truth-table
 /// bits move to the front (positions 0..64 — the first frames of the
-/// column), everything else follows in order. Bijective on
-/// `0..TILE_BITS`.
-pub fn v2_pos_of_off(off: usize) -> usize {
+/// column), everything else follows in order. Like [`v1_pos_of_off`],
+/// it is read through compile-time tables in [`crate::frames`].
+pub const fn v2_pos_of_off(off: usize) -> usize {
     if off >= OUTMUX_BASE {
         return off;
     }
@@ -375,19 +352,6 @@ pub fn v2_pos_of_off(off: usize) -> usize {
         s * 32 + w
     } else {
         TABLE_BITS_PER_TILE + s * (SLICE_BITS - 32) + (w - 32)
-    }
-}
-
-/// Inverse of [`v2_pos_of_off`].
-pub fn v2_off_of_pos(pos: usize) -> usize {
-    if pos >= OUTMUX_BASE {
-        return pos;
-    }
-    if pos < TABLE_BITS_PER_TILE {
-        (pos / 32) * SLICE_BITS + pos % 32
-    } else {
-        let p = pos - TABLE_BITS_PER_TILE;
-        (p / (SLICE_BITS - 32)) * SLICE_BITS + 32 + p % (SLICE_BITS - 32)
     }
 }
 

@@ -111,6 +111,20 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Indices of the set bits, in ascending order, found a word at a
+    /// time.
+    pub(crate) fn ones(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.count_ones());
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                out.push(w * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        }
+        out
+    }
+
     /// Serialize a bit range into bytes, LSB-first within each byte.
     /// Panics if the range runs past the end.
     pub fn range_to_bytes(&self, start: usize, n: usize) -> Vec<u8> {
@@ -367,6 +381,19 @@ mod tests {
             let want: Vec<usize> = (0..len).filter(|&i| a.get(i) != b.get(i)).collect();
             assert_eq!(a.diff(&b), want, "len {len}, unrelated");
         }
+    }
+
+    #[test]
+    fn ones_match_bitwise_reference() {
+        let mut s = 0x05E7_B175_u64;
+        for len in [0, 1, 63, 64, 65, 130, LEN] {
+            let bv = random_bits(len, xorshift(&mut s));
+            let want: Vec<usize> = (0..len).filter(|&i| bv.get(i)).collect();
+            assert_eq!(bv.ones(), want, "len {len}");
+        }
+        let mut full = BitVec::zeros(LEN);
+        full.range_from_bytes(0, LEN, &[0xFF; LEN.div_ceil(8)]);
+        assert_eq!(full.ones(), (0..LEN).collect::<Vec<_>>());
     }
 
     #[test]

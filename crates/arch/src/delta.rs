@@ -30,7 +30,8 @@
 //! * a flip-flop's init: a lane overlay on a golden flip-flop, else
 //!   benign;
 //! * an east IOB entry, which binds an output port: the port vector is
-//!   rebuilt with that one entry re-read.
+//!   rebuilt with that one entry re-read. A flip that leaves a disabled
+//!   entry disabled binds no port, so it is benign without the rebuild.
 //!
 //! (BRAM content is never compiled: the engines read it live, and a flip
 //! is a lane overlay on a golden block, else benign.) Every other bit is
@@ -599,18 +600,30 @@ impl DeltaMap {
                 edge: Edge::East,
                 row,
                 wire,
-                ..
+                bit,
             } => {
-                dev.config.flip_bit(global);
-                let r = self.recompute_outputs(dev, Some((row, wire)), &[]);
-                dev.config.flip_bit(global);
-                match r {
-                    Err(Incompat) => DeltaClass::Structural,
-                    Ok(None) => DeltaClass::Benign,
-                    Ok(Some(op)) => self.lane(vec![op]),
+                // A disabled entry binds no port while it stays disabled,
+                // so the port vector stays golden.
+                let golden = self.east_entries[row as usize * WIRES_PER_DIR + wire as usize];
+                if !golden.enabled && !IobEntry::decode(golden.encode() ^ (1 << bit)).enabled {
+                    return DeltaClass::Benign;
                 }
+                self.classify_east_entry(dev, global, (row, wire))
             }
             _ => self.classify_deps(dev, global),
+        }
+    }
+
+    /// Classify a flip of bit `global` of east entry `entry` by rebuilding
+    /// the port vector with that entry re-read.
+    fn classify_east_entry(&self, dev: &mut Device, global: usize, entry: (u16, u8)) -> DeltaClass {
+        dev.config.flip_bit(global);
+        let r = self.recompute_outputs(dev, Some(entry), &[]);
+        dev.config.flip_bit(global);
+        match r {
+            Err(Incompat) => DeltaClass::Structural,
+            Ok(None) => DeltaClass::Benign,
+            Ok(Some(op)) => self.lane(vec![op]),
         }
     }
 
@@ -846,5 +859,88 @@ impl DeltaMap {
             outs,
             seeds: ports.iter().map(|&(_, s)| s).collect(),
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bits::{
+        encode_wire, input_mux_offset, lut_table_offset, out_sel_offset, outmux_offset, pip_offset,
+        MuxPin,
+    };
+    use crate::frames::{ConfigMemory, IOB_ENTRY_BITS};
+    use crate::geometry::{Dir, Geometry, Tile};
+
+    /// A LUT on input port 0, routed east along row 0 to output port 0,
+    /// with east entries enabled and disabled around it.
+    fn east_entry_design() -> Device {
+        let geom = Geometry::tiny();
+        let mut cm = ConfigMemory::new(geom.clone());
+        let entry = |enabled, port, invert| IobEntry {
+            enabled,
+            port,
+            invert,
+        };
+        cm.write_iob(Edge::West, 0, 0, entry(true, 0, false));
+        let t0 = Tile::new(0, 0);
+        cm.write_tile_field(t0, lut_table_offset(0, 0, 0), 16, 0x5555);
+        let pin0 = input_mux_offset(0, MuxPin::LutPin { lut: 0, pin: 0 });
+        cm.write_tile_field(t0, pin0, 8, encode_wire(Dir::West, 0) as u64);
+        cm.write_tile_field(t0, out_sel_offset(0, 0), 1, 0);
+        cm.write_tile_field(t0, outmux_offset(Dir::East, 0), 4, 0b0001);
+        for col in 1..geom.cols {
+            let pip = 1 | ((encode_wire(Dir::West, 0) as u64) << 1);
+            cm.write_tile_field(
+                Tile::new(0, col),
+                pip_offset(Dir::East as usize * 24),
+                8,
+                pip,
+            );
+        }
+        // Enabled: the routed wire, and an undriven one. Disabled: one
+        // whose enable would bind the routed wire's neighbour to port 1,
+        // one inverted, and every blank entry.
+        cm.write_iob(Edge::East, 0, 0, entry(true, 0, false));
+        cm.write_iob(Edge::East, 5, 3, entry(true, 2, true));
+        cm.write_iob(Edge::East, 0, 1, entry(false, 1, false));
+        cm.write_iob(Edge::East, 2, 0, entry(false, 7, true));
+        let mut dev = Device::new(geom);
+        dev.configure_full(&cm);
+        dev
+    }
+
+    #[test]
+    fn east_entries_left_disabled_classify_as_the_port_vector_says() {
+        let mut dev = east_entry_design();
+        let map = DeltaMap::build(&mut dev);
+        let (mut enabled, mut disabled, mut lanes) = (0, 0, 0);
+        for row in 0..dev.geom.rows {
+            for wire in 0..WIRES_PER_DIR {
+                let e = dev.config.read_iob(Edge::East, row, wire);
+                if e.enabled {
+                    enabled += 1;
+                } else {
+                    disabled += 1;
+                }
+                for bit in 0..IOB_ENTRY_BITS {
+                    let global = dev.config.iob_bit_index(Edge::East, row, wire, bit);
+                    let class = map.classify(&mut dev, global);
+                    let entry = (row as u16, wire as u8);
+                    assert_eq!(
+                        class,
+                        map.classify_east_entry(&mut dev, global, entry),
+                        "east entry {entry:?} bit {bit}"
+                    );
+                    lanes += matches!(class, DeltaClass::Lane(_)) as usize;
+                }
+                assert_eq!(dev.config.read_iob(Edge::East, row, wire), e);
+            }
+        }
+        assert_eq!(enabled, 2);
+        assert_eq!(disabled, dev.geom.rows * WIRES_PER_DIR - 2);
+        // Each enable flip changes the port vector, as do most bits of
+        // the enabled entries.
+        assert!(lanes > dev.geom.rows * WIRES_PER_DIR, "{lanes} lanes");
     }
 }

@@ -149,6 +149,72 @@ pub struct FrameStamp {
 /// never touch it: they count in the memory's own `generations`.
 static NEXT_MEMORY: AtomicU64 = AtomicU64::new(0);
 
+/// One frame layout's tile addressing, as three arrays over the tile's
+/// bits. A tile's bit at frame position `pos` lives in slot `pos / 30` of
+/// its column's frames, at bit `pos % 30` of the tile's 30-bit stretch of
+/// that frame.
+struct TileTable {
+    /// Frame position of each tile offset.
+    pos: [u16; TILE_BITS],
+    /// How many offsets from each one land on consecutive positions of one
+    /// frame slot (at least 1, at most 64): their bits are consecutive in
+    /// the memory, so one word read takes them all.
+    run: [u8; TILE_BITS],
+    /// Tile offset at each frame position.
+    off: [u16; TILE_BITS],
+}
+
+/// Longest run [`TileTable::run`] records: one word read.
+const MAX_RUN: u8 = 64;
+
+impl TileTable {
+    /// The table of `layout`, built from its position function. The build
+    /// fails to compile unless that function maps the tile's offsets onto
+    /// its positions one to one.
+    const fn build(layout: FrameLayout) -> TileTable {
+        assert!(
+            TILE_BITS < u16::MAX as usize,
+            "a tile offset must fit a u16 entry"
+        );
+        let mut t = TileTable {
+            pos: [0; TILE_BITS],
+            run: [1; TILE_BITS],
+            off: [u16::MAX; TILE_BITS],
+        };
+        let mut off = 0;
+        while off < TILE_BITS {
+            let pos = match layout {
+                FrameLayout::Virtex => bits::v1_pos_of_off(off),
+                FrameLayout::Virtex2 => bits::v2_pos_of_off(off),
+            };
+            assert!(pos < TILE_BITS, "a frame position lies outside the tile");
+            assert!(t.off[pos] == u16::MAX, "two offsets share a frame position");
+            t.pos[off] = pos as u16;
+            t.off[pos] = off as u16;
+            off += 1;
+        }
+        // TILE_BITS offsets on distinct positions below TILE_BITS hit every
+        // position once. Runs grow from the end of the tile backwards.
+        let mut off = TILE_BITS - 1;
+        while off > 0 {
+            off -= 1;
+            let (here, next) = (t.pos[off] as usize, t.pos[off + 1] as usize);
+            if next == here + 1
+                && next / TILE_BITS_PER_FRAME == here / TILE_BITS_PER_FRAME
+                && t.run[off + 1] < MAX_RUN
+            {
+                t.run[off] = t.run[off + 1] + 1;
+            }
+        }
+        t
+    }
+}
+
+/// The tables of both frame layouts, built at compile time: every
+/// memory of a layout reads the same one.
+static VIRTEX_TILES: TileTable = TileTable::build(FrameLayout::Virtex);
+static VIRTEX2_TILES: TileTable = TileTable::build(FrameLayout::Virtex2);
+
 /// The device's configuration memory: a flat bit store with frame and
 /// tile-field addressing. Equality compares contents only.
 #[derive(Debug)]
@@ -483,25 +549,28 @@ impl ConfigMemory {
 
     // ---- tile-field access ----------------------------------------------
 
+    /// The tile table of this geometry's frame layout.
+    #[inline]
+    fn tiles(&self) -> &'static TileTable {
+        match self.geom.layout {
+            FrameLayout::Virtex => &VIRTEX_TILES,
+            FrameLayout::Virtex2 => &VIRTEX2_TILES,
+        }
+    }
+
     /// Frame position of a tile-relative offset under this geometry's
     /// frame layout (paper §IV-A): Virtex interleaves in declaration
     /// order; Virtex-II concentrates the truth-table bits into the first
     /// frames of the column.
     #[inline]
     pub fn tile_pos(&self, off: usize) -> usize {
-        match self.geom.layout {
-            FrameLayout::Virtex => bits::v1_pos_of_off(off),
-            FrameLayout::Virtex2 => bits::v2_pos_of_off(off),
-        }
+        self.tiles().pos[off] as usize
     }
 
     /// Inverse of [`ConfigMemory::tile_pos`].
     #[inline]
     pub fn tile_off(&self, pos: usize) -> usize {
-        match self.geom.layout {
-            FrameLayout::Virtex => bits::v1_off_of_pos(pos),
-            FrameLayout::Virtex2 => bits::v2_off_of_pos(pos),
-        }
+        self.tiles().off[pos] as usize
     }
 
     /// Global bit index of tile-relative offset `off` of `tile`.
@@ -524,14 +593,18 @@ impl ConfigMemory {
         )
     }
 
-    /// Read an `n`-bit tile field starting at tile-relative offset `off`.
+    /// Read an `n`-bit tile field starting at tile-relative offset `off`,
+    /// one word read per run of the layout's table: an 8-bit field is one
+    /// read unless it straddles a frame slot.
     pub fn read_tile_field(&self, tile: Tile, off: usize, n: usize) -> u64 {
         debug_assert!(n <= 64 && off + n <= TILE_BITS);
+        let runs = &self.tiles().run;
         let mut v = 0u64;
-        for k in 0..n {
-            if self.bits.get(self.tile_bit_index(tile, off + k)) {
-                v |= 1 << k;
-            }
+        let mut k = 0;
+        while k < n {
+            let m = (runs[off + k] as usize).min(n - k);
+            v |= self.bits.get_bits(self.tile_bit_index(tile, off + k), m) << k;
+            k += m;
         }
         v
     }
@@ -741,6 +814,94 @@ mod tests {
         // Distinct tiles never alias.
         cm.write_tile_field(Tile::new(3, 6), off, 16, 0x0000);
         assert_eq!(cm.read_tile_field(t, off, 16), 0xCAFE);
+    }
+
+    /// A tiny memory of each frame layout.
+    fn memories() -> [ConfigMemory; 2] {
+        let tiny = Geometry::tiny();
+        [
+            ConfigMemory::new(tiny.clone()),
+            ConfigMemory::new(tiny.with_virtex2_layout()),
+        ]
+    }
+
+    /// The position function of `layout`.
+    fn pos_of_off(layout: FrameLayout, off: usize) -> usize {
+        match layout {
+            FrameLayout::Virtex => bits::v1_pos_of_off(off),
+            FrameLayout::Virtex2 => bits::v2_pos_of_off(off),
+        }
+    }
+
+    #[test]
+    fn tile_tables_follow_the_position_functions() {
+        for cm in memories() {
+            let layout = cm.geometry().layout;
+            for off in 0..TILE_BITS {
+                let pos = pos_of_off(layout, off);
+                assert_eq!(cm.tile_pos(off), pos, "{layout:?} offset {off}");
+                assert_eq!(cm.tile_off(pos), off, "{layout:?} position {pos}");
+            }
+        }
+    }
+
+    #[test]
+    fn tile_runs_stay_in_one_frame_slot_and_end_where_the_positions_do() {
+        for cm in memories() {
+            let layout = cm.geometry().layout;
+            let pos_of = |off| pos_of_off(layout, off);
+            for (off, &run) in cm.tiles().run.iter().enumerate() {
+                let run = run as usize;
+                assert!((1..=MAX_RUN as usize).contains(&run), "{layout:?} {off}");
+                assert!(off + run <= TILE_BITS, "{layout:?} {off}");
+                let (pos, slot) = (pos_of(off), pos_of(off) / TILE_BITS_PER_FRAME);
+                for k in 0..run {
+                    let p = pos_of(off + k);
+                    assert_eq!(p, pos + k, "{layout:?} run of {off} at {k}");
+                    assert_eq!(p / TILE_BITS_PER_FRAME, slot, "{layout:?} run of {off}");
+                }
+                let end = off + run;
+                let continues = end < TILE_BITS
+                    && pos_of(end) == pos + run
+                    && pos_of(end) / TILE_BITS_PER_FRAME == slot;
+                assert!(
+                    !continues || run == MAX_RUN as usize,
+                    "{layout:?}: the run of {off} stops at {end} but the positions go on"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tile_fields_match_a_bitwise_read() {
+        let mut s = 0x7AB1_E5EE_D5A5_u64;
+        for mut cm in memories() {
+            for i in 0..cm.total_bits() {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                if s & 1 == 1 {
+                    cm.set_bit(i, true);
+                }
+            }
+            let layout = cm.geometry().layout;
+            let (rows, cols) = (cm.geometry().rows, cm.geometry().cols);
+            for (row, col) in [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)] {
+                let tile = Tile::new(row, col);
+                for off in 0..TILE_BITS {
+                    for n in (1..=16).filter(|n| off + n <= TILE_BITS) {
+                        let want = (0..n)
+                            .filter(|&k| cm.get_bit(cm.tile_bit_index(tile, off + k)))
+                            .fold(0u64, |v, k| v | 1 << k);
+                        assert_eq!(
+                            cm.read_tile_field(tile, off, n),
+                            want,
+                            "{layout:?} {tile:?} offset {off}, {n} bits"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -196,7 +196,7 @@ fn main() {
     if let Some(dir) = Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    std::fs::write(&out_path, set.to_json(tier.name(), host_seconds))
+    std::fs::write(&out_path, set.to_json(tier.name()))
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
 
     // The CI floor: a full run must exercise a meaningful claim surface.

@@ -180,8 +180,9 @@ impl ClaimSet {
     }
 
     /// The `verify_summary.json` document: run metadata plus one record
-    /// per claim with measured-vs-expected deltas.
-    pub fn to_json(&self, tier: &str, host_seconds: f64) -> String {
+    /// per claim with measured-vs-expected deltas. It holds nothing of the
+    /// host, so a run reproduces the committed summary byte for byte.
+    pub fn to_json(&self, tier: &str) -> String {
         let mut claims = String::from("[");
         for (i, c) in self.claims.iter().enumerate() {
             if i > 0 {
@@ -206,7 +207,6 @@ impl ClaimSet {
         o.num_u64("passed", self.passed() as u64);
         o.num_u64("failed", self.failed() as u64);
         o.bool("all_pass", self.all_pass());
-        o.num_f64("host_seconds", host_seconds);
         o.raw("results", &claims);
         let mut s = o.finish();
         s.push('\n');
@@ -260,7 +260,7 @@ mod tests {
         let mut set = ClaimSet::new();
         set.band("T-A", "T", "a", 1.0, 0.0, 2.0);
         set.exact("T-B", "T", "b", 3, 4);
-        let json = set.to_json("smoke", 1.25);
+        let json = set.to_json("smoke");
         validate_json_line(json.trim()).expect("summary must be valid JSON");
         assert!(json.contains("\"T-A\""));
         assert!(json.contains("\"all_pass\":false"));

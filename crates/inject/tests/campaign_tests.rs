@@ -2,7 +2,7 @@
 //! optimisation, and the emergent sensitivity/persistence behaviour the
 //! paper's Tables I–II report.
 
-use cibola_arch::{DeltaClass, DeltaMap, Geometry, LANES};
+use cibola_arch::{DeltaClass, DeltaMap, Device, Geometry, LANES};
 use cibola_inject::{
     capture_trace, inject_one, run_campaign_wide, BitSelection, CampaignConfig, Testbed,
     TraceSchedule,
@@ -13,6 +13,27 @@ use cibola_telemetry::Telemetry;
 fn testbed_for(nl: &cibola_netlist::Netlist, geom: &Geometry, cycles: usize) -> Testbed {
     let imp = implement(nl, geom).unwrap();
     Testbed::new(&imp, 0xC1B07A, cycles)
+}
+
+/// The active closure is a sorted set, and its size on the benchmark's
+/// three designs is pinned: a change to how the closure's bits are
+/// addressed or collected must not change which bits it holds.
+#[test]
+fn active_closure_is_ascending_with_pinned_sizes() {
+    let geom = Geometry::small();
+    for (nl, size) in [
+        (gen::pipelined_multiplier(8), 53_837),
+        (gen::lfsr_cluster(2), 33_078),
+        (gen::counter_adder(16), 22_982),
+    ] {
+        let imp = implement(&nl, &geom).unwrap();
+        let mut dev = Device::new(geom.clone());
+        dev.configure_full(&imp.bitstream);
+        let closure = dev.active_config_bits();
+        assert_eq!(closure.len(), size, "{}", nl.name);
+        assert!(closure.windows(2).all(|w| w[0] < w[1]), "{}", nl.name);
+        assert!(closure.last() < Some(&imp.bitstream.total_bits()));
+    }
 }
 
 #[test]
