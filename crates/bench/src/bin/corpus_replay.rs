@@ -19,8 +19,7 @@ use cibola_bench::conformance::{
 use cibola_bench::Args;
 
 fn main() {
-    let args = Args::parse();
-    args.reject_unknown(
+    let args = Args::parse(
         &["--manifest", "--case", "--stride", "--limit"],
         &["--bless"],
     );

@@ -15,8 +15,10 @@
 //!
 //! Exits 1 on the first error, printed as `<dump>:<line>: <message>`
 //! (`<dump>: <message>` for a whole-stream error). A malformed or missing
-//! `--max-t-ns` value prints `error: --max-t-ns <value>: <reason>` and
-//! exits 2, like every bench binary's arguments.
+//! `--max-t-ns` value prints `error: --max-t-ns <value>: <reason>`, any
+//! other argument after the dump `error: <arg>: unknown argument`, and a
+//! run without a dump its usage; each exits 2, like every bench binary's
+//! argument errors.
 
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -26,19 +28,11 @@ use cibola_forensics::{read_jsonl, ForensicsError, ForensicsFold};
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(path) = raw.first() else {
+    let Some((path, flags)) = raw.split_first() else {
         eprintln!("usage: telemetry_lint <dump.jsonl> [--max-t-ns N]");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
-    let horizon = Args::parse().u64("--max-t-ns", u64::MAX);
-    let mut rest = raw[1..].iter();
-    while let Some(arg) = rest.next() {
-        if arg != "--max-t-ns" {
-            eprintln!("unknown argument: {arg}");
-            return ExitCode::FAILURE;
-        }
-        rest.next();
-    }
+    let horizon = Args::read(flags, &["--max-t-ns"], &[]).u64("--max-t-ns", u64::MAX);
 
     let result = std::fs::File::open(path)
         .map_err(|e| ForensicsError {

@@ -133,8 +133,7 @@ fn default_out(tier: Tier, subset: bool) -> &'static str {
 }
 
 fn main() {
-    let args = Args::parse();
-    args.reject_unknown(&["--tier", "--only", "--reports", "--out"], &[]);
+    let args = Args::parse(&["--tier", "--only", "--reports", "--out"], &[]);
     let tier = Tier::parse(args.get("--tier").unwrap_or("smoke")).unwrap_or_else(|| {
         eprintln!("unknown tier (expected smoke|paper)");
         std::process::exit(2);

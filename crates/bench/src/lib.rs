@@ -19,31 +19,67 @@ pub mod claims;
 pub mod conformance;
 pub mod experiments;
 
-/// Parse `--key value` style arguments with defaults. A typed value that
-/// does not parse, a flag with no value or an argument the binary does not
-/// know is an error: the binary prints `error: <flag> <value>: <reason>`
-/// and exits with status 2 rather than run with a default the user did
-/// not ask for.
+/// Command-line arguments read against what a binary accepts: each of
+/// its `flags` takes the argument after it as its value, each of its
+/// `switches` takes none. One pass pairs every flag with its value, and
+/// [`get`](Self::get) and [`flag`](Self::flag) read those pairs, so a
+/// value is never read as a flag nor a flag as another's value. A typed
+/// value that does not parse, a flag with no value or an argument the
+/// binary does not know is an error: the binary prints
+/// `error: <flag> <value>: <reason>` and exits with status 2 rather than
+/// run with a default the user did not ask for.
+#[derive(Debug)]
 pub struct Args {
-    raw: Vec<String>,
+    /// Each flag and switch given, in order, with its value (`None` for a
+    /// switch).
+    pairs: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    pub fn parse() -> Self {
-        Self::from_vec(std::env::args().skip(1).collect())
+    /// The process's arguments (the program name excluded), read as
+    /// [`read`](Self::read) reads them.
+    pub fn parse(flags: &[&str], switches: &[&str]) -> Self {
+        let raw: Vec<String> = std::env::args().skip(1).collect();
+        Self::read(&raw, flags, switches)
     }
 
-    /// Arguments from a list (the program name excluded).
-    fn from_vec(raw: Vec<String>) -> Self {
-        Args { raw }
+    /// `raw` read against `flags` and `switches`; exit 2 on an argument
+    /// that is neither, or on a flag with no value.
+    pub fn read(raw: &[String], flags: &[&str], switches: &[&str]) -> Self {
+        Self::try_read(raw, flags, switches).unwrap_or_else(|e| exit_usage(&e))
     }
 
+    fn try_read(raw: &[String], flags: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut rest = raw.iter();
+        while let Some(arg) = rest.next() {
+            if flags.contains(&arg.as_str()) {
+                let value = rest.next().ok_or_else(|| format!("{arg}: missing value"))?;
+                pairs.push((arg.clone(), Some(value.clone())));
+            } else if switches.contains(&arg.as_str()) {
+                pairs.push((arg.clone(), None));
+            } else {
+                let known: Vec<&str> = flags.iter().chain(switches).copied().collect();
+                return Err(format!(
+                    "{arg}: unknown argument (expected {})",
+                    known.join(", ")
+                ));
+            }
+        }
+        Ok(Args { pairs })
+    }
+
+    /// The value the first `key` flag was given.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.raw
+        self.pairs
             .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.raw.get(i + 1))
-            .map(|s| s.as_str())
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Whether `key` was given as a flag or switch, not as a value.
+    pub fn flag(&self, key: &str) -> bool {
+        self.pairs.iter().any(|(k, _)| k == key)
     }
 
     /// `key`'s value parsed as a `T`, or `default` when the flag is
@@ -52,13 +88,10 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        if !self.flag(key) {
-            return Ok(default);
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|e| format!("{key} {v}: {e}")),
         }
-        let v = self
-            .get(key)
-            .ok_or_else(|| format!("{key}: missing value"))?;
-        v.parse().map_err(|e| format!("{key} {v}: {e}"))
     }
 
     pub fn usize(&self, key: &str, default: usize) -> usize {
@@ -67,38 +100,6 @@ impl Args {
 
     pub fn u64(&self, key: &str, default: u64) -> u64 {
         self.value(key, default).unwrap_or_else(|e| exit_usage(&e))
-    }
-
-    pub fn flag(&self, key: &str) -> bool {
-        self.raw.iter().any(|a| a == key)
-    }
-
-    /// Exit 2 on an argument that is neither one of `flags` with its
-    /// value nor one of `switches`, or on one of `flags` with no value, so
-    /// a mistyped or retired flag cannot run with defaults the user did
-    /// not ask for.
-    pub fn reject_unknown(&self, flags: &[&str], switches: &[&str]) {
-        if let Err(e) = self.check_known(flags, switches) {
-            exit_usage(&e);
-        }
-    }
-
-    fn check_known(&self, flags: &[&str], switches: &[&str]) -> Result<(), String> {
-        let mut rest = self.raw.iter();
-        while let Some(arg) = rest.next() {
-            if flags.contains(&arg.as_str()) {
-                if rest.next().is_none() {
-                    return Err(format!("{arg}: missing value"));
-                }
-            } else if !switches.contains(&arg.as_str()) {
-                let known: Vec<&str> = flags.iter().chain(switches).copied().collect();
-                return Err(format!(
-                    "{arg}: unknown argument (expected {})",
-                    known.join(", ")
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -136,33 +137,45 @@ pub fn nine_fpga_payload(geom: &Geometry, imp: &Implementation, label: &str) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
-    fn args(raw: &[&str]) -> Args {
-        Args::from_vec(raw.iter().map(|s| s.to_string()).collect())
+    fn strings(raw: &[&str]) -> Vec<String> {
+        raw.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `raw` read against every flag these tests use.
+    fn args(raw: &[&str]) -> Result<Args, String> {
+        let flags = ["--hours", "--stride", "--max-t-ns", "--limit", "--trace"];
+        Args::try_read(&strings(raw), &flags, &[])
     }
 
     #[test]
     fn typed_values_parse_or_default() {
-        let a = args(&["--hours", "6", "--stride", "3"]);
+        let a = args(&["--hours", "6", "--stride", "3"]).unwrap();
         assert_eq!(a.value("--hours", 12usize), Ok(6));
         assert_eq!(a.value("--stride", 1usize), Ok(3));
-        let t = args(&["dump.jsonl", "--max-t-ns", "7260000000000"]);
+        // telemetry_lint reads the arguments after its dump's path.
+        let t = args(&["--max-t-ns", "7260000000000"]).unwrap();
         assert_eq!(t.value("--max-t-ns", u64::MAX), Ok(7_260_000_000_000));
         assert_eq!(a.value("--limit", 40usize), Ok(40), "absent flag");
     }
 
     #[test]
     fn malformed_values_are_errors() {
+        let value = |raw: &[&str], key: &str| args(raw).unwrap().value(key, 1usize);
         assert_eq!(
-            args(&["--hours", "1.5"]).value("--hours", 12usize),
+            value(&["--hours", "1.5"], "--hours"),
             Err("--hours 1.5: invalid digit found in string".to_string())
         );
         assert_eq!(
-            args(&["--stride", "x"]).value("--stride", 1usize),
+            value(&["--stride", "x"], "--stride"),
             Err("--stride x: invalid digit found in string".to_string())
         );
         assert_eq!(
-            args(&["--max-t-ns", "abc"]).value("--max-t-ns", u64::MAX),
+            args(&["--max-t-ns", "abc"])
+                .unwrap()
+                .value("--max-t-ns", u64::MAX),
             Err("--max-t-ns abc: invalid digit found in string".to_string())
         );
     }
@@ -170,22 +183,29 @@ mod tests {
     #[test]
     fn missing_values_are_errors() {
         assert_eq!(
-            args(&["--trace"]).value("--trace", 96usize),
+            args(&["--trace"]).and_then(|a| a.value("--trace", 96usize)),
             Err("--trace: missing value".to_string())
         );
         assert_eq!(
-            args(&["dump.jsonl", "--max-t-ns"]).value("--max-t-ns", u64::MAX),
+            args(&["--max-t-ns"]).and_then(|a| a.value("--max-t-ns", u64::MAX)),
             Err("--max-t-ns: missing value".to_string())
         );
         assert_eq!(
-            args(&["--tier", "paper", "--reports"]).check_known(&["--tier", "--reports"], &[]),
+            Args::try_read(
+                &strings(&["--tier", "paper", "--reports"]),
+                &["--tier", "--reports"],
+                &[]
+            )
+            .map(drop),
             Err("--reports: missing value".to_string())
         );
     }
 
     #[test]
     fn unknown_arguments_are_errors() {
-        let known = |raw: &[&str]| args(raw).check_known(&["--case", "--stride"], &["--bless"]);
+        let known = |raw: &[&str]| {
+            Args::try_read(&strings(raw), &["--case", "--stride"], &["--bless"]).map(drop)
+        };
         assert_eq!(
             known(&["--bless", "--case", "--bless", "--stride", "8"]),
             Ok(())
@@ -201,5 +221,113 @@ mod tests {
             known(&["x"]),
             Err("x: unknown argument (expected --case, --stride, --bless)".to_string())
         );
+    }
+
+    #[test]
+    fn a_value_that_spells_a_flag_is_read_as_the_value() {
+        let (flags, switches) = BINARIES[0];
+        let replay = Args::try_read(&strings(&["--case", "--bless"]), flags, switches).unwrap();
+        assert_eq!(replay.get("--case"), Some("--bless"));
+        assert!(!replay.flag("--bless"), "--bless is --case's value");
+        let (flags, switches) = BINARIES[1];
+        let raw = strings(&["--reports", "--only", "--tier", "paper"]);
+        let verify = Args::try_read(&raw, flags, switches).unwrap();
+        assert_eq!(verify.get("--reports"), Some("--only"));
+        assert_eq!(verify.get("--only"), None);
+        assert_eq!(verify.get("--tier"), Some("paper"));
+    }
+
+    /// The flags and switches of `corpus_replay`, `verify_experiments` and
+    /// `telemetry_lint`, as each binary declares them.
+    const BINARIES: [(&[&str], &[&str]); 3] = [
+        (
+            &["--manifest", "--case", "--stride", "--limit"],
+            &["--bless"],
+        ),
+        (&["--tier", "--only", "--reports", "--out"], &[]),
+        (&["--max-t-ns"], &[]),
+    ];
+
+    /// Arguments no binary declares.
+    const JUNK: [&str; 8] = [
+        "",
+        "x",
+        "-",
+        "--",
+        "8",
+        "--print-reports",
+        "--bless=1",
+        "-5",
+    ];
+
+    /// Token `pick` of a binary's flags, then its switches, then [`JUNK`].
+    fn token(flags: &[&'static str], switches: &[&'static str], pick: usize) -> &'static str {
+        let all: Vec<&str> = flags.iter().chain(switches).chain(&JUNK).copied().collect();
+        all[pick % all.len()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// An argv laid out from flags with any value and switches reads
+        /// back each flag's first value and exactly the keys laid out.
+        #[test]
+        fn prop_argv_built_from_pairs_reads_back_its_pairs(
+            binary in 0usize..3,
+            items in vec((any::<bool>(), any::<usize>(), any::<usize>()), 0..8),
+        ) {
+            let (flags, switches) = BINARIES[binary];
+            let mut raw = Vec::new();
+            let mut laid: Vec<(&str, Option<&str>)> = Vec::new();
+            for &(is_flag, key, value) in &items {
+                if is_flag || switches.is_empty() {
+                    let (key, value) = (flags[key % flags.len()], token(flags, switches, value));
+                    raw.extend([key, value]);
+                    laid.push((key, Some(value)));
+                } else {
+                    let key = switches[key % switches.len()];
+                    raw.push(key);
+                    laid.push((key, None));
+                }
+            }
+            let args = Args::try_read(&strings(&raw), flags, switches);
+            prop_assert!(args.is_ok(), "{:?}: {:?}", raw, args);
+            let args = args.unwrap();
+            for &key in flags.iter().chain(switches) {
+                let first = laid.iter().find(|(k, _)| *k == key);
+                prop_assert_eq!(args.flag(key), first.is_some(), "{:?} in {:?}", key, raw);
+                prop_assert_eq!(args.get(key), first.and_then(|(_, v)| *v), "{:?} in {:?}", key, raw);
+            }
+        }
+
+        /// Any argv of a binary's flags, switches and junk reads or fails
+        /// without a panic. A read lays its pairs end to end into exactly
+        /// the argv, so no argument is read twice or skipped; a failure
+        /// names the argument it stopped at.
+        #[test]
+        fn prop_any_argv_reads_its_pairs_or_fails(
+            binary in 0usize..3,
+            picks in vec(any::<usize>(), 0..10),
+        ) {
+            let (flags, switches) = BINARIES[binary];
+            let raw: Vec<&str> = picks.iter().map(|&p| token(flags, switches, p)).collect();
+            match Args::try_read(&strings(&raw), flags, switches) {
+                Ok(args) => {
+                    let laid: Vec<&str> = args
+                        .pairs
+                        .iter()
+                        .flat_map(|(k, v)| std::iter::once(k.as_str()).chain(v.as_deref()))
+                        .collect();
+                    prop_assert_eq!(&laid, &raw);
+                    for (k, v) in &args.pairs {
+                        prop_assert!(flags.contains(&k.as_str()) == v.is_some(), "{:?}", args);
+                    }
+                }
+                Err(e) => prop_assert!(
+                    raw.iter().any(|a| e.starts_with(&format!("{a}: "))),
+                    "{} for {:?}", e, raw
+                ),
+            }
+        }
     }
 }

@@ -325,7 +325,7 @@ fn deleting_an_upset_origin_fails_at_its_first_reference() {
     let (lines, events) = (chaos_dump(), chaos_events());
     let origin = events
         .iter()
-        .position(|ev| ev.name == "mission.upset")
+        .position(|ev| ev.name() == "mission.upset")
         .unwrap();
     let id = events[origin].correlation().unwrap();
     assert_eq!(id.0, IdSpace::Upset);
@@ -360,7 +360,7 @@ fn a_point_event_moved_before_its_stream_fails_where_the_stream_steps_back() {
                 .iter()
                 .rposition(|p| {
                     p.dur_ns.is_none()
-                        && (p.device, &p.subsystem) == (e.device, &e.subsystem)
+                        && (p.device, p.subsystem()) == (e.device, e.subsystem())
                         && p.t_ns < e.t_ns
                 })
                 .map(|i| (i, j))
@@ -381,9 +381,9 @@ fn an_soh_event_with_another_severity_fails_at_its_line() {
     let (lines, events) = (chaos_dump(), chaos_events());
     let soh = events
         .iter()
-        .position(|ev| soh_meta_for(&ev.name).is_some())
+        .position(|ev| soh_meta_for(ev.name()).is_some())
         .unwrap();
-    let sev = &events[soh].severity;
+    let sev = events[soh].severity();
     let other = if sev == "critical" {
         "debug"
     } else {

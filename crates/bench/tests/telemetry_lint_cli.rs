@@ -133,3 +133,38 @@ fn lint_accepts_a_line_ending_in_crlf() {
         "{stdout}"
     );
 }
+
+#[test]
+fn argument_errors_exit_2_like_every_bench_binary() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("args-dump.jsonl");
+    std::fs::write(&path, recorded_dump()).unwrap();
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_telemetry_lint"))
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    let path = path.to_str().unwrap();
+    for (args, message) in [
+        (&[][..], "usage: telemetry_lint <dump.jsonl> [--max-t-ns N]"),
+        (
+            &[path, "--bogus"][..],
+            "error: --bogus: unknown argument (expected --max-t-ns)",
+        ),
+        (
+            &[path, "--max-t-ns"][..],
+            "error: --max-t-ns: missing value",
+        ),
+        (
+            &[path, "--max-t-ns", "x"][..],
+            "error: --max-t-ns x: invalid digit found in string",
+        ),
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    // A horizon read as given: every event past 1 ns breaks it.
+    assert_eq!(run(&[path, "--max-t-ns", "1"]).status.code(), Some(1));
+}

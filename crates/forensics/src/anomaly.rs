@@ -55,7 +55,8 @@ pub(crate) struct AnomalyInputs {
 
 impl AnomalyInputs {
     pub fn observe(&mut self, ev: &RawEvent) {
-        if ev.name == "strategy.retune" {
+        let name = ev.name();
+        if name == "strategy.retune" {
             self.retunes += 1;
             let k_old = ev.u64_field("k_old").unwrap_or(0);
             let k_new = ev.u64_field("k_new").unwrap_or(0);
@@ -64,7 +65,7 @@ impl AnomalyInputs {
                 self.flips += 1;
             }
             self.prev_dir = dir;
-        } else if THRASH_EVENTS.contains(&ev.name.as_str()) {
+        } else if THRASH_EVENTS.contains(&name) {
             if let Some(dev) = ev.device {
                 self.heavy.entry(dev).or_default().push(ev.t_ns);
             }

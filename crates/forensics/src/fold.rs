@@ -55,17 +55,18 @@ impl ForensicsFold {
 
     /// Take the next event; an error cites its line.
     pub fn push(&mut self, ev: &RawEvent) -> Result<(), ForensicsError> {
+        let name = ev.name();
         // Spans (dur_ns present) describe intervals — `mission.end` spans
         // the whole mission from t=0 — and are exempt from ordering.
         if ev.dur_ns.is_none() {
-            let streams = entry(&mut self.last_point, &ev.subsystem);
+            let streams = entry(&mut self.last_point, ev.subsystem());
             let last = streams.entry(ev.device).or_insert(0);
             if ev.t_ns < *last {
                 return Err(ForensicsError {
                     line: ev.line,
                     message: format!(
                         "{} t_ns {} goes backwards (stream was at {})",
-                        ev.name, ev.t_ns, *last
+                        name, ev.t_ns, *last
                     ),
                 });
             }
@@ -74,8 +75,8 @@ impl ForensicsFold {
 
         self.recon.push(ev)?;
 
-        *entry(&mut self.event_counts, &ev.name) += 1;
-        if let Some(meta) = soh_meta_for(&ev.name) {
+        *entry(&mut self.event_counts, name) += 1;
+        if let Some(meta) = soh_meta_for(name) {
             self.soh_events += 1;
             match meta.rung {
                 Some(r) => self.rung_events[r.index() as usize] += 1,
@@ -87,7 +88,7 @@ impl ForensicsFold {
         // mean = Σ(as_millis_f64) / n and max by f64::max fold. The
         // resolution events are emitted in exactly the push order, so
         // summing them as they pass reproduces the identical floats.
-        if (ev.name == "mission.upset_resolved" || ev.name == "mission.sefi_resolved")
+        if (name == "mission.upset_resolved" || name == "mission.sefi_resolved")
             && ev.str_field("via") == Some("scrub")
         {
             let ms = ev.u64_field("latency_ns").unwrap_or(0) as f64 / 1e6;

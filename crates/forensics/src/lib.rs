@@ -26,5 +26,5 @@ pub mod report;
 pub use anomaly::Anomaly;
 pub use fold::ForensicsFold;
 pub use lifecycle::{FaultLifecycle, Outcome};
-pub use raw::{from_events, parse_jsonl, read_jsonl, ForensicsError, IdSpace, RawEvent};
+pub use raw::{from_events, parse_jsonl, read_jsonl, ForensicsError, IdSpace, RawEvent, RawValue};
 pub use report::{CauseStats, LatencyDist, MissionForensics};

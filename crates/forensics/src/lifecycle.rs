@@ -108,9 +108,10 @@ impl Reconstruction {
             line: ev.line,
             message,
         };
-        let missing = |what: &str| err(format!("{} without {what}", ev.name));
+        let name = ev.name();
+        let missing = |what: &str| err(format!("{name} without {what}"));
 
-        if let Some(space) = origin_space(&ev.name) {
+        if let Some(space) = origin_space(name) {
             let id = ev
                 .u64_field(space.key())
                 .ok_or_else(|| missing(space.key()))?;
@@ -155,17 +156,17 @@ impl Reconstruction {
             return Ok(());
         }
 
-        if let Some((space, leaked)) = close_space(&ev.name) {
+        if let Some((space, leaked)) = close_space(name) {
             let id = ev
                 .u64_field(space.key())
                 .ok_or_else(|| missing(space.key()))?;
             let &idx = self
                 .index
                 .get(&(space, id))
-                .ok_or_else(|| err(format!("{} for unknown id {}", ev.name, id)))?;
+                .ok_or_else(|| err(format!("{name} for unknown id {id}")))?;
             let lc = &mut self.lifecycles[idx];
             if lc.outcome != Outcome::Open {
-                return Err(err(format!("{} id {} closed twice", ev.name, id)));
+                return Err(err(format!("{name} id {id} closed twice")));
             }
             lc.outcome = if leaked {
                 Outcome::Leaked {
@@ -186,7 +187,7 @@ impl Reconstruction {
             return Ok(());
         }
 
-        match ev.name.as_str() {
+        match name {
             "strategy.mission_begin" => {
                 self.strategy = ev.str_field("strategy").map(str::to_string);
             }
@@ -204,7 +205,7 @@ impl Reconstruction {
                     let &idx = self.index.get(&(space, id)).ok_or_else(|| {
                         err(format!(
                             "{} references unknown {} id {}",
-                            ev.name,
+                            name,
                             space.name(),
                             id
                         ))

@@ -5,14 +5,18 @@
 //! `JsonObject` writer that produced it — so the two sides cannot drift,
 //! and an in-memory event vector serialized through `write_jsonl` decodes
 //! to exactly what a file round trip would (the `from_events` path pins
-//! that). The reader scans each line once: the universal keys are matched
-//! borrowed from the line, `sev`, `sub` and `name` decode straight into
-//! their strings, and only the other keys and string values allocate.
+//! that). The reader scans each line once into two allocations: one
+//! buffer, the line as read followed by the decoded text of any key or
+//! string value that carried an escape, and one list of fields. Every key
+//! and string reads through a span of that buffer.
 
+use std::borrow::Cow;
+use std::fmt;
 use std::io::BufRead;
+use std::ops::Range;
 
 use cibola_telemetry::{
-    known_event_required_fields, soh_meta_for, FlatObject, JsonToken, JsonValue, TelemetryEvent,
+    known_event_required_fields, soh_meta_for, FlatObject, JsonStr, JsonToken, TelemetryEvent,
 };
 
 /// Why a dump failed to decode.
@@ -32,22 +36,159 @@ impl std::fmt::Display for ForensicsError {
 impl std::error::Error for ForensicsError {}
 
 /// One decoded telemetry record. The universal keys are lifted into
-/// typed fields; everything else stays in `fields` in emission order.
-#[derive(Debug, Clone, PartialEq)]
+/// typed fields and accessors; everything else reads through
+/// [`fields`](Self::fields) in emission order. Two events are equal when
+/// they say the same thing, whatever their buffers hold.
+#[derive(Clone)]
 pub struct RawEvent {
     /// 1-based line of the dump the record came from (its position in
     /// the event vector for [`from_events`]; 0 from a bare
     /// [`RawEvent::parse`]). Stream errors cite it.
     pub line: usize,
     pub t_ns: u64,
-    pub severity: String,
-    pub subsystem: String,
-    pub name: String,
     /// `(board, fpga)` when the event is tied to one device.
     pub device: Option<(u16, u16)>,
     /// Present iff the record is a span.
     pub dur_ns: Option<u64>,
-    pub fields: Vec<(String, JsonValue)>,
+    /// The line as read, then the decoded text of every key or string
+    /// value that carried an escape and of every nested value.
+    text: Box<str>,
+    severity: Span,
+    subsystem: Span,
+    name: Span,
+    fields: Box<[(Span, Slot)]>,
+}
+
+/// A byte range of an event's buffer.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    /// `range` as a span; the reader bounds a line so that every offset
+    /// of its buffer fits.
+    fn new(range: Range<usize>) -> Span {
+        let offset = |at| u32::try_from(at).expect("a decoded line's buffer fits u32 offsets");
+        Span {
+            start: offset(range.start),
+            end: offset(range.end),
+        }
+    }
+}
+
+/// A field value as an event holds it: numbers, bools and null inline,
+/// text as a span of the event's buffer.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Bool(bool),
+    Str(Span),
+    Null,
+    Raw(Span),
+}
+
+/// A field value borrowed from a [`RawEvent`]. Numbers keep the class
+/// their text has: an integer without sign is `U64`, a signed one `I64`,
+/// anything with a decimal point or exponent `F64`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RawValue<'a> {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Bool(bool),
+    Str(&'a str),
+    Null,
+    /// A nested array or object, as raw JSON text (telemetry events are
+    /// flat; nested values appear only in metrics snapshots).
+    Raw(&'a str),
+}
+
+impl<'a> RawValue<'a> {
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            RawValue::U64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Any numeric class widened to f64.
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            RawValue::U64(v) => Some(v as f64),
+            RawValue::I64(v) => Some(v as f64),
+            RawValue::F64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            RawValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_bool(self) -> Option<bool> {
+        match self {
+            RawValue::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+}
+
+/// What decoding reuses from one line to the next: the fields read so
+/// far and the text the event keeps past its line.
+#[derive(Debug, Default)]
+struct Scratch {
+    fields: Vec<(Span, Slot)>,
+    tail: String,
+}
+
+/// The text an event keeps past its line, appended after it in the
+/// event's buffer.
+struct Tail<'s> {
+    line_len: usize,
+    text: &'s mut String,
+}
+
+impl Tail<'_> {
+    fn push(&mut self, text: &str) -> Span {
+        let start = self.line_len + self.text.len();
+        self.text.push_str(text);
+        Span::new(start..start + text.len())
+    }
+
+    /// Where the string `s` reads in the buffer: its own bytes of the line
+    /// unless it carried an escape, else its decoded text appended.
+    fn span(&mut self, s: JsonStr, decoded: Cow<str>) -> Span {
+        match decoded {
+            Cow::Borrowed(_) => Span::new(s.range()),
+            Cow::Owned(text) => self.push(&text),
+        }
+    }
+
+    fn str_span(&mut self, value: JsonToken) -> Option<Span> {
+        match value {
+            JsonToken::Str(s) => Some(self.span(s, s.decode())),
+            _ => None,
+        }
+    }
+
+    fn slot(&mut self, value: JsonToken) -> Slot {
+        match value {
+            JsonToken::U64(v) => Slot::U64(v),
+            JsonToken::I64(v) => Slot::I64(v),
+            JsonToken::F64(v) => Slot::F64(v),
+            JsonToken::Bool(v) => Slot::Bool(v),
+            JsonToken::Str(s) => Slot::Str(self.span(s, s.decode())),
+            JsonToken::Null => Slot::Null,
+            JsonToken::Raw(r) => Slot::Raw(self.push(r)),
+        }
+    }
 }
 
 impl RawEvent {
@@ -59,6 +200,24 @@ impl RawEvent {
     /// its first error in byte order. A universal key that repeats takes
     /// its last value, and one of the wrong type reads as absent.
     pub fn parse(line: &str) -> Result<RawEvent, String> {
+        Self::decode(line, &mut Scratch::default())
+    }
+
+    /// [`parse`](Self::parse) through `scratch`, so that the event itself
+    /// is the only allocation a line costs.
+    fn decode(line: &str, scratch: &mut Scratch) -> Result<RawEvent, String> {
+        // The buffer is at most twice the line: decoding only shortens the
+        // text it appends, and no byte of the line is appended twice.
+        if line.len() > u32::MAX as usize / 2 {
+            return Err(format!("line of {} bytes is too long", line.len()));
+        }
+        let Scratch { fields, tail } = scratch;
+        fields.clear();
+        tail.clear();
+        let mut tail = Tail {
+            line_len: line.len(),
+            text: tail,
+        };
         let mut object = FlatObject::new(line);
         let mut first_is_t_ns = None;
         let mut t_ns = None;
@@ -68,19 +227,21 @@ impl RawEvent {
         let mut board = None;
         let mut fpga = None;
         let mut dur_ns = None;
-        let mut fields = Vec::new();
         while let Some((key, value)) = object.next_field().map_err(|e| e.to_string())? {
-            let key = key.decode();
-            first_is_t_ns.get_or_insert(key == "t_ns");
-            match &*key {
+            let decoded = key.decode();
+            first_is_t_ns.get_or_insert(decoded == "t_ns");
+            match &*decoded {
                 "t_ns" => t_ns = value.as_u64(),
-                "sev" => severity = owned_str(value),
-                "sub" => subsystem = owned_str(value),
-                "name" => name = owned_str(value),
+                "sev" => severity = tail.str_span(value),
+                "sub" => subsystem = tail.str_span(value),
+                "name" => name = tail.str_span(value),
                 "board" => board = value.as_u64(),
                 "fpga" => fpga = value.as_u64(),
                 "dur_ns" => dur_ns = value.as_u64(),
-                other => fields.push((other.to_string(), value.to_value())),
+                _ => {
+                    let key = tail.span(key, decoded);
+                    fields.push((key, tail.slot(value)));
+                }
             }
         }
         if first_is_t_ns == Some(false) {
@@ -94,29 +255,37 @@ impl RawEvent {
             (None, None) => None,
             _ => return Err("board/fpga must appear together".to_string()),
         };
+        let t_ns = t_ns.ok_or("missing t_ns")?;
+        let severity = severity.ok_or("missing sev")?;
+        let subsystem = subsystem.ok_or("missing sub")?;
+        let name = name.ok_or("missing name")?;
+        let mut text = String::with_capacity(line.len() + tail.text.len());
+        text.push_str(line);
+        text.push_str(tail.text);
         let ev = RawEvent {
             line: 0,
-            t_ns: t_ns.ok_or("missing t_ns")?,
-            severity: severity.ok_or("missing sev")?,
-            subsystem: subsystem.ok_or("missing sub")?,
-            name: name.ok_or("missing name")?,
+            t_ns,
             device,
             dur_ns,
-            fields,
+            text: text.into_boxed_str(),
+            severity,
+            subsystem,
+            name,
+            fields: fields.as_slice().into(),
         };
-        let required = known_event_required_fields(&ev.name).unwrap_or_default();
+        let required = known_event_required_fields(ev.name()).unwrap_or_default();
         if let Some(field) = required.iter().find(|&&f| ev.field(f).is_none()) {
             return Err(format!(
                 "event {:?} is missing required field {field:?}",
-                ev.name
+                ev.name()
             ));
         }
-        if let Some(meta) = soh_meta_for(&ev.name) {
-            if ev.severity != meta.severity.name() {
+        if let Some(meta) = soh_meta_for(ev.name()) {
+            if ev.severity() != meta.severity.name() {
                 return Err(format!(
                     "{} severity {:?} != SOH table {:?}",
-                    ev.name,
-                    ev.severity,
+                    ev.name(),
+                    ev.severity(),
                     meta.severity.name()
                 ));
             }
@@ -124,9 +293,51 @@ impl RawEvent {
         Ok(ev)
     }
 
+    fn text(&self, span: Span) -> &str {
+        &self.text[span.start as usize..span.end as usize]
+    }
+
+    fn bytes(&self, span: Span) -> &[u8] {
+        &self.text.as_bytes()[span.start as usize..span.end as usize]
+    }
+
+    fn value(&self, slot: Slot) -> RawValue<'_> {
+        match slot {
+            Slot::U64(v) => RawValue::U64(v),
+            Slot::I64(v) => RawValue::I64(v),
+            Slot::F64(v) => RawValue::F64(v),
+            Slot::Bool(v) => RawValue::Bool(v),
+            Slot::Str(s) => RawValue::Str(self.text(s)),
+            Slot::Null => RawValue::Null,
+            Slot::Raw(s) => RawValue::Raw(self.text(s)),
+        }
+    }
+
+    pub fn severity(&self) -> &str {
+        self.text(self.severity)
+    }
+
+    pub fn subsystem(&self) -> &str {
+        self.text(self.subsystem)
+    }
+
+    pub fn name(&self) -> &str {
+        self.text(self.name)
+    }
+
+    /// Every key other than the universal ones, with its value, in
+    /// emission order.
+    pub fn fields(&self) -> impl ExactSizeIterator<Item = (&str, RawValue<'_>)> + '_ {
+        self.fields
+            .iter()
+            .map(|&(key, value)| (self.text(key), self.value(value)))
+    }
+
     /// The value of the first field named `key`.
-    fn field(&self, key: &str) -> Option<&JsonValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    fn field(&self, key: &str) -> Option<RawValue<'_>> {
+        let key = key.as_bytes();
+        let &(_, value) = self.fields.iter().find(|(k, _)| self.bytes(*k) == key)?;
+        Some(self.value(value))
     }
 
     pub fn u64_field(&self, key: &str) -> Option<u64> {
@@ -154,12 +365,31 @@ impl RawEvent {
     }
 }
 
-/// The decoded text of a string value, copied once out of the line;
-/// `None` for any other value.
-fn owned_str(value: JsonToken) -> Option<String> {
-    match value {
-        JsonToken::Str(s) => Some(s.decode().into_owned()),
-        _ => None,
+impl PartialEq for RawEvent {
+    fn eq(&self, other: &RawEvent) -> bool {
+        self.line == other.line
+            && self.t_ns == other.t_ns
+            && self.severity() == other.severity()
+            && self.subsystem() == other.subsystem()
+            && self.name() == other.name()
+            && self.device == other.device
+            && self.dur_ns == other.dur_ns
+            && self.fields().eq(other.fields())
+    }
+}
+
+impl fmt::Debug for RawEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RawEvent")
+            .field("line", &self.line)
+            .field("t_ns", &self.t_ns)
+            .field("severity", &self.severity())
+            .field("subsystem", &self.subsystem())
+            .field("name", &self.name())
+            .field("device", &self.device)
+            .field("dur_ns", &self.dur_ns)
+            .field("fields", &self.fields().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -197,6 +427,7 @@ pub fn read_jsonl(
     mut reader: impl BufRead,
 ) -> impl Iterator<Item = Result<RawEvent, ForensicsError>> {
     let (mut buf, mut line, mut done) = (Vec::new(), 0, false);
+    let mut scratch = Scratch::default();
     std::iter::from_fn(move || {
         while !done {
             buf.clear();
@@ -208,7 +439,7 @@ pub fn read_jsonl(
                     let text = text.map_or(&buf[..], |l| l.strip_suffix(b"\r").unwrap_or(l));
                     match std::str::from_utf8(text) {
                         Ok(text) if text.trim().is_empty() => continue,
-                        Ok(text) => return Some(parse_line(text, line)),
+                        Ok(text) => return Some(parse_line(text, line, &mut scratch)),
                         Err(e) => format!("byte {}: invalid UTF-8", e.valid_up_to()),
                     }
                 }
@@ -229,10 +460,14 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<RawEvent>, ForensicsError> {
 }
 
 /// Decode line `line` of a dump.
-fn parse_line(text: &str, line: usize) -> Result<RawEvent, ForensicsError> {
-    RawEvent::parse(text)
-        .map(|ev| RawEvent { line, ..ev })
-        .map_err(|message| ForensicsError { line, message })
+fn parse_line(text: &str, line: usize, scratch: &mut Scratch) -> Result<RawEvent, ForensicsError> {
+    match RawEvent::decode(text, scratch) {
+        Ok(mut ev) => {
+            ev.line = line;
+            Ok(ev)
+        }
+        Err(message) => Err(ForensicsError { line, message }),
+    }
 }
 
 /// Decode an in-memory event vector one event at a time, through each
@@ -241,11 +476,11 @@ fn parse_line(text: &str, line: usize) -> Result<RawEvent, ForensicsError> {
 pub fn from_events(
     events: &[TelemetryEvent],
 ) -> impl Iterator<Item = Result<RawEvent, ForensicsError>> + '_ {
-    let mut text = String::new();
+    let (mut text, mut scratch) = (String::new(), Scratch::default());
     events.iter().enumerate().map(move |(i, ev)| {
         text.clear();
         ev.write_jsonl(&mut text);
-        parse_line(&text, i + 1)
+        parse_line(&text, i + 1, &mut scratch)
     })
 }
 
@@ -274,7 +509,7 @@ mod tests {
             .with_bool("repairable", true);
         let raw = RawEvent::parse(&ev.to_jsonl()).unwrap();
         assert_eq!(raw.t_ns, 42);
-        assert_eq!(raw.name, "mission.upset");
+        assert_eq!(raw.name(), "mission.upset");
         assert_eq!(raw.device, Some((1, 2)));
         assert_eq!(raw.correlation(), Some((IdSpace::Upset, 7)));
         assert_eq!(raw.str_field("cause"), Some("config"));

@@ -8,8 +8,8 @@
 //! 2. **Mutation** — a dump with one edited line decodes, or fails
 //!    naming that line with the line's own decode error.
 
-use cibola_forensics::{from_events, parse_jsonl, RawEvent};
-use cibola_telemetry::{FieldValue, JsonValue, Severity, Subsystem, TelemetryEvent};
+use cibola_forensics::{from_events, parse_jsonl, RawEvent, RawValue};
+use cibola_telemetry::{FieldValue, Severity, Subsystem, TelemetryEvent};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -93,24 +93,24 @@ fn event(((t_ns, sev, sub), device, dur_ns, (name, fields)): &EventSpec) -> Tele
 /// `U64`, non-finite floats as `Null`, -0.0 kept by bit pattern.
 fn assert_decodes_as_written(raw: &RawEvent, ev: &TelemetryEvent) {
     assert_eq!(raw.t_ns, ev.t_ns);
-    assert_eq!(raw.severity, ev.severity.name());
-    assert_eq!(raw.subsystem, ev.subsystem.name());
-    assert_eq!(raw.name, ev.name);
+    assert_eq!(raw.severity(), ev.severity.name());
+    assert_eq!(raw.subsystem(), ev.subsystem.name());
+    assert_eq!(raw.name(), ev.name);
     assert_eq!(raw.device, ev.device);
     assert_eq!(raw.dur_ns, ev.dur_ns);
-    assert_eq!(raw.fields.len(), ev.fields.len());
-    for ((key, got), (k, v)) in raw.fields.iter().zip(&ev.fields) {
-        assert_eq!(key, k);
+    assert_eq!(raw.fields().len(), ev.fields.len());
+    for ((key, got), (k, v)) in raw.fields().zip(&ev.fields) {
+        assert_eq!(key, *k);
         match (*v, got) {
-            (FieldValue::U64(x), JsonValue::U64(y)) => assert_eq!(x, *y),
-            (FieldValue::I64(x), JsonValue::U64(y)) if x >= 0 => assert_eq!(x as u64, *y),
-            (FieldValue::I64(x), JsonValue::I64(y)) if x < 0 => assert_eq!(x, *y),
-            (FieldValue::F64(x), JsonValue::F64(y)) if x.is_finite() => {
+            (FieldValue::U64(x), RawValue::U64(y)) => assert_eq!(x, y),
+            (FieldValue::I64(x), RawValue::U64(y)) if x >= 0 => assert_eq!(x as u64, y),
+            (FieldValue::I64(x), RawValue::I64(y)) if x < 0 => assert_eq!(x, y),
+            (FieldValue::F64(x), RawValue::F64(y)) if x.is_finite() => {
                 assert_eq!(x.to_bits(), y.to_bits())
             }
-            (FieldValue::F64(x), JsonValue::Null) if !x.is_finite() => {}
-            (FieldValue::Bool(x), JsonValue::Bool(y)) => assert_eq!(x, *y),
-            (FieldValue::Str(x), JsonValue::Str(y)) => assert_eq!(x, y),
+            (FieldValue::F64(x), RawValue::Null) if !x.is_finite() => {}
+            (FieldValue::Bool(x), RawValue::Bool(y)) => assert_eq!(x, y),
+            (FieldValue::Str(x), RawValue::Str(y)) => assert_eq!(x, y),
             (v, got) => panic!("{key:?}: wrote {v:?}, read {got:?}"),
         }
     }
@@ -160,7 +160,10 @@ proptest! {
                 prop_assert_eq!(e.line, k + 1);
                 prop_assert_eq!(e.message, message);
             }
-            (Ok(ev), Ok(parsed)) => prop_assert_eq!(&parsed[k], &RawEvent { line: k + 1, ..ev }),
+            (Ok(mut ev), Ok(parsed)) => {
+                ev.line = k + 1;
+                prop_assert_eq!(&parsed[k], &ev)
+            }
             (line, dump) => panic!("line {k} decodes to {line:?} but the dump to {dump:?}"),
         }
     }

@@ -16,6 +16,7 @@
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Append `s` JSON-escaped (quoted) to `out`. Each run of characters that
 /// needs no escape is copied in one push, so a plain name costs one copy.
@@ -201,6 +202,7 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    #[inline]
     fn new(s: &'a str) -> Self {
         Parser {
             s,
@@ -216,16 +218,19 @@ impl<'a> Parser<'a> {
         })
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.b.get(self.i).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.i += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, c: u8) -> Result<(), JsonError> {
         if self.peek() == Some(c) {
             self.i += 1;
@@ -250,6 +255,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn literal(&mut self, lit: &[u8]) -> Result<(), JsonError> {
         if self.b[self.i..].starts_with(lit) {
             self.i += lit.len();
@@ -307,6 +313,7 @@ impl<'a> Parser<'a> {
 
     /// Scan the string at the cursor and return its body, borrowed from
     /// the line with escapes unresolved.
+    #[inline]
     fn string(&mut self) -> Result<JsonStr<'a>, JsonError> {
         self.expect(b'"')?;
         let start = self.i;
@@ -323,6 +330,7 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                     return Ok(JsonStr {
                         raw: &self.s[start..self.i - 1],
+                        start,
                         escaped,
                     });
                 }
@@ -352,6 +360,7 @@ impl<'a> Parser<'a> {
     /// Scan the number at the cursor. Returns whether it is integral (no
     /// fraction, no exponent) and its magnitude accumulated from the
     /// integer digits as they are scanned (`None` past `u64::MAX`).
+    #[inline]
     fn number(&mut self) -> Result<(bool, Option<u64>), JsonError> {
         if self.peek() == Some(b'-') {
             self.i += 1;
@@ -400,6 +409,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Scan one value and return it borrowed from the line.
+    #[inline]
     fn token(&mut self) -> Result<JsonToken<'a>, JsonError> {
         self.skip_ws();
         let start = self.i;
@@ -450,70 +460,27 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// A decoded top-level field value from a flat telemetry object.
-///
-/// Numbers keep their lexical class: an integral token without sign
-/// becomes `U64`, a signed integral token `I64`, anything with a decimal
-/// point or exponent `F64` — mirroring how [`JsonObject`] wrote it, so a
-/// round trip through [`FlatObject`] is type-faithful.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    U64(u64),
-    I64(i64),
-    F64(f64),
-    Bool(bool),
-    Str(String),
-    Null,
-    /// A nested array or object, kept as raw JSON text (telemetry events
-    /// are flat; nested values appear only in metrics snapshots).
-    Raw(String),
-}
-
-impl JsonValue {
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Any numeric class widened to f64.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::U64(v) => Some(*v as f64),
-            JsonValue::I64(v) => Some(*v as f64),
-            JsonValue::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
 /// A JSON string borrowed from the line it was read from: the text
-/// between the quotes, escapes still unresolved.
+/// between the quotes, escapes still unresolved, and where in the line
+/// that text starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JsonStr<'a> {
     raw: &'a str,
+    start: usize,
     escaped: bool,
 }
 
 impl<'a> JsonStr<'a> {
+    /// The byte range of the text between the quotes within the line: the
+    /// decoded text itself whenever [`decode`](Self::decode) borrows.
+    pub fn range(self) -> Range<usize> {
+        self.start..self.start + self.raw.len()
+    }
+
     /// The decoded text, borrowed from the line unless it holds escapes.
     /// A `\u` escape that names no scalar value (a lone surrogate)
     /// decodes to U+FFFD.
+    #[inline]
     pub fn decode(self) -> Cow<'a, str> {
         let raw = self.raw;
         if !self.escaped {
@@ -552,7 +519,10 @@ impl<'a> JsonStr<'a> {
 }
 
 /// One top-level value borrowed from the line it was read from. Numbers
-/// are already decoded, classed as [`JsonValue`] classes them.
+/// are already decoded and keep their lexical class: an integral token
+/// without sign is `U64`, a signed integral token `I64`, anything with a
+/// decimal point or exponent `F64` — mirroring how [`JsonObject`] wrote
+/// it, so a round trip through [`FlatObject`] is type-faithful.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JsonToken<'a> {
     U64(u64),
@@ -561,28 +531,17 @@ pub enum JsonToken<'a> {
     Bool(bool),
     Str(JsonStr<'a>),
     Null,
-    /// A nested array or object, as raw JSON text.
+    /// A nested array or object, as raw JSON text (telemetry events are
+    /// flat; nested values appear only in metrics snapshots).
     Raw(&'a str),
 }
 
 impl JsonToken<'_> {
+    #[inline]
     pub fn as_u64(self) -> Option<u64> {
         match self {
             JsonToken::U64(v) => Some(v),
             _ => None,
-        }
-    }
-
-    /// The owned value, allocating only for strings and nested text.
-    pub fn to_value(self) -> JsonValue {
-        match self {
-            JsonToken::U64(v) => JsonValue::U64(v),
-            JsonToken::I64(v) => JsonValue::I64(v),
-            JsonToken::F64(v) => JsonValue::F64(v),
-            JsonToken::Bool(v) => JsonValue::Bool(v),
-            JsonToken::Str(s) => JsonValue::Str(s.decode().into_owned()),
-            JsonToken::Null => JsonValue::Null,
-            JsonToken::Raw(r) => JsonValue::Raw(r.to_string()),
         }
     }
 }
@@ -611,6 +570,7 @@ enum FlatState {
 }
 
 impl<'a> FlatObject<'a> {
+    #[inline]
     pub fn new(line: &'a str) -> Self {
         FlatObject {
             p: Parser::new(line),
@@ -619,7 +579,9 @@ impl<'a> FlatObject<'a> {
     }
 
     /// The next top-level field in emission order, or `None` once the
-    /// object has closed.
+    /// object has closed. Inlined, so a caller in another crate scans a
+    /// line without a call per field.
+    #[inline]
     pub fn next_field(&mut self) -> Result<Option<(JsonStr<'a>, JsonToken<'a>)>, JsonError> {
         let p = &mut self.p;
         match self.state {
@@ -680,13 +642,55 @@ pub fn validate_json_line(line: &str) -> Result<usize, JsonError> {
 mod tests {
     use super::*;
 
+    /// A field value owned, as the tests compare it.
+    #[derive(Debug, Clone, PartialEq)]
+    enum JsonValue {
+        U64(u64),
+        I64(i64),
+        F64(f64),
+        Bool(bool),
+        Str(String),
+        Null,
+        Raw(String),
+    }
+
+    impl JsonValue {
+        fn as_u64(&self) -> Option<u64> {
+            match self {
+                JsonValue::U64(v) => Some(*v),
+                _ => None,
+            }
+        }
+
+        fn as_f64(&self) -> Option<f64> {
+            match self {
+                JsonValue::U64(v) => Some(*v as f64),
+                JsonValue::I64(v) => Some(*v as f64),
+                JsonValue::F64(v) => Some(*v),
+                _ => None,
+            }
+        }
+    }
+
+    fn to_value(token: JsonToken) -> JsonValue {
+        match token {
+            JsonToken::U64(v) => JsonValue::U64(v),
+            JsonToken::I64(v) => JsonValue::I64(v),
+            JsonToken::F64(v) => JsonValue::F64(v),
+            JsonToken::Bool(v) => JsonValue::Bool(v),
+            JsonToken::Str(s) => JsonValue::Str(s.decode().into_owned()),
+            JsonToken::Null => JsonValue::Null,
+            JsonToken::Raw(r) => JsonValue::Raw(r.to_string()),
+        }
+    }
+
     /// Every top-level field of `line` in emission order, owned; nested
     /// values as [`JsonValue::Raw`].
     fn flat_fields(line: &str) -> Result<Vec<(String, JsonValue)>, JsonError> {
         let mut object = FlatObject::new(line);
         let mut fields = Vec::new();
         while let Some((key, value)) = object.next_field()? {
-            fields.push((key.decode().into_owned(), value.to_value()));
+            fields.push((key.decode().into_owned(), to_value(value)));
         }
         Ok(fields)
     }

@@ -39,9 +39,7 @@ pub mod soh;
 
 pub use downlink::{plan_downlink, DownlinkPlan, PassPlan, SohDownlinkPolicy};
 pub use event::{known_event_required_fields, FieldValue, Severity, Subsystem, TelemetryEvent};
-pub use json::{
-    validate_json_line, FlatObject, JsonError, JsonObject, JsonStr, JsonToken, JsonValue,
-};
+pub use json::{validate_json_line, FlatObject, JsonError, JsonObject, JsonStr, JsonToken};
 pub use ladder::{EscalationRung, LadderStats};
 pub use metrics::{
     HistogramSnapshot, MetricsRegistry, Snapshot, AVAILABILITY_BUCKETS, LATENCY_MS_BUCKETS,

@@ -14,7 +14,7 @@
 //!    at such an integer.
 
 use cibola_telemetry::{
-    validate_json_line, FieldValue, FlatObject, JsonError, JsonValue, Severity, Subsystem,
+    validate_json_line, FieldValue, FlatObject, JsonError, JsonToken, Severity, Subsystem,
     TelemetryEvent,
 };
 use proptest::collection::vec;
@@ -95,6 +95,30 @@ fn event(
     ev
 }
 
+/// A field value owned, as the properties compare it.
+#[derive(Debug, Clone, PartialEq)]
+enum JsonValue {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Bool(bool),
+    Str(String),
+    Null,
+    Raw(String),
+}
+
+fn to_value(token: JsonToken) -> JsonValue {
+    match token {
+        JsonToken::U64(v) => JsonValue::U64(v),
+        JsonToken::I64(v) => JsonValue::I64(v),
+        JsonToken::F64(v) => JsonValue::F64(v),
+        JsonToken::Bool(v) => JsonValue::Bool(v),
+        JsonToken::Str(s) => JsonValue::Str(s.decode().into_owned()),
+        JsonToken::Null => JsonValue::Null,
+        JsonToken::Raw(r) => JsonValue::Raw(r.to_string()),
+    }
+}
+
 /// The value a field decodes to: the class its written text has, so a
 /// non-negative `I64` (written without a sign) reads back as `U64` and a
 /// non-finite float (written `null`) as `Null`.
@@ -156,7 +180,7 @@ fn decode(line: &str) -> Result<Vec<(String, JsonValue)>, JsonError> {
     let mut object = FlatObject::new(line);
     let mut fields = Vec::new();
     while let Some((key, value)) = object.next_field()? {
-        fields.push((key.decode().into_owned(), value.to_value()));
+        fields.push((key.decode().into_owned(), to_value(value)));
     }
     Ok(fields)
 }
