@@ -424,7 +424,9 @@ pub(crate) struct Compiled {
 
     /// Scratch: the scalar engine's value per slot. Its LUT slots carry
     /// over from cycle to cycle, so a cyclic network relaxes from the
-    /// previous cycle's values.
+    /// previous cycle's values. Its half-latch slots hold the device's
+    /// latches: the compile writes them, and `Device::upset_half_latch`
+    /// and `Device::recover_half_latch` patch them.
     pub vals: Vec<bool>,
 }
 
@@ -434,6 +436,23 @@ impl Compiled {
     /// half-latch site or input port they never read.
     pub fn slot(&self, s: Src) -> Option<u32> {
         self.layout.slot(&self.hl_index, s)
+    }
+
+    /// Write half-latch `site`'s value `v` into its slot pair, if the
+    /// network reads the site.
+    pub fn set_half_latch(&mut self, site: HlSite, v: bool) {
+        if let Some(rank) = self.hl_index.rank_of(site) {
+            let at = (self.layout.half_latches + 2 * rank) as usize;
+            self.vals[at] = v;
+            self.vals[at + 1] = !v;
+        }
+    }
+
+    /// Reset the LUT slots to what a fresh compile holds: the start a
+    /// cyclic network relaxes from on its first cycle.
+    pub fn reset_lut_slots(&mut self) {
+        let l = self.layout;
+        self.vals[l.luts as usize..l.ffs as usize].fill(false);
     }
 
     /// The id of the node at `site`, if the network holds one.
@@ -1010,6 +1029,12 @@ pub(crate) fn compile_with(dev: &Device, extra: &[Site]) -> Compiled {
             .slot(&hl_index, s)
             .expect("the network reads its own sources")
     };
+    let mut vals: Vec<bool> = (0..layout.len).map(|s| s == ONE_SLOT).collect();
+    for (k, &site) in hl_site_list.iter().enumerate() {
+        let v = dev.half_latches.value(site);
+        let at = layout.half_latches as usize + 2 * k;
+        (vals[at], vals[at + 1]) = (v, !v);
+    }
     Compiled {
         lut_pins: b.luts.iter().map(|l| l.pins.map(slot)).collect(),
         lut_data: b.luts.iter().map(|l| slot(l.data)).collect(),
@@ -1037,7 +1062,7 @@ pub(crate) fn compile_with(dev: &Device, extra: &[Site]) -> Compiled {
         dynamic_luts: (0..n as u32)
             .filter(|&i| b.luts[i as usize].mode.is_dynamic())
             .collect(),
-        vals: (0..layout.len).map(|s| s == ONE_SLOT).collect(),
+        vals,
         layout,
         luts: b.luts,
         ffs: b.ffs,

@@ -78,7 +78,7 @@ use crate::compile::{
     Site, Src, Tracer,
 };
 use crate::device::Device;
-use crate::engine_wide::WideTarget;
+use crate::engine_wide::{node_index, Adjacency, WideTarget};
 use crate::frames::{BitLocus, Edge, IobEntry};
 use crate::geometry::{Geometry, BRAM_WIDTH, WIRES_PER_DIR};
 
@@ -154,121 +154,210 @@ pub enum DeltaClass {
     Structural,
 }
 
-/// Call `f(root, source)` for every root of `node` (a LUT, FF or BRAM
-/// source; anything else has none), with the network's own source. A
-/// static LUT's write roots read `Src::Zero` here, so only a lane that
-/// re-modes the LUT and rebinds them gives them a source.
-fn for_each_root(net: &Compiled, node: Src, mut f: impl FnMut(Root, Src)) {
-    match node {
-        Src::Lut(lut) => {
-            let l = &net.luts[lut as usize];
-            for (pin, &s) in l.pins.iter().enumerate() {
-                f(
-                    Root::LutPin {
-                        lut,
-                        pin: pin as u8,
-                    },
-                    s,
-                );
-            }
-            f(Root::LutData { lut }, l.data);
-            f(Root::LutWe { lut }, l.we);
+/// What flipping one bit does to the network, before lane admission.
+enum Delta {
+    /// Decided without an edit: a state overlay, or benign.
+    Class(DeltaClass),
+    /// The edit a re-trace derives (no op if the network is unchanged),
+    /// or `Incompat` if the re-trace left the augmented network.
+    Edit(Result<Vec<DeltaOp>, Incompat>),
+}
+
+/// Call `f(root, source)` for every root of node `n` (an id of
+/// [`node_id`]'s numbering), with the network's own source. A static
+/// LUT's write roots read `Src::Zero` here, so only a lane that re-modes
+/// the LUT and rebinds them gives them a source.
+fn for_each_root(net: &Compiled, n: usize, mut f: impl FnMut(Root, Src)) {
+    let (luts, ffs) = (net.luts.len(), net.ffs.len());
+    if n < luts {
+        let (l, lut) = (&net.luts[n], n as u32);
+        for (pin, &s) in l.pins.iter().enumerate() {
+            let pin = pin as u8;
+            f(Root::LutPin { lut, pin }, s);
         }
-        Src::Ff(ff) => {
-            let x = &net.ffs[ff as usize];
-            f(Root::FfD { ff }, x.d);
-            f(Root::FfCe { ff }, x.ce);
-            f(Root::FfSr { ff }, x.sr);
+        f(Root::LutData { lut }, l.data);
+        f(Root::LutWe { lut }, l.we);
+    } else if n < luts + ffs {
+        let (x, ff) = (&net.ffs[n - luts], (n - luts) as u32);
+        f(Root::FfD { ff }, x.d);
+        f(Root::FfCe { ff }, x.ce);
+        f(Root::FfSr { ff }, x.sr);
+    } else {
+        let bram = (n - luts - ffs) as u32;
+        let b = &net.brams[bram as usize];
+        for (i, &s) in b.addr.iter().enumerate() {
+            f(Root::BramAddr { bram, i: i as u8 }, s);
         }
-        Src::Bram { id: bram, .. } => {
-            let b = &net.brams[bram as usize];
-            for (i, &s) in b.addr.iter().enumerate() {
-                f(Root::BramAddr { bram, i: i as u8 }, s);
-            }
-            for (i, &s) in b.din.iter().enumerate() {
-                f(Root::BramDin { bram, i: i as u8 }, s);
-            }
-            f(Root::BramWe { bram }, b.we);
-            f(Root::BramEn { bram }, b.en);
+        for (i, &s) in b.din.iter().enumerate() {
+            f(Root::BramDin { bram, i: i as u8 }, s);
         }
-        _ => {}
+        f(Root::BramWe { bram }, b.we);
+        f(Root::BramEn { bram }, b.en);
     }
 }
 
-/// Per node, the lanes whose network holds it.
-pub(crate) struct Reach {
-    pub luts: Vec<u64>,
-    pub ffs: Vec<u64>,
-    pub brams: Vec<u64>,
-}
-
-impl Reach {
-    /// Add lanes `m` to node `s`; true if that grew its mask.
-    fn grow(&mut self, s: Src, m: u64) -> bool {
-        let mask = match s {
-            Src::Lut(i) => &mut self.luts[i as usize],
-            Src::Ff(i) => &mut self.ffs[i as usize],
-            Src::Bram { id, .. } => &mut self.brams[id as usize],
-            _ => return false,
-        };
-        let grew = m & !*mask != 0;
-        *mask |= m;
-        grew
+/// The id of node `s` in the numbering of the operand index
+/// ([`node_index`]): the LUTs, then the flip-flops, then the BRAM blocks,
+/// each by compiled id. Anything else is no node.
+fn node_id(net: &Compiled, s: Src) -> Option<usize> {
+    let (luts, ffs) = (net.luts.len(), net.ffs.len());
+    match s {
+        Src::Lut(i) => Some(i as usize),
+        Src::Ff(i) => Some(luts + i as usize),
+        Src::Bram { id, .. } => Some(luts + ffs + id as usize),
+        _ => None,
     }
 }
 
-/// Which lanes' networks hold each node of `net`. Lane bits enter at
-/// `seeds` and flow from every held node to the sources its roots read,
-/// where `ovs(root)` rebinds the root for the lanes in each mask. The
-/// least fixpoint is, lane by lane, exactly the node set a scalar compile
-/// of that lane's network holds — found for all lanes in one pass.
+/// The node that owns `root` (none for an output entry).
+fn root_node(net: &Compiled, root: Root) -> Option<usize> {
+    let (luts, ffs) = (net.luts.len(), net.ffs.len());
+    Some(match root {
+        Root::LutPin { lut, .. } | Root::LutData { lut } | Root::LutWe { lut } => lut as usize,
+        Root::FfD { ff } | Root::FfCe { ff } | Root::FfSr { ff } => luts + ff as usize,
+        Root::BramAddr { bram, .. }
+        | Root::BramDin { bram, .. }
+        | Root::BramWe { bram }
+        | Root::BramEn { bram } => luts + ffs + bram as usize,
+        Root::OutEntry { .. } => return None,
+    })
+}
+
+/// Add lanes `m` to node `n`, if it is one, queueing it if that grew its
+/// mask.
+#[inline]
+fn grow(held: &mut [u64], work: &mut Vec<u32>, n: Option<usize>, m: u64) {
+    if let Some(n) = n.filter(|&n| m & !held[n] != 0) {
+        held[n] |= m;
+        work.push(n as u32);
+    }
+}
+
+/// Which lanes' networks hold each node of `net`, by node id (see
+/// [`node_id`]). Lane bits enter at `seeds` and flow from every held node
+/// to the sources its roots read: through `reads`, the network's operand
+/// index, at a node `overridden` says carries no lane override, and root
+/// by root at one that does, where `ovs(root)` rebinds the root for the
+/// lanes in each mask. The least fixpoint is, lane by lane, exactly the
+/// node set a scalar compile of that lane's network holds — found for
+/// all lanes in one pass.
 pub(crate) fn reach<I: IntoIterator<Item = (u64, Src)>>(
     net: &Compiled,
+    reads: &Adjacency,
     seeds: &[(Src, u64)],
+    overridden: impl Fn(usize) -> bool,
     ovs: impl Fn(Root) -> I,
-) -> Reach {
-    let mut r = Reach {
-        luts: vec![0; net.luts.len()],
-        ffs: vec![0; net.ffs.len()],
-        brams: vec![0; net.brams.len()],
-    };
-    let mut work: Vec<Src> = seeds
-        .iter()
-        .filter(|&&(s, m)| r.grow(s, m))
-        .map(|&(s, _)| s)
-        .collect();
-    while let Some(s) = work.pop() {
-        let m = match s {
-            Src::Lut(i) => r.luts[i as usize],
-            Src::Ff(i) => r.ffs[i as usize],
-            Src::Bram { id, .. } => r.brams[id as usize],
-            _ => continue,
-        };
-        for_each_root(net, s, |root, base| {
+) -> Vec<u64> {
+    let n = net.luts.len() + net.ffs.len() + net.brams.len();
+    let (mut held, mut work) = (vec![0u64; n], Vec::new());
+    for &(s, m) in seeds {
+        grow(&mut held, &mut work, node_id(net, s), m);
+    }
+    while let Some(i) = work.pop() {
+        let (i, m) = (i as usize, held[i as usize]);
+        if !overridden(i) {
+            for &j in reads.of(i) {
+                grow(&mut held, &mut work, Some(j as usize), m);
+            }
+            continue;
+        }
+        for_each_root(net, i, |root, base| {
             let mut through = m;
             for (lanes, src) in ovs(root) {
-                if r.grow(src, m & lanes) {
-                    work.push(src);
-                }
+                grow(&mut held, &mut work, node_id(net, src), m & lanes);
                 through &= !lanes;
             }
-            if r.grow(base, through) {
-                work.push(base);
-            }
+            grow(&mut held, &mut work, node_id(net, base), through);
         });
     }
-    r
+    held
 }
 
 /// True if the LUTs with a bit in `held` form a combinational cycle when
 /// each root reads `src_of(root, network source)`: the scalar compile of
-/// that network would relax it iteratively.
-fn has_cycle(net: &Compiled, held: &[u64], src_of: impl Fn(Root, Src) -> Src) -> bool {
+/// that network would relax it iteratively. A LUT `overridden` says keeps
+/// its network sources reads what `reads` lists; the others are read root
+/// by root.
+fn has_cycle(
+    net: &Compiled,
+    reads: &Adjacency,
+    held: &[u64],
+    overridden: impl Fn(usize) -> bool,
+    src_of: impl Fn(Root, Src) -> Src,
+) -> bool {
+    let n = net.luts.len();
+    // (read LUT, reading LUT) per edge between held LUTs.
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for i in (0..n).filter(|&i| held[i] != 0) {
+        if overridden(i) {
+            for_each_root(net, i, |root, base| {
+                if let Src::Lut(j) = src_of(root, base) {
+                    edges.push((j, i as u32));
+                }
+            });
+        } else {
+            let luts = reads.of(i).iter().take_while(|&&j| (j as usize) < n);
+            edges.extend(luts.map(|&j| (j, i as u32)));
+        }
+    }
+    let mut indeg = vec![0u32; n];
+    for &(_, i) in &edges {
+        indeg[i as usize] += 1;
+    }
+    let readers = Adjacency::from_edges(n, edges.iter().copied());
+    let mut ready: Vec<u32> = (0..n as u32)
+        .filter(|&i| held[i as usize] != 0 && indeg[i as usize] == 0)
+        .collect();
+    let mut left = held[..n].iter().filter(|&&m| m != 0).count();
+    while let Some(j) = ready.pop() {
+        left -= 1;
+        for &i in readers.of(j as usize) {
+            indeg[i as usize] -= 1;
+            if indeg[i as usize] == 0 {
+                ready.push(i);
+            }
+        }
+    }
+    left > 0
+}
+
+/// The root-by-root walk [`reach`] replaced, kept as its test oracle:
+/// every held node's roots are visited one by one, with `ovs(root)`
+/// rebinding each for the lanes in its masks.
+#[cfg(test)]
+pub(crate) fn reach_by_root<I: IntoIterator<Item = (u64, Src)>>(
+    net: &Compiled,
+    seeds: &[(Src, u64)],
+    ovs: impl Fn(Root) -> I,
+) -> Vec<u64> {
+    let n = net.luts.len() + net.ffs.len() + net.brams.len();
+    let (mut held, mut work) = (vec![0u64; n], Vec::new());
+    for &(s, m) in seeds {
+        grow(&mut held, &mut work, node_id(net, s), m);
+    }
+    while let Some(i) = work.pop() {
+        let m = held[i as usize];
+        for_each_root(net, i as usize, |root, base| {
+            let mut through = m;
+            for (lanes, src) in ovs(root) {
+                grow(&mut held, &mut work, node_id(net, src), m & lanes);
+                through &= !lanes;
+            }
+            grow(&mut held, &mut work, node_id(net, base), through);
+        });
+    }
+    held
+}
+
+/// The cycle check [`has_cycle`] replaced, kept as its test oracle: one
+/// reader list per LUT, every held LUT read root by root.
+#[cfg(test)]
+fn has_cycle_by_root(net: &Compiled, held: &[u64], src_of: impl Fn(Root, Src) -> Src) -> bool {
     let n = net.luts.len();
     let mut indeg = vec![0u32; n];
     let mut readers: Vec<Vec<u32>> = vec![Vec::new(); n];
     for i in (0..n).filter(|&i| held[i] != 0) {
-        for_each_root(net, Src::Lut(i as u32), |root, base| {
+        for_each_root(net, i, |root, base| {
             if let Src::Lut(j) = src_of(root, base) {
                 readers[j as usize].push(i as u32);
                 indeg[i] += 1;
@@ -278,7 +367,7 @@ fn has_cycle(net: &Compiled, held: &[u64], src_of: impl Fn(Root, Src) -> Src) ->
     let mut ready: Vec<u32> = (0..n as u32)
         .filter(|&i| held[i as usize] != 0 && indeg[i as usize] == 0)
         .collect();
-    let mut left = held.iter().filter(|&&m| m != 0).count();
+    let mut left = held[..n].iter().filter(|&&m| m != 0).count();
     while let Some(j) = ready.pop() {
         left -= 1;
         for &i in &readers[j as usize] {
@@ -307,6 +396,21 @@ fn net_src(net: &Compiled, root: Root) -> Option<Src> {
         Root::BramEn { bram } => net.brams[bram as usize].en,
         Root::OutEntry { .. } => return None,
     })
+}
+
+/// One lane's rebinds, each as a one-lane override list.
+fn rebinds(ops: &[DeltaOp]) -> Vec<(Root, [(u64, Src); 1])> {
+    let rebinds = ops.iter().filter_map(|op| match *op {
+        DeltaOp::Rebind(root, src) => Some((root, [(1, src)])),
+        _ => None,
+    });
+    rebinds.collect()
+}
+
+/// The overrides `rebinds` installs on `root` (empty if none).
+fn lane_ovs(rebinds: &[(Root, [(u64, Src); 1])], root: Root) -> &[(u64, Src)] {
+    let ov = rebinds.iter().find(|(r, _)| *r == root);
+    ov.map_or(&[][..], |(_, ov)| &ov[..])
 }
 
 /// The delta map's node set: a compiled network's nodes, looked up.
@@ -348,17 +452,14 @@ fn tracer<'a>(dev: &'a Device, net: &'a Compiled) -> Tracer<'a, Lookup<'a>> {
     Tracer { dev, nodes }
 }
 
-/// Every root the compiler traces of the nodes with ids from `from` up to
-/// `to` (a static LUT's write roots are not among them).
-fn roots_between(net: &Compiled, from: NodeCounts, to: NodeCounts) -> Vec<Root> {
-    let mut roots = Vec::new();
+/// Every root the compiler traces of the nodes with ids at or past
+/// `from` (a static LUT's write roots are not among them).
+fn roots_past(net: &Compiled, from: NodeCounts) -> Vec<Root> {
+    let to = NodeCounts::of(net);
     let nodes = (from.luts..to.luts)
-        .map(|i| Src::Lut(i as u32))
-        .chain((from.ffs..to.ffs).map(|i| Src::Ff(i as u32)))
-        .chain((from.brams..to.brams).map(|i| Src::Bram {
-            id: i as u32,
-            bit: 0,
-        }));
+        .chain(to.luts + from.ffs..to.luts + to.ffs)
+        .chain(to.luts + to.ffs + from.brams..to.luts + to.ffs + to.brams);
+    let mut roots = Vec::new();
     for node in nodes {
         for_each_root(net, node, |root, _| match root {
             Root::LutData { lut } | Root::LutWe { lut }
@@ -388,6 +489,8 @@ pub struct DeltaMap {
     pub(crate) golden: NodeCounts,
     /// Settle position of each LUT in `net.order`.
     pos: Vec<u32>,
+    /// The operand index of `net` (see [`node_index`]).
+    reads: Adjacency,
     /// (global bit, reading root) over the golden roots, sorted by bit.
     deps: Vec<(usize, Root)>,
     /// The same over the out-of-cone roots, kept only for golden-read
@@ -426,6 +529,7 @@ impl DeltaMap {
         let golden = NodeCounts::of(&net);
         let mut map = DeltaMap {
             pos: Vec::new(),
+            reads: Adjacency::from_edges(0, std::iter::empty()),
             deps: Vec::new(),
             ext_deps: Vec::new(),
             east_entries: Vec::new(),
@@ -436,7 +540,7 @@ impl DeltaMap {
         };
 
         let rows = dev.geom.rows;
-        let mut roots = roots_between(&map.net, NodeCounts::default(), golden);
+        let mut roots = roots_past(&map.net, NodeCounts::default());
         for row in 0..rows {
             for wire in 0..WIRES_PER_DIR {
                 let e = dev.config.read_iob(Edge::East, row, wire);
@@ -457,6 +561,7 @@ impl DeltaMap {
         for (i, &li) in map.net.order.iter().enumerate() {
             map.pos[li as usize] = i as u32;
         }
+        map.reads = node_index(&map.net).1;
         map
     }
 
@@ -526,7 +631,7 @@ impl DeltaMap {
             }
             let from = NodeCounts::of(&self.net);
             self.net = compile_with(dev, &extra);
-            let roots = roots_between(&self.net, from, NodeCounts::of(&self.net));
+            let roots = roots_past(&self.net, from);
             let mut new_deps = self.record(dev, &roots);
             new_deps.retain(|&(b, _)| !readers(&self.deps, b).is_empty());
             self.ext_deps.extend_from_slice(&new_deps);
@@ -568,28 +673,42 @@ impl DeltaMap {
     /// configuration is probed by a temporary in-place flip (restored
     /// before returning); the compiled cache is never touched.
     pub fn classify(&self, dev: &mut Device, global: usize) -> DeltaClass {
-        let overlay = |t| DeltaClass::Lane(LaneUpset::state(t));
+        self.admit(self.delta(dev, global))
+    }
+
+    /// The class of `delta`: an edit that left the augmented network is
+    /// structural, an empty one benign, any other a lane if
+    /// [`DeltaMap::lane`] admits it.
+    fn admit(&self, delta: Delta) -> DeltaClass {
+        match delta {
+            Delta::Class(class) => class,
+            Delta::Edit(Err(Incompat)) => DeltaClass::Structural,
+            Delta::Edit(Ok(ops)) if ops.is_empty() => DeltaClass::Benign,
+            Delta::Edit(Ok(ops)) => self.lane(ops),
+        }
+    }
+
+    /// What flipping `global` does to the network, before lane admission.
+    fn delta(&self, dev: &mut Device, global: usize) -> Delta {
+        let overlay = |t| Delta::Class(DeltaClass::Lane(LaneUpset::state(t)));
+        let benign = Delta::Class(DeltaClass::Benign);
         match dev.config.describe(global) {
             BitLocus::Clb { tile, role } => match role {
                 BitRole::LutTable { slice, lut, bit } => self
                     .golden_node(dev, Site::Lut { tile, slice, lut })
-                    .map_or(DeltaClass::Benign, |id| {
-                        overlay(WideTarget::LutTable { lut: id, bit })
-                    }),
+                    .map_or(benign, |id| overlay(WideTarget::LutTable { lut: id, bit })),
                 BitRole::FfInit { slice, ff } => self
                     .golden_node(dev, Site::Ff { tile, slice, ff })
-                    .map_or(DeltaClass::Benign, |id| {
-                        overlay(WideTarget::FfInit { ff: id })
-                    }),
-                BitRole::SliceReserved { .. } | BitRole::Pad => DeltaClass::Benign,
+                    .map_or(benign, |id| overlay(WideTarget::FfInit { ff: id })),
+                BitRole::SliceReserved { .. } | BitRole::Pad => benign,
                 BitRole::LutModeBit { slice, lut, bit } => self
                     .golden_node(dev, Site::Lut { tile, slice, lut })
-                    .map_or(DeltaClass::Benign, |id| self.remode(dev, id, bit)),
-                _ => self.classify_deps(dev, global),
+                    .map_or(benign, |id| Delta::Edit(self.remode(dev, id, bit))),
+                _ => self.deps_delta(dev, global),
             },
             BitLocus::BramContent { col, block, bit } => self
                 .golden_node(dev, Site::Bram { col, block })
-                .map_or(DeltaClass::Benign, |mem| {
+                .map_or(benign, |mem| {
                     overlay(WideTarget::BramBit {
                         mem,
                         addr: (bit as usize / BRAM_WIDTH) as u16,
@@ -606,25 +725,26 @@ impl DeltaMap {
                 // so the port vector stays golden.
                 let golden = self.east_entries[row as usize * WIRES_PER_DIR + wire as usize];
                 if !golden.enabled && !IobEntry::decode(golden.encode() ^ (1 << bit)).enabled {
-                    return DeltaClass::Benign;
+                    return benign;
                 }
-                self.classify_east_entry(dev, global, (row, wire))
+                Delta::Edit(self.east_entry_edit(dev, global, (row, wire)))
             }
-            _ => self.classify_deps(dev, global),
+            _ => self.deps_delta(dev, global),
         }
     }
 
-    /// Classify a flip of bit `global` of east entry `entry` by rebuilding
-    /// the port vector with that entry re-read.
-    fn classify_east_entry(&self, dev: &mut Device, global: usize, entry: (u16, u8)) -> DeltaClass {
+    /// The edit a flip of bit `global` of east entry `entry` makes: the
+    /// port vector rebuilt with that entry re-read.
+    fn east_entry_edit(
+        &self,
+        dev: &mut Device,
+        global: usize,
+        entry: (u16, u8),
+    ) -> Result<Vec<DeltaOp>, Incompat> {
         dev.config.flip_bit(global);
         let r = self.recompute_outputs(dev, Some(entry), &[]);
         dev.config.flip_bit(global);
-        match r {
-            Err(Incompat) => DeltaClass::Structural,
-            Ok(None) => DeltaClass::Benign,
-            Ok(Some(op)) => self.lane(vec![op]),
-        }
+        r.map(Vec::from_iter)
     }
 
     /// Where lane `u` strikes, as a sort key: the settle position of the
@@ -636,16 +756,9 @@ impl DeltaMap {
     pub fn lane_key(&self, u: &LaneUpset) -> u32 {
         let (luts, ffs) = (self.net.luts.len() as u32, self.net.ffs.len() as u32);
         let lut = |i: u32| self.pos[i as usize];
-        let node = |root| match root {
-            Root::LutPin { lut: i, .. } | Root::LutData { lut: i } | Root::LutWe { lut: i } => {
-                Some(lut(i))
-            }
-            Root::FfD { ff } | Root::FfCe { ff } | Root::FfSr { ff } => Some(luts + ff),
-            Root::BramAddr { bram, .. }
-            | Root::BramDin { bram, .. }
-            | Root::BramWe { bram }
-            | Root::BramEn { bram } => Some(luts + ffs + bram),
-            Root::OutEntry { .. } => None,
+        let node = |root| {
+            let n = root_node(&self.net, root)? as u32;
+            Some(if n < luts { lut(n) } else { n })
         };
         match &u.0 {
             UpsetKind::State(WideTarget::LutTable { lut: i, .. }) => lut(*i),
@@ -675,22 +788,19 @@ impl DeltaMap {
             .filter(|&id| (id as usize) < golden)
     }
 
-    /// Classify flipping mode bit `bit` of golden LUT `lut`. Between two
-    /// static modes (Logic↔ROM) the tables behave alike: benign. Between
+    /// The edit flipping mode bit `bit` of golden LUT `lut` makes. Between
+    /// two static modes (Logic↔ROM) the tables behave alike: none. Between
     /// two dynamic modes (RAM↔SRL16) only the write mode changes. Across
     /// the two, the write roots rebind: to their traced sources when the
     /// LUT starts writing, to `Src::Zero` when it stops.
-    fn remode(&self, dev: &Device, lut: u32, bit: u8) -> DeltaClass {
+    fn remode(&self, dev: &Device, lut: u32, bit: u8) -> Result<Vec<DeltaOp>, Incompat> {
         let golden = self.net.luts[lut as usize].mode;
         let mode = LutMode::from_bits(golden as u64 ^ (1 << bit));
         let mut ops = Vec::new();
         if golden.is_dynamic() != mode.is_dynamic() {
             for root in [Root::LutData { lut }, Root::LutWe { lut }] {
                 let src = if mode.is_dynamic() {
-                    match tracer(dev, &self.net).root_src(root) {
-                        Ok(src) => src,
-                        Err(Incompat) => return DeltaClass::Structural,
-                    }
+                    tracer(dev, &self.net).root_src(root)?
                 } else {
                     Src::Zero
                 };
@@ -703,30 +813,22 @@ impl DeltaMap {
             let shift = mode == LutMode::Shift;
             ops.push(DeltaOp::WriteMode { lut, shift });
         }
-        if ops.is_empty() {
-            DeltaClass::Benign
-        } else {
-            self.lane(ops)
-        }
+        Ok(ops)
     }
 
-    /// Classify via the recorded read set: no golden reader ⇒ benign;
-    /// otherwise flip in place and re-derive exactly the reading roots,
-    /// golden and out-of-cone.
-    fn classify_deps(&self, dev: &mut Device, global: usize) -> DeltaClass {
+    /// The delta through the recorded read set: no golden reader ⇒
+    /// benign; otherwise flip in place and re-derive exactly the reading
+    /// roots, golden and out-of-cone.
+    fn deps_delta(&self, dev: &mut Device, global: usize) -> Delta {
         let golden = readers(&self.deps, global);
         if golden.is_empty() {
-            return DeltaClass::Benign;
+            return Delta::Class(DeltaClass::Benign);
         }
         let roots = golden.iter().chain(readers(&self.ext_deps, global));
         dev.config.flip_bit(global);
         let r = self.delta_ops(dev, roots);
         dev.config.flip_bit(global);
-        match r {
-            Err(Incompat) => DeltaClass::Structural,
-            Ok(ops) if ops.is_empty() => DeltaClass::Benign,
-            Ok(ops) => self.lane(ops),
-        }
+        Delta::Edit(r)
     }
 
     /// Re-trace `roots` against the (already corrupted) configuration,
@@ -765,6 +867,20 @@ impl DeltaMap {
     /// checked for a cycle, and an acyclic lane settles by repeated
     /// sweeps.
     fn lane(&self, ops: Vec<DeltaOp>) -> DeltaClass {
+        let (outside, resweep) = self.placement(&ops);
+        if resweep && self.closes_cycle(&ops) {
+            return DeltaClass::Structural;
+        }
+        DeltaClass::Lane(LaneUpset(UpsetKind::Reroute {
+            ops: ops.into_boxed_slice(),
+            outside,
+            resweep,
+        }))
+    }
+
+    /// Whether lane `ops` reads a node outside the golden cone, and
+    /// whether it settles only by repeated sweeps.
+    fn placement(&self, ops: &[DeltaOp]) -> (bool, bool) {
         let outside = ops.iter().any(|op| match op {
             DeltaOp::Rebind(_, s) => self.golden.beyond(*s),
             DeltaOp::Outputs { seeds, .. } => seeds.iter().any(|&s| self.golden.beyond(s)),
@@ -779,34 +895,39 @@ impl DeltaMap {
         });
         // Golden nodes never read out-of-cone ones, so only a lane that
         // reaches past the cone can meet a cycle the order leaves unsorted.
-        let resweep = !in_order || (outside && self.net.iterative);
-        if resweep {
-            let rebinds: Vec<(Root, [(u64, Src); 1])> = ops
+        (outside, !in_order || (outside && self.net.iterative))
+    }
+
+    /// True if the lane network `ops` makes of the augmented one holds a
+    /// combinational cycle: its reach from the lane's seeds, then a cycle
+    /// check over the LUTs reached, both through the operand index except
+    /// at the nodes `ops` rebinds.
+    fn closes_cycle(&self, ops: &[DeltaOp]) -> bool {
+        let rebinds = rebinds(ops);
+        let ovs = |root| lane_ovs(&rebinds, root);
+        let rebound = |n| {
+            rebinds
                 .iter()
-                .filter_map(|op| match *op {
-                    DeltaOp::Rebind(root, src) => Some((root, [(1, src)])),
-                    _ => None,
-                })
-                .collect();
-            let ovs = |root: Root| {
-                rebinds
-                    .iter()
-                    .find(|(r, _)| *r == root)
-                    .map_or(&[][..], |(_, ov)| &ov[..])
-            };
-            let seeds: Vec<(Src, u64)> =
-                self.lane_seeds(&ops).into_iter().map(|s| (s, 1)).collect();
-            let held = reach(&self.net, &seeds, |root| ovs(root).iter().copied()).luts;
-            let src_of = |root, base| ovs(root).first().map_or(base, |&(_, s)| s);
-            if has_cycle(&self.net, &held, src_of) {
-                return DeltaClass::Structural;
-            }
-        }
-        DeltaClass::Lane(LaneUpset(UpsetKind::Reroute {
-            ops: ops.into_boxed_slice(),
-            outside,
-            resweep,
-        }))
+                .any(|&(r, _)| root_node(&self.net, r) == Some(n))
+        };
+        let seeds: Vec<(Src, u64)> = self.lane_seeds(ops).into_iter().map(|s| (s, 1)).collect();
+        let held = reach(&self.net, &self.reads, &seeds, rebound, |root| {
+            ovs(root).iter().copied()
+        });
+        let src_of = |root, base| ovs(root).first().map_or(base, |&(_, s)| s);
+        has_cycle(&self.net, &self.reads, &held, rebound, src_of)
+    }
+
+    /// [`DeltaMap::closes_cycle`] by the test oracles: the root-by-root
+    /// reach and cycle check.
+    #[cfg(test)]
+    fn closes_cycle_by_root(&self, ops: &[DeltaOp]) -> bool {
+        let rebinds = rebinds(ops);
+        let ovs = |root| lane_ovs(&rebinds, root);
+        let seeds: Vec<(Src, u64)> = self.lane_seeds(ops).into_iter().map(|s| (s, 1)).collect();
+        let held = reach_by_root(&self.net, &seeds, |root| ovs(root).iter().copied());
+        let src_of = |root, base| ovs(root).first().map_or(base, |&(_, s)| s);
+        has_cycle_by_root(&self.net, &held, src_of)
     }
 
     /// What a lane's corrupted compile roots at: every enabled east
@@ -929,7 +1050,7 @@ mod tests {
                     let entry = (row as u16, wire as u8);
                     assert_eq!(
                         class,
-                        map.classify_east_entry(&mut dev, global, entry),
+                        map.admit(Delta::Edit(map.east_entry_edit(&mut dev, global, entry))),
                         "east entry {entry:?} bit {bit}"
                     );
                     lanes += matches!(class, DeltaClass::Lane(_)) as usize;
@@ -942,5 +1063,31 @@ mod tests {
         // Each enable flip changes the port vector, as do most bits of
         // the enabled entries.
         assert!(lanes > dev.geom.rows * WIRES_PER_DIR, "{lanes} lanes");
+    }
+
+    /// On every lane that settles by repeated sweeps, the cycle check
+    /// through the operand index agrees with the root-by-root one it
+    /// replaced, on the hand-built designs and on seeded random ones.
+    #[test]
+    fn resweep_cycle_checks_match_the_root_by_root_walk() {
+        let (mut resweeps, mut cyclic) = (0, 0);
+        for (name, mut dev) in crate::fixtures::acyclic_designs(12) {
+            let map = DeltaMap::build(&mut dev);
+            let mut probe = dev.clone();
+            for bit in probe.active_config_bits() {
+                let Delta::Edit(Ok(ops)) = map.delta(&mut probe, bit) else {
+                    continue;
+                };
+                if ops.is_empty() || !map.placement(&ops).1 {
+                    continue;
+                }
+                let indexed = map.closes_cycle(&ops);
+                assert_eq!(indexed, map.closes_cycle_by_root(&ops), "{name}: bit {bit}");
+                resweeps += 1;
+                cyclic += usize::from(indexed);
+            }
+        }
+        assert!(resweeps > 500, "{resweeps} resweep lanes checked");
+        assert!(cyclic > 50, "{cyclic} of them cyclic");
     }
 }

@@ -12,10 +12,11 @@
 //! Operands are read by slot from `Compiled::vals`, one `bool` per slot of
 //! the network's slot layout (`compile::Layout`). Each cycle first
 //! loads the slots the device owns: input ports from the stimulus (a port
-//! it does not carry reads 0), half-latches from `Device::half_latches`,
-//! flip-flops and BRAM output registers from the device state. LUT slots
-//! are never loaded: they hold the previous cycle's settled values, the
-//! warm start a cyclic network relaxes from.
+//! it does not carry reads 0), flip-flops and BRAM output registers from
+//! the device state. Half-latch slots change only when a latch does: the
+//! compile writes them, and the device patches the one pair an upset or a
+//! recovery changes. LUT slots are never loaded: they hold the previous
+//! cycle's settled values, the warm start a cyclic network relaxes from.
 
 use crate::bits::{lut_table_offset, LutMode};
 use crate::compile::Compiled;
@@ -47,13 +48,6 @@ fn load(c: &mut Compiled, d: &Device, inputs: &[bool]) {
     for p in 0..c.num_inputs {
         let v = inputs.get(p).copied().unwrap_or(false);
         set_pair(vals, l.inputs as usize + 2 * p, v);
-    }
-    for (k, &site) in c.hl_site_list.iter().enumerate() {
-        set_pair(
-            vals,
-            l.half_latches as usize + 2 * k,
-            d.half_latches.value(site),
-        );
     }
     for (i, ff) in c.ffs.iter().enumerate() {
         vals[l.ffs as usize + i] = d.ff_state.get(ff.state_idx);
@@ -144,7 +138,7 @@ pub(crate) fn eval_cycle_into(
             // Write-first: the output register sees the new word.
             let w = gather(&c.vals, &s.din) as u16;
             d.config.write_bram_word(col, block, addr, w);
-            d.design_wrote_config = true;
+            d.note_design_write();
         }
         let word = d.config.read_bram_word(col, block, addr);
         d.bram_outreg[b.reg_idx] = word;
@@ -169,7 +163,7 @@ pub(crate) fn eval_cycle_into(
             LutMode::Shift => (lut.table << 1) | data as u16,
             _ => unreachable!(),
         };
-        d.design_wrote_config = true;
+        d.note_design_write();
         d.config.write_tile_field(
             lut.tile,
             lut_table_offset(lut.slice as usize, lut.lut as usize, 0),

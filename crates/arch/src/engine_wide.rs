@@ -229,26 +229,58 @@ fn operands(net: &Compiled, n: usize, f: impl FnMut(u32)) {
     }
 }
 
-/// Per node, the nodes one of whose operands reads it, as
-/// `readers[fanout[n]..fanout[n + 1]]`.
-fn fanout_index(net: &Compiled) -> (Vec<u32>, Vec<u32>) {
+/// One list of node ids per node, flat: node `n`'s is
+/// `to[at[n]..at[n + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Adjacency {
+    at: Vec<u32>,
+    to: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Over `n` nodes, each edge's second node listed under its first,
+    /// in the order of `edges`.
+    pub fn from_edges(n: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) -> Adjacency {
+        let mut at = vec![0u32; n + 1];
+        for (a, _) in edges.clone() {
+            at[a as usize + 1] += 1;
+        }
+        for i in 0..n {
+            at[i + 1] += at[i];
+        }
+        let mut next = at.clone();
+        let mut to = vec![0u32; at[n] as usize];
+        for (a, b) in edges {
+            to[next[a as usize] as usize] = b;
+            next[a as usize] += 1;
+        }
+        Adjacency { at, to }
+    }
+
+    /// Node `n`'s list.
+    #[inline]
+    pub fn of(&self, n: usize) -> &[u32] {
+        &self.to[self.at[n] as usize..self.at[n + 1] as usize]
+    }
+}
+
+/// The network's operand edges both ways, over the node ids of
+/// [`slot_node`]: per node, the nodes one of whose operands reads it (the
+/// fan-out), and the node each of its operands reads (the operand index;
+/// an operand on an input port, a constant or a half-latch has no entry).
+/// Each list is ascending and holds a node once.
+pub(crate) fn node_index(net: &Compiled) -> (Adjacency, Adjacency) {
     let n = net.luts.len() + net.ffs.len() + net.brams.len();
     let mut edges: Vec<(u32, u32)> = Vec::new();
     for reader in 0..n {
         operands(net, reader, |s| {
-            edges.extend(slot_node(net, s).map(|src| (src, reader as u32)));
+            edges.extend(slot_node(net, s).map(|src| (reader as u32, src)));
         });
     }
     edges.sort_unstable();
     edges.dedup();
-    let mut fanout = vec![0u32; n + 1];
-    for &(src, _) in &edges {
-        fanout[src as usize + 1] += 1;
-    }
-    for i in 0..n {
-        fanout[i + 1] += fanout[i];
-    }
-    (fanout, edges.into_iter().map(|(_, r)| r).collect())
+    let fanout = Adjacency::from_edges(n, edges.iter().map(|&(r, s)| (s, r)));
+    (fanout, Adjacency::from_edges(n, edges.iter().copied()))
 }
 
 /// The word-parallel engine: a network snapshot plus lane-packed dynamic
@@ -259,9 +291,10 @@ pub struct WideEngine {
     /// Golden node counts: ids at or past them are out-of-cone nodes of
     /// an augmented network.
     golden: NodeCounts,
-    /// Per node, the nodes that read it: `readers[fanout[n]..fanout[n + 1]]`.
-    fanout: Vec<u32>,
-    readers: Vec<u32>,
+    /// Per node, the nodes that read it, and the nodes it reads (see
+    /// [`node_index`]).
+    fanout: Adjacency,
+    reads: Adjacency,
     /// The golden trace batches read outside their cone, once recorded.
     trace: Option<GoldenTrace>,
     /// The build device's upset half-latches, sorted: a half-latch
@@ -403,7 +436,7 @@ impl WideEngine {
             .iter()
             .map(|&li| (li, splat(net.luts[li as usize].mode == LutMode::Shift)))
             .collect();
-        let (fanout, readers) = fanout_index(&net);
+        let (fanout, reads) = node_index(&net);
 
         let n_luts = net.luts.len();
         let n_ffs = net.ffs.len();
@@ -433,7 +466,7 @@ impl WideEngine {
             writers: golden_writers.clone(),
             golden_writers,
             fanout,
-            readers,
+            reads,
             trace: None,
             cone: vec![false; n_luts + n_ffs + n_brams],
             order: Vec::new(),
@@ -682,8 +715,7 @@ impl WideEngine {
             if std::mem::replace(&mut self.cone[n], true) {
                 continue;
             }
-            let readers = &self.readers[self.fanout[n] as usize..self.fanout[n + 1] as usize];
-            for &r in readers {
+            for &r in self.fanout.of(n) {
                 if !self.cone[r as usize] && self.is_golden(r as usize) {
                     work.push(r);
                 }
@@ -901,6 +933,30 @@ impl WideEngine {
     /// dynamic LUT tables don't shift, BRAM ports neither write nor latch
     /// — until repair restores the golden cone.
     fn apply_reachability(&mut self, reroutes: u64) {
+        let seeds = self.reach_seeds(reroutes);
+        let held = reach(
+            &self.net,
+            &self.reads,
+            &seeds,
+            |n| self.overridden(n),
+            |root| self.ovs(root).iter().map(|&(lanes, src, _)| (lanes, src)),
+        );
+        let (luts, ffs) = (self.net.luts.len(), self.net.ffs.len());
+        for (active, held) in [
+            (&mut self.lut_active, &held[..luts]),
+            (&mut self.ff_active, &held[luts..luts + ffs]),
+            (&mut self.bram_active, &held[luts + ffs..]),
+        ] {
+            for (a, &h) in active.iter_mut().zip(held) {
+                *a = (*a & !reroutes) | (h & reroutes);
+            }
+        }
+    }
+
+    /// Where the reroute lanes' networks root: the golden outputs, a
+    /// lane's replacement outputs instead where it has them, and in
+    /// diagnostics mode every flip-flop.
+    fn reach_seeds(&self, reroutes: u64) -> Vec<(Src, u64)> {
         // A lane with a replacement output vector seeds every enabled
         // entry's cone — also shadowed ones, which the compiler still
         // traces and keeps clocking.
@@ -919,18 +975,20 @@ impl WideEngine {
         if self.all_state {
             seeds.extend((0..self.net.ffs.len() as u32).map(|i| (Src::Ff(i), reroutes)));
         }
-        let r = reach(&self.net, &seeds, |root| {
-            self.ovs(root).iter().map(|&(lanes, src, _)| (lanes, src))
-        });
-        for (active, held) in [
-            (&mut self.lut_active, &r.luts),
-            (&mut self.ff_active, &r.ffs),
-            (&mut self.bram_active, &r.brams),
-        ] {
-            for (a, &h) in active.iter_mut().zip(held) {
-                *a = (*a & !reroutes) | (h & reroutes);
-            }
-        }
+        seeds
+    }
+
+    /// True if node `n` (an id of [`node_index`]) carries a lane override.
+    fn overridden(&self, n: usize) -> bool {
+        let (luts, ffs) = (self.net.luts.len(), self.net.ffs.len());
+        let slot = if n < luts {
+            self.lut_ov[n]
+        } else if n < luts + ffs {
+            self.ff_ov[n - luts]
+        } else {
+            self.bram_ov[n - luts - ffs]
+        };
+        slot != u32::MAX
     }
 
     /// Per golden output port, the lanes whose comparison against the
@@ -1170,86 +1228,11 @@ impl WideEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::{
-        encode_wire, ff_dmux_offset, input_mux_offset, lut_mode_offset, lut_table_offset,
-        out_sel_offset, outmux_offset, pip_offset, MuxPin, MUX_FLOATING, MUX_UNCONNECTED,
-        MUX_UNCONNECTED_INV,
-    };
+    use crate::bits::{input_mux_offset, lut_mode_offset, pip_offset, MuxPin};
     use crate::delta::DeltaClass;
-    use crate::frames::{
-        bram_if_addr_off, bram_if_din_off, IobEntry, BRAM_IF_EN_OFF, BRAM_IF_WE_OFF,
-    };
+    use crate::fixtures::*;
     use crate::geometry::Dir;
-    use crate::{ConfigMemory, Edge, Geometry, Tile};
-
-    /// One XOR LUT routed west→east, as in the proptest designs.
-    fn tiny_config() -> ConfigMemory {
-        let geom = Geometry::tiny();
-        let mut cm = ConfigMemory::new(geom.clone());
-        cm.write_iob(
-            Edge::West,
-            0,
-            0,
-            IobEntry {
-                enabled: true,
-                port: 0,
-                invert: false,
-            },
-        );
-        let t0 = Tile::new(0, 0);
-        cm.write_tile_field(t0, lut_table_offset(0, 0, 0), 16, 0x6996);
-        cm.write_tile_field(
-            t0,
-            input_mux_offset(0, MuxPin::LutPin { lut: 0, pin: 0 }),
-            8,
-            encode_wire(Dir::West, 0) as u64,
-        );
-        cm.write_tile_field(t0, ff_dmux_offset(0, 0), 1, 0);
-        cm.write_tile_field(
-            t0,
-            input_mux_offset(0, MuxPin::Cex),
-            8,
-            MUX_UNCONNECTED as u64,
-        );
-        cm.write_tile_field(
-            t0,
-            input_mux_offset(0, MuxPin::Srx),
-            8,
-            MUX_UNCONNECTED_INV as u64,
-        );
-        cm.write_tile_field(t0, out_sel_offset(0, 0), 1, 1);
-        cm.write_tile_field(t0, outmux_offset(Dir::East, 0), 4, 0b0001);
-        for col in 1..geom.cols {
-            let t = Tile::new(0, col);
-            cm.write_tile_field(
-                t,
-                pip_offset(Dir::East as usize * 24),
-                8,
-                1 | ((encode_wire(Dir::West, 0) as u64) << 1),
-            );
-        }
-        cm.write_iob(
-            Edge::East,
-            0,
-            0,
-            IobEntry {
-                enabled: true,
-                port: 0,
-                invert: false,
-            },
-        );
-        cm
-    }
-
-    fn configure(cm: &ConfigMemory) -> Device {
-        let mut dev = Device::new(cm.geometry().clone());
-        dev.configure_full(cm);
-        dev
-    }
-
-    fn tiny_design() -> Device {
-        configure(&tiny_config())
-    }
+    use crate::Tile;
 
     #[test]
     fn golden_lane_tracks_scalar() {
@@ -1384,58 +1367,8 @@ mod tests {
     /// again after repair.
     #[test]
     fn out_of_cone_reroute_matches_scalar() {
-        let mut cm = tiny_config();
-        let (ff_tile, home) = (Tile::new(0, 3), Tile::new(0, 4));
-        assert_eq!(cm.geometry().bram_at_home_tile(home), Some((0, 0)));
-        // The FF's output loops back to its LUT through a PIP on the
-        // BRAM's home tile; the LUT inverts it.
-        cm.write_tile_field(ff_tile, lut_table_offset(0, 0, 0), 16, 0x5555);
-        cm.write_tile_field(
-            ff_tile,
-            input_mux_offset(0, MuxPin::LutPin { lut: 0, pin: 0 }),
-            8,
-            encode_wire(Dir::East, 2) as u64,
-        );
-        cm.write_tile_field(
-            home,
-            pip_offset(Dir::West as usize * 24 + 2),
-            8,
-            1 | ((encode_wire(Dir::West, 1) as u64) << 1),
-        );
-        cm.write_tile_field(
-            ff_tile,
-            input_mux_offset(0, MuxPin::Cex),
-            8,
-            MUX_UNCONNECTED as u64,
-        );
-        cm.write_tile_field(
-            ff_tile,
-            input_mux_offset(0, MuxPin::Srx),
-            8,
-            MUX_UNCONNECTED_INV as u64,
-        );
-        cm.write_tile_field(ff_tile, out_sel_offset(0, 0), 1, 1);
-        cm.write_tile_field(ff_tile, outmux_offset(Dir::East, 1), 4, 0b0001);
-        for i in 0..8 {
-            let sel = if i == 0 {
-                encode_wire(Dir::West, 1)
-            } else {
-                MUX_FLOATING
-            };
-            cm.write_bram_if_field(0, 0, bram_if_addr_off(i), 8, sel as u64);
-        }
-        for i in 0..16 {
-            let sel = if i == 8 {
-                MUX_UNCONNECTED
-            } else {
-                MUX_FLOATING
-            };
-            cm.write_bram_if_field(0, 0, bram_if_din_off(i), 8, sel as u64);
-        }
-        let we = encode_wire(Dir::West, 0);
-        cm.write_bram_if_field(0, 0, BRAM_IF_WE_OFF, 8, we as u64);
-        cm.write_bram_if_field(0, 0, BRAM_IF_EN_OFF, 8, MUX_UNCONNECTED as u64);
-        let mut dev = configure(&cm);
+        let mut dev = configure(&out_of_cone_config());
+        let home = OUT_OF_CONE_HOME;
 
         // PIP select West-0 (72) with bit 5 set is BramOut(8) (104).
         let bit = dev
@@ -1467,34 +1400,6 @@ mod tests {
         );
     }
 
-    /// A PIP chain from tile `from` through `steps` tiles in direction
-    /// `dir`: each hop's outgoing wire `idx` takes the previous hop's.
-    fn route(cm: &mut ConfigMemory, from: Tile, dir: Dir, idx: usize, steps: usize) {
-        let mut t = from;
-        for _ in 0..steps {
-            t = cm
-                .geometry()
-                .neighbor(t, dir)
-                .expect("route stays on the device");
-            cm.write_tile_field(
-                t,
-                pip_offset(dir as usize * 24 + idx),
-                8,
-                1 | ((encode_wire(dir.opposite(), idx) as u64) << 1),
-            );
-        }
-    }
-
-    /// Bind east output `port` to outgoing East wire `idx` of `row`.
-    fn east_port(cm: &mut ConfigMemory, row: usize, idx: usize, port: u8) {
-        let entry = IobEntry {
-            enabled: true,
-            port,
-            invert: false,
-        };
-        cm.write_iob(Edge::East, row, idx, entry);
-    }
-
     /// Within one cycle, a BRAM port's freshly latched output register
     /// reaches every later BRAM port and LUT-RAM write, while flip-flop
     /// next-state samples the old one. BRAM A (compiled first) reads
@@ -1504,104 +1409,7 @@ mod tests {
     /// cycle for cycle.
     #[test]
     fn bram_output_reaches_later_ports_the_same_cycle() {
-        let mut cm = tiny_config();
-        let (a_home, b_home, ram) = (Tile::new(0, 4), Tile::new(4, 4), Tile::new(0, 5));
-        assert_eq!(cm.geometry().bram_at_home_tile(a_home), Some((0, 0)));
-        assert_eq!(cm.geometry().bram_at_home_tile(b_home), Some((0, 1)));
-        let bram_out = |bit: u64| 1 | ((96 + bit) << 1);
-
-        // Input port 0 along row 0 to A's address pin 0.
-        cm.write_tile_field(
-            Tile::new(0, 0),
-            pip_offset(Dir::East as usize * 24 + 5),
-            8,
-            1 | ((encode_wire(Dir::West, 0) as u64) << 1),
-        );
-        route(&mut cm, Tile::new(0, 0), Dir::East, 5, 4);
-        // A: word 0 = bit 0, word 1 = bit 3, always enabled, read-only.
-        // B: word 1 = all ones.
-        cm.write_bram_word(0, 0, 0, 0b0001);
-        cm.write_bram_word(0, 0, 1, 0b1000);
-        cm.write_bram_word(0, 1, 1, 0xFFFF);
-        for block in 0..2 {
-            for i in 0..8 {
-                cm.write_bram_if_field(0, block, bram_if_addr_off(i), 8, MUX_FLOATING as u64);
-            }
-            for i in 0..16 {
-                cm.write_bram_if_field(0, block, bram_if_din_off(i), 8, MUX_FLOATING as u64);
-            }
-            cm.write_bram_if_field(0, block, BRAM_IF_WE_OFF, 8, MUX_FLOATING as u64);
-            let en = MUX_UNCONNECTED as u64;
-            cm.write_bram_if_field(0, block, BRAM_IF_EN_OFF, 8, en);
-        }
-        let a_addr0 = encode_wire(Dir::West, 5) as u64;
-        cm.write_bram_if_field(0, 0, bram_if_addr_off(0), 8, a_addr0);
-
-        // A's bit 0 out to port 2: compiled before B, so A's port runs
-        // first.
-        cm.write_tile_field(
-            a_home,
-            pip_offset(Dir::East as usize * 24 + 2),
-            8,
-            bram_out(0),
-        );
-        route(&mut cm, a_home, Dir::East, 2, 3);
-        east_port(&mut cm, 0, 2, 2);
-        // A's bit 3 south to B's address pin 0, and east to the slice.
-        cm.write_tile_field(
-            a_home,
-            pip_offset(Dir::South as usize * 24 + 7),
-            8,
-            bram_out(3),
-        );
-        route(&mut cm, a_home, Dir::South, 7, 3);
-        let b_addr0 = encode_wire(Dir::North, 7) as u64;
-        cm.write_bram_if_field(0, 1, bram_if_addr_off(0), 8, b_addr0);
-        cm.write_tile_field(
-            a_home,
-            pip_offset(Dir::East as usize * 24 + 6),
-            8,
-            bram_out(3),
-        );
-        // B's bit 2 out to port 3.
-        cm.write_tile_field(
-            b_home,
-            pip_offset(Dir::East as usize * 24 + 3),
-            8,
-            bram_out(2),
-        );
-        route(&mut cm, b_home, Dir::East, 3, 3);
-        east_port(&mut cm, 4, 3, 3);
-
-        // LUT F of the slice: RAM mode, table 0, write-enabled by A's bit
-        // 3, data from input port 0; its output to port 1.
-        cm.write_tile_field(ram, lut_mode_offset(0, 0), 2, 2);
-        cm.write_tile_field(ram, lut_table_offset(0, 0, 0), 16, 0);
-        for pin in 0..4 {
-            let off = input_mux_offset(0, MuxPin::LutPin { lut: 0, pin });
-            cm.write_tile_field(ram, off, 8, MUX_FLOATING as u64);
-        }
-        let a_bit3 = encode_wire(Dir::West, 6) as u64;
-        cm.write_tile_field(ram, input_mux_offset(0, MuxPin::Srx), 8, a_bit3);
-        let input = encode_wire(Dir::West, 5) as u64;
-        route(&mut cm, a_home, Dir::East, 5, 1);
-        cm.write_tile_field(ram, input_mux_offset(0, MuxPin::Bx), 8, input);
-        cm.write_tile_field(ram, outmux_offset(Dir::East, 1), 4, 0b0001);
-        route(&mut cm, ram, Dir::East, 1, 2);
-        east_port(&mut cm, 0, 1, 1);
-        // Flip-flop Y of the slice: D = A's bit 3, always enabled; its
-        // output to port 4.
-        cm.write_tile_field(ram, ff_dmux_offset(0, 1), 1, 1);
-        cm.write_tile_field(ram, input_mux_offset(0, MuxPin::By), 8, a_bit3);
-        let cey = MUX_UNCONNECTED as u64;
-        cm.write_tile_field(ram, input_mux_offset(0, MuxPin::Cey), 8, cey);
-        let sry = MUX_UNCONNECTED_INV as u64;
-        cm.write_tile_field(ram, input_mux_offset(0, MuxPin::Sry), 8, sry);
-        cm.write_tile_field(ram, out_sel_offset(0, 1), 1, 1);
-        cm.write_tile_field(ram, outmux_offset(Dir::East, 4), 4, 0b0011);
-        route(&mut cm, ram, Dir::East, 4, 2);
-        east_port(&mut cm, 0, 4, 4);
-        let mut dev = configure(&cm);
+        let mut dev = configure(&bram_chain_config());
         assert_eq!(dev.num_outputs(), 5);
         let stats = dev.network_stats();
         assert_eq!((stats.brams, stats.has_comb_cycles), (2, false));
@@ -1615,43 +1423,6 @@ mod tests {
         };
         let mut wide = WideEngine::with_map(&mut dev, &map).expect("wide engine");
         assert!(lane_matches_scalar(&mut wide, &dev, bit, upset) > 0);
-    }
-
-    /// `tiny_config` plus LUT F of tile (1, 0), slice 0, in `mode`: table
-    /// 0, pin 0 on input port 0, write data on the inverted port, write
-    /// enable on tile (0, 0)'s flip-flop, output to port 1. Input port 0
-    /// enters row 1 on West wires 0 (plain) and 1 (inverted).
-    fn remode_config(mode: LutMode) -> ConfigMemory {
-        let mut cm = tiny_config();
-        let t = Tile::new(1, 0);
-        for (wire, invert) in [(0, false), (1, true)] {
-            let entry = IobEntry {
-                enabled: true,
-                port: 0,
-                invert,
-            };
-            cm.write_iob(Edge::West, 1, wire, entry);
-        }
-        cm.write_tile_field(Tile::new(0, 0), outmux_offset(Dir::South, 0), 4, 0b0001);
-        cm.write_tile_field(t, lut_mode_offset(0, 0), 2, mode as u64);
-        cm.write_tile_field(t, lut_table_offset(0, 0, 0), 16, 0);
-        for pin in 0..4 {
-            let sel = if pin == 0 {
-                encode_wire(Dir::West, 0)
-            } else {
-                MUX_FLOATING
-            };
-            let off = input_mux_offset(0, MuxPin::LutPin { lut: 0, pin });
-            cm.write_tile_field(t, off, 8, sel as u64);
-        }
-        let data = encode_wire(Dir::West, 1) as u64;
-        cm.write_tile_field(t, input_mux_offset(0, MuxPin::Bx), 8, data);
-        let we = encode_wire(Dir::North, 0) as u64;
-        cm.write_tile_field(t, input_mux_offset(0, MuxPin::Srx), 8, we);
-        cm.write_tile_field(t, outmux_offset(Dir::East, 1), 4, 0b0001);
-        route(&mut cm, t, Dir::East, 1, 7);
-        east_port(&mut cm, 1, 1, 1);
-        cm
     }
 
     /// Flip mode bit `bit` of `remode_config(mode)`'s LUT in lane 1: the
@@ -1705,36 +1476,79 @@ mod tests {
     /// relaxes. The triage must call it structural.
     #[test]
     fn diagnostics_loop_on_unobserved_flip_flop_is_structural() {
-        let mut cm = tiny_config();
-        let (t, n) = (Tile::new(2, 1), Tile::new(2, 2));
-        cm.write_tile_field(t, lut_table_offset(0, 0, 0), 16, 0x5555);
-        cm.write_tile_field(t, lut_table_offset(0, 1, 0), 16, 0xAAAA);
-        let f_pin0 = input_mux_offset(0, MuxPin::LutPin { lut: 0, pin: 0 });
-        cm.write_tile_field(t, f_pin0, 8, encode_wire(Dir::East, 3) as u64);
-        let g_pin0 = input_mux_offset(0, MuxPin::LutPin { lut: 1, pin: 0 });
-        cm.write_tile_field(t, g_pin0, 8, encode_wire(Dir::East, 4) as u64);
-        for pin in 1..4 {
-            for lut in 0..2 {
-                let off = input_mux_offset(0, MuxPin::LutPin { lut, pin });
-                cm.write_tile_field(t, off, 8, MUX_FLOATING as u64);
-            }
-        }
-        // G out on East 1, F on East 2; tile (2, 2) turns them back on
-        // West 3 and West 5.
-        cm.write_tile_field(t, outmux_offset(Dir::East, 1), 4, 0b0011);
-        cm.write_tile_field(t, outmux_offset(Dir::East, 2), 4, 0b0001);
-        for (out, back) in [(3, 1), (5, 2)] {
-            let pip = 1 | ((encode_wire(Dir::West, back) as u64) << 1);
-            cm.write_tile_field(n, pip_offset(Dir::West as usize * 24 + out), 8, pip);
-        }
-        let mut dev = configure(&cm);
+        let mut dev = configure(&diagnostics_loop_config());
         dev.set_compile_all_state(true);
-        let bit = dev.config().tile_bit_index(t, g_pin0);
+        let g_pin0 = input_mux_offset(0, MuxPin::LutPin { lut: 1, pin: 0 });
+        let bit = dev.config().tile_bit_index(DIAGNOSTICS_LOOP_TILE, g_pin0);
 
         let mut cyclic = dev.clone();
         cyclic.flip_config_bit(bit);
         assert!(cyclic.network_stats().has_comb_cycles);
         let map = DeltaMap::build(&mut dev);
         assert_eq!(map.classify(&mut dev.clone(), bit), DeltaClass::Structural);
+    }
+
+    /// Classify every closure bit of `dev` against `map` and batch the
+    /// lanes as `run_campaign_wide` does: augmented lanes apart, each
+    /// group in `lane_key` order, 63 to a batch.
+    fn campaign_batches(dev: &Device, map: &DeltaMap) -> Vec<Vec<LaneUpset>> {
+        let mut probe = dev.clone();
+        let mut groups: [Vec<(u32, usize, LaneUpset)>; 2] = Default::default();
+        for bit in probe.active_config_bits() {
+            if let DeltaClass::Lane(u) = map.classify(&mut probe, bit) {
+                groups[usize::from(u.is_augmented())].push((map.lane_key(&u), bit, u));
+            }
+        }
+        let mut batches = Vec::new();
+        for mut group in groups {
+            group.sort_unstable_by_key(|&(key, bit, _)| (key, bit));
+            let lanes: Vec<LaneUpset> = group.into_iter().map(|(_, _, u)| u).collect();
+            batches.extend(lanes.chunks(LANES - 1).map(<[LaneUpset]>::to_vec));
+        }
+        batches
+    }
+
+    /// Every batch load sets each node's lane masks to what the
+    /// root-by-root walk the operand index replaced gives, on the
+    /// hand-built designs and on seeded random ones.
+    #[test]
+    fn batch_reach_masks_match_the_root_by_root_walk() {
+        let (mut reroute_batches, mut overridden) = (0, 0);
+        for (name, mut dev) in acyclic_designs(12) {
+            let map = DeltaMap::build(&mut dev);
+            let mut wide = WideEngine::with_map(&mut dev, &map).expect("wide engine");
+            let (g, luts, ffs) = (map.golden, wide.net.luts.len(), wide.net.ffs.len());
+            for (b, batch) in campaign_batches(&dev, &map).iter().enumerate() {
+                wide.load_batch_upsets(batch);
+                let reroutes = (1..=batch.len())
+                    .filter(|&l| matches!(batch[l - 1].0, UpsetKind::Reroute { .. }))
+                    .fold(0u64, |m, l| m | 1 << l);
+                let seeds = wide.reach_seeds(reroutes);
+                let held = crate::delta::reach_by_root(&wide.net, &seeds, |root| {
+                    wide.ovs(root).iter().map(|&(lanes, src, _)| (lanes, src))
+                });
+                let golden = |n: usize| {
+                    splat(if n < luts {
+                        n < g.luts
+                    } else if n < luts + ffs {
+                        n - luts < g.ffs
+                    } else {
+                        n - luts - ffs < g.brams
+                    })
+                };
+                let active = wide.lut_active.iter().chain(&wide.ff_active);
+                for (n, &mask) in active.chain(&wide.bram_active).enumerate() {
+                    let want = (golden(n) & !reroutes) | (held[n] & reroutes);
+                    assert_eq!(mask, want, "{name}: batch {b}, node {n}");
+                }
+                reroute_batches += usize::from(reroutes != 0);
+                overridden += (0..held.len()).filter(|&n| wide.overridden(n)).count();
+            }
+        }
+        assert!(
+            reroute_batches > 20,
+            "{reroute_batches} batches with a reroute lane"
+        );
+        assert!(overridden > 100, "{overridden} overridden nodes walked");
     }
 }

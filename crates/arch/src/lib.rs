@@ -42,6 +42,8 @@ pub mod delta;
 pub mod device;
 mod engine;
 pub mod engine_wide;
+#[cfg(test)]
+mod fixtures;
 pub mod frames;
 pub mod geometry;
 pub mod halflatch;

@@ -17,8 +17,9 @@ pub struct RmwResult {
     pub static_fixed: bool,
     /// RMW repair left every live bit untouched.
     pub live_preserved: bool,
-    /// The naive golden-frame restore wiped the live data back to init.
-    pub naive_wiped: bool,
+    /// Each live bit after the naive golden-frame restore: all `false`
+    /// when it wiped the live data back to init.
+    pub naive_live: Vec<bool>,
     pub report: String,
 }
 
@@ -84,10 +85,12 @@ pub fn run() -> RmwResult {
     }
     naive.set_clock_running(false);
     naive.partial_configure_frame(addr, &golden);
-    let naive_wiped = mask
+    let naive_live: Vec<bool> = mask
         .live_offsets(fi)
         .iter()
-        .all(|&o| !naive.config().get_bit(imp.bitstream.frame_base(addr) + o));
+        .map(|&o| naive.config().get_bit(imp.bitstream.frame_base(addr) + o))
+        .collect();
+    let naive_wiped = !naive_live.is_empty() && naive_live.iter().all(|&live| !live);
 
     let mut report = String::new();
     let _ = writeln!(report, "# §IV-B — Read-Modify-Write Scrubbing");
@@ -124,7 +127,7 @@ pub fn run() -> RmwResult {
         live_bits: before_live.len(),
         static_fixed,
         live_preserved,
-        naive_wiped,
+        naive_live,
         report,
     }
 }

@@ -61,13 +61,6 @@ pub struct ScanrateResult {
 }
 
 impl ScanrateResult {
-    /// Mean detection latency grows with the scan cycle at every step.
-    pub fn latency_tracks_cycle(&self) -> bool {
-        self.rows.windows(2).all(|w| {
-            w[1].scan_cycle_ms > w[0].scan_cycle_ms && w[1].latency_mean_ms > w[0].latency_mean_ms
-        })
-    }
-
     /// Availability at the slowest cadence vs the fastest.
     pub fn availability_drop(&self) -> f64 {
         match (self.rows.first(), self.rows.last()) {

@@ -113,7 +113,11 @@ pub struct CampaignResult {
     pub exhaustive: bool,
     /// Simulated testbed time (the paper's 214 µs/bit model).
     pub sim_time: SimDuration,
-    /// Host wall-clock seconds.
+    /// Host wall-clock seconds of the whole campaign call, from entry to
+    /// the result: bit selection (the closure), and for the word-parallel
+    /// engine the `DeltaMap` build, engine build, golden trace and triage,
+    /// then every experiment. Host time only: no digest or sim-time
+    /// telemetry reads it.
     pub host_seconds: f64,
 }
 
@@ -429,8 +433,8 @@ fn run_scalar(tb: &Testbed, cfg: &CampaignConfig, bits: &[usize]) -> Vec<Sensiti
 /// [`run_campaign_wide`] against. Production campaigns call
 /// [`run_campaign_wide`], which gives identical results.
 pub fn run_campaign(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
-    let selected = select_bits(tb, cfg);
     let start = Instant::now();
+    let selected = select_bits(tb, cfg);
     let sensitive = run_scalar(tb, cfg, &selected.bits);
     finish_campaign(tb, cfg, &selected, sensitive, start)
 }
@@ -563,21 +567,21 @@ fn run_wide_batch(
 ///   cycle. Run on the scalar path, flipped and recompiled, one
 ///   experiment each.
 ///
-/// Falls back to [`run_campaign`] wholesale when the design is outside
-/// the wide engine's domain (combinational cycles, locked BRAM,
-/// unprogrammed device).
+/// Falls back to the scalar path wholesale, as [`run_campaign`] runs it,
+/// when the design is outside the wide engine's domain (combinational
+/// cycles, locked BRAM, unprogrammed device).
 pub fn run_campaign_wide(tb: &Testbed, cfg: &CampaignConfig) -> CampaignResult {
+    let start = Instant::now();
     let selected = select_bits(tb, cfg);
     let bits = &selected.bits;
     let mut probe = tb.base.clone();
     let delta = DeltaMap::build_for(&mut probe, bits);
     let Some(mut wide) = WideEngine::with_map(&mut probe, &delta) else {
-        return run_campaign(tb, cfg);
+        let sensitive = run_scalar(tb, cfg, bits);
+        return finish_campaign(tb, cfg, &selected, sensitive, start);
     };
     let persist_end = (cfg.observe_cycles + cfg.persist_cycles).min(tb.trace_len());
     wide.record_golden(&tb.stimulus[..persist_end]);
-
-    let start = Instant::now();
 
     // Triage pass. Serial it was the campaign's Amdahl bottleneck: every
     // bit funnelled through one probe device before any parallel work
